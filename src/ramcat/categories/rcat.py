@@ -26,12 +26,8 @@ class SubsetCategory(Category):
         return count(0)
 
     def hom(self, a: Any, b: Any) -> tuple[Morph, ...]:
-        return tuple(self.iter_hom(a, b))
-
-    def iter_hom(self, a: Any, b: Any) -> Iterator[Morph]:
         # combinations() is ascending-lex, which is the canonical payload order
-        for x in combinations(range(1, b + 1), a):
-            yield Morph(a, b, x)
+        return tuple(Morph(a, b, x) for x in combinations(range(1, b + 1), a))
 
     def hom_size(self, a: Any, b: Any) -> int:
         return binomial(b, a)

@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .categories.hjcat import WordBoundary, WordCategory, standard_window
 from .categories.pcat import ORIENTATIONS, StepBoundary, StepCategory
 from .categories.product import product_functor
 from .categories.rcat import subset_boundary, subset_category
-from .categories.trees import tree_category, tree_truncation
-from .core import Category, Functor, Morph, compose_word
+from .categories.trees import height, tree_category, tree_truncation
+from .core import Category, Functor, IdentityFunctor, Morph, compose_word
 from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, FpInstance,
                      SearchBudget, check_degree_bound, check_fp_witness,
                      check_p_witness, functor_image, ramsey_degree)
@@ -30,7 +30,8 @@ from .certificates import (CertificateError, StaleCertificateError,
                            morph_unhex, p_certificate, replay_verify)
 from .constructions import (ConstructionError, fouche_witness,
                             fp_to_p_construct, hj_stage_provider, hj_witness,
-                            p_pigeonhole_witness, r_fp_oracle, r_fp_witness)
+                            p_pigeonhole_witness, product_ramsey_numbers,
+                            r_fp_oracle, r_fp_witness, word_witness)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -57,7 +58,7 @@ def category_handle(selector: str) -> tuple[Category, dict[str, Functor],
     name, _, arg = selector.partition(":")
     if name == "R":
         cat = subset_category()
-        return cat, {"dR": subset_boundary(cat)}, _parse_int
+        return cat, {"dR": subset_boundary(cat)}, int
     if name == "P":
         orientation = arg or "definition"
         if orientation not in ORIENTATIONS:
@@ -73,10 +74,6 @@ def category_handle(selector: str) -> tuple[Category, dict[str, Functor],
         return cat, {"dT": tree_truncation(cat)}, _parse_tree
     raise CliError(f"unknown category {selector!r}; pick R, P[:mirror], "
                    f"HJ[:k0] or trees")
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
 
 
 def _parse_step(text: str) -> tuple[int, int]:
@@ -99,7 +96,8 @@ def _parse_tree(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
-def functor_from_word(tokens: dict[str, Functor], text: str) -> Functor:
+def functor_word(tokens: dict[str, Functor], text: str) -> list[Functor]:
+    """The functors named by a comma-separated word of tokens, in order."""
     word = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -107,19 +105,18 @@ def functor_from_word(tokens: dict[str, Functor], text: str) -> Functor:
             raise CliError(f"unknown functor token {tok!r}; "
                            f"available: {sorted(tokens)}")
         word.append(tokens[tok])
-    return compose_word(word)
+    return word
 
 
 def budget_from(args) -> SearchBudget:
-    colorings = args.max_colorings
-    if colorings is None:
-        colorings = int(os.environ.get("RAMCAT_MAX_COLORINGS",
-                                       SearchBudget.max_colorings))
-    hom = args.max_hom_size
-    if hom is None:
-        hom = int(os.environ.get("RAMCAT_MAX_HOM_SIZE",
-                                 SearchBudget.max_hom_size))
-    return SearchBudget(max_colorings=colorings, max_hom_size=hom)
+    """Caps from the flags, else from the environment, else the defaults."""
+    def cap(flag: int | None, var: str, default: int) -> int:
+        return flag if flag is not None else int(os.environ.get(var, default))
+    return SearchBudget(
+        max_colorings=cap(args.max_colorings, "RAMCAT_MAX_COLORINGS",
+                          SearchBudget.max_colorings),
+        max_hom_size=cap(args.max_hom_size, "RAMCAT_MAX_HOM_SIZE",
+                         SearchBudget.max_hom_size))
 
 
 def _engine_kw(args) -> dict:
@@ -139,10 +136,43 @@ def _report(res) -> str:
     return line
 
 
-def _emit(doc: dict, args) -> None:
+class Claim(NamedTuple):
+    """c witnesses the partition condition for fun at (a, b), or, when fiber
+    holds (s, f_prime, g_prime), the fiber condition.  shown is the
+    constructed value to print, None for a claim given on the command line."""
+
+    fun: Functor
+    a: Any
+    b: Any
+    c: Any
+    shown: Any = None
+    trace: dict | None = None
+    fiber: tuple[tuple[Morph, ...], Morph, Morph] | None = None
+
+
+def _settle(args, claim: Claim, theorem: str | None = None) -> int:
+    """Check the claim, print the report, write --out; return the exit code."""
+    fun, a, b, c = claim.fun, claim.a, claim.b, claim.c
+    run = _engine_kw(args)
+    jobs = run.pop("jobs")
+    label = {"theorem": theorem, "trace": claim.trace} if theorem else {}
+    if claim.fiber is None:
+        res = check_p_witness(fun, a, b, c, args.r, jobs=jobs, **run)
+        doc = p_certificate(fun, a, b, c, args.r, res, **label, **run)
+    else:
+        s, f_prime, g_prime = claim.fiber
+        inst = FpInstance(a=a, b=b, s=s, r=args.r)
+        res = check_fp_witness(fun, inst, c, f_prime, g_prime, jobs=jobs,
+                               **run)
+        doc = fp_certificate(fun, inst, c, f_prime, g_prime, res, **label,
+                             **run)
+    if claim.shown is not None:
+        print(f"constructed witness: {claim.shown!r}")
+    print(_report(res))
     if args.out:
         dump_certificate(doc, args.out)
         print(f"certificate written to {args.out}")
+    return EXIT_PASS if res.ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -151,76 +181,54 @@ def _emit(doc: dict, args) -> None:
 
 def cmd_verify(args) -> int:
     cat, tokens, parse = category_handle(args.category)
-    fun = functor_from_word(tokens, args.functor)
+    fun = compose_word(functor_word(tokens, args.functor))
     a, b, c = parse(args.a), parse(args.b), parse(args.c)
-    kw = _engine_kw(args)
     if args.kind == "p":
-        res = check_p_witness(fun, a, b, c, args.r, **kw)
-        doc = p_certificate(fun, a, b, c, args.r, res, mode=args.mode,
-                            budget=kw["budget"], seed=args.seed,
-                            samples=args.samples)
-    else:
-        s = (tuple(morph_unhex(x) for x in args.s.split(","))
-             if args.s else functor_image(fun, a, b))
-        inst = FpInstance(a=a, b=b, s=s, r=args.r)
-        if args.f_prime and args.g_prime:
-            f_prime = morph_unhex(args.f_prime)
-            g_prime = morph_unhex(args.g_prime)
-        elif args.category.partition(":")[0] == "R" and args.functor == "dR":
-            # canonical subset picks, with g' retargeted at the user's c
-            _, f_prime, _ = r_fp_witness(inst)
-            if fun.dom.hom_size(a, b) <= 1:
-                g_prime = fun.morph(fun.dom.identity(b))
-            else:
-                g_prime = Morph(b - 1, c - 1, tuple(range(1, b)))
+        return _settle(args, Claim(fun, a, b, c))
+    s = (tuple(morph_unhex(x) for x in args.s.split(","))
+         if args.s else functor_image(fun, a, b))
+    if args.f_prime and args.g_prime:
+        f_prime = morph_unhex(args.f_prime)
+        g_prime = morph_unhex(args.g_prime)
+    elif args.category.partition(":")[0] == "R" and args.functor == "dR":
+        # canonical subset picks, with g' retargeted at the user's c
+        _, f_prime, _ = r_fp_witness(FpInstance(a=a, b=b, s=s, r=args.r))
+        if fun.dom.hom_size(a, b) <= 1:
+            g_prime = fun.morph(fun.dom.identity(b))
         else:
-            raise CliError("verify fp needs --f-prime and --g-prime hexes "
-                           "outside plain dR over R")
-        res = check_fp_witness(fun, inst, c, f_prime, g_prime, **kw)
-        doc = fp_certificate(fun, inst, c, f_prime, g_prime, res,
-                             mode=args.mode, budget=kw["budget"],
-                             seed=args.seed, samples=args.samples)
-    print(_report(res))
-    _emit(doc, args)
-    return EXIT_PASS if res.ok else EXIT_FAIL
+            g_prime = Morph(b - 1, c - 1, tuple(range(1, b)))
+    else:
+        raise CliError("verify fp needs --f-prime and --g-prime hexes "
+                       "outside plain dR over R")
+    return _settle(args, Claim(fun, a, b, c, fiber=(s, f_prime, g_prime)))
 
 
-def _theorem_fp2p(args, kw) -> tuple[dict, Any]:
+# Each theorem builds its claim; _settle checks and certifies it under the
+# theorem's name.
+
+
+def _theorem_fp2p(args) -> Claim:
     delta = subset_boundary()
     c, trace = fp_to_p_construct(delta, args.k, args.l, args.r,
                                  r_fp_oracle(delta), selection="max-rule")
-    res = check_p_witness(delta, args.k, args.l, c, args.r, **kw)
-    doc = p_certificate(delta, args.k, args.l, c, args.r, res, theorem="fp2p",
-                        trace=trace.doc(), mode=args.mode, budget=kw["budget"],
-                        seed=args.seed, samples=args.samples)
-    return doc, (c, res)
+    return Claim(delta, args.k, args.l, c, c, trace.doc())
 
 
-def _theorem_r_fp(args, kw) -> tuple[dict, Any]:
+def _theorem_r_fp(args) -> Claim:
     delta = subset_boundary()
     s = functor_image(delta, args.k, args.l)
-    inst = FpInstance(a=args.k, b=args.l, s=s, r=args.r)
-    c, f_prime, g_prime = r_fp_witness(inst, delta)
-    res = check_fp_witness(delta, inst, c, f_prime, g_prime, **kw)
-    doc = fp_certificate(delta, inst, c, f_prime, g_prime, res, theorem="r-fp",
-                         mode=args.mode, budget=kw["budget"], seed=args.seed,
-                         samples=args.samples)
-    return doc, (c, res)
+    c, f_prime, g_prime = r_fp_witness(
+        FpInstance(a=args.k, b=args.l, s=s, r=args.r), delta)
+    return Claim(delta, args.k, args.l, c, c, fiber=(s, f_prime, g_prime))
 
 
-def _theorem_pigeonhole(args, kw) -> tuple[dict, Any]:
+def _theorem_pigeonhole(args) -> Claim:
     c = p_pigeonhole_witness(args.k1, args.l, args.r)
     delta = StepBoundary(StepCategory(args.orientation))
-    a, b = (args.k1, 1), (args.l, 2)
-    res = check_p_witness(delta, a, b, c, args.r, **kw)
-    doc = p_certificate(delta, a, b, c, args.r, res, theorem="p-pigeonhole",
-                        mode=args.mode, budget=kw["budget"], seed=args.seed,
-                        samples=args.samples)
-    return doc, (c, res)
+    return Claim(delta, (args.k1, 1), (args.l, 2), c, c)
 
 
-def _theorem_compose(args, kw) -> tuple[dict, Any]:
-    from .constructions import word_witness
+def _theorem_compose(args) -> Claim:
     delta = subset_boundary()
     word = [delta] * args.length
 
@@ -230,17 +238,10 @@ def _theorem_compose(args, kw) -> tuple[dict, Any]:
         return c, trace.doc()
 
     c, trace = word_witness(word, args.k, args.l, args.r, provider)
-    composite = compose_word(word)
-    res = check_p_witness(composite, args.k, args.l, c, args.r, **kw)
-    doc = p_certificate(composite, args.k, args.l, c, args.r, res,
-                        theorem="compose", trace=trace.doc(), mode=args.mode,
-                        budget=kw["budget"], seed=args.seed,
-                        samples=args.samples)
-    return doc, (c, res)
+    return Claim(compose_word(word), args.k, args.l, c, c, trace.doc())
 
 
-def _theorem_product(args, kw) -> tuple[dict, Any]:
-    from .constructions import product_ramsey_numbers
+def _theorem_product(args) -> Claim:
     pairs = [pair.split(":") for pair in args.coords.split(",")]
     try:
         kvec = tuple(int(p[0]) for p in pairs)
@@ -248,62 +249,35 @@ def _theorem_product(args, kw) -> tuple[dict, Any]:
     except (IndexError, ValueError) as exc:
         raise CliError(f"--coords reads k:p pairs, got {args.coords!r}") from exc
     qvec, trace = product_ramsey_numbers(kvec, pvec, args.r)
-    deltas = [subset_boundary() for _ in kvec]
-    fun = product_functor(*deltas)
-    pcat = fun.dom
-    a, b, c = pcat.pack(kvec), pcat.pack(pvec), pcat.pack(qvec)
-    res = check_p_witness(fun, a, b, c, args.r, **kw)
-    doc = p_certificate(fun, a, b, c, args.r, res, theorem="product",
-                        trace=trace.doc(), mode=args.mode, budget=kw["budget"],
-                        seed=args.seed, samples=args.samples)
-    return doc, (qvec, res)
+    fun = product_functor(*[subset_boundary() for _ in kvec])
+    pack = fun.dom.pack
+    return Claim(fun, pack(kvec), pack(pvec), pack(qvec), qvec, trace.doc())
 
 
-def _theorem_modeling(args, kw) -> tuple[dict, Any]:
-    k0 = args.k
-    fun = WordBoundary(WordCategory(k0))
-    v0 = standard_window(k0)
-    b = ("L", args.l)
+def _theorem_modeling(args) -> Claim:
+    fun = WordBoundary(WordCategory(args.k))
+    v0, b = standard_window(args.k), ("L", args.l)
     provider = hj_stage_provider(args.max_color_bits, args.max_pairs)
     c, note = provider(0, fun, v0, b, args.r)
-    res = check_p_witness(fun, v0, b, c, args.r, **kw)
-    doc = p_certificate(fun, v0, b, c, args.r, res, theorem="modeling",
-                        trace=note, mode=args.mode, budget=kw["budget"],
-                        seed=args.seed, samples=args.samples)
-    return doc, (c, res)
+    return Claim(fun, v0, b, c, c, note)
 
 
-def _theorem_hj(args, kw) -> tuple[dict, Any]:
+def _theorem_hj(args) -> Claim:
     m, trace = hj_witness(args.k, args.l, args.r,
                           max_color_bits=args.max_color_bits,
                           max_pairs=args.max_pairs)
     fun = compose_word([WordBoundary(WordCategory(args.k))] * args.k)
-    v0 = standard_window(args.k)
-    a, b, c = v0, ("L", args.l), ("L", m)
-    res = check_p_witness(fun, a, b, c, args.r, **kw)
-    doc = p_certificate(fun, a, b, c, args.r, res, theorem="hj",
-                        trace=trace.doc(), mode=args.mode, budget=kw["budget"],
-                        seed=args.seed, samples=args.samples)
-    return doc, (m, res)
+    return Claim(fun, standard_window(args.k), ("L", args.l), ("L", m), m,
+                 trace.doc())
 
 
-def _theorem_fouche(args, kw) -> tuple[dict, Any]:
+def _theorem_fouche(args) -> Claim:
     s_tree, t_tree = _parse_tree(args.s_tree), _parse_tree(args.t_tree)
     v, trace = fouche_witness(s_tree, t_tree, args.r)
-    from .categories.trees import height
-    h = height(s_tree)
     if trace is None:
-        from .core import IdentityFunctor
-        fun = IdentityFunctor(tree_category())
-        trace_doc = None
-    else:
-        fun = compose_word([tree_truncation()] * h)
-        trace_doc = trace.doc()
-    res = check_p_witness(fun, s_tree, t_tree, v, args.r, **kw)
-    doc = p_certificate(fun, s_tree, t_tree, v, args.r, res, theorem="fouche",
-                        trace=trace_doc, mode=args.mode, budget=kw["budget"],
-                        seed=args.seed, samples=args.samples)
-    return doc, (v, res)
+        return Claim(IdentityFunctor(tree_category()), s_tree, t_tree, v, v)
+    fun = compose_word([tree_truncation()] * height(s_tree))
+    return Claim(fun, s_tree, t_tree, v, v, trace.doc())
 
 
 _THEOREMS = {"fp2p": _theorem_fp2p, "r-fp": _theorem_r_fp,
@@ -313,12 +287,7 @@ _THEOREMS = {"fp2p": _theorem_fp2p, "r-fp": _theorem_r_fp,
 
 
 def cmd_construct(args) -> int:
-    kw = _engine_kw(args)
-    doc, (value, res) = _THEOREMS[args.theorem](args, kw)
-    print(f"constructed witness: {value!r}")
-    print(_report(res))
-    _emit(doc, args)
-    return EXIT_PASS if res.ok else EXIT_FAIL
+    return _settle(args, _THEOREMS[args.theorem](args), args.theorem)
 
 
 def _parse_pool(text: str) -> tuple[int, ...]:
@@ -334,8 +303,9 @@ def cmd_degree(args) -> int:
     pool = _parse_pool(args.pool) if args.pool else None
     kw = _engine_kw(args)
     if args.bound:
-        deltas = tuple(tokens[t.strip()] for t in (args.delta or "dR").split(","))
-        rep = check_degree_bound(deltas, a, b, args.r, pool,
+        # by default the category's own boundary functor
+        deltas = functor_word(tokens, args.delta or next(iter(tokens)))
+        rep = check_degree_bound(tuple(deltas), a, b, args.r, pool,
                                  word_cap=args.word_cap, **kw)
         print(f"image-size bound {rep.bound} via word {rep.word} "
               f"(trivial bound {rep.trivial})")
@@ -356,16 +326,11 @@ def cmd_degree(args) -> int:
 
 def cmd_replay(args) -> int:
     doc = load_certificate(args.cert)
-    overrides = {}
-    if args.mode != "auto":
-        overrides["mode"] = args.mode
-    if args.max_colorings is not None or args.max_hom_size is not None:
-        overrides["budget"] = budget_from(args)
-    if args.samples != DEFAULT_SAMPLES:
-        overrides["samples"] = args.samples
-    if args.seed != DEFAULT_SEED:
-        overrides["seed"] = args.seed
-    rep = replay_verify(doc, jobs=args.jobs, **overrides)
+    capped = args.max_colorings is not None or args.max_hom_size is not None
+    # mode, seed and samples default to None: the certificate's own values
+    rep = replay_verify(doc, mode=args.mode,
+                        budget=budget_from(args) if capped else None,
+                        seed=args.seed, samples=args.samples, jobs=args.jobs)
     note = " (upgraded to exhaustive)" if rep.upgraded else ""
     print(f"stored verdict {rep.expected}, replay verdict {rep.verdict}{note}")
     print(_report(rep.result))
@@ -383,7 +348,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
                    default="auto")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"sampling seed (default {DEFAULT_SEED})")
+                   help=f"sampling seed (default {DEFAULT_SEED}; replay "
+                        f"defaults to the certificate's)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes; results are independent of N")
@@ -443,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--bound", action="store_true",
                     help="compute the image-size upper bound as well")
     pd.add_argument("--delta", default=None,
-                    help="bound mode: comma-separated functor tokens")
+                    help="bound mode: comma-separated functor tokens "
+                         "(default: the category's boundary token)")
     pd.add_argument("--word-cap", type=int, default=3)
     _add_engine_flags(pd)
     pd.set_defaults(fn=cmd_degree)
@@ -451,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("replay", help="re-verify a stored certificate")
     pr.add_argument("cert")
     _add_engine_flags(pr)
-    pr.set_defaults(fn=cmd_replay)
+    # no --mode, --seed or --samples: replay under the certificate's own
+    pr.set_defaults(fn=cmd_replay, mode=None, seed=None, samples=None)
     return parser
 
 

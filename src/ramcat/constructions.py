@@ -156,14 +156,16 @@ def tree_fp_witness(inst: FpInstance,
     kvec = tuple(s_tree[v] for v in v_nodes)
     targets = tuple(f_prime.data[star_rank_s[v]] for v in v_nodes)
     pvec = tuple(t_tree[kept_t[w]] for w in targets)
-    for kk, pp in zip(kvec, pvec):
-        assert kk <= pp, "embeddings force child counts to fit"
+    if any(kk > pp for kk, pp in zip(kvec, pvec)):
+        raise ConstructionError("embeddings force child counts to fit")
     fans = {w: t_tree[kept_t[w]]
             for w in range(len(t_star)) if depth_t[kept_t[w]] == h - 1}
     if v_nodes:
         qvec = product_ramsey(kvec, pvec, r)
         for w, q, pp in zip(targets, qvec, pvec):
-            assert q >= pp, "constructed fans must absorb the original ones"
+            if q < pp:
+                raise ConstructionError(
+                    "constructed fans must absorb the original ones")
             fans[w] = q
     return grow(t_star, fans), f_prime, g_prime
 
@@ -246,9 +248,10 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
         chain.append(g)
         stages.append(FpStage(k, c_cur, s_k, picked, origin, g, c_next))
         c_cur = c_next
-    assert not remaining, "every image element must be handled exactly once"
-    picks = {st.origin.encode() for st in stages}
-    assert len(picks) == n, "stage picks must be pairwise distinct"
+    if remaining:
+        raise ConstructionError("every image element must be handled exactly once")
+    if len({st.origin.encode() for st in stages}) != n:
+        raise ConstructionError("stage picks must be pairwise distinct")
     return c_cur, FpToPTrace(a, b, r, n, c_cur, selection, tuple(stages))
 
 

@@ -121,8 +121,8 @@ def sort_morphs(morphs: Iterable[Morph]) -> tuple[Morph, ...]:
 class Category(ABC):
     """Finite-hom category handle.
 
-    `hom` returns the full hom-set in canonical order; `iter_hom` may stream it
-    lazily but must respect the same order.  `compose(g, f)` is "f then g".
+    `hom` returns the full hom-set in canonical order; `hom_size` may count it
+    without building it.  `compose(g, f)` is "f then g".
     """
 
     name: str = "category"
@@ -144,9 +144,6 @@ class Category(ABC):
     @abstractmethod
     def compose(self, g: Morph, f: Morph) -> Morph: ...
 
-    def iter_hom(self, a: Any, b: Any) -> Iterator[Morph]:
-        return iter(self.hom(a, b))
-
     def hom_size(self, a: Any, b: Any) -> int:
         return len(self.hom(a, b))
 
@@ -156,11 +153,6 @@ class Category(ABC):
     def spec(self) -> dict:
         """JSON-serializable constructor description (for certificates)."""
         raise NotImplementedError(f"{self.name} has no registry spec")
-
-    def check_compose(self, g: Morph, f: Morph) -> Morph:
-        if f.cod != g.dom:
-            raise ValueError(f"non-composable: cod {f.cod!r} != dom {g.dom!r}")
-        return self.compose(g, f)
 
 
 class Functor(ABC):

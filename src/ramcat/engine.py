@@ -1,6 +1,12 @@
 """Coloring search engine for partition conditions over finite hom sets.
 
-Checks run in one of two modes.
+Every check has one shape.  The cells are the arrows of hom(a, c) in
+canonical order; g in hom(b, c) carries f in hom(a, b) to the cell g∘f.  A
+check picks groups of hom(a, b), the admissible g, and a color cap; c passes
+when every r-coloring has an admissible g carrying each group onto at most
+cap colors.  Partition: the delta-fibers, every g, cap 1.  Fiber: the fiber
+of f_prime, the g with delta(g)∘e == g_prime∘e on s, cap 1.  Degree: all of
+hom(a, b), every g, cap k.
 
 Exhaustive mode enumerates every r-coloring of hom(a, c) as a mixed-radix
 index: coloring idx assigns cell j (the j-th arrow of hom(a, c) in canonical
@@ -10,10 +16,10 @@ coloring budget.
 
 Sampled mode draws colorings from a deterministic pseudorandom function: the
 color of cell j in sample i is splitmix64 applied to seed, i and j in turn,
-reduced mod r (see prf_color).  Colorings are never materialized up front;
-cells are computed on access.  A sampled pass is probabilistic evidence only
-and is flagged as such.  A sampled failure is a genuine disproof: the reported
-coloring is explicit and every candidate arrow was checked against it.
+reduced mod r (see prf_color).  Cells are drawn on first access.  A sampled
+pass is probabilistic evidence only and is flagged as such.  A sampled failure
+is a genuine disproof: the reported coloring is explicit and every candidate
+arrow was checked against it.
 
 With jobs > 1 the coloring index range is split into contiguous chunks scanned
 in parallel; the reported failure is the minimum failing index, so results and
@@ -23,10 +29,11 @@ certificates are identical for any job count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from itertools import product
 from multiprocessing import get_context
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .core import Category, Functor, Morph, sort_morphs
 
@@ -147,91 +154,104 @@ def _hom_checked(cat: Category, a: Any, b: Any, budget: SearchBudget) -> tuple[M
     return cat.hom(a, b)
 
 
-# A check is (groups, spread, cap): every group must be monochromatic and,
-# when spread is not None, the cells in spread must use at most cap colors.
-Check = tuple[tuple[tuple[int, ...], ...], tuple[int, ...] | None, int | None]
+# A check is what one admissible g makes of the chosen groups of hom(a, b):
+# each group carried through g to cells of hom(a, c).  It passes a coloring
+# when every group shows at most the scan's cap of colors.
+Check = tuple[tuple[int, ...], ...]
 
 
-def _passes(cell, checks: list[Check]) -> bool:
-    for groups, spread, cap in checks:
-        ok = True
+def _passes(cell, checks: list[Check], cap: int) -> bool:
+    """Does some check keep every group within cap colors?  cell[j] is a color."""
+    for groups in checks:
         for grp in groups:
-            c0 = cell(grp[0])
-            for p in grp[1:]:
-                if cell(p) != c0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and spread is not None:
-            seen = set()
-            for p in spread:
-                seen.add(cell(p))
-                if len(seen) > cap:
-                    ok = False
-                    break
-        if ok:
+            seen = []
+            for p in grp:
+                v = cell[p]
+                if v not in seen:
+                    if len(seen) == cap:
+                        break       # the cap+1-th color: this group fails
+                    seen.append(v)
+            else:
+                continue
+            break                   # a group failed: try the next check
+        else:
             return True
     return False
 
 
+class _Draws(dict):
+    """The cells of one sampled coloring, drawn on first access."""
+
+    def __init__(self, seed: int, sample: int, r: int):
+        super().__init__()
+        self.seed, self.sample, self.r = seed, sample, r
+
+    def __missing__(self, j: int) -> int:
+        v = self[j] = prf_color(self.seed, self.sample, j, self.r)
+        return v
+
+
 def _scan_range(kind: str, seed: int | None, r: int, n: int,
-                checks: list[Check], lo: int, hi: int) -> int | None:
+                checks: list[Check], cap: int, lo: int, hi: int) -> int | None:
     """First failing coloring index in [lo, hi), or None."""
-    rpow = [r ** j for j in range(n)] if kind == "index" else None
+    if kind == "sample":
+        for idx in range(lo, hi):
+            if not _passes(_Draws(seed, idx, r), checks, cap):
+                return idx
+        return None
+    # the digits of idx in base r, cell 0 least significant, stepped as an
+    # odometer
+    cell = [(lo // r ** j) % r for j in range(n)]
+    top = r - 1
     for idx in range(lo, hi):
-        memo: dict[int, int] = {}
-        if kind == "index":
-            def cell(j: int, idx=idx, memo=memo) -> int:
-                v = memo.get(j)
-                if v is None:
-                    v = (idx // rpow[j]) % r
-                    memo[j] = v
-                return v
-        else:
-            def cell(j: int, idx=idx, memo=memo) -> int:
-                v = memo.get(j)
-                if v is None:
-                    v = prf_color(seed, idx, j, r)
-                    memo[j] = v
-                return v
-        if not _passes(cell, checks):
+        if not _passes(cell, checks, cap):
             return idx
+        j = 0
+        while j < n and cell[j] == top:
+            cell[j] = 0
+            j += 1
+        if j < n:
+            cell[j] += 1
     return None
 
 
-def _scan_args(args) -> int | None:
-    return _scan_range(*args)
-
-
-def _ranges(total: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, total))
-    q, rem = divmod(total, jobs)
-    out = []
-    lo = 0
-    for i in range(jobs):
-        hi = lo + q + (1 if i < rem else 0)
-        if lo < hi:
-            out.append((lo, hi))
-        lo = hi
-    return out
-
-
 def _first_failure(kind: str, seed: int | None, r: int, n: int,
-                   checks: list[Check], total: int, jobs: int) -> int | None:
+                   checks: list[Check], cap: int, total: int,
+                   jobs: int) -> int | None:
+    scan = partial(_scan_range, kind, seed, r, n, checks, cap)
     if jobs <= 1 or total <= 1:
-        return _scan_range(kind, seed, r, n, checks, 0, total)
-    parts = _ranges(total, jobs)
-    with ProcessPoolExecutor(max_workers=len(parts),
+        return scan(0, total)
+    jobs = min(jobs, total)
+    cuts = [total * i // jobs for i in range(jobs + 1)]
+    with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=get_context("fork")) as pool:
-        hits = list(pool.map(_scan_args,
-                             [(kind, seed, r, n, checks, lo, hi) for lo, hi in parts]))
-    hits = [h for h in hits if h is not None]
-    return min(hits) if hits else None
+        hits = [h for h in pool.map(scan, cuts, cuts[1:]) if h is not None]
+    return min(hits, default=None)
 
 
-def _run_scan(n: int, r: int, checks: list[Check], *, mode: str,
-              budget: SearchBudget, seed: int, samples: int, jobs: int) -> PCheckResult:
+def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
+           select: Callable, *, mode: str, budget: SearchBudget | None,
+           seed: int, samples: int, jobs: int) -> PCheckResult:
+    """Scan the r-colorings of hom(a, c) against groups of hom(a, b) under a cap.
+
+    select(hom(a, b), hom(b, c)) returns the groups, as tuples of arrows of
+    hom(a, b), and the admissible arrows g of hom(b, c).  A coloring passes
+    when some admissible g carries every group onto at most cap colors.
+    """
+    for x in (a, b, c):
+        if not cat.is_object(x):
+            raise ValueError(f"{x!r} is not an object of {cat.name}")
+    budget = budget or SearchBudget()
+    hom_ab = _hom_checked(cat, a, b, budget)
+    hom_bc = _hom_checked(cat, b, c, budget)
+    hom_ac = _hom_checked(cat, a, c, budget)
+    groups, admissible = select(hom_ab, hom_bc)
+    pos = {f: i for i, f in enumerate(hom_ac)}
+    compose = cat.compose
+    checks: list[Check] = [
+        tuple(tuple(pos[compose(g, f)] for f in grp) for grp in groups)
+        for g in admissible]
+    n = len(hom_ac)
     if r < 0:
         raise ValueError("color count must be nonnegative")
     if r == 0:
@@ -241,35 +261,23 @@ def _run_scan(n: int, r: int, checks: list[Check], *, mode: str,
         return PCheckResult(ok=True, exhaustive=True, r=0, cells=0,
                             arrows=len(checks), checked=1, total=1)
     total = r ** n
-    if mode == "exhaustive":
-        if total > budget.max_colorings:
-            raise BudgetExceeded("colorings", total, budget.max_colorings)
-        exhaustive = True
-    elif mode == "sampled":
-        exhaustive = False
-    elif mode == "auto":
-        exhaustive = total <= budget.max_colorings
-    else:
+    if mode not in ("exhaustive", "sampled", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exhaustive" and total > budget.max_colorings:
+        raise BudgetExceeded("colorings", total, budget.max_colorings)
+    exhaustive = mode != "sampled" and total <= budget.max_colorings
     count = total if exhaustive else samples
     kind = "index" if exhaustive else "sample"
     scan_seed = None if exhaustive else seed
-    hit = _first_failure(kind, scan_seed, r, n, checks, count, jobs)
-    if hit is None:
-        return PCheckResult(ok=True, exhaustive=exhaustive, r=r, cells=n,
-                            arrows=len(checks), checked=count,
-                            total=total if exhaustive else None,
-                            samples=None if exhaustive else samples,
-                            seed=scan_seed)
-    cells = None
-    if n <= COUNTEREXAMPLE_INLINE_CAP:
-        if exhaustive:
-            cells = tuple((hit // r ** j) % r for j in range(n))
-        else:
-            cells = tuple(prf_color(seed, hit, j, r) for j in range(n))
-    cex = Coloring(r=r, size=n, kind=kind, index=hit, seed=scan_seed, cells=cells)
-    return PCheckResult(ok=False, exhaustive=exhaustive, r=r, cells=n,
-                        arrows=len(checks), checked=hit + 1,
+    hit = _first_failure(kind, scan_seed, r, n, checks, cap, count, jobs)
+    cex = None
+    if hit is not None:
+        cex = Coloring(r=r, size=n, kind=kind, index=hit, seed=scan_seed)
+        if n <= COUNTEREXAMPLE_INLINE_CAP:
+            cex = replace(cex, cells=tuple(cex.cell(j) for j in range(n)))
+    return PCheckResult(ok=hit is None, exhaustive=exhaustive, r=r, cells=n,
+                        arrows=len(checks),
+                        checked=count if hit is None else hit + 1,
                         total=total if exhaustive else None,
                         samples=None if exhaustive else samples,
                         seed=scan_seed, counterexample=cex)
@@ -285,23 +293,14 @@ def check_p_witness(delta: Functor, a: Any, b: Any, c: Any, r: int, *,
     arrows of hom(a, b) identified by delta get equal colors after composing
     with g.
     """
-    budget = budget or SearchBudget()
-    cat = delta.dom
-    hom_ab = _hom_checked(cat, a, b, budget)
-    hom_bc = _hom_checked(cat, b, c, budget)
-    hom_ac = _hom_checked(cat, a, c, budget)
-    pos = {f: i for i, f in enumerate(hom_ac)}
-    by_image: dict[bytes, list[int]] = {}
-    for i, f in enumerate(hom_ab):
-        by_image.setdefault(delta.morph(f).encode(), []).append(i)
-    nontrivial = [grp for grp in by_image.values() if len(grp) > 1]
-    checks: list[Check] = []
-    for g in hom_bc:
-        act = [pos[cat.compose(g, f)] for f in hom_ab]
-        checks.append((tuple(tuple(act[i] for i in grp) for grp in nontrivial),
-                       None, None))
-    return _run_scan(len(hom_ac), r, checks, mode=mode, budget=budget,
-                     seed=seed, samples=samples, jobs=jobs)
+    def select(hom_ab, hom_bc):
+        by_image: dict[bytes, list[Morph]] = {}
+        for f in hom_ab:
+            by_image.setdefault(delta.morph(f).encode(), []).append(f)
+        return [grp for grp in by_image.values() if len(grp) > 1], hom_bc
+
+    return _check(delta.dom, a, b, c, r, 1, select, mode=mode, budget=budget,
+                  seed=seed, samples=samples, jobs=jobs)
 
 
 def check_fp_witness(delta: Functor, inst: FpInstance, c: Any, f_prime: Morph,
@@ -314,32 +313,29 @@ def check_fp_witness(delta: Functor, inst: FpInstance, c: Any, f_prime: Morph,
     image under delta agrees with g_prime on every arrow of s, and which makes
     the fiber of f_prime monochromatic after composition.
     """
-    budget = budget or SearchBudget()
-    a, b, s, r = inst.a, inst.b, inst.s, inst.r
+    s = inst.s
     if not s:
         raise ValueError("the arrow selection s must be non-empty")
     if f_prime not in s:
         raise ValueError("f_prime must belong to s")
-    cat, cod = delta.dom, delta.cod
-    hom_ab = _hom_checked(cat, a, b, budget)
-    hom_bc = _hom_checked(cat, b, c, budget)
-    hom_ac = _hom_checked(cat, a, c, budget)
-    image_ab = {delta.morph(f).encode() for f in hom_ab}
-    for e in s:
-        if e.encode() not in image_ab:
+    cod = delta.cod
+
+    def select(hom_ab, hom_bc):
+        image_ab = [delta.morph(f) for f in hom_ab]
+        encoded = {m.encode() for m in image_ab}
+        if any(e.encode() not in encoded for e in s):
             raise ValueError("s must lie in the image of hom(a, b)")
-    if not any(delta.morph(g) == g_prime for g in hom_bc):
-        raise ValueError("g_prime must lie in the image of hom(b, c)")
-    fiber_ab = [f for f in hom_ab if delta.morph(f) == f_prime]
-    pos = {f: i for i, f in enumerate(hom_ac)}
-    checks: list[Check] = []
-    for g in hom_bc:
-        dg = delta.morph(g)
-        if all(cod.compose(dg, e) == cod.compose(g_prime, e) for e in s):
-            grp = tuple(pos[cat.compose(g, f)] for f in fiber_ab)
-            checks.append(((grp,) if grp else (), None, None))
-    return _run_scan(len(hom_ac), r, checks, mode=mode, budget=budget,
-                     seed=seed, samples=samples, jobs=jobs)
+        image_bc = [delta.morph(g) for g in hom_bc]
+        if g_prime not in image_bc:
+            raise ValueError("g_prime must lie in the image of hom(b, c)")
+        fiber_ab = tuple(f for f, m in zip(hom_ab, image_ab) if m == f_prime)
+        agree = [cod.compose(g_prime, e) for e in s]
+        admissible = [g for g, dg in zip(hom_bc, image_bc)
+                      if all(cod.compose(dg, e) == ge for e, ge in zip(s, agree))]
+        return (fiber_ab,), admissible
+
+    return _check(delta.dom, inst.a, inst.b, c, inst.r, 1, select, mode=mode,
+                  budget=budget, seed=seed, samples=samples, jobs=jobs)
 
 
 def check_degree_witness(cat: Category, a: Any, b: Any, c: Any, r: int, k: int, *,
@@ -349,17 +345,10 @@ def check_degree_witness(cat: Category, a: Any, b: Any, c: Any, r: int, k: int, 
     """Does c force every r-coloring onto at most k colors over some copy of b?"""
     if k < 0:
         raise ValueError("color cap must be nonnegative")
-    budget = budget or SearchBudget()
-    hom_ab = _hom_checked(cat, a, b, budget)
-    hom_bc = _hom_checked(cat, b, c, budget)
-    hom_ac = _hom_checked(cat, a, c, budget)
-    pos = {f: i for i, f in enumerate(hom_ac)}
-    checks: list[Check] = []
-    for g in hom_bc:
-        act = tuple(pos[cat.compose(g, f)] for f in hom_ab)
-        checks.append(((), act, k))
-    return _run_scan(len(hom_ac), r, checks, mode=mode, budget=budget,
-                     seed=seed, samples=samples, jobs=jobs)
+    return _check(cat, a, b, c, r, k,
+                  lambda hom_ab, hom_bc: ((hom_ab,), hom_bc),
+                  mode=mode, budget=budget, seed=seed, samples=samples,
+                  jobs=jobs)
 
 
 def search_p_witness(delta: Functor, a: Any, b: Any, r: int,
@@ -425,10 +414,10 @@ def check_degree_bound(deltas: tuple[Functor, ...], a: Any, b: Any, r: int,
     if pool is not None:
         deg = ramsey_degree(cat, a, b, r, pool, mode=mode, budget=budget,
                             seed=seed, samples=samples, jobs=jobs)
-        if deg.degree is not None:
-            # the image bound holds for the true degree; a pool lacking the
-            # witness object overshoots it, which this surfaces loudly
-            assert deg.degree <= bound, (
+        # the image bound holds for the true degree; a pool lacking the
+        # witness object overshoots it, which this surfaces loudly
+        if deg.degree is not None and deg.degree > bound:
+            raise AssertionError(
                 f"brute degree {deg.degree} exceeds image bound {bound}; "
                 f"the pool is missing a witness object")
     return DegreeBoundReport(bound=bound, word=word, trivial=trivial, degree=deg)
@@ -442,9 +431,9 @@ def degree_upper_bound(a: Any, b: Any, deltas: tuple[Functor, ...],
     right) plus the empty word, whose image size is |hom(a, b)| itself.
     Returns the bound and the indices of the best word.
     """
-    cat = deltas[0].dom if deltas else None
-    if cat is None:
+    if not deltas:
         raise ValueError("need at least one functor")
+    cat = deltas[0].dom
     hom_ab = cat.hom(a, b)
     best, best_word = len(hom_ab), ()
     for length in range(1, word_cap + 1):

@@ -1,11 +1,18 @@
 """End-to-end command-line behavior through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ramcat
 from ramcat import load_certificate
+from ramcat.certificates import document_digest
 from ramcat.cli import main
+from ramcat.core import canon_hex
 
 
 def run(capsys, *argv):
@@ -76,6 +83,17 @@ def test_verify_fp_autoderives_for_plain_subsets(capsys):
                        "--functor", "dT", "--a", "1,0", "--b", "2,0,0",
                        "--c", "6,0,0,0,0,0,0", "--r", "2")
     assert code == 64 and "--f-prime" in err
+
+
+def test_verify_non_objects_are_usage_errors(capsys):
+    code, _, err = run(capsys, "verify", "p", "--category", "P",
+                       "--functor", "dP", "--a", "2:1", "--b", "9:9",
+                       "--c", "3:2", "--r", "2")
+    assert code == 64 and "(9, 9) is not an object" in err
+    code, _, err = run(capsys, "verify", "p", "--category", "HJ",
+                       "--functor", "dHJ", "--a", "v:1,9", "--b", "l:2",
+                       "--c", "l:3", "--r", "2")
+    assert code == 64 and "('V', (1, 9)) is not an object" in err
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +237,32 @@ def test_degree_bound_starved_pool_is_inconsistent(capsys):
     assert code == 1 and "consistency check failed" in err
 
 
+def test_degree_bound_unknown_delta_token(capsys):
+    code, _, err = run(capsys, "degree", "--a", "1", "--b", "2", "--r", "2",
+                       "--bound", "--delta", "dX")
+    assert code == 64 and "unknown functor token 'dX'" in err
+
+
+def test_degree_bound_defaults_to_the_category_boundary(capsys):
+    code, out, _ = run(capsys, "degree", "--category", "P", "--a", "2:1",
+                       "--b", "3:2", "--r", "2", "--bound")
+    assert code == 0
+    assert "image-size bound 1 via word (0,) (trivial bound 2)" in out
+
+
+def test_degree_bound_check_survives_optimized_python():
+    src = str(Path(ramcat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ramcat.cli", "degree", "--a", "2",
+         "--b", "4", "--r", "2", "--pool", "0..7", "--bound"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "consistency check failed" in proc.stderr
+
+
 def test_degree_search(capsys):
     code, out, _ = run(capsys, "degree", "--a", "2", "--b", "3", "--r", "2",
                        "--pool", "0..7")
@@ -262,6 +306,37 @@ def test_replay_failing_certificate(capsys, tmp_path):
     assert code == 1
     assert "stored verdict fail, replay verdict fail" in out
     assert "MISMATCH" not in out
+
+
+def test_replay_explicit_seed_and_samples_override(capsys, tmp_path):
+    cert = tmp_path / "sampled.json"
+    code, out, _ = run(capsys, "verify", "p", "--category", "R",
+                       "--functor", "dR", "--a", "2", "--b", "3",
+                       "--c", "4", "--r", "2", "--mode", "sampled",
+                       "--seed", "5", "--samples", "50", "--out", str(cert))
+    assert code == 0 and "pass [sampled(seed=5)]" in out
+    code, out, _ = run(capsys, "replay", str(cert))
+    assert code == 0
+    assert "sampled(seed=5)" in out and "colorings_checked=50" in out
+    code, out, _ = run(capsys, "replay", str(cert), "--seed", "1729",
+                       "--samples", "10000")
+    assert code == 0
+    assert "sampled(seed=1729)" in out and "colorings_checked=10000" in out
+
+
+def test_replay_refuses_non_objects(capsys, tmp_path):
+    cert = tmp_path / "p.json"
+    code, _, _ = run(capsys, "verify", "p", "--category", "P",
+                     "--functor", "dP", "--a", "2:1", "--b", "3:2",
+                     "--c", "6:2", "--r", "2", "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    # b is not hashed into the fingerprint, so only the digest needs redoing
+    doc["inputs"]["b"] = canon_hex((9, 9))
+    doc["digest"] = document_digest(doc)
+    cert.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "replay", str(cert))
+    assert code == 64 and "(9, 9) is not an object" in err
 
 
 def test_replay_tampered_certificate(capsys, tmp_path):

@@ -7,6 +7,7 @@ from ramcat import (BudgetExceeded, Coloring, FpInstance, Morph, SearchBudget,
                     check_p_witness, compose_word, degree_upper_bound, fiber,
                     functor_image, prf_color, ramsey_degree, search_p_witness,
                     subset_boundary, subset_category)
+from ramcat.categories.pcat import StepBoundary, StepCategory
 
 DR = subset_boundary()
 DD = compose_word([DR, DR])
@@ -112,6 +113,17 @@ def test_exhaustive_respects_coloring_budget():
     res = check_p_witness(DR, 2, 3, 6, 2, mode="auto", budget=tight,
                           samples=50)
     assert res.ok and not res.exhaustive
+
+
+def test_non_objects_are_refused():
+    step = StepBoundary(StepCategory())
+    with pytest.raises(ValueError, match="not an object"):
+        check_p_witness(step, (2, 1), (9, 9), (3, 2), 2)
+    with pytest.raises(ValueError, match="not an object"):
+        check_degree_witness(subset_category(), 1, 2, -1, 2, 1)
+    inst = FpInstance(a=1, b=2, s=(Morph(0, 1, ()),), r=2)
+    with pytest.raises(ValueError, match="not an object"):
+        check_fp_witness(DR, inst, -6, Morph(0, 1, ()), Morph(1, 5, (1,)))
 
 
 def test_hom_budget_guards_enumeration():
