@@ -4,7 +4,9 @@ An object is a tuple of (index, factor object) pairs with strictly increasing
 indices; the index set present is the object's support.  Morphisms exist only
 between objects with equal support, and a morphism's payload is the tuple of
 factor payloads in support order.  Hom sets are cartesian products of the
-factor hom sets; enumeration stays canonical when every factor is canonical.
+factor hom sets in `itertools.product` order, which is canonical since
+`canon_bytes` is self-delimiting; `action` relies on it to sum the factors'
+action table indices in mixed radix.
 
 `iter_objects` enumerates full-support objects only; partially supported
 objects are still valid inputs everywhere else.
@@ -15,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Any, Iterator
 
-from ..core import Category, Functor, Morph, sort_morphs
+from ..core import Category, Functor, Morph
 
 
 class ProductCategory(Category):
@@ -75,8 +77,8 @@ class ProductCategory(Category):
             return ()
         parts = [self.factors[i].hom(x, y)
                  for (i, x), (_, y) in zip(a, b)]
-        return sort_morphs(Morph(a, b, tuple(f.data for f in combo))
-                           for combo in product(*parts))
+        return tuple(Morph(a, b, tuple(f.data for f in combo))
+                     for combo in product(*parts))
 
     def hom_size(self, a: Any, b: Any) -> int:
         if self.support(a) != self.support(b):
@@ -85,6 +87,21 @@ class ProductCategory(Category):
         for (i, x), (_, y) in zip(a, b):
             size *= self.factors[i].hom_size(x, y)
         return size
+
+    def action(self, a: Any, b: Any, c: Any) -> Iterator[tuple[int, ...]]:
+        if not self.support(a) == self.support(b) == self.support(c):
+            yield from super().action(a, b, c)
+            return
+        # the index of a product arrow of hom(a, c) is the sum of its factor
+        # indices, each scaled by the size of the later factors' hom(x, z)
+        tables, stride = [], 1
+        for (i, x), (_, y), (_, z) in reversed(tuple(zip(a, b, c))):
+            cat = self.factors[i]
+            tables.insert(0, [[stride * j for j in row]
+                              for row in cat.action(x, y, z)])
+            stride *= cat.hom_size(x, z)
+        for rows in product(*tables):
+            yield tuple(map(sum, product(*rows)))
 
     def identity(self, a: Any) -> Morph:
         return Morph(a, a, tuple(self.factors[i].identity(x).data

@@ -16,6 +16,7 @@ reindexed.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, count
 from typing import Any, Iterator
 
@@ -141,6 +142,25 @@ class TreeCategory(Category):
         n = len(a)
         return sort_morphs(Morph(a, b, tuple(m[i] for i in range(n)))
                            for m in maps(0, 0))
+
+    def hom_size(self, a: Any, b: Any) -> int:
+        cha, deptha, _ = structure(a)
+        chb, depthb, _ = structure(b)
+        if max(deptha) != max(depthb):
+            return 0
+
+        @cache
+        def embeddings(v: int, w: int) -> int:
+            # row[j]: ways to embed v's children so far among w's first j
+            row = [1] * (len(chb[w]) + 1)
+            for u in cha[v]:
+                new = [0]
+                for j, x in enumerate(chb[w], 1):
+                    new.append(new[j - 1] + row[j - 1] * embeddings(u, x))
+                row = new
+            return row[-1]
+
+        return embeddings(0, 0)
 
     def identity(self, a: Any) -> Morph:
         structure(a)

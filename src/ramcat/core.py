@@ -122,7 +122,9 @@ class Category(ABC):
     """Finite-hom category handle.
 
     `hom` returns the full hom-set in canonical order; `hom_size` may count it
-    without building it.  `compose(g, f)` is "f then g".
+    without building it.  `compose(g, f)` is "f then g".  `action(a, b, c)`
+    yields one row per g in hom(b, c): the hom(a, c) indices of g∘f over
+    hom(a, b); products override it with mixed-radix index sums.
     """
 
     name: str = "category"
@@ -146,6 +148,13 @@ class Category(ABC):
 
     def hom_size(self, a: Any, b: Any) -> int:
         return len(self.hom(a, b))
+
+    def action(self, a: Any, b: Any, c: Any) -> Iterator[tuple[int, ...]]:
+        hom_ab = self.hom(a, b)
+        pos = {f: i for i, f in enumerate(self.hom(a, c))}
+        compose = self.compose
+        for g in self.hom(b, c):
+            yield tuple(pos[compose(g, f)] for f in hom_ab)
 
     def objects(self, count: int) -> tuple[Any, ...]:
         return tuple(islice(self.iter_objects(), count))

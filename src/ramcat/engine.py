@@ -6,7 +6,9 @@ check picks groups of hom(a, b), the admissible g, and a color cap; c passes
 when every r-coloring has an admissible g carrying each group onto at most
 cap colors.  Partition: the delta-fibers, every g, cap 1.  Fiber: the fiber
 of f_prime, the g with delta(g)∘e == g_prime∘e on s, cap 1.  Degree: all of
-hom(a, b), every g, cap k.
+hom(a, b), every g, cap k.  The cells come from the category's action table
+(per g in hom(b, c), the hom(a, c) index of g∘f for each f in hom(a, b)), so
+no check composes arrows; a product sums its factors' indices in mixed radix.
 
 Exhaustive mode enumerates every r-coloring of hom(a, c) as a mixed-radix
 index: coloring idx assigns cell j (the j-th arrow of hom(a, c) in canonical
@@ -147,11 +149,10 @@ def functor_image(delta: Functor, a: Any, b: Any) -> tuple[Morph, ...]:
     return sort_morphs(seen.values())
 
 
-def _hom_checked(cat: Category, a: Any, b: Any, budget: SearchBudget) -> tuple[Morph, ...]:
-    size = cat.hom_size(a, b)
-    if size > budget.max_hom_size:
-        raise BudgetExceeded("hom-set size", size, budget.max_hom_size)
-    return cat.hom(a, b)
+def _require_objects(cat: Category, *xs: Any) -> None:
+    for x in xs:
+        if not cat.is_object(x):
+            raise ValueError(f"{x!r} is not an object of {cat.name}")
 
 
 # A check is what one admissible g makes of the chosen groups of hom(a, b):
@@ -234,24 +235,24 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
            seed: int, samples: int, jobs: int) -> PCheckResult:
     """Scan the r-colorings of hom(a, c) against groups of hom(a, b) under a cap.
 
-    select(hom(a, b), hom(b, c)) returns the groups, as tuples of arrows of
-    hom(a, b), and the admissible arrows g of hom(b, c).  A coloring passes
-    when some admissible g carries every group onto at most cap colors.
+    select(hom(a, b)) returns the groups, as tuples of indices in hom(a, b),
+    and the set of indices in hom(b, c) of the admissible arrows g, or None
+    when every g is admissible.  A coloring passes when some admissible g
+    carries every group onto at most cap colors.
     """
-    for x in (a, b, c):
-        if not cat.is_object(x):
-            raise ValueError(f"{x!r} is not an object of {cat.name}")
+    _require_objects(cat, a, b, c)
     budget = budget or SearchBudget()
-    hom_ab = _hom_checked(cat, a, b, budget)
-    hom_bc = _hom_checked(cat, b, c, budget)
-    hom_ac = _hom_checked(cat, a, c, budget)
-    groups, admissible = select(hom_ab, hom_bc)
-    pos = {f: i for i, f in enumerate(hom_ac)}
-    compose = cat.compose
-    checks: list[Check] = [
-        tuple(tuple(pos[compose(g, f)] for f in grp) for grp in groups)
-        for g in admissible]
-    n = len(hom_ac)
+    for x, y in ((a, b), (b, c), (a, c)):
+        size = cat.hom_size(x, y)
+        if size > budget.max_hom_size:
+            raise BudgetExceeded("hom-set size", size, budget.max_hom_size)
+    groups, admissible = select(cat.hom(a, b))
+    rows = cat.action(a, b, c)
+    if admissible is not None:
+        rows = (row for j, row in enumerate(rows) if j in admissible)
+    checks: list[Check] = [tuple(tuple(row[i] for i in grp) for grp in groups)
+                           for row in rows]
+    n = cat.hom_size(a, c)
     if r < 0:
         raise ValueError("color count must be nonnegative")
     if r == 0:
@@ -293,11 +294,11 @@ def check_p_witness(delta: Functor, a: Any, b: Any, c: Any, r: int, *,
     arrows of hom(a, b) identified by delta get equal colors after composing
     with g.
     """
-    def select(hom_ab, hom_bc):
-        by_image: dict[bytes, list[Morph]] = {}
-        for f in hom_ab:
-            by_image.setdefault(delta.morph(f).encode(), []).append(f)
-        return [grp for grp in by_image.values() if len(grp) > 1], hom_bc
+    def select(hom_ab):
+        by_image: dict[bytes, list[int]] = {}
+        for i, f in enumerate(hom_ab):
+            by_image.setdefault(delta.morph(f).encode(), []).append(i)
+        return [grp for grp in by_image.values() if len(grp) > 1], None
 
     return _check(delta.dom, a, b, c, r, 1, select, mode=mode, budget=budget,
                   seed=seed, samples=samples, jobs=jobs)
@@ -320,18 +321,18 @@ def check_fp_witness(delta: Functor, inst: FpInstance, c: Any, f_prime: Morph,
         raise ValueError("f_prime must belong to s")
     cod = delta.cod
 
-    def select(hom_ab, hom_bc):
+    def select(hom_ab):
         image_ab = [delta.morph(f) for f in hom_ab]
         encoded = {m.encode() for m in image_ab}
         if any(e.encode() not in encoded for e in s):
             raise ValueError("s must lie in the image of hom(a, b)")
-        image_bc = [delta.morph(g) for g in hom_bc]
+        image_bc = [delta.morph(g) for g in delta.dom.hom(inst.b, c)]
         if g_prime not in image_bc:
             raise ValueError("g_prime must lie in the image of hom(b, c)")
-        fiber_ab = tuple(f for f, m in zip(hom_ab, image_ab) if m == f_prime)
+        fiber_ab = tuple(i for i, m in enumerate(image_ab) if m == f_prime)
         agree = [cod.compose(g_prime, e) for e in s]
-        admissible = [g for g, dg in zip(hom_bc, image_bc)
-                      if all(cod.compose(dg, e) == ge for e, ge in zip(s, agree))]
+        admissible = {j for j, dg in enumerate(image_bc)
+                      if all(cod.compose(dg, e) == ge for e, ge in zip(s, agree))}
         return (fiber_ab,), admissible
 
     return _check(delta.dom, inst.a, inst.b, c, inst.r, 1, select, mode=mode,
@@ -346,7 +347,7 @@ def check_degree_witness(cat: Category, a: Any, b: Any, c: Any, r: int, k: int, 
     if k < 0:
         raise ValueError("color cap must be nonnegative")
     return _check(cat, a, b, c, r, k,
-                  lambda hom_ab, hom_bc: ((hom_ab,), hom_bc),
+                  lambda hom_ab: ((tuple(range(len(hom_ab))),), None),
                   mode=mode, budget=budget, seed=seed, samples=samples,
                   jobs=jobs)
 
@@ -370,6 +371,7 @@ def ramsey_degree(cat: Category, a: Any, b: Any, r: int, pool: Iterable[Any], *,
     An empty hom(a, b) has degree 0 witnessed by b itself.  Returns degree
     None when no pool object works even at the trivial cap |hom(a, b)|.
     """
+    _require_objects(cat, a, b)
     pool = tuple(pool)
     hom_ab = cat.hom(a, b)
     if not hom_ab:
@@ -434,6 +436,7 @@ def degree_upper_bound(a: Any, b: Any, deltas: tuple[Functor, ...],
     if not deltas:
         raise ValueError("need at least one functor")
     cat = deltas[0].dom
+    _require_objects(cat, a, b)
     hom_ab = cat.hom(a, b)
     best, best_word = len(hom_ab), ()
     for length in range(1, word_cap + 1):

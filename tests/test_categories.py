@@ -1,9 +1,12 @@
 """Structure of the shipped categories, their boundary functors, and lifts."""
 
+from itertools import product
+
 import pytest
 
 from ramcat import (EncodingError, LiftError, Morph, check_category_laws,
                     check_frank_at, check_functor_laws)
+from ramcat.core import Category, sort_morphs
 from ramcat.categories import (ProductCategory, ProductFunctor, StepBoundary,
                                StepCategory, SubsetBoundary, SubsetCategory,
                                TreeCategory, TreeTruncation, WordBoundary,
@@ -231,6 +234,15 @@ def test_tree_laws_small_fragment():
     assert frep.ok, frep.violations
 
 
+def test_tree_hom_size_counts_without_enumerating():
+    cat = tree_category()
+    objs = cat.objects(40)
+    for a in objs:
+        for b in objs:
+            assert cat.hom_size(a, b) == len(cat.hom(a, b)), (a, b)
+    assert cat.hom_size((3, 0, 0, 0), star(100)) == 161_700  # C(100, 3)
+
+
 # ---------------------------------------------------------------------------
 # products
 
@@ -298,6 +310,47 @@ def test_product_laws_binary_fragments():
     fun2 = product_functor(subset_boundary(), step_boundary())
     frep2 = check_functor_laws(fun2, objs2)
     assert frep2.ok, frep2.violations
+
+
+# one small fragment per factor kind, with hom-sets of several arrows and
+# payloads of different encoded widths
+_FACTOR_FRAGMENTS = (
+    (subset_category(), (0, 1, 2, 3)),
+    (StepCategory(), ((2, 1), (2, 2), (3, 2), (4, 2))),
+    (word_category(1), (("V", (1, 2)), ("L", 0), ("L", 1), ("L", 2))),
+    (tree_category(), ((0,), (1, 0), (2, 0, 0), (3, 0, 0, 0))),
+)
+
+
+def test_product_hom_is_canonical_without_sorting():
+    # the action table's mixed-radix indices rely on this order
+    for (c1, objs1), (c2, objs2) in product(_FACTOR_FRAGMENTS, repeat=2):
+        pcat = ProductCategory((c1, c2))
+        objs = [pcat.pack(v) for v in product(objs1, objs2)]
+        for a in objs:
+            for b in objs:
+                hom = pcat.hom(a, b)
+                assert hom == sort_morphs(hom), (pcat.name, a, b)
+
+
+def test_product_action_matches_generic_action():
+    rpr = ProductCategory((subset_category(), StepCategory(),
+                           subset_category()))
+    a, b, c = (rpr.pack((1, (2, 1), 0)), rpr.pack((2, (3, 2), 1)),
+               rpr.pack((3, (5, 2), 2)))
+    cases = {
+        "equal supports": (a, b, c),
+        "equal partial supports": (((1, (2, 1)),), ((1, (3, 2)),),
+                                   ((1, (4, 2)),)),
+        "unequal supports": (((0, 1), (1, (2, 1))), b, c),
+        "empty factor hom(a, b)": (a, rpr.pack((0, (3, 2), 1)), c),
+        "empty factor hom(b, c)": (a, b, rpr.pack((1, (5, 2), 2))),
+    }
+    for name, (x, y, z) in cases.items():
+        rows = list(rpr.action(x, y, z))
+        assert rows == list(Category.action(rpr, x, y, z)), name
+        assert len(rows) == rpr.hom_size(y, z), name
+    assert len(list(rpr.action(a, b, c))[0]) == 2 * 2 * 1
 
 
 def test_product_iter_objects_streams_full_support():

@@ -250,6 +250,19 @@ def test_degree_bound_defaults_to_the_category_boundary(capsys):
     assert "image-size bound 1 via word (0,) (trivial bound 2)" in out
 
 
+def test_degree_bound_non_object_is_usage_error(capsys):
+    code, out, err = run(capsys, "degree", "--category", "P", "--a", "9:9",
+                         "--b", "3:2", "--r", "2", "--bound")
+    assert code == 64 and "(9, 9) is not an object" in err
+    assert "image-size bound" not in out
+
+
+def test_degree_search_non_object_is_usage_error(capsys):
+    code, _, err = run(capsys, "degree", "--a", "-1", "--b", "2", "--r", "2",
+                       "--pool", "0..3")
+    assert code == 64 and "-1 is not an object" in err
+
+
 def test_degree_bound_check_survives_optimized_python():
     src = str(Path(ramcat.__file__).resolve().parents[1])
     env = dict(os.environ)

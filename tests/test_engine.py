@@ -7,6 +7,7 @@ from ramcat import (BudgetExceeded, Coloring, FpInstance, Morph, SearchBudget,
                     check_p_witness, compose_word, degree_upper_bound, fiber,
                     functor_image, prf_color, ramsey_degree, search_p_witness,
                     subset_boundary, subset_category)
+from ramcat.categories import TreeCategory, star, tree_truncation
 from ramcat.categories.pcat import StepBoundary, StepCategory
 
 DR = subset_boundary()
@@ -131,6 +132,19 @@ def test_hom_budget_guards_enumeration():
     with pytest.raises(BudgetExceeded) as exc:
         check_p_witness(DR, 2, 3, 6, 2, budget=tight)
     assert exc.value.quantity == "hom-set size"
+
+
+def test_tree_hom_budget_refuses_before_enumerating(monkeypatch):
+    def no_enumeration(self, a, b):
+        pytest.fail(f"hom({a!r}, {b!r}) built before the budget refused it")
+
+    monkeypatch.setattr(TreeCategory, "hom", no_enumeration)
+    tight = SearchBudget(max_hom_size=1000)
+    with pytest.raises(BudgetExceeded) as exc:
+        check_p_witness(tree_truncation(), (2, 0, 0), (3, 0, 0, 0), star(100),
+                        2, budget=tight)
+    assert exc.value.quantity == "hom-set size"
+    assert exc.value.needed == 161_700  # C(100, 3) copies of (3, 0, 0, 0)
 
 
 def test_jobs_split_gives_identical_results():

@@ -13,8 +13,9 @@ import pytest
 
 from ramcat import (FpInstance, binomial, check_p_witness, functor_image,
                     subset_boundary, subset_category)
-from ramcat.categories import (StepCategory, WordCategory, standard_window,
-                               star, tree_category)
+from ramcat.categories import (StepCategory, WordCategory, product_functor,
+                               standard_window, star, step_boundary,
+                               tree_category)
 from ramcat.categories.trees import height, structure
 from ramcat.constructions import (brute_minimal_grid, brute_minimal_hj_dimension,
                                   brute_minimal_single, r_fp_witness,
@@ -78,6 +79,29 @@ def test_engine_matches_brute_partition_check_composite():
         assert got.ok == want, c
     # frozen: the two-step collapse needs one more point than the one-step
     assert not brute_p_holds(dd, 2, 3, 5, 2)
+
+
+def test_engine_matches_brute_partition_check_products():
+    rr = product_functor(subset_boundary(), subset_boundary())
+    rp = product_functor(subset_boundary(), step_boundary())
+    cases = ((rr, (1, 1), (1, 2), ((1, 2), (1, 3), (2, 2), (2, 3))),
+             (rr, (1, 1), (2, 2), ((2, 2), (3, 3))),
+             (rp, (1, (2, 1)), (1, (3, 2)), ((1, (3, 2)), (1, (4, 2)),
+                                             (2, (4, 2)))),
+             (rp, (1, (2, 1)), (2, (3, 2)), ((2, (4, 2)), (3, (4, 2)))))
+    for fun, a, b, cs in cases:
+        pack = fun.dom.pack
+        for c in cs:
+            args = (pack(a), pack(b), pack(c), 2)
+            want = brute_p_holds(fun, *args)
+            got = check_p_witness(fun, *args, mode="exhaustive")
+            assert got.ok == want, (fun.name, a, b, c)
+    # frozen: a copy of (1, 2) in (2, 2) fixes one row of the 2x2 grid, so
+    # coloring every row with both colors defeats it; a row of three points
+    # always repeats a color
+    pack = rr.dom.pack
+    assert not brute_p_holds(rr, pack((1, 1)), pack((1, 2)), pack((2, 2)), 2)
+    assert brute_p_holds(rr, pack((1, 1)), pack((1, 2)), pack((2, 3)), 2)
 
 
 def test_minimal_single_subset_witness_is_three():
