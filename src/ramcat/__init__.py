@@ -25,8 +25,7 @@ from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, Coloring,
                      fiber, functor_image, prf_color, ramsey_degree,
                      search_p_witness)
 from .constructions import (ConstructionError, CrossRelation, WitnessProvider,
-                            brute_minimal_grid, brute_minimal_hj_dimension,
-                            brute_minimal_single, check_cross_welldefined,
+                            check_cross_welldefined,
                             check_cross_zeta, check_modeling_compatibility,
                             composition_witness, fouche_witness,
                             fp_to_p_construct, fp_provider, hj_modeling,

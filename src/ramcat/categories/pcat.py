@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations, count
 from typing import Any, Iterator
 
-from ..core import Category, Functor, LiftError, Morph, sort_morphs
+from ..core import Category, Functor, LiftError, Morph, binomial, sort_morphs
 
 ORIENTATIONS = ("definition", "mirror")
 
@@ -91,6 +91,21 @@ class StepCategory(Category):
         left, right = self._endpoints(k, tag)
         return sort_morphs(Morph(a, b, vals)
                            for vals in _step_functions(l, left, right, k))
+
+    def hom_size(self, a: Any, b: Any) -> int:
+        (k, tag), (l, tag_b) = a, b
+        if tag_b != 2:
+            return 1 if a == b else 0
+        if tag == 2:
+            return binomial(l - 1, k - 1) if l >= k else 0
+        if l < 3:
+            return 0
+        # C(l-1, 2) block splits times the middle values unequal to both
+        # ends; a middle value equal to an end merges two blocks, leaving the
+        # constant function (tag 0) or the l-1 one-switch functions (tag 1)
+        if tag == 0:
+            return (k - 1) * binomial(l - 1, 2) + 1
+        return (k - 2) * binomial(l - 1, 2) + l - 1
 
     def identity(self, a: Any) -> Morph:
         k = a[0]

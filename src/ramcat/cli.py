@@ -29,9 +29,11 @@ from .certificates import (CertificateError, StaleCertificateError,
                            dump_certificate, fp_certificate, load_certificate,
                            morph_unhex, p_certificate, replay_verify)
 from .constructions import (ConstructionError, fouche_witness,
-                            fp_to_p_construct, hj_stage_provider, hj_witness,
+                            fp_stage_provider, fp_to_p_construct,
+                            hj_stage_provider, hj_witness,
                             p_pigeonhole_witness, product_ramsey_numbers,
-                            r_fp_oracle, r_fp_witness, word_witness)
+                            r_fp_oracle, r_fp_witness, subset_g_prime,
+                            word_witness)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -193,10 +195,7 @@ def cmd_verify(args) -> int:
     elif args.category.partition(":")[0] == "R" and args.functor == "dR":
         # canonical subset picks, with g' retargeted at the user's c
         _, f_prime, _ = r_fp_witness(FpInstance(a=a, b=b, s=s, r=args.r))
-        if fun.dom.hom_size(a, b) <= 1:
-            g_prime = fun.morph(fun.dom.identity(b))
-        else:
-            g_prime = Morph(b - 1, c - 1, tuple(range(1, b)))
+        g_prime = subset_g_prime(fun, b, c)
     else:
         raise CliError("verify fp needs --f-prime and --g-prime hexes "
                        "outside plain dR over R")
@@ -231,13 +230,8 @@ def _theorem_pigeonhole(args) -> Claim:
 def _theorem_compose(args) -> Claim:
     delta = subset_boundary()
     word = [delta] * args.length
-
-    def provider(index, fun, a, b, r):
-        c, trace = fp_to_p_construct(fun, a, b, r, r_fp_oracle(fun),
-                                     selection="max-rule")
-        return c, trace.doc()
-
-    c, trace = word_witness(word, args.k, args.l, args.r, provider)
+    c, trace = word_witness(word, args.k, args.l, args.r,
+                            fp_stage_provider(r_fp_oracle, "max-rule"))
     return Claim(compose_word(word), args.k, args.l, c, c, trace.doc())
 
 

@@ -13,16 +13,16 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 from typing import Any, Callable, Iterable, Sequence
 
-from .categories.pcat import StepCategory, step_boundary
+from .categories.pcat import StepBoundary, StepCategory
 from .categories.product import ProductCategory, ProductFunctor
 from .categories.rcat import SubsetBoundary, subset_boundary
 from .categories.trees import TreeTruncation, grow, height, structure, tree_truncation
-from .categories.hjcat import word_boundary, word_category
-from .core import Category, Functor, LiftError, Morph, canon_hex, sort_morphs
-from .engine import BudgetExceeded, FpInstance, functor_image
+from .categories.hjcat import standard_window, word_boundary, word_category
+from .core import Category, Functor, Morph, canon_hex, sort_morphs
+from .engine import (BudgetExceeded, FpInstance, functor_image,
+                     search_p_witness)
 
 DEFAULT_MAX_COLOR_BITS = 1_000_000
 DEFAULT_CHECK_PAIRS = 500_000
@@ -38,9 +38,7 @@ class ConstructionError(RuntimeError):
 def _stage(label: str, thunk: Callable[[], Any]) -> Any:
     try:
         return thunk()
-    except ConstructionError as exc:
-        raise ConstructionError(f"{label}: {exc}") from exc
-    except (ValueError, LiftError) as exc:
+    except (ConstructionError, ValueError) as exc:   # LiftError is a ValueError
         raise ConstructionError(f"{label}: {exc}") from exc
 
 
@@ -58,7 +56,6 @@ class WitnessProvider:
 
     fn: Callable[[Any, Any, int], Any]
     provenance: str
-    note: str = ""
 
     def __call__(self, a: Any, b: Any, r: int) -> Any:
         return self.fn(a, b, r)
@@ -90,11 +87,18 @@ def pigeonhole_provider() -> WitnessProvider:
             raise ValueError(f"pigeonhole target must be a (l, 2) object, got {b!r}")
         return p_pigeonhole_witness(max(2, a[0]), l, r)
 
-    return WitnessProvider(fn, CONSTRUCTED, note="split-position pigeonhole")
+    return WitnessProvider(fn, CONSTRUCTED)
 
 
 # ---------------------------------------------------------------------------
 # fiber-condition oracles
+
+
+def subset_g_prime(delta: Functor, b: int, c: int) -> Morph:
+    """The subset g' at (b, c): the prefix inclusion [delta b] -> [delta c],
+    which is the identity when c == b."""
+    n = delta.obj(b)
+    return Morph(n, delta.obj(c), tuple(range(1, n + 1)))
 
 
 def r_fp_witness(inst: FpInstance,
@@ -113,13 +117,12 @@ def r_fp_witness(inst: FpInstance,
     if r < 1:
         raise ValueError("need at least one color")
     if delta.dom.hom_size(k, l) <= 1:
-        return l, sort_morphs(s)[0], delta.morph(delta.dom.identity(l))
+        return l, sort_morphs(s)[0], subset_g_prime(delta, l, l)
     m = (r + 1) * l
     top = max((max(e.data) if e.data else 0) for e in s)
     f_prime = next(e for e in sort_morphs(s)
                    if (max(e.data) if e.data else 0) == top)
-    g_prime = Morph(l - 1, m - 1, tuple(range(1, l)))
-    return m, f_prime, g_prime
+    return m, f_prime, subset_g_prime(delta, l, m)
 
 
 def tree_fp_witness(inst: FpInstance,
@@ -260,18 +263,16 @@ def r_fp_oracle(delta: SubsetBoundary | None = None) -> Callable[[FpInstance], t
     return lambda inst: r_fp_witness(inst, delta)
 
 
-def fp_provider(delta: Functor, oracle: Callable[[FpInstance], tuple],
-                *, note: str = "") -> WitnessProvider:
+def fp_provider(delta: Functor,
+                oracle: Callable[[FpInstance], tuple]) -> WitnessProvider:
     def fn(a: Any, b: Any, r: int) -> Any:
         return fp_to_p_construct(delta, a, b, r, oracle)[0]
 
-    return WitnessProvider(fn, CONSTRUCTED, note=note)
+    return WitnessProvider(fn, CONSTRUCTED)
 
 
 def search_provider(delta: Functor, pool: Callable[[Any, Any, int], Iterable[Any]],
                     **engine_kw) -> WitnessProvider:
-    from .engine import search_p_witness
-
     def fn(a: Any, b: Any, r: int) -> Any:
         found = search_p_witness(delta, a, b, r, pool(a, b, r), **engine_kw)
         if found is None:
@@ -302,22 +303,6 @@ class CompositionTrace:
                 "witness": obj_doc(self.c),
                 "inner_provenance": self.inner_provenance,
                 "outer_provenance": self.outer_provenance}
-
-
-def composition_witness(gamma: Functor, delta: Functor, a: Any, b: Any, r: int,
-                        inner: WitnessProvider,
-                        outer: WitnessProvider) -> tuple[Any, CompositionTrace]:
-    """Witness for delta-after-gamma from witnesses of the factors.
-
-    d witnesses delta at the gamma-images; the lift c' of d along gamma turns
-    gamma-witnessing at (a, c') into a witness for the composite: selectors
-    compose as g''.g' with g'' from the outer stage and g' below the lift.
-    """
-    d = _stage("inner provider", lambda: inner(gamma.obj(a), gamma.obj(b), r))
-    c_prime = _stage("lift of the inner witness", lambda: gamma.frank_lift(b, d))
-    c = _stage("outer provider", lambda: outer(a, c_prime, r))
-    return c, CompositionTrace(a, b, r, d, c_prime, c,
-                               inner.provenance, outer.provenance)
 
 
 @dataclass(frozen=True)
@@ -378,6 +363,41 @@ def word_witness(word: Sequence[Functor], a: Any, b: Any, r: int,
     return c, WordTrace(len(word), stages)
 
 
+def composition_witness(gamma: Functor, delta: Functor, a: Any, b: Any, r: int,
+                        inner: WitnessProvider,
+                        outer: WitnessProvider) -> tuple[Any, CompositionTrace]:
+    """Witness for delta-after-gamma: the two-functor word (gamma, delta).
+
+    d witnesses delta at the gamma-images; the lift c' of d along gamma turns
+    gamma-witnessing at (a, c') into a witness for the composite: selectors
+    compose as g''.g' with g'' from the outer stage and g' below the lift.
+    """
+    stage_providers = (("outer provider", outer), ("inner provider", inner))
+
+    def provider(index: int, fun: Functor, x: Any, y: Any, rr: int
+                 ) -> tuple[Any, dict]:
+        label, prov = stage_providers[index]
+        return _stage(label, lambda: prov(x, y, rr)), {}
+
+    c, trace = word_witness((gamma, delta), a, b, r, provider)
+    top, bottom = trace.stages
+    return c, CompositionTrace(a, b, r, bottom.witness, top.b, c,
+                               inner.provenance, outer.provenance)
+
+
+def fp_stage_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
+                      selection: str) -> StageProvider:
+    """Word stages built by the fp->p recursion with oracle_for(stage functor);
+    each stage's note is its fp->p trace."""
+    def provider(index: int, fun: Functor, a: Any, b: Any, r: int
+                 ) -> tuple[Any, dict]:
+        c, trace = fp_to_p_construct(fun, a, b, r, oracle_for(fun),
+                                     selection=selection)
+        return c, trace.doc()
+
+    return provider
+
+
 # ---------------------------------------------------------------------------
 # products
 
@@ -423,6 +443,11 @@ class ProductTrace:
                 "stages": [st.doc() for st in self.stages]}
 
 
+def _put(values: tuple, p: int, x: Any) -> tuple:
+    """values with position p replaced by x."""
+    return values[:p] + (x,) + values[p + 1:]
+
+
 def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
                     max_color_bits: int = DEFAULT_MAX_COLOR_BITS
                     ) -> tuple[tuple, ProductTrace]:
@@ -445,15 +470,11 @@ def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
         if p == k - 1:
             y_cur = y_vals
         else:
-            gx = list(x_vals)
-            gx[p] = coord.delta.obj(x_vals[p])
-            gy = list(y_vals)
-            gy[p] = coord.delta.obj(y_vals[p])
-            d_vals = go(p + 1, tuple(gx), tuple(gy))
-            y_cur = list(d_vals)
-            y_cur[p] = _stage(f"coordinate {p} lift",
-                              lambda: coord.delta.frank_lift(y_vals[p], d_vals[p]))
-            y_cur = tuple(y_cur)
+            d_vals = go(p + 1, _put(x_vals, p, coord.delta.obj(x_vals[p])),
+                        _put(y_vals, p, coord.delta.obj(y_vals[p])))
+            y_cur = _put(d_vals, p, _stage(
+                f"coordinate {p} lift",
+                lambda: coord.delta.frank_lift(y_vals[p], d_vals[p])))
         m_exp = 1
         for i in range(k):
             if i == p:
@@ -470,9 +491,7 @@ def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
                      lambda: coord.provider(x_vals[p], y_cur[p], big_r))
         stages[p] = ProductStage(p, x_vals[p], y_cur[p], m_exp, r, c_p,
                                  coord.provider.provenance)
-        out = list(y_cur)
-        out[p] = c_p
-        return tuple(out)
+        return _put(y_cur, p, c_p)
 
     a_vals = tuple(c.a for c in coords)
     b_vals = tuple(c.b for c in coords)
@@ -494,108 +513,8 @@ def product_ramsey_numbers(kvec: Sequence[int], pvec: Sequence[int], r: int, *,
     for kk, pp in zip(kvec, pvec):
         delta = subset_boundary()
         coords.append(ProductCoordinate(
-            delta, kk, pp, fp_provider(delta, r_fp_oracle(delta),
-                                       note="max-rule fiber oracle")))
-    c_vals, trace = product_witness(coords, r, max_color_bits=max_color_bits)
-    return c_vals, trace
-
-
-# ---------------------------------------------------------------------------
-# brute-force minima (independent small-scale oracles)
-
-
-def brute_minimal_single(k: int, p: int, r: int, *, cap: int = 12,
-                         max_colorings: int = 1_000_000) -> int | None:
-    """Least c <= cap witnessing the subset-boundary partition condition."""
-    from .engine import SearchBudget, check_p_witness
-    delta = subset_boundary()
-    budget = SearchBudget(max_colorings=max_colorings)
-    for c in range(p, cap + 1):
-        if check_p_witness(delta, k, p, c, r, mode="exhaustive",
-                           budget=budget).ok:
-            return c
-    return None
-
-
-def rectangle_free_exists(q: int, r: int) -> bool:
-    """Is there an r-coloring of the q x q grid with no monochromatic
-    combinatorial rectangle (two rows and two columns agreeing in color)?
-
-    Columns are assigned depth-first in nondecreasing order (colorings are
-    closed under column permutation); a partial assignment dies as soon as
-    two columns agree, in the same color, on two rows.
-    """
-    if q < 2:
-        return True
-    columns = list(iproduct(range(r), repeat=q))
-
-    def compatible(col_a: tuple, col_b: tuple) -> bool:
-        agree = [0] * r
-        for x, y in zip(col_a, col_b):
-            if x == y:
-                agree[x] += 1
-                if agree[x] > 1:
-                    return False
-        return True
-
-    def extend(chosen: list[int], start: int) -> bool:
-        if len(chosen) == q:
-            return True
-        for idx in range(start, len(columns)):
-            cand = columns[idx]
-            if all(compatible(columns[got], cand) for got in chosen):
-                chosen.append(idx)
-                if extend(chosen, idx):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend([], 0)
-
-
-def brute_minimal_grid(r: int, *, cap: int = 6) -> int | None:
-    """Least q <= cap forcing a monochromatic rectangle in every r-coloring."""
-    for q in range(2, cap + 1):
-        if not rectangle_free_exists(q, r):
-            return q
-    return None
-
-
-def brute_minimal_hj_dimension(alphabet: int, r: int, *, cap: int = 3,
-                               max_colorings: int = 1_000_000) -> int | None:
-    """Least m <= cap such that every r-coloring of the alphabet**m words
-    contains a monochromatic combinatorial line (direct enumeration)."""
-    if alphabet < 1 or r < 1:
-        raise ValueError("need a nonempty alphabet and at least one color")
-    for m in range(1, cap + 1):
-        words = list(iproduct(range(1, alphabet + 1), repeat=m))
-        index = {w: i for i, w in enumerate(words)}
-        lines = []
-        for mask in range(1, 1 << m):
-            wild = [i for i in range(m) if mask >> i & 1]
-            fixed_pos = [i for i in range(m) if not mask >> i & 1]
-            for fixed in iproduct(range(1, alphabet + 1), repeat=len(fixed_pos)):
-                line = []
-                for letter in range(1, alphabet + 1):
-                    w = [0] * m
-                    for i in wild:
-                        w[i] = letter
-                    for i, v in zip(fixed_pos, fixed):
-                        w[i] = v
-                    line.append(index[tuple(w)])
-                lines.append(tuple(line))
-        total = r ** len(words)
-        if total > max_colorings:
-            raise ValueError(f"m={m} needs {total} colorings, cap {max_colorings}")
-        forced = True
-        for idx in range(total):
-            colors = [(idx // r ** j) % r for j in range(len(words))]
-            if not any(len({colors[w] for w in line}) == 1 for line in lines):
-                forced = False
-                break
-        if forced:
-            return m
-    return None
+            delta, kk, pp, fp_provider(delta, r_fp_oracle(delta))))
+    return product_witness(coords, r, max_color_bits=max_color_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -633,56 +552,60 @@ class RelationCheck:
     violation: str = ""
 
 
+def _sweep(pairs: Iterable, test: Callable[[Any], str],
+           max_pairs: int) -> RelationCheck:
+    """Test pairs until a violation or max_pairs tests; one more pair marks
+    the check partial, at the cost of drawing it from the lazy pairs only."""
+    checked = 0
+    for pair in pairs:
+        if checked >= max_pairs:
+            return RelationCheck(True, checked, partial=True)
+        checked += 1
+        violation = test(pair)
+        if violation:
+            return RelationCheck(False, checked, False, violation)
+    return RelationCheck(True, checked, partial=False)
+
+
+def _g_f_pairs(rel: CrossRelation) -> Iterable[tuple[Morph, Morph, Morph]]:
+    """(g, psi(g), f) over hom(d2, d3) x hom(c1, c2), g outermost."""
+    hom_fc = rel.c_cat.hom(rel.c1, rel.c2)
+    for g in rel.d_cat.hom(rel.d2, rel.d3):
+        psi_g = rel.psi(g)
+        for f in hom_fc:
+            yield g, psi_g, f
+
+
 def check_cross_zeta(rel: CrossRelation, *,
                      max_pairs: int = DEFAULT_CHECK_PAIRS) -> RelationCheck:
     """zeta(g.phi(f,g)) == psi(g).f over all in-cap (f, g) pairs."""
     if rel.zeta is None:
         raise ValueError("relation carries no zeta")
-    hom_fc = rel.c_cat.hom(rel.c1, rel.c2)
-    hom_gd = rel.d_cat.hom(rel.d2, rel.d3)
-    checked = 0
-    for g in hom_gd:
-        psi_g = rel.psi(g)
-        for f in hom_fc:
-            if checked >= max_pairs:
-                return RelationCheck(True, checked, partial=True)
-            lhs = rel.zeta(rel.d_cat.compose(g, rel.phi(f, g)))
-            rhs = rel.c_cat.compose(psi_g, f)
-            checked += 1
-            if lhs != rhs:
-                return RelationCheck(False, checked, False,
-                                     f"zeta identity fails at f={f.data!r}, "
-                                     f"g={g.data!r}")
-    return RelationCheck(True, checked, partial=False)
+
+    def test(pair: tuple) -> str:
+        g, psi_g, f = pair
+        if rel.zeta(rel.d_cat.compose(g, rel.phi(f, g))) == rel.c_cat.compose(psi_g, f):
+            return ""
+        return f"zeta identity fails at f={f.data!r}, g={g.data!r}"
+
+    return _sweep(_g_f_pairs(rel), test, max_pairs)
 
 
 def check_cross_welldefined(rel: CrossRelation, *,
                             max_pairs: int = DEFAULT_CHECK_PAIRS) -> RelationCheck:
     """g.phi(f,g) == g'.phi(f',g') implies psi(g).f == psi(g').f'."""
-    hom_fc = rel.c_cat.hom(rel.c1, rel.c2)
-    hom_gd = rel.d_cat.hom(rel.d2, rel.d3)
-    pairs = []
-    for g in hom_gd:
-        psi_g = rel.psi(g)
-        for f in hom_fc:
-            pairs.append((rel.d_cat.compose(g, rel.phi(f, g)).encode(),
-                          rel.c_cat.compose(psi_g, f)))
-    checked = 0
     seen: dict[bytes, Morph] = {}
-    partial = False
-    for key, value in pairs:
-        if checked >= max_pairs:
-            partial = True
-            break
-        checked += 1
-        if key in seen:
-            if seen[key] != value:
-                return RelationCheck(False, checked, False,
-                                     "well-definedness fails: equal composites "
-                                     "with different transfers")
-        else:
-            seen[key] = value
-    return RelationCheck(True, checked, partial)
+
+    def test(pair: tuple) -> str:
+        g, psi_g, f = pair
+        value = rel.c_cat.compose(psi_g, f)
+        key = rel.d_cat.compose(g, rel.phi(f, g)).encode()
+        if seen.setdefault(key, value) == value:
+            return ""
+        return ("well-definedness fails: equal composites "
+                "with different transfers")
+
+    return _sweep(_g_f_pairs(rel), test, max_pairs)
 
 
 def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
@@ -690,29 +613,21 @@ def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
                                  max_pairs: int = DEFAULT_CHECK_PAIRS
                                  ) -> RelationCheck:
     """gamma f == gamma f' implies delta phi(f,g) == delta phi(f',g)."""
-    hom_fc = rel.c_cat.hom(rel.c1, rel.c2)
     by_image: dict[bytes, list[Morph]] = {}
-    for f in hom_fc:
+    for f in rel.c_cat.hom(rel.c1, rel.c2):
         by_image.setdefault(gamma.morph(f).encode(), []).append(f)
-    gs: Sequence[Morph | None]
-    if rel.phi_depends_on_g:
-        gs = rel.d_cat.hom(rel.d2, rel.d3)
-    else:
-        gs = [None]
-    checked = 0
-    for group in by_image.values():
-        lead = group[0]
-        for other in group[1:]:
-            for g in gs:
-                if checked >= max_pairs:
-                    return RelationCheck(True, checked, partial=True)
-                checked += 1
-                if delta.morph(rel.phi(lead, g)) != delta.morph(rel.phi(other, g)):
-                    return RelationCheck(
-                        False, checked, False,
-                        f"compatibility fails at f={lead.data!r}, "
-                        f"f'={other.data!r}, g={getattr(g, 'data', None)!r}")
-    return RelationCheck(True, checked, partial=False)
+    gs = rel.d_cat.hom(rel.d2, rel.d3) if rel.phi_depends_on_g else (None,)
+    triples = ((group[0], other, g) for group in by_image.values()
+               for other in group[1:] for g in gs)
+
+    def test(triple: tuple) -> str:
+        lead, other, g = triple
+        if delta.morph(rel.phi(lead, g)) == delta.morph(rel.phi(other, g)):
+            return ""
+        return (f"compatibility fails at f={lead.data!r}, "
+                f"f'={other.data!r}, g={getattr(g, 'data', None)!r}")
+
+    return _sweep(triples, test, max_pairs)
 
 
 def identity_modeling(cat: Category, a: Any, b: Any, c: Any) -> CrossRelation:
@@ -808,6 +723,15 @@ def r_modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]]
 # Hales-Jewett modeling and pipeline
 
 
+def _hj_blocks(vals: tuple, l: int) -> tuple[int, Any, ProductCategory, Any, Any]:
+    """Alphabet size k1, step source d_coord, the product of l step
+    categories, and there d1 (all d_coord) and d2 (all (3, 2))."""
+    k1 = len(set(vals))
+    d_coord = (k1, 1) if k1 >= 2 else (1, 0)
+    pcat = ProductCategory(tuple(StepCategory("definition") for _ in range(l)))
+    return k1, d_coord, pcat, pcat.pack((d_coord,) * l), pcat.pack(((3, 2),) * l)
+
+
 def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
                 k0: int | None = None) -> tuple[int, CrossRelation]:
     """Model word substitutions at (v, l) inside a product of step categories.
@@ -835,18 +759,13 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
         ms.append(pair[0])
     if len(ms) != l:
         raise ValueError("need one block per input position")
+    k1, _, pcat, d1, d2 = _hj_blocks(vals, l)
     letters = sorted(set(vals))
-    k1 = len(letters)
     rank = {letter: i + 1 for i, letter in enumerate(letters)}
     top = letters[-1]
     low = letters[max(0, k1 - 2)]       # letter of rank max(1, k1-1)
     l_prime = sum(ms)
-    starts = [sum(ms[:i]) for i in range(l)]
     wcat = word_category(k0)
-    d_coord = (k1, 1) if k1 >= 2 else (1, 0)
-    pcat = ProductCategory(tuple(StepCategory("definition") for _ in range(l)))
-    d1 = pcat.pack(tuple(d_coord for _ in range(l)))
-    d2 = pcat.pack(tuple((3, 2) for _ in range(l)))
     d3 = pcat.pack(tuple((m, 2) for m in ms))
     c2 = ("L", l)
     c3 = ("L", l_prime)
@@ -886,13 +805,10 @@ def hj_stage_provider(max_color_bits: int, max_pairs: int) -> StageProvider:
             raise ConstructionError(f"stage {index}: unexpected pair {(a, b)!r}")
         lam = b[1]
         vals = a[1]
-        k0 = len(vals) - 1
-        k1 = len(set(vals))
-        d_coord = (k1, 1) if k1 >= 2 else (1, 0)
-        coords = tuple(ProductCoordinate(step_boundary("definition"), d_coord,
-                                         (3, 2), pigeonhole_provider())
-                       for _ in range(lam))
-        pcat = ProductCategory(tuple(c.delta.dom for c in coords))
+        _, d_coord, pcat, d1, d2 = _hj_blocks(vals, lam)
+        coords = tuple(ProductCoordinate(StepBoundary(cat), d_coord, (3, 2),
+                                         pigeonhole_provider())
+                       for cat in pcat.factors)
         product_note: dict = {}
 
         def delta_fn(d1: Any, d2: Any, rr: int) -> Any:
@@ -901,18 +817,15 @@ def hj_stage_provider(max_color_bits: int, max_pairs: int) -> StageProvider:
             product_note["product"] = trace.doc()
             return pcat.pack(vals_c)
 
-        delta_witness = WitnessProvider(delta_fn, CONSTRUCTED,
-                                        note="pigeonhole blocks")
-
         def rel_provider(d3: Any) -> tuple[Any, CrossRelation]:
-            l_prime, rel = hj_modeling(a, lam, pcat.values(d3), k0=k0)
+            l_prime, rel = hj_modeling(a, lam, pcat.values(d3),
+                                       k0=len(vals) - 1)
             return ("L", l_prime), rel
 
         delta_fun = ProductFunctor(tuple(c.delta for c in coords))
-        d1 = pcat.pack(tuple(d_coord for _ in range(lam)))
-        d2 = pcat.pack(tuple((3, 2) for _ in range(lam)))
-        c3, trace = modeling_transfer(rel_provider, delta_witness, fun,
-                                      delta_fun, d1, d2, a, b, r,
+        c3, trace = modeling_transfer(rel_provider,
+                                      WitnessProvider(delta_fn, CONSTRUCTED),
+                                      fun, delta_fun, d1, d2, a, b, r,
                                       max_pairs=max_pairs, note=product_note)
         return c3, trace.doc()
 
@@ -930,10 +843,8 @@ def hj_witness(k: int, l: int, r: int, *,
     """
     if k < 1 or l < 1 or r < 1:
         raise ValueError(f"need k, l, r >= 1, got {(k, l, r)}")
-    bound = word_boundary(k)
-    v0 = ("V", tuple(range(1, k + 2)))
-    word = [bound] * k
-    c, trace = word_witness(word, v0, ("L", l), r,
+    word = [word_boundary(k)] * k
+    c, trace = word_witness(word, standard_window(k), ("L", l), r,
                             hj_stage_provider(max_color_bits, max_pairs))
     return c[1], trace
 
@@ -953,7 +864,6 @@ def fouche_witness(s_tree: tuple, t_tree: tuple, r: int, *,
     """
     if r < 1:
         raise ValueError("need at least one color")
-    trunc = tree_truncation()
     if height(s_tree) != height(t_tree) or height(s_tree) == 0:
         return t_tree, None
 
@@ -961,13 +871,9 @@ def fouche_witness(s_tree: tuple, t_tree: tuple, r: int, *,
         return product_ramsey_numbers(kvec, pvec, rr,
                                       max_color_bits=max_color_bits)[0]
 
-    oracle = lambda inst: tree_fp_witness(inst, product_ramsey, trunc)
+    def oracle_for(trunc: Functor) -> Callable[[FpInstance], tuple]:
+        return lambda inst: tree_fp_witness(inst, product_ramsey, trunc)
 
-    def provider(index: int, fun: Functor, a: Any, b: Any, rr: int
-                 ) -> tuple[Any, dict]:
-        c, trace = fp_to_p_construct(fun, a, b, rr, oracle,
-                                     selection="first-canonical")
-        return c, trace.doc()
-
-    word = [trunc] * height(s_tree)
-    return word_witness(word, s_tree, t_tree, r, provider)
+    word = [tree_truncation()] * height(s_tree)
+    return word_witness(word, s_tree, t_tree, r,
+                        fp_stage_provider(oracle_for, "first-canonical"))

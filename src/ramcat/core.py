@@ -154,7 +154,14 @@ class Category(ABC):
         pos = {f: i for i, f in enumerate(self.hom(a, c))}
         compose = self.compose
         for g in self.hom(b, c):
-            yield tuple(pos[compose(g, f)] for f in hom_ab)
+            try:
+                row = tuple(pos[compose(g, f)] for f in hom_ab)
+            except KeyError:
+                f = next(f for f in hom_ab if compose(g, f) not in pos)
+                raise ValueError(f"{self.name}: compose(g, f) is not in "
+                                 f"hom({a!r}, {c!r}) for g={g!r}, "
+                                 f"f={f!r}") from None
+            yield row
 
     def objects(self, count: int) -> tuple[Any, ...]:
         return tuple(islice(self.iter_objects(), count))

@@ -1,0 +1,104 @@
+"""Brute-force minima: small-scale oracles that only the tests call.
+
+Each computes a known Ramsey-type minimum by exhaustive search over tiny
+instances, independently of the theorem constructions it is compared with.
+"""
+
+from __future__ import annotations
+
+from itertools import product as iproduct
+
+from ramcat import SearchBudget, check_p_witness, subset_boundary
+
+
+def brute_minimal_single(k: int, p: int, r: int, *, cap: int = 12,
+                         max_colorings: int = 1_000_000) -> int | None:
+    """Least c <= cap witnessing the subset-boundary partition condition."""
+    delta = subset_boundary()
+    budget = SearchBudget(max_colorings=max_colorings)
+    for c in range(p, cap + 1):
+        if check_p_witness(delta, k, p, c, r, mode="exhaustive",
+                           budget=budget).ok:
+            return c
+    return None
+
+
+def rectangle_free_exists(q: int, r: int) -> bool:
+    """Is there an r-coloring of the q x q grid with no monochromatic
+    combinatorial rectangle (two rows and two columns agreeing in color)?
+
+    Columns are assigned depth-first in nondecreasing order (colorings are
+    closed under column permutation); a partial assignment dies as soon as
+    two columns agree, in the same color, on two rows.
+    """
+    if q < 2:
+        return True
+    columns = list(iproduct(range(r), repeat=q))
+
+    def compatible(col_a: tuple, col_b: tuple) -> bool:
+        agree = [0] * r
+        for x, y in zip(col_a, col_b):
+            if x == y:
+                agree[x] += 1
+                if agree[x] > 1:
+                    return False
+        return True
+
+    def extend(chosen: list[int], start: int) -> bool:
+        if len(chosen) == q:
+            return True
+        for idx in range(start, len(columns)):
+            cand = columns[idx]
+            if all(compatible(columns[got], cand) for got in chosen):
+                chosen.append(idx)
+                if extend(chosen, idx):
+                    return True
+                chosen.pop()
+        return False
+
+    return extend([], 0)
+
+
+def brute_minimal_grid(r: int, *, cap: int = 6) -> int | None:
+    """Least q <= cap forcing a monochromatic rectangle in every r-coloring."""
+    for q in range(2, cap + 1):
+        if not rectangle_free_exists(q, r):
+            return q
+    return None
+
+
+def brute_minimal_hj_dimension(alphabet: int, r: int, *, cap: int = 3,
+                               max_colorings: int = 1_000_000) -> int | None:
+    """Least m <= cap such that every r-coloring of the alphabet**m words
+    contains a monochromatic combinatorial line (direct enumeration)."""
+    if alphabet < 1 or r < 1:
+        raise ValueError("need a nonempty alphabet and at least one color")
+    for m in range(1, cap + 1):
+        words = list(iproduct(range(1, alphabet + 1), repeat=m))
+        index = {w: i for i, w in enumerate(words)}
+        lines = []
+        for mask in range(1, 1 << m):
+            wild = [i for i in range(m) if mask >> i & 1]
+            fixed_pos = [i for i in range(m) if not mask >> i & 1]
+            for fixed in iproduct(range(1, alphabet + 1), repeat=len(fixed_pos)):
+                line = []
+                for letter in range(1, alphabet + 1):
+                    w = [0] * m
+                    for i in wild:
+                        w[i] = letter
+                    for i, v in zip(fixed_pos, fixed):
+                        w[i] = v
+                    line.append(index[tuple(w)])
+                lines.append(tuple(line))
+        total = r ** len(words)
+        if total > max_colorings:
+            raise ValueError(f"m={m} needs {total} colorings, cap {max_colorings}")
+        forced = True
+        for idx in range(total):
+            colors = [(idx // r ** j) % r for j in range(len(words))]
+            if not any(len({colors[w] for w in line}) == 1 for line in lines):
+                forced = False
+                break
+        if forced:
+            return m
+    return None

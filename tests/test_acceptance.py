@@ -6,7 +6,7 @@ Each test prints one line to the real terminal (pytest capture suspended):
 
 Every numeric claim here is either reproduced exhaustively, replayed from a
 certificate, or cross-checked against an independent brute-force oracle from
-the same codebase (constructions.brute_*).
+the same codebase (tests/brute.py).
 """
 
 import time
@@ -17,8 +17,7 @@ from ramcat import (Morph, SearchBudget, binomial, check_category_laws,
                     check_cross_welldefined, check_cross_zeta,
                     check_degree_bound, check_frank_at, check_functor_laws,
                     check_modeling_compatibility, check_p_witness,
-                    compose_word, brute_minimal_grid,
-                    brute_minimal_hj_dimension, brute_minimal_single,
+                    compose_word,
                     degree_upper_bound, dump_certificate, fiber, fouche_witness,
                     fp_to_p_construct, functor_image, hj_modeling, hj_witness,
                     p_certificate, p_pigeonhole_witness, product_ramsey_numbers,
@@ -29,6 +28,8 @@ from ramcat.categories import (ORIENTATIONS, ProductCategory, ProductFunctor,
                                StepBoundary, StepCategory, WordBoundary,
                                height, step_boundary)
 from ramcat.constructions import r_fp_oracle
+from brute import (brute_minimal_grid, brute_minimal_hj_dimension,
+                   brute_minimal_single)
 
 DR = subset_boundary()
 RCAT = subset_category()

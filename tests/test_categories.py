@@ -243,6 +243,16 @@ def test_tree_hom_size_counts_without_enumerating():
     assert cat.hom_size((3, 0, 0, 0), star(100)) == 161_700  # C(100, 3)
 
 
+@pytest.mark.parametrize("orientation", ["definition", "mirror"])
+def test_step_hom_size_counts_without_enumerating(orientation):
+    cat = StepCategory(orientation)
+    objs = cat.objects(30)
+    for a in objs:
+        for b in objs:
+            assert cat.hom_size(a, b) == len(cat.hom(a, b)), (a, b)
+    assert cat.hom_size((3, 2), (200, 2)) == 19_701  # C(199, 2)
+
+
 # ---------------------------------------------------------------------------
 # products
 

@@ -85,6 +85,15 @@ def test_verify_fp_autoderives_for_plain_subsets(capsys):
     assert code == 64 and "--f-prime" in err
 
 
+@pytest.mark.parametrize("a, b, c", [(2, 2, 4), (0, 2, 5)])
+def test_verify_fp_retargets_g_prime_over_trivial_homs(capsys, a, b, c):
+    # hom(a, b) has one arrow, so g' is the prefix inclusion [b-1] -> [c-1]
+    code, out, _ = run(capsys, "verify", "fp", "--category", "R",
+                       "--functor", "dR", "--a", str(a), "--b", str(b),
+                       "--c", str(c), "--r", "2")
+    assert code == 0 and out.startswith("pass [exhaustive]")
+
+
 def test_verify_non_objects_are_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "p", "--category", "P",
                        "--functor", "dP", "--a", "2:1", "--b", "9:9",
@@ -387,3 +396,32 @@ def test_jobs_yield_bitwise_identical_certificates(capsys, tmp_path):
         assert code == 0
         texts.append(cert.read_bytes())
     assert texts[0] == texts[1]
+
+
+# digests of `construct --theorem T --r 2` at default flags; a refactor that
+# changes any certificate byte changes its digest
+CONSTRUCT_DIGESTS = {
+    "fp2p": "daf15efea2ac32c998719c839ff4e724de921cd91fa6a8d9b31951a35dcf6cca",
+    "r-fp": "fe0dda78a0d866d06add05f506298f27ef7ec62b6f24cd20188072c6ed52c2dc",
+    "p-pigeonhole":
+        "d2be207cadcbd8698f700fb6b471dddb98f4257c86d382a309a93e8e0630e25e",
+    "compose":
+        "eae6190eeff7745822d99e0eff96c7cd0f14509156d563cfa82f9f9d26b2f8b7",
+    "product":
+        "6fa09a4b07e192bac2ba17a27843a1e1ef5048fad6281cf4cc0f93e59793c338",
+    "modeling":
+        "fbf5a109193750768e6bca417f2698c1e3dd138d388c92e1903dc381298af845",
+    "hj": "9d1f8d7f49842e8d0f4eb2f3d82c2d0627e0d4addc3249f1d69b44a70c001320",
+    "fouche": "76fefd15725e1a3078d422cc1afaa9374717264e0c109f1faeabeae188ca4924",
+}
+
+
+def test_construct_certificates_are_byte_stable(capsys, tmp_path):
+    got = {}
+    for theorem in CONSTRUCT_DIGESTS:
+        cert = tmp_path / f"{theorem}.json"
+        code, _, _ = run(capsys, "construct", "--theorem", theorem, "--r", "2",
+                         "--out", str(cert))
+        assert code == 0, theorem
+        got[theorem] = load_certificate(cert)["digest"]
+    assert got == CONSTRUCT_DIGESTS

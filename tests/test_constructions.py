@@ -3,8 +3,7 @@
 import pytest
 
 from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
-                    FpInstance, brute_minimal_grid, brute_minimal_hj_dimension,
-                    brute_minimal_single, check_cross_welldefined,
+                    FpInstance, check_cross_welldefined,
                     check_cross_zeta, check_modeling_compatibility,
                     check_p_witness, composition_witness, fouche_witness,
                     fp_to_p_construct, fp_provider, hj_modeling, hj_witness,
@@ -12,11 +11,13 @@ from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
                     product_ramsey_numbers, r_fp_witness, star,
                     subset_boundary, subset_category, tree_fp_witness,
                     tree_truncation, word_boundary, word_witness)
-from ramcat.categories import ProductFunctor, step_boundary
+from ramcat.categories import ProductCategory, ProductFunctor, step_boundary
 from ramcat.constructions import (CONSTRUCTED, SEARCHED, ProductCoordinate,
                                   pigeonhole_provider, product_witness,
                                   r_fp_oracle, r_modeling_transfer,
-                                  rectangle_free_exists, search_provider)
+                                  search_provider)
+from brute import (brute_minimal_grid, brute_minimal_hj_dimension,
+                   brute_minimal_single, rectangle_free_exists)
 
 DR = subset_boundary()
 
@@ -102,8 +103,8 @@ def test_fiber_recursion_rejects_wayward_oracle():
 
 
 def test_providers_carry_provenance():
-    wit = fp_provider(DR, r_fp_oracle(), note="max-rule")
-    assert wit.provenance == CONSTRUCTED and wit.note == "max-rule"
+    wit = fp_provider(DR, r_fp_oracle())
+    assert wit.provenance == CONSTRUCTED
     assert wit(1, 2, 2) == 6
     sp = search_provider(DR, lambda a, b, r: range(0, 8))
     assert sp.provenance == SEARCHED
@@ -234,6 +235,23 @@ def test_welldefined_catches_collapsing_phi():
                         psi=lambda g: g, zeta=None)
     chk = check_cross_welldefined(rel)
     assert not chk.ok and "well-definedness fails" in chk.violation
+
+
+def test_relation_sweeps_compose_only_the_pairs_they_check(monkeypatch):
+    calls = []
+    compose = ProductCategory.compose
+
+    def counted(self, g, f):
+        calls.append(1)
+        return compose(self, g, f)
+
+    monkeypatch.setattr(ProductCategory, "compose", counted)
+    _, rel = hj_modeling(("V", (1, 2)), 2, ((12, 2), (12, 2)))
+    for check in (check_cross_zeta, check_cross_welldefined):
+        calls.clear()
+        chk = check(rel, max_pairs=1)
+        assert chk.ok and chk.partial and chk.checked == 1
+        assert len(calls) <= 1, check.__name__
 
 
 def test_degree_transfer_needs_zeta():

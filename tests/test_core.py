@@ -169,6 +169,12 @@ def test_category_law_checker_flags_bad_composition():
     assert rep.violations
 
 
+def test_default_action_names_a_composite_outside_the_hom():
+    with pytest.raises(ValueError, match=r"not in hom\(2, 4\)") as exc:
+        list(_BrokenCompose().action(2, 3, 4))
+    assert "g=Morph(" in str(exc.value) and "f=Morph(" in str(exc.value)
+
+
 class _BrokenImage(Functor):
     """Mirrors singleton payloads only; valid morphisms, broken composition."""
 

@@ -147,6 +147,19 @@ def test_tree_hom_budget_refuses_before_enumerating(monkeypatch):
     assert exc.value.needed == 161_700  # C(100, 3) copies of (3, 0, 0, 0)
 
 
+def test_step_hom_budget_refuses_before_enumerating(monkeypatch):
+    def no_enumeration(self, a, b):
+        pytest.fail(f"hom({a!r}, {b!r}) built before the budget refused it")
+
+    monkeypatch.setattr(StepCategory, "hom", no_enumeration)
+    tight = SearchBudget(max_hom_size=10)
+    with pytest.raises(BudgetExceeded) as exc:
+        check_p_witness(StepBoundary(StepCategory()), (2, 1), (3, 2), (200, 2),
+                        2, budget=tight)
+    assert exc.value.quantity == "hom-set size"
+    assert exc.value.needed == 19_701  # C(199, 2) surjections onto [3]
+
+
 def test_jobs_split_gives_identical_results():
     for c, expect in ((5, False), (6, True)):
         runs = [check_p_witness(DD, 2, 3, c, 2, jobs=j) for j in (1, 2, 4)]

@@ -17,9 +17,9 @@ from ramcat.categories import (StepCategory, WordCategory, product_functor,
                                standard_window, star, step_boundary,
                                tree_category)
 from ramcat.categories.trees import height, structure
-from ramcat.constructions import (brute_minimal_grid, brute_minimal_hj_dimension,
-                                  brute_minimal_single, r_fp_witness,
-                                  rectangle_free_exists)
+from ramcat.constructions import r_fp_witness
+from brute import (brute_minimal_grid, brute_minimal_hj_dimension,
+                   brute_minimal_single, rectangle_free_exists)
 from ramcat.categories.pcat import StepBoundary
 from ramcat.engine import check_fp_witness
 
