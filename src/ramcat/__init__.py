@@ -25,9 +25,8 @@ from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, Coloring,
                      fiber, functor_image, prf_color, ramsey_degree,
                      search_p_witness)
 from .constructions import (ConstructionError, CrossRelation, WitnessProvider,
-                            check_cross_welldefined,
-                            check_cross_zeta, check_modeling_compatibility,
-                            composition_witness, fouche_witness,
+                            check_cross_welldefined, check_cross_zeta,
+                            check_modeling_compatibility, fouche_witness,
                             fp_to_p_construct, fp_provider, hj_modeling,
                             hj_witness, identity_modeling, modeling_transfer,
                             p_pigeonhole_witness, product_ramsey_numbers,

@@ -30,7 +30,8 @@ from .categories.trees import tree_category, tree_truncation
 from .core import (Category, ComposedFunctor, Functor, IdentityFunctor, Morph,
                    canon_bytes, canon_hex, canon_unhex)
 from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, FpInstance, PCheckResult,
-                     SearchBudget, check_fp_witness, check_p_witness)
+                     SearchBudget, check_fp_witness, check_p_witness,
+                     require_hom_budget)
 
 SCHEMA_VERSION = 1
 
@@ -271,11 +272,13 @@ def replay_verify(doc: dict, *, mode: str | None = None,
     b = canon_unhex(inputs["b"])
     r = inputs["r"]
     c = canon_unhex(doc["witness"]["c"])
-    if hom_fingerprint(fun, a, c) != doc["fingerprint"]:
-        raise StaleCertificateError("canonical hom enumeration changed")
     saved = doc["budget"]
     run_budget = budget or SearchBudget(max_colorings=saved["max_colorings"],
                                         max_hom_size=saved["max_hom_size"])
+    # the certificate is outside input: refuse before fingerprinting hom(a, c)
+    require_hom_budget(fun.dom, run_budget, (a, c))
+    if hom_fingerprint(fun, a, c) != doc["fingerprint"]:
+        raise StaleCertificateError("canonical hom enumeration changed")
     run_mode = mode or saved["mode"]
     run_seed = saved["seed"] if seed is None else seed
     run_samples = saved["samples"] if samples is None else samples

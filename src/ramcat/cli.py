@@ -28,12 +28,10 @@ from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, FpInstance,
 from .certificates import (CertificateError, StaleCertificateError,
                            dump_certificate, fp_certificate, load_certificate,
                            morph_unhex, p_certificate, replay_verify)
-from .constructions import (ConstructionError, fouche_witness,
-                            fp_stage_provider, fp_to_p_construct,
-                            hj_stage_provider, hj_witness,
-                            p_pigeonhole_witness, product_ramsey_numbers,
-                            r_fp_oracle, r_fp_witness, subset_g_prime,
-                            word_witness)
+from .constructions import (ConstructionError, fouche_witness, fp_provider,
+                            hj_provider, hj_witness, p_pigeonhole_witness,
+                            product_ramsey_numbers, r_fp_oracle, r_fp_witness,
+                            subset_g_prime, word_witness)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -208,9 +206,9 @@ def cmd_verify(args) -> int:
 
 def _theorem_fp2p(args) -> Claim:
     delta = subset_boundary()
-    c, trace = fp_to_p_construct(delta, args.k, args.l, args.r,
-                                 r_fp_oracle(delta), selection="max-rule")
-    return Claim(delta, args.k, args.l, c, c, trace.doc())
+    c, note = fp_provider(r_fp_oracle, "max-rule")(delta, args.k, args.l,
+                                                   args.r)
+    return Claim(delta, args.k, args.l, c, c, note)
 
 
 def _theorem_r_fp(args) -> Claim:
@@ -231,7 +229,7 @@ def _theorem_compose(args) -> Claim:
     delta = subset_boundary()
     word = [delta] * args.length
     c, trace = word_witness(word, args.k, args.l, args.r,
-                            fp_stage_provider(r_fp_oracle, "max-rule"))
+                            fp_provider(r_fp_oracle, "max-rule"))
     return Claim(compose_word(word), args.k, args.l, c, c, trace.doc())
 
 
@@ -251,8 +249,8 @@ def _theorem_product(args) -> Claim:
 def _theorem_modeling(args) -> Claim:
     fun = WordBoundary(WordCategory(args.k))
     v0, b = standard_window(args.k), ("L", args.l)
-    provider = hj_stage_provider(args.max_color_bits, args.max_pairs)
-    c, note = provider(0, fun, v0, b, args.r)
+    provider = hj_provider(args.max_color_bits, args.max_pairs)
+    c, note = provider(fun, v0, b, args.r)
     return Claim(fun, v0, b, c, c, note)
 
 

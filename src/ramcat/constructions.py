@@ -12,17 +12,17 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from .categories.pcat import StepBoundary, StepCategory
-from .categories.product import ProductCategory, ProductFunctor
+from .categories.pcat import step_boundary
+from .categories.product import ProductFunctor
 from .categories.rcat import SubsetBoundary, subset_boundary
 from .categories.trees import TreeTruncation, grow, height, structure, tree_truncation
 from .categories.hjcat import standard_window, word_boundary, word_category
 from .core import Category, Functor, Morph, canon_hex, sort_morphs
 from .engine import (BudgetExceeded, FpInstance, functor_image,
-                     search_p_witness)
+                     require_hom_budget, search_p_witness)
 
 DEFAULT_MAX_COLOR_BITS = 1_000_000
 DEFAULT_CHECK_PAIRS = 500_000
@@ -52,13 +52,15 @@ def morph_doc(f: Morph) -> dict:
 
 @dataclass(frozen=True)
 class WitnessProvider:
-    """Uniform witness source: fn(a, b, r) -> c, tagged with its provenance."""
+    """The one witness source: fn(fun, a, b, r) -> (c, note), where c
+    witnesses fun at (a, b) with r colors and note is the JSON-able record
+    for the trace; tagged with its provenance."""
 
-    fn: Callable[[Any, Any, int], Any]
+    fn: Callable[[Functor, Any, Any, int], tuple[Any, dict]]
     provenance: str
 
-    def __call__(self, a: Any, b: Any, r: int) -> Any:
-        return self.fn(a, b, r)
+    def __call__(self, fun: Functor, a: Any, b: Any, r: int) -> tuple:
+        return self.fn(fun, a, b, r)
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +81,13 @@ def p_pigeonhole_witness(k1: int, l: int, r: int) -> tuple[int, int]:
 
 
 def pigeonhole_provider() -> WitnessProvider:
-    """Stage provider for the step boundary at ((k1,1), (l,2)) pairs."""
+    """Provider for the step boundary at ((k1,1), (l,2)) pairs."""
 
-    def fn(a: Any, b: Any, r: int) -> Any:
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
         l, tag = b
         if tag != 2:
             raise ValueError(f"pigeonhole target must be a (l, 2) object, got {b!r}")
-        return p_pigeonhole_witness(max(2, a[0]), l, r)
+        return p_pigeonhole_witness(max(2, a[0]), l, r), {}
 
     return WitnessProvider(fn, CONSTRUCTED)
 
@@ -263,21 +265,25 @@ def r_fp_oracle(delta: SubsetBoundary | None = None) -> Callable[[FpInstance], t
     return lambda inst: r_fp_witness(inst, delta)
 
 
-def fp_provider(delta: Functor,
-                oracle: Callable[[FpInstance], tuple]) -> WitnessProvider:
-    def fn(a: Any, b: Any, r: int) -> Any:
-        return fp_to_p_construct(delta, a, b, r, oracle)[0]
+def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
+                selection: str = "oracle-defined") -> WitnessProvider:
+    """Witnesses built by the fp->p recursion with oracle_for(fun); the note
+    is the recursion's trace."""
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
+        c, trace = fp_to_p_construct(fun, a, b, r, oracle_for(fun),
+                                     selection=selection)
+        return c, trace.doc()
 
     return WitnessProvider(fn, CONSTRUCTED)
 
 
-def search_provider(delta: Functor, pool: Callable[[Any, Any, int], Iterable[Any]],
+def search_provider(pool: Callable[[Any, Any, int], Iterable[Any]],
                     **engine_kw) -> WitnessProvider:
-    def fn(a: Any, b: Any, r: int) -> Any:
-        found = search_p_witness(delta, a, b, r, pool(a, b, r), **engine_kw)
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
+        found = search_p_witness(fun, a, b, r, pool(a, b, r), **engine_kw)
         if found is None:
             raise ConstructionError(f"search pool exhausted at {(a, b, r)!r}")
-        return found[0]
+        return found[0], {}
 
     return WitnessProvider(fn, SEARCHED)
 
@@ -287,32 +293,13 @@ def search_provider(delta: Functor, pool: Callable[[Any, Any, int], Iterable[Any
 
 
 @dataclass(frozen=True)
-class CompositionTrace:
-    a: Any
-    b: Any
-    r: int
-    d: Any
-    c_prime: Any
-    c: Any
-    inner_provenance: str
-    outer_provenance: str
-
-    def doc(self) -> dict:
-        return {"kind": "composition", "a": obj_doc(self.a), "b": obj_doc(self.b),
-                "r": self.r, "d": obj_doc(self.d), "c_prime": obj_doc(self.c_prime),
-                "witness": obj_doc(self.c),
-                "inner_provenance": self.inner_provenance,
-                "outer_provenance": self.outer_provenance}
-
-
-@dataclass(frozen=True)
 class WordStage:
     index: int
     a: Any
     b: Any
     witness: Any
     lifted_from: Any | None
-    note: dict = field(default_factory=dict)
+    note: dict
 
     def doc(self) -> dict:
         out = {"stage": self.index, "a": obj_doc(self.a), "b": obj_doc(self.b),
@@ -334,68 +321,26 @@ class WordTrace:
                 "stages": [st.doc() for st in self.stages]}
 
 
-StageProvider = Callable[[int, Functor, Any, Any, int], tuple[Any, dict]]
-
-
 def word_witness(word: Sequence[Functor], a: Any, b: Any, r: int,
-                 provider: StageProvider) -> tuple[Any, WordTrace]:
+                 provider: WitnessProvider) -> tuple[Any, WordTrace]:
     """Chain single-functor witnesses along a composition word.
 
     word[0] is applied first.  The provider is called once per stage with the
-    stage's own functor and the pair actually in play there (inner stages see
-    pushed objects, outer stages see lifted witnesses); it returns the stage
-    witness and a JSON-able note for the trace.
+    stage's own functor and the pair actually in play there: inner stages see
+    pushed objects, and each outer stage sees the lift c' of the witness d
+    below it, which turns witnessing at (a, c') into witnessing the composite.
     """
     if not word:
         raise ValueError("empty words need no construction; b itself works")
     if len(word) == 1:
-        c, note = provider(0, word[0], a, b, r)
+        c, note = provider(word[0], a, b, r)
         return c, WordTrace(1, (WordStage(0, a, b, c, None, note),))
     gamma = word[0]
-
-    def shifted(i: int, fun: Functor, x: Any, y: Any, rr: int) -> tuple[Any, dict]:
-        return provider(i + 1, fun, x, y, rr)
-
-    d, inner = word_witness(word[1:], gamma.obj(a), gamma.obj(b), r, shifted)
+    d, inner = word_witness(word[1:], gamma.obj(a), gamma.obj(b), r, provider)
     c_prime = _stage("lift between stages", lambda: gamma.frank_lift(b, d))
-    c, note = provider(0, gamma, a, c_prime, r)
+    c, note = provider(gamma, a, c_prime, r)
     stages = (WordStage(0, a, c_prime, c, d, note),) + inner.stages
     return c, WordTrace(len(word), stages)
-
-
-def composition_witness(gamma: Functor, delta: Functor, a: Any, b: Any, r: int,
-                        inner: WitnessProvider,
-                        outer: WitnessProvider) -> tuple[Any, CompositionTrace]:
-    """Witness for delta-after-gamma: the two-functor word (gamma, delta).
-
-    d witnesses delta at the gamma-images; the lift c' of d along gamma turns
-    gamma-witnessing at (a, c') into a witness for the composite: selectors
-    compose as g''.g' with g'' from the outer stage and g' below the lift.
-    """
-    stage_providers = (("outer provider", outer), ("inner provider", inner))
-
-    def provider(index: int, fun: Functor, x: Any, y: Any, rr: int
-                 ) -> tuple[Any, dict]:
-        label, prov = stage_providers[index]
-        return _stage(label, lambda: prov(x, y, rr)), {}
-
-    c, trace = word_witness((gamma, delta), a, b, r, provider)
-    top, bottom = trace.stages
-    return c, CompositionTrace(a, b, r, bottom.witness, top.b, c,
-                               inner.provenance, outer.provenance)
-
-
-def fp_stage_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
-                      selection: str) -> StageProvider:
-    """Word stages built by the fp->p recursion with oracle_for(stage functor);
-    each stage's note is its fp->p trace."""
-    def provider(index: int, fun: Functor, a: Any, b: Any, r: int
-                 ) -> tuple[Any, dict]:
-        c, trace = fp_to_p_construct(fun, a, b, r, oracle_for(fun),
-                                     selection=selection)
-        return c, trace.doc()
-
-    return provider
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +433,8 @@ def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
                                  max_color_bits)
         big_r = r ** m_exp
         c_p = _stage(f"coordinate {p} provider",
-                     lambda: coord.provider(x_vals[p], y_cur[p], big_r))
+                     lambda: coord.provider(coord.delta, x_vals[p], y_cur[p],
+                                            big_r)[0])
         stages[p] = ProductStage(p, x_vals[p], y_cur[p], m_exp, r, c_p,
                                  coord.provider.provenance)
         return _put(y_cur, p, c_p)
@@ -500,6 +446,22 @@ def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
     return c_vals, ProductTrace(r, a_vals, b_vals, c_vals, ordered)
 
 
+def product_provider(coord_provider: WitnessProvider, *,
+                     max_color_bits: int = DEFAULT_MAX_COLOR_BITS
+                     ) -> WitnessProvider:
+    """Witnesses for a ProductFunctor at packed (a, b): the staged product
+    with coord_provider at every coordinate; the note is its trace."""
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
+        cat = fun.dom
+        coords = [ProductCoordinate(part, x, y, coord_provider) for part, x, y
+                  in zip(fun.parts, cat.values(a), cat.values(b))]
+        c_vals, trace = product_witness(coords, r,
+                                        max_color_bits=max_color_bits)
+        return cat.pack(c_vals), {"product": trace.doc()}
+
+    return WitnessProvider(fn, coord_provider.provenance)
+
+
 def product_ramsey_numbers(kvec: Sequence[int], pvec: Sequence[int], r: int, *,
                            max_color_bits: int = DEFAULT_MAX_COLOR_BITS
                            ) -> tuple[tuple, ProductTrace]:
@@ -509,11 +471,9 @@ def product_ramsey_numbers(kvec: Sequence[int], pvec: Sequence[int], r: int, *,
     for kk, pp in zip(kvec, pvec):
         if not 0 <= kk <= pp:
             raise ValueError(f"need 0 <= k <= p per coordinate, got {(kk, pp)}")
-    coords = []
-    for kk, pp in zip(kvec, pvec):
-        delta = subset_boundary()
-        coords.append(ProductCoordinate(
-            delta, kk, pp, fp_provider(delta, r_fp_oracle(delta))))
+    provider = fp_provider(r_fp_oracle)
+    coords = [ProductCoordinate(subset_boundary(), kk, pp, provider)
+              for kk, pp in zip(kvec, pvec)]
     return product_witness(coords, r, max_color_bits=max_color_bits)
 
 
@@ -568,7 +528,10 @@ def _sweep(pairs: Iterable, test: Callable[[Any], str],
 
 
 def _g_f_pairs(rel: CrossRelation) -> Iterable[tuple[Morph, Morph, Morph]]:
-    """(g, psi(g), f) over hom(d2, d3) x hom(c1, c2), g outermost."""
+    """(g, psi(g), f) over hom(d2, d3) x hom(c1, c2), g outermost; either
+    hom-set over the default hom-size cap is refused before it is built."""
+    require_hom_budget(rel.c_cat, None, (rel.c1, rel.c2))
+    require_hom_budget(rel.d_cat, None, (rel.d2, rel.d3))
     hom_fc = rel.c_cat.hom(rel.c1, rel.c2)
     for g in rel.d_cat.hom(rel.d2, rel.d3):
         psi_g = rel.psi(g)
@@ -613,6 +576,9 @@ def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
                                  max_pairs: int = DEFAULT_CHECK_PAIRS
                                  ) -> RelationCheck:
     """gamma f == gamma f' implies delta phi(f,g) == delta phi(f',g)."""
+    require_hom_budget(rel.c_cat, None, (rel.c1, rel.c2))
+    if rel.phi_depends_on_g:
+        require_hom_budget(rel.d_cat, None, (rel.d2, rel.d3))
     by_image: dict[bytes, list[Morph]] = {}
     for f in rel.c_cat.hom(rel.c1, rel.c2):
         by_image.setdefault(gamma.morph(f).encode(), []).append(f)
@@ -650,7 +616,7 @@ class ModelingTrace:
     welldefined: RelationCheck
     welldefined_via: str
     delta_provenance: str
-    note: dict = field(default_factory=dict)
+    note: dict
 
     def doc(self) -> dict:
         return {"kind": "modeling", "a": obj_doc(self.a), "b": obj_doc(self.b),
@@ -668,15 +634,15 @@ class ModelingTrace:
 def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
                       delta_witness: WitnessProvider, gamma: Functor,
                       delta: Functor, d1: Any, d2: Any, a: Any, b: Any, r: int,
-                      *, max_pairs: int = DEFAULT_CHECK_PAIRS,
-                      note: dict | None = None) -> tuple[Any, ModelingTrace]:
+                      *, max_pairs: int = DEFAULT_CHECK_PAIRS
+                      ) -> tuple[Any, ModelingTrace]:
     """Pull a witness for gamma at (a, b) across modeling data.
 
-    d3 witnesses delta at (d1, d2); the relation returned for d3 is checked
-    for modeling compatibility and well-definedness (through zeta when
-    available) before its c3 is accepted.
+    d3 witnesses delta at (d1, d2), and the trace keeps its provider's note;
+    the relation returned for d3 is checked for modeling compatibility and
+    well-definedness (through zeta when available) before its c3 is accepted.
     """
-    d3 = _stage("delta witness", lambda: delta_witness(d1, d2, r))
+    d3, note = _stage("delta witness", lambda: delta_witness(delta, d1, d2, r))
     c3, rel = _stage("relation provider", lambda: rel_provider(d3))
     if (rel.c1, rel.c2, rel.c3) != (a, b, c3):
         raise ConstructionError("relation triple disagrees with (a, b, c)")
@@ -693,9 +659,8 @@ def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
         via = "equal-composite-scan"
     if not wd.ok:
         raise ConstructionError(f"modeling {wd.violation}")
-    trace = ModelingTrace(a, b, r, d1, d2, d3, c3, compat, wd, via,
-                          delta_witness.provenance, note or {})
-    return c3, trace
+    return c3, ModelingTrace(a, b, r, d1, d2, d3, c3, compat, wd, via,
+                             delta_witness.provenance, note)
 
 
 def r_modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
@@ -723,17 +688,18 @@ def r_modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]]
 # Hales-Jewett modeling and pipeline
 
 
-def _hj_blocks(vals: tuple, l: int) -> tuple[int, Any, ProductCategory, Any, Any]:
-    """Alphabet size k1, step source d_coord, the product of l step
-    categories, and there d1 (all d_coord) and d2 (all (3, 2))."""
+def _hj_blocks(vals: tuple, l: int) -> tuple[int, ProductFunctor, Any, Any]:
+    """Alphabet size k1, the product of l step boundaries, and in its domain
+    d1 (every coordinate the step source) and d2 (every coordinate (3, 2))."""
     k1 = len(set(vals))
     d_coord = (k1, 1) if k1 >= 2 else (1, 0)
-    pcat = ProductCategory(tuple(StepCategory("definition") for _ in range(l)))
-    return k1, d_coord, pcat, pcat.pack((d_coord,) * l), pcat.pack(((3, 2),) * l)
+    delta = ProductFunctor(tuple(step_boundary() for _ in range(l)))
+    pack = delta.dom.pack
+    return k1, delta, pack((d_coord,) * l), pack(((3, 2),) * l)
 
 
-def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
-                k0: int | None = None) -> tuple[int, CrossRelation]:
+def hj_modeling(v: Any, l: int,
+                c_values: Sequence[tuple]) -> tuple[int, CrossRelation]:
     """Model word substitutions at (v, l) inside a product of step categories.
 
     Coordinate i of the product contributes a block of length m_i; the block
@@ -744,10 +710,7 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
     if v[0] != "V":
         raise ValueError(f"not a window object: {v!r}")
     vals = v[1]
-    if k0 is None:
-        k0 = len(vals) - 1
-    if len(vals) != k0 + 1:
-        raise ValueError("window length disagrees with k0")
+    k0 = len(vals) - 1
     if l < 1:
         raise ValueError("need at least one input position")
     ms = []
@@ -759,14 +722,14 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
         ms.append(pair[0])
     if len(ms) != l:
         raise ValueError("need one block per input position")
-    k1, _, pcat, d1, d2 = _hj_blocks(vals, l)
+    k1, delta, d1, d2 = _hj_blocks(vals, l)
     letters = sorted(set(vals))
     rank = {letter: i + 1 for i, letter in enumerate(letters)}
     top = letters[-1]
     low = letters[max(0, k1 - 2)]       # letter of rank max(1, k1-1)
     l_prime = sum(ms)
     wcat = word_category(k0)
-    d3 = pcat.pack(tuple((m, 2) for m in ms))
+    d3 = delta.dom.pack(tuple((m, 2) for m in ms))
     c2 = ("L", l)
     c3 = ("L", l_prime)
     mid_cap = max(1, k1 - 1)
@@ -793,43 +756,31 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
                 out.append(letters[t - 1])
         return Morph(v, c3, ("F", tuple(out)))
 
-    rel = CrossRelation(v, c2, c3, d1, d2, d3, wcat, pcat,
+    rel = CrossRelation(v, c2, c3, d1, d2, d3, wcat, delta.dom,
                         phi=phi, psi=psi, zeta=zeta, phi_depends_on_g=False)
     return l_prime, rel
 
 
-def hj_stage_provider(max_color_bits: int, max_pairs: int) -> StageProvider:
-    def provider(index: int, fun: Functor, a: Any, b: Any, r: int
-                 ) -> tuple[Any, dict]:
-        if a[0] != "V" or b[0] != "L":
-            raise ConstructionError(f"stage {index}: unexpected pair {(a, b)!r}")
-        lam = b[1]
-        vals = a[1]
-        _, d_coord, pcat, d1, d2 = _hj_blocks(vals, lam)
-        coords = tuple(ProductCoordinate(StepBoundary(cat), d_coord, (3, 2),
-                                         pigeonhole_provider())
-                       for cat in pcat.factors)
-        product_note: dict = {}
+def hj_provider(max_color_bits: int, max_pairs: int) -> WitnessProvider:
+    """Word-boundary witnesses at (window, ("L", l)): a staged product of
+    pigeonhole witnesses, transferred through the block modeling."""
+    delta_witness = product_provider(pigeonhole_provider(),
+                                     max_color_bits=max_color_bits)
 
-        def delta_fn(d1: Any, d2: Any, rr: int) -> Any:
-            vals_c, trace = product_witness(coords, rr,
-                                            max_color_bits=max_color_bits)
-            product_note["product"] = trace.doc()
-            return pcat.pack(vals_c)
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
+        lam = b[1]
+        _, delta_fun, d1, d2 = _hj_blocks(a[1], lam)
 
         def rel_provider(d3: Any) -> tuple[Any, CrossRelation]:
-            l_prime, rel = hj_modeling(a, lam, pcat.values(d3),
-                                       k0=len(vals) - 1)
+            l_prime, rel = hj_modeling(a, lam, delta_fun.dom.values(d3))
             return ("L", l_prime), rel
 
-        delta_fun = ProductFunctor(tuple(c.delta for c in coords))
-        c3, trace = modeling_transfer(rel_provider,
-                                      WitnessProvider(delta_fn, CONSTRUCTED),
-                                      fun, delta_fun, d1, d2, a, b, r,
-                                      max_pairs=max_pairs, note=product_note)
+        c3, trace = modeling_transfer(rel_provider, delta_witness, fun,
+                                      delta_fun, d1, d2, a, b, r,
+                                      max_pairs=max_pairs)
         return c3, trace.doc()
 
-    return provider
+    return WitnessProvider(fn, CONSTRUCTED)
 
 
 def hj_witness(k: int, l: int, r: int, *,
@@ -845,7 +796,7 @@ def hj_witness(k: int, l: int, r: int, *,
         raise ValueError(f"need k, l, r >= 1, got {(k, l, r)}")
     word = [word_boundary(k)] * k
     c, trace = word_witness(word, standard_window(k), ("L", l), r,
-                            hj_stage_provider(max_color_bits, max_pairs))
+                            hj_provider(max_color_bits, max_pairs))
     return c[1], trace
 
 
@@ -876,4 +827,4 @@ def fouche_witness(s_tree: tuple, t_tree: tuple, r: int, *,
 
     word = [tree_truncation()] * height(s_tree)
     return word_witness(word, s_tree, t_tree, r,
-                        fp_stage_provider(oracle_for, "first-canonical"))
+                        fp_provider(oracle_for, "first-canonical"))

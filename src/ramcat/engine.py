@@ -155,6 +155,18 @@ def _require_objects(cat: Category, *xs: Any) -> None:
             raise ValueError(f"{x!r} is not an object of {cat.name}")
 
 
+def require_hom_budget(cat: Category, budget: SearchBudget | None,
+                       *pairs: tuple[Any, Any]) -> None:
+    """Refuse before any hom(x, y) of the pairs is built: ValueError for a
+    non-object, BudgetExceeded past the hom-size cap (None: the default)."""
+    cap = (budget or SearchBudget()).max_hom_size
+    for x, y in pairs:
+        _require_objects(cat, x, y)
+        size = cat.hom_size(x, y)
+        if size > cap:
+            raise BudgetExceeded("hom-set size", size, cap)
+
+
 # A check is what one admissible g makes of the chosen groups of hom(a, b):
 # each group carried through g to cells of hom(a, c).  It passes a coloring
 # when every group shows at most the scan's cap of colors.
@@ -240,12 +252,8 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
     when every g is admissible.  A coloring passes when some admissible g
     carries every group onto at most cap colors.
     """
-    _require_objects(cat, a, b, c)
     budget = budget or SearchBudget()
-    for x, y in ((a, b), (b, c), (a, c)):
-        size = cat.hom_size(x, y)
-        if size > budget.max_hom_size:
-            raise BudgetExceeded("hom-set size", size, budget.max_hom_size)
+    require_hom_budget(cat, budget, (a, b), (b, c), (a, c))
     groups, admissible = select(cat.hom(a, b))
     rows = cat.action(a, b, c)
     if admissible is not None:
@@ -371,7 +379,7 @@ def ramsey_degree(cat: Category, a: Any, b: Any, r: int, pool: Iterable[Any], *,
     An empty hom(a, b) has degree 0 witnessed by b itself.  Returns degree
     None when no pool object works even at the trivial cap |hom(a, b)|.
     """
-    _require_objects(cat, a, b)
+    require_hom_budget(cat, budget, (a, b))
     pool = tuple(pool)
     hom_ab = cat.hom(a, b)
     if not hom_ab:
@@ -410,6 +418,7 @@ def check_degree_bound(deltas: tuple[Functor, ...], a: Any, b: Any, r: int,
     the brute-forced degree is computed and the bound is asserted against it.
     """
     cat = deltas[0].dom
+    require_hom_budget(cat, budget, (a, b))
     bound, word = degree_upper_bound(a, b, tuple(deltas), word_cap)
     trivial = cat.hom_size(a, b)
     deg = None

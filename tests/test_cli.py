@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ramcat
-from ramcat import load_certificate
+from ramcat import ProductCategory, SubsetCategory, load_certificate
 from ramcat.certificates import document_digest
 from ramcat.cli import main
 from ramcat.core import canon_hex
@@ -19,6 +19,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def forbid_hom(monkeypatch, cls):
+    """Building any hom-set of cls fails: a budget refusal must come first."""
+    def built(self, a, b):
+        raise AssertionError(f"{cls.__name__}.hom({a!r}, {b!r}) was built")
+    monkeypatch.setattr(cls, "hom", built)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +229,15 @@ def test_construct_fouche(capsys):
     assert "pass [exhaustive]" in out
 
 
+def test_modeling_relation_sweep_refuses_before_building(capsys, monkeypatch):
+    # hom(d2, d3) has about 8.9e28 arrows here
+    forbid_hom(monkeypatch, ProductCategory)
+    code, _, err = run(capsys, "construct", "--theorem", "modeling",
+                       "--k", "2", "--l", "2", "--r", "2", "--max-pairs", "10")
+    assert code == 2, err
+    assert "budget refusal: hom-set size" in err and "cap 2000000" in err
+
+
 def test_construct_bad_coords(capsys):
     code, _, err = run(capsys, "construct", "--theorem", "product",
                        "--coords", "nope", "--r", "2")
@@ -283,6 +299,16 @@ def test_degree_bound_check_survives_optimized_python():
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "consistency check failed" in proc.stderr
+
+
+@pytest.mark.parametrize("mode", [("--pool", "120..120"), ("--bound",)],
+                         ids=["search", "bound"])
+def test_degree_refuses_large_homs_before_building(capsys, monkeypatch, mode):
+    forbid_hom(monkeypatch, SubsetCategory)
+    code, out, err = run(capsys, "degree", "--a", "3", "--b", "120",
+                         "--r", "2", *mode, "--max-hom-size", "10")
+    assert code == 2, err
+    assert "hom-set size: need 280840, cap 10" in err and not out
 
 
 def test_degree_search(capsys):
@@ -359,6 +385,24 @@ def test_replay_refuses_non_objects(capsys, tmp_path):
     cert.write_text(json.dumps(doc))
     code, _, err = run(capsys, "replay", str(cert))
     assert code == 64 and "(9, 9) is not an object" in err
+
+
+def test_replay_refuses_large_homs_before_fingerprinting(capsys, monkeypatch,
+                                                         tmp_path):
+    cert = tmp_path / "p.json"
+    code, _, _ = run(capsys, "verify", "p", "--category", "R",
+                     "--functor", "dR", "--a", "1", "--b", "2", "--c", "6",
+                     "--r", "2", "--out", str(cert))
+    assert code == 0
+    # a crafted witness: only the digest is redone, so the fingerprint is stale
+    doc = json.loads(cert.read_text())
+    doc["witness"]["c"] = canon_hex(120)
+    doc["digest"] = document_digest(doc)
+    cert.write_text(json.dumps(doc))
+    forbid_hom(monkeypatch, SubsetCategory)
+    code, _, err = run(capsys, "replay", str(cert), "--max-hom-size", "10")
+    assert code == 2, err
+    assert "hom-set size: need 120, cap 10" in err
 
 
 def test_replay_tampered_certificate(capsys, tmp_path):

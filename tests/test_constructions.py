@@ -3,9 +3,9 @@
 import pytest
 
 from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
-                    FpInstance, check_cross_welldefined,
+                    FpInstance, WitnessProvider, check_cross_welldefined,
                     check_cross_zeta, check_modeling_compatibility,
-                    check_p_witness, composition_witness, fouche_witness,
+                    check_p_witness, fouche_witness,
                     fp_to_p_construct, fp_provider, hj_modeling, hj_witness,
                     identity_modeling, p_pigeonhole_witness,
                     product_ramsey_numbers, r_fp_witness, star,
@@ -13,9 +13,9 @@ from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
                     tree_truncation, word_boundary, word_witness)
 from ramcat.categories import ProductCategory, ProductFunctor, step_boundary
 from ramcat.constructions import (CONSTRUCTED, SEARCHED, ProductCoordinate,
-                                  pigeonhole_provider, product_witness,
-                                  r_fp_oracle, r_modeling_transfer,
-                                  search_provider)
+                                  pigeonhole_provider, product_provider,
+                                  product_witness, r_fp_oracle,
+                                  r_modeling_transfer, search_provider)
 from brute import (brute_minimal_grid, brute_minimal_hj_dimension,
                    brute_minimal_single, rectangle_free_exists)
 
@@ -38,12 +38,13 @@ def test_pigeonhole_witness_values():
 def test_pigeonhole_provider_constructs_verified_witnesses():
     prov = pigeonhole_provider()
     assert prov.provenance == CONSTRUCTED
-    c = prov((2, 1), (3, 2), 2)
-    assert c == (6, 2)
-    res = check_p_witness(step_boundary("definition"), (2, 1), (3, 2), c, 2)
+    dp = step_boundary("definition")
+    c, note = prov(dp, (2, 1), (3, 2), 2)
+    assert c == (6, 2) and note == {}
+    res = check_p_witness(dp, (2, 1), (3, 2), c, 2)
     assert res.ok and res.exhaustive
     with pytest.raises(ValueError):
-        prov((2, 1), (3, 1), 2)
+        prov(dp, (2, 1), (3, 1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +104,18 @@ def test_fiber_recursion_rejects_wayward_oracle():
 
 
 def test_providers_carry_provenance():
-    wit = fp_provider(DR, r_fp_oracle())
+    wit = fp_provider(r_fp_oracle)
     assert wit.provenance == CONSTRUCTED
-    assert wit(1, 2, 2) == 6
-    sp = search_provider(DR, lambda a, b, r: range(0, 8))
+    c, note = wit(DR, 1, 2, 2)
+    assert c == 6
+    assert note == fp_to_p_construct(DR, 1, 2, 2, r_fp_oracle())[1].doc()
+    assert note["selection"] == "oracle-defined"
+    sp = search_provider(lambda a, b, r: range(0, 8))
     assert sp.provenance == SEARCHED
-    assert sp(2, 3, 2) == 4
-    empty = search_provider(DR, lambda a, b, r: range(0, 3))
+    assert sp(DR, 2, 3, 2) == (4, {})
+    empty = search_provider(lambda a, b, r: range(0, 3))
     with pytest.raises(ConstructionError, match="pool exhausted"):
-        empty(2, 3, 2)
+        empty(DR, 2, 3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -119,23 +123,27 @@ def test_providers_carry_provenance():
 
 
 def test_composition_witness_matches_word_recursion():
-    wit = fp_provider(DR, r_fp_oracle())
-    c, trace = composition_witness(DR, DR, 1, 2, 2, wit, wit)
-    assert c == 6
-    assert trace.d == 1 and trace.c_prime == 2
-    assert trace.inner_provenance == CONSTRUCTED
+    # the two-functor word is the composition step: the inner stage's d is
+    # lifted to c' = b, where the outer stage builds c
+    seen = []
 
-    def provider(i, fun, a, b, r):
-        return fp_to_p_construct(fun, a, b, r, r_fp_oracle())[0], {"stage": i}
+    def record(fun, a, b, r):
+        seen.append((a, b))
+        c = fp_to_p_construct(fun, a, b, r, r_fp_oracle())[0]
+        return c, {"at": [a, b]}
 
-    c2, wt = word_witness([DR, DR], 1, 2, 2, provider)
-    assert c2 == c and wt.length == 2
+    c, wt = word_witness([DR, DR], 1, 2, 2,
+                         WitnessProvider(record, CONSTRUCTED))
+    assert c == 6 and wt.length == 2
+    assert seen == [(0, 1), (1, 2)]       # inner stage first
     outer, inner = wt.stages
     assert outer.b == 2 and outer.witness == 6 and outer.lifted_from == 1
     assert inner.a == 0 and inner.witness == 1 and inner.lifted_from is None
-    assert [st.note["stage"] for st in wt.stages] == [0, 1]
+    assert [st.note["at"] for st in wt.stages] == [[1, 2], [0, 1]]
+    c2, _ = word_witness([DR, DR], 1, 2, 2, fp_provider(r_fp_oracle))
+    assert c2 == c
     with pytest.raises(ValueError):
-        word_witness([], 1, 2, 2, provider)
+        word_witness([], 1, 2, 2, fp_provider(r_fp_oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +166,17 @@ def test_product_two_coordinates_frozen():
     assert trace.b_values == (2, 2)
 
 
+def test_product_provider_packs_the_staged_product():
+    fun = ProductFunctor((DR, DR))
+    pack = fun.dom.pack
+    prov = product_provider(fp_provider(r_fp_oracle))
+    assert prov.provenance == CONSTRUCTED
+    c, note = prov(fun, pack((1, 1)), pack((2, 2)), 2)
+    assert c == pack((130, 6))
+    _, trace = product_ramsey_numbers((1, 1), (2, 2), 2)
+    assert note == {"product": trace.doc()}
+
+
 def test_product_validations_and_budget():
     with pytest.raises(ValueError):
         product_ramsey_numbers((3,), (2,), 2)
@@ -170,7 +189,7 @@ def test_product_validations_and_budget():
     assert "color bits" in exc.value.quantity
     with pytest.raises(ValueError):
         product_witness([], 2)
-    coord = ProductCoordinate(DR, 1, 2, fp_provider(DR, r_fp_oracle()))
+    coord = ProductCoordinate(DR, 1, 2, fp_provider(r_fp_oracle))
     with pytest.raises(ValueError):
         product_witness([coord], 0)
 
@@ -298,8 +317,6 @@ def test_hj_modeling_zeta_concatenates_blocks():
 def test_hj_modeling_validations():
     with pytest.raises(ValueError):
         hj_modeling(("L", 2), 2, ((3, 2), (3, 2)))
-    with pytest.raises(ValueError):
-        hj_modeling(("V", (1, 2)), 2, ((3, 2), (3, 2)), k0=2)
     with pytest.raises(ValueError):
         hj_modeling(("V", (1, 2)), 0, ())
     with pytest.raises(ValueError):
