@@ -250,8 +250,12 @@ class ReplayReport:
 
 def replay_verify(doc: dict, *, mode: str | None = None,
                   budget: SearchBudget | None = None, seed: int | None = None,
-                  samples: int | None = None, jobs: int = 1) -> ReplayReport:
+                  samples: int | None = None, jobs: int = 1,
+                  max_hom_size: int = SearchBudget.max_hom_size) -> ReplayReport:
     """Re-run the certified check, optionally under an override budget.
+
+    Without one the certificate's caps apply, but never a hom-size cap above
+    max_hom_size: the certificate is outside input.
 
     Raises StaleCertificateError when the current code's enumeration of
     hom(a, c) (or the encoding versions) no longer matches the certificate.
@@ -273,9 +277,10 @@ def replay_verify(doc: dict, *, mode: str | None = None,
     r = inputs["r"]
     c = canon_unhex(doc["witness"]["c"])
     saved = doc["budget"]
-    run_budget = budget or SearchBudget(max_colorings=saved["max_colorings"],
-                                        max_hom_size=saved["max_hom_size"])
-    # the certificate is outside input: refuse before fingerprinting hom(a, c)
+    run_budget = budget or SearchBudget(
+        max_colorings=saved["max_colorings"],
+        max_hom_size=min(saved["max_hom_size"], max_hom_size))
+    # refuse before fingerprinting hom(a, c)
     require_hom_budget(fun.dom, run_budget, (a, c))
     if hom_fingerprint(fun, a, c) != doc["fingerprint"]:
         raise StaleCertificateError("canonical hom enumeration changed")

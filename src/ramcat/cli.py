@@ -29,9 +29,10 @@ from .certificates import (CertificateError, StaleCertificateError,
                            dump_certificate, fp_certificate, load_certificate,
                            morph_unhex, p_certificate, replay_verify)
 from .constructions import (ConstructionError, fouche_witness, fp_provider,
-                            hj_provider, hj_witness, p_pigeonhole_witness,
-                            product_ramsey_numbers, r_fp_oracle, r_fp_witness,
-                            subset_g_prime, word_witness)
+                            fp_to_p_construct, hj_provider, hj_witness,
+                            p_pigeonhole_witness, product_ramsey_numbers,
+                            r_fp_oracle, r_fp_witness, subset_g_prime,
+                            word_witness)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -206,9 +207,9 @@ def cmd_verify(args) -> int:
 
 def _theorem_fp2p(args) -> Claim:
     delta = subset_boundary()
-    c, note = fp_provider(r_fp_oracle, "max-rule")(delta, args.k, args.l,
-                                                   args.r)
-    return Claim(delta, args.k, args.l, c, c, note)
+    c, trace = fp_to_p_construct(delta, args.k, args.l, args.r,
+                                 r_fp_oracle(delta), selection="max-rule")
+    return Claim(delta, args.k, args.l, c, c, trace.doc())
 
 
 def _theorem_r_fp(args) -> Claim:
@@ -319,10 +320,11 @@ def cmd_degree(args) -> int:
 def cmd_replay(args) -> int:
     doc = load_certificate(args.cert)
     capped = args.max_colorings is not None or args.max_hom_size is not None
+    own = budget_from(args)
     # mode, seed and samples default to None: the certificate's own values
-    rep = replay_verify(doc, mode=args.mode,
-                        budget=budget_from(args) if capped else None,
-                        seed=args.seed, samples=args.samples, jobs=args.jobs)
+    rep = replay_verify(doc, mode=args.mode, budget=own if capped else None,
+                        seed=args.seed, samples=args.samples, jobs=args.jobs,
+                        max_hom_size=own.max_hom_size)
     note = " (upgraded to exhaustive)" if rep.upgraded else ""
     print(f"stored verdict {rep.expected}, replay verdict {rep.verdict}{note}")
     print(_report(rep.result))

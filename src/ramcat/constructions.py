@@ -527,13 +527,16 @@ def _sweep(pairs: Iterable, test: Callable[[Any], str],
     return RelationCheck(True, checked, partial=False)
 
 
+def _hom(cat: Category, x: Any, y: Any) -> tuple[Morph, ...]:
+    """hom(x, y), refused past the default hom-size cap before it is built."""
+    require_hom_budget(cat, None, (x, y))
+    return cat.hom(x, y)
+
+
 def _g_f_pairs(rel: CrossRelation) -> Iterable[tuple[Morph, Morph, Morph]]:
-    """(g, psi(g), f) over hom(d2, d3) x hom(c1, c2), g outermost; either
-    hom-set over the default hom-size cap is refused before it is built."""
-    require_hom_budget(rel.c_cat, None, (rel.c1, rel.c2))
-    require_hom_budget(rel.d_cat, None, (rel.d2, rel.d3))
-    hom_fc = rel.c_cat.hom(rel.c1, rel.c2)
-    for g in rel.d_cat.hom(rel.d2, rel.d3):
+    """(g, psi(g), f) over hom(d2, d3) x hom(c1, c2), g outermost."""
+    hom_fc = _hom(rel.c_cat, rel.c1, rel.c2)
+    for g in _hom(rel.d_cat, rel.d2, rel.d3):
         psi_g = rel.psi(g)
         for f in hom_fc:
             yield g, psi_g, f
@@ -576,13 +579,10 @@ def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
                                  max_pairs: int = DEFAULT_CHECK_PAIRS
                                  ) -> RelationCheck:
     """gamma f == gamma f' implies delta phi(f,g) == delta phi(f',g)."""
-    require_hom_budget(rel.c_cat, None, (rel.c1, rel.c2))
-    if rel.phi_depends_on_g:
-        require_hom_budget(rel.d_cat, None, (rel.d2, rel.d3))
+    gs = _hom(rel.d_cat, rel.d2, rel.d3) if rel.phi_depends_on_g else (None,)
     by_image: dict[bytes, list[Morph]] = {}
-    for f in rel.c_cat.hom(rel.c1, rel.c2):
+    for f in _hom(rel.c_cat, rel.c1, rel.c2):
         by_image.setdefault(gamma.morph(f).encode(), []).append(f)
-    gs = rel.d_cat.hom(rel.d2, rel.d3) if rel.phi_depends_on_g else (None,)
     triples = ((group[0], other, g) for group in by_image.values()
                for other in group[1:] for g in gs)
 
@@ -698,8 +698,8 @@ def _hj_blocks(vals: tuple, l: int) -> tuple[int, ProductFunctor, Any, Any]:
     return k1, delta, pack((d_coord,) * l), pack(((3, 2),) * l)
 
 
-def hj_modeling(v: Any, l: int,
-                c_values: Sequence[tuple]) -> tuple[int, CrossRelation]:
+def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
+                k0: int | None = None) -> tuple[int, CrossRelation]:
     """Model word substitutions at (v, l) inside a product of step categories.
 
     Coordinate i of the product contributes a block of length m_i; the block
@@ -710,7 +710,10 @@ def hj_modeling(v: Any, l: int,
     if v[0] != "V":
         raise ValueError(f"not a window object: {v!r}")
     vals = v[1]
-    k0 = len(vals) - 1
+    if k0 is None:
+        k0 = len(vals) - 1
+    if len(vals) != k0 + 1:
+        raise ValueError("window length disagrees with k0")
     if l < 1:
         raise ValueError("need at least one input position")
     ms = []

@@ -149,19 +149,15 @@ def functor_image(delta: Functor, a: Any, b: Any) -> tuple[Morph, ...]:
     return sort_morphs(seen.values())
 
 
-def _require_objects(cat: Category, *xs: Any) -> None:
-    for x in xs:
-        if not cat.is_object(x):
-            raise ValueError(f"{x!r} is not an object of {cat.name}")
-
-
 def require_hom_budget(cat: Category, budget: SearchBudget | None,
                        *pairs: tuple[Any, Any]) -> None:
     """Refuse before any hom(x, y) of the pairs is built: ValueError for a
     non-object, BudgetExceeded past the hom-size cap (None: the default)."""
     cap = (budget or SearchBudget()).max_hom_size
     for x, y in pairs:
-        _require_objects(cat, x, y)
+        for obj in (x, y):
+            if not cat.is_object(obj):
+                raise ValueError(f"{obj!r} is not an object of {cat.name}")
         size = cat.hom_size(x, y)
         if size > cap:
             raise BudgetExceeded("hom-set size", size, cap)
@@ -418,8 +414,8 @@ def check_degree_bound(deltas: tuple[Functor, ...], a: Any, b: Any, r: int,
     the brute-forced degree is computed and the bound is asserted against it.
     """
     cat = deltas[0].dom
-    require_hom_budget(cat, budget, (a, b))
-    bound, word = degree_upper_bound(a, b, tuple(deltas), word_cap)
+    bound, word = degree_upper_bound(a, b, tuple(deltas), word_cap,
+                                     budget=budget)
     trivial = cat.hom_size(a, b)
     deg = None
     if pool is not None:
@@ -435,17 +431,19 @@ def check_degree_bound(deltas: tuple[Functor, ...], a: Any, b: Any, r: int,
 
 
 def degree_upper_bound(a: Any, b: Any, deltas: tuple[Functor, ...],
-                       word_cap: int = 3) -> tuple[int, tuple[int, ...]]:
+                       word_cap: int = 3, *, budget: SearchBudget | None = None
+                       ) -> tuple[int, tuple[int, ...]]:
     """Smallest image size of hom(a, b) over composition words of endofunctors.
 
     Scans words of length 1..word_cap over the given functors (applied left to
     right) plus the empty word, whose image size is |hom(a, b)| itself.
-    Returns the bound and the indices of the best word.
+    Returns the bound and the indices of the best word; hom(a, b) past the
+    budget's hom-size cap is refused before it is built.
     """
     if not deltas:
         raise ValueError("need at least one functor")
     cat = deltas[0].dom
-    _require_objects(cat, a, b)
+    require_hom_budget(cat, budget, (a, b))
     hom_ab = cat.hom(a, b)
     best, best_word = len(hom_ab), ()
     for length in range(1, word_cap + 1):

@@ -405,6 +405,31 @@ def test_replay_refuses_large_homs_before_fingerprinting(capsys, monkeypatch,
     assert "hom-set size: need 120, cap 10" in err
 
 
+@pytest.mark.parametrize("env, c, cap", [(None, 2_000_001, 2_000_000),
+                                         ("10", 120, 10)])
+def test_replay_certificate_cannot_raise_the_hom_cap(capsys, monkeypatch,
+                                                     tmp_path, env, c, cap):
+    cert = tmp_path / "p.json"
+    code, _, _ = run(capsys, "verify", "p", "--category", "R",
+                     "--functor", "dR", "--a", "1", "--b", "2", "--c", "6",
+                     "--r", "2", "--out", str(cert))
+    assert code == 0
+    # a crafted witness whose saved cap is raised to match; no replay flags
+    doc = json.loads(cert.read_text())
+    doc["witness"]["c"] = canon_hex(c)
+    doc["budget"]["max_hom_size"] = 10 ** 12
+    doc["digest"] = document_digest(doc)
+    cert.write_text(json.dumps(doc))
+    if env is None:
+        monkeypatch.delenv("RAMCAT_MAX_HOM_SIZE", raising=False)
+    else:
+        monkeypatch.setenv("RAMCAT_MAX_HOM_SIZE", env)
+    forbid_hom(monkeypatch, SubsetCategory)
+    code, _, err = run(capsys, "replay", str(cert))
+    assert code == 2, err
+    assert f"hom-set size: need {c}, cap {cap}" in err
+
+
 def test_replay_tampered_certificate(capsys, tmp_path):
     cert = tmp_path / "p.json"
     run(capsys, "verify", "p", "--category", "R", "--functor", "dR",

@@ -318,6 +318,8 @@ def test_hj_modeling_validations():
     with pytest.raises(ValueError):
         hj_modeling(("L", 2), 2, ((3, 2), (3, 2)))
     with pytest.raises(ValueError):
+        hj_modeling(("V", (1, 2)), 2, ((3, 2), (3, 2)), k0=2)
+    with pytest.raises(ValueError):
         hj_modeling(("V", (1, 2)), 0, ())
     with pytest.raises(ValueError):
         hj_modeling(("V", (1, 2)), 2, ((2, 2), (3, 2)))
