@@ -250,7 +250,8 @@ def _theorem_product(args) -> Claim:
 def _theorem_modeling(args) -> Claim:
     fun = WordBoundary(WordCategory(args.k))
     v0, b = standard_window(args.k), ("L", args.l)
-    provider = hj_provider(args.max_color_bits, args.max_pairs)
+    provider = hj_provider(args.max_color_bits, args.max_pairs,
+                           budget_from(args))
     c, note = provider(fun, v0, b, args.r)
     return Claim(fun, v0, b, c, c, note)
 
@@ -258,7 +259,7 @@ def _theorem_modeling(args) -> Claim:
 def _theorem_hj(args) -> Claim:
     m, trace = hj_witness(args.k, args.l, args.r,
                           max_color_bits=args.max_color_bits,
-                          max_pairs=args.max_pairs)
+                          max_pairs=args.max_pairs, budget=budget_from(args))
     fun = compose_word([WordBoundary(WordCategory(args.k))] * args.k)
     return Claim(fun, standard_window(args.k), ("L", args.l), ("L", m), m,
                  trace.doc())
@@ -346,7 +347,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                         f"defaults to the certificate's)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; results are independent of N")
+                   help="worker processes for sampled scans; results are "
+                        "independent of N")
     p.add_argument("--max-colorings", type=int, default=None)
     p.add_argument("--max-hom-size", type=int, default=None)
     p.add_argument("--out", default=None, help="write the certificate here")

@@ -21,7 +21,7 @@ from .categories.rcat import SubsetBoundary, subset_boundary
 from .categories.trees import TreeTruncation, grow, height, structure, tree_truncation
 from .categories.hjcat import standard_window, word_boundary, word_category
 from .core import Category, Functor, Morph, canon_hex, sort_morphs
-from .engine import (BudgetExceeded, FpInstance, functor_image,
+from .engine import (BudgetExceeded, FpInstance, SearchBudget, functor_image,
                      require_hom_budget, search_p_witness)
 
 DEFAULT_MAX_COLOR_BITS = 1_000_000
@@ -527,23 +527,26 @@ def _sweep(pairs: Iterable, test: Callable[[Any], str],
     return RelationCheck(True, checked, partial=False)
 
 
-def _hom(cat: Category, x: Any, y: Any) -> tuple[Morph, ...]:
-    """hom(x, y), refused past the default hom-size cap before it is built."""
-    require_hom_budget(cat, None, (x, y))
+def _hom(cat: Category, x: Any, y: Any,
+         budget: SearchBudget | None) -> tuple[Morph, ...]:
+    """hom(x, y), refused past the budget's hom-size cap before it is built."""
+    require_hom_budget(cat, budget, (x, y))
     return cat.hom(x, y)
 
 
-def _g_f_pairs(rel: CrossRelation) -> Iterable[tuple[Morph, Morph, Morph]]:
+def _g_f_pairs(rel: CrossRelation, budget: SearchBudget | None
+               ) -> Iterable[tuple[Morph, Morph, Morph]]:
     """(g, psi(g), f) over hom(d2, d3) x hom(c1, c2), g outermost."""
-    hom_fc = _hom(rel.c_cat, rel.c1, rel.c2)
-    for g in _hom(rel.d_cat, rel.d2, rel.d3):
+    hom_fc = _hom(rel.c_cat, rel.c1, rel.c2, budget)
+    for g in _hom(rel.d_cat, rel.d2, rel.d3, budget):
         psi_g = rel.psi(g)
         for f in hom_fc:
             yield g, psi_g, f
 
 
 def check_cross_zeta(rel: CrossRelation, *,
-                     max_pairs: int = DEFAULT_CHECK_PAIRS) -> RelationCheck:
+                     max_pairs: int = DEFAULT_CHECK_PAIRS,
+                     budget: SearchBudget | None = None) -> RelationCheck:
     """zeta(g.phi(f,g)) == psi(g).f over all in-cap (f, g) pairs."""
     if rel.zeta is None:
         raise ValueError("relation carries no zeta")
@@ -554,11 +557,12 @@ def check_cross_zeta(rel: CrossRelation, *,
             return ""
         return f"zeta identity fails at f={f.data!r}, g={g.data!r}"
 
-    return _sweep(_g_f_pairs(rel), test, max_pairs)
+    return _sweep(_g_f_pairs(rel, budget), test, max_pairs)
 
 
 def check_cross_welldefined(rel: CrossRelation, *,
-                            max_pairs: int = DEFAULT_CHECK_PAIRS) -> RelationCheck:
+                            max_pairs: int = DEFAULT_CHECK_PAIRS,
+                            budget: SearchBudget | None = None) -> RelationCheck:
     """g.phi(f,g) == g'.phi(f',g') implies psi(g).f == psi(g').f'."""
     seen: dict[bytes, Morph] = {}
 
@@ -571,17 +575,19 @@ def check_cross_welldefined(rel: CrossRelation, *,
         return ("well-definedness fails: equal composites "
                 "with different transfers")
 
-    return _sweep(_g_f_pairs(rel), test, max_pairs)
+    return _sweep(_g_f_pairs(rel, budget), test, max_pairs)
 
 
 def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
                                  delta: Functor, *,
-                                 max_pairs: int = DEFAULT_CHECK_PAIRS
+                                 max_pairs: int = DEFAULT_CHECK_PAIRS,
+                                 budget: SearchBudget | None = None
                                  ) -> RelationCheck:
     """gamma f == gamma f' implies delta phi(f,g) == delta phi(f',g)."""
-    gs = _hom(rel.d_cat, rel.d2, rel.d3) if rel.phi_depends_on_g else (None,)
+    gs = (_hom(rel.d_cat, rel.d2, rel.d3, budget) if rel.phi_depends_on_g
+          else (None,))
     by_image: dict[bytes, list[Morph]] = {}
-    for f in _hom(rel.c_cat, rel.c1, rel.c2):
+    for f in _hom(rel.c_cat, rel.c1, rel.c2, budget):
         by_image.setdefault(gamma.morph(f).encode(), []).append(f)
     triples = ((group[0], other, g) for group in by_image.values()
                for other in group[1:] for g in gs)
@@ -634,7 +640,8 @@ class ModelingTrace:
 def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
                       delta_witness: WitnessProvider, gamma: Functor,
                       delta: Functor, d1: Any, d2: Any, a: Any, b: Any, r: int,
-                      *, max_pairs: int = DEFAULT_CHECK_PAIRS
+                      *, max_pairs: int = DEFAULT_CHECK_PAIRS,
+                      budget: SearchBudget | None = None
                       ) -> tuple[Any, ModelingTrace]:
     """Pull a witness for gamma at (a, b) across modeling data.
 
@@ -648,14 +655,15 @@ def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
         raise ConstructionError("relation triple disagrees with (a, b, c)")
     if (rel.d1, rel.d2, rel.d3) != (d1, d2, d3):
         raise ConstructionError("relation triple disagrees with (d1, d2, d3)")
-    compat = check_modeling_compatibility(rel, gamma, delta, max_pairs=max_pairs)
+    sweep = {"max_pairs": max_pairs, "budget": budget}
+    compat = check_modeling_compatibility(rel, gamma, delta, **sweep)
     if not compat.ok:
         raise ConstructionError(f"modeling {compat.violation}")
     if rel.zeta is not None:
-        wd = check_cross_zeta(rel, max_pairs=max_pairs)
+        wd = check_cross_zeta(rel, **sweep)
         via = "zeta-identity"
     else:
-        wd = check_cross_welldefined(rel, max_pairs=max_pairs)
+        wd = check_cross_welldefined(rel, **sweep)
         via = "equal-composite-scan"
     if not wd.ok:
         raise ConstructionError(f"modeling {wd.violation}")
@@ -764,7 +772,8 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
     return l_prime, rel
 
 
-def hj_provider(max_color_bits: int, max_pairs: int) -> WitnessProvider:
+def hj_provider(max_color_bits: int, max_pairs: int,
+                budget: SearchBudget | None = None) -> WitnessProvider:
     """Word-boundary witnesses at (window, ("L", l)): a staged product of
     pigeonhole witnesses, transferred through the block modeling."""
     delta_witness = product_provider(pigeonhole_provider(),
@@ -780,7 +789,7 @@ def hj_provider(max_color_bits: int, max_pairs: int) -> WitnessProvider:
 
         c3, trace = modeling_transfer(rel_provider, delta_witness, fun,
                                       delta_fun, d1, d2, a, b, r,
-                                      max_pairs=max_pairs)
+                                      max_pairs=max_pairs, budget=budget)
         return c3, trace.doc()
 
     return WitnessProvider(fn, CONSTRUCTED)
@@ -788,7 +797,8 @@ def hj_provider(max_color_bits: int, max_pairs: int) -> WitnessProvider:
 
 def hj_witness(k: int, l: int, r: int, *,
                max_color_bits: int = DEFAULT_MAX_COLOR_BITS,
-               max_pairs: int = DEFAULT_CHECK_PAIRS) -> tuple[int, WordTrace]:
+               max_pairs: int = DEFAULT_CHECK_PAIRS,
+               budget: SearchBudget | None = None) -> tuple[int, WordTrace]:
     """Dimension m for the combinatorial-line statement at window size k.
 
     Runs the boundary word of length k at (standard window, l) where each
@@ -799,7 +809,7 @@ def hj_witness(k: int, l: int, r: int, *,
         raise ValueError(f"need k, l, r >= 1, got {(k, l, r)}")
     word = [word_boundary(k)] * k
     c, trace = word_witness(word, standard_window(k), ("L", l), r,
-                            hj_provider(max_color_bits, max_pairs))
+                            hj_provider(max_color_bits, max_pairs, budget))
     return c[1], trace
 
 

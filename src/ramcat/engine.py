@@ -10,11 +10,12 @@ hom(a, b), every g, cap k.  The cells come from the category's action table
 (per g in hom(b, c), the hom(a, c) index of g∘f for each f in hom(a, b)), so
 no check composes arrows; a product sums its factors' indices in mixed radix.
 
-Exhaustive mode enumerates every r-coloring of hom(a, c) as a mixed-radix
-index: coloring idx assigns cell j (the j-th arrow of hom(a, c) in canonical
-order) the color (idx // r**j) % r, so the first arrow is the least
-significant digit.  The mode refuses to start when r**|hom(a, c)| exceeds the
-coloring budget.
+Exhaustive mode decides all r**|hom(a, c)| colorings.  Coloring idx assigns
+cell j (the j-th arrow of hom(a, c) in canonical order) the color
+(idx // r**j) % r, so the first arrow is the least significant digit.  A
+depth-first search reports what a scan in this index order would: the least
+failing index, or a pass over every coloring.  It refuses to start when the
+count exceeds the coloring budget, which also bounds the search tree.
 
 Sampled mode draws colorings from a deterministic pseudorandom function: the
 color of cell j in sample i is splitmix64 applied to seed, i and j in turn,
@@ -23,16 +24,16 @@ pass is probabilistic evidence only and is flagged as such.  A sampled failure
 is a genuine disproof: the reported coloring is explicit and every candidate
 arrow was checked against it.
 
-With jobs > 1 the coloring index range is split into contiguous chunks scanned
-in parallel; the reported failure is the minimum failing index, so results and
-certificates are identical for any job count.
+jobs splits sampled scans only, into contiguous chunks scanned in parallel;
+the reported failure is the minimum failing sample, so results and
+certificates are identical for any job count.  Search runs in-process.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from multiprocessing import get_context
 from typing import Any, Callable, Iterable
@@ -64,7 +65,7 @@ def prf_color(seed: int, sample: int, cell: int, r: int) -> int:
 
 
 class BudgetExceeded(Exception):
-    """An exhaustive scan or hom materialization would overrun its cap."""
+    """An exhaustive check or hom materialization would overrun its cap."""
 
     def __init__(self, quantity: str, needed: int, cap: int):
         super().__init__(f"{quantity}: need {needed}, cap {cap}")
@@ -200,38 +201,54 @@ class _Draws(dict):
         return v
 
 
-def _scan_range(kind: str, seed: int | None, r: int, n: int,
-                checks: list[Check], cap: int, lo: int, hi: int) -> int | None:
-    """First failing coloring index in [lo, hi), or None."""
-    if kind == "sample":
-        for idx in range(lo, hi):
-            if not _passes(_Draws(seed, idx, r), checks, cap):
-                return idx
-        return None
-    # the digits of idx in base r, cell 0 least significant, stepped as an
-    # odometer
-    cell = [(lo // r ** j) % r for j in range(n)]
-    top = r - 1
-    for idx in range(lo, hi):
-        if not _passes(cell, checks, cap):
-            return idx
-        j = 0
-        while j < n and cell[j] == top:
-            cell[j] = 0
+def _search(r: int, n: int, checks: list[Check], cap: int) -> int | None:
+    """Least failing coloring index of all r**n, or None when all pass.
+
+    Cells are set from n-1 (the most significant digit) down to 0, colors
+    ascending, so failing leaves come in index order.  A branch is cut once a
+    check whose lowest cell was just set passes: every completion passes.  A
+    cell takes at most one color beyond those used above it; _passes sees
+    only which cells share a color, so no least failure is lost.
+    """
+    by_low: list[list[Check]] = [[] for _ in range(n)]
+    for groups in checks:
+        if not any(groups):
+            return None             # a check with no cells passes everything
+        by_low[min(p for grp in groups for p in grp)].append(groups)
+    cell = [-1] * n
+    used = [0] * (n + 1)            # used[j]: colors among cells j..n-1
+    j = n - 1
+    while j < n:
+        if j < 0:
+            return reduce(lambda idx, v: idx * r + v, reversed(cell), 0)
+        v = cell[j] + 1
+        if v < r and v <= used[j + 1]:
+            cell[j] = v
+            used[j] = max(used[j + 1], v + 1)
+            if not (by_low[j] and _passes(cell, by_low[j], cap)):
+                j -= 1              # no check passes yet: go deeper
+        else:
+            cell[j] = -1            # colors at j exhausted: back up
             j += 1
-        if j < n:
-            cell[j] += 1
     return None
 
 
-def _first_failure(kind: str, seed: int | None, r: int, n: int,
-                   checks: list[Check], cap: int, total: int,
-                   jobs: int) -> int | None:
-    scan = partial(_scan_range, kind, seed, r, n, checks, cap)
-    if jobs <= 1 or total <= 1:
-        return scan(0, total)
-    jobs = min(jobs, total)
-    cuts = [total * i // jobs for i in range(jobs + 1)]
+def _scan_range(seed: int, r: int, checks: list[Check], cap: int,
+                lo: int, hi: int) -> int | None:
+    """First failing sample in [lo, hi), or None."""
+    for idx in range(lo, hi):
+        if not _passes(_Draws(seed, idx, r), checks, cap):
+            return idx
+    return None
+
+
+def _first_sampled_failure(seed: int, r: int, checks: list[Check], cap: int,
+                           samples: int, jobs: int) -> int | None:
+    scan = partial(_scan_range, seed, r, checks, cap)
+    if jobs <= 1 or samples <= 1:
+        return scan(0, samples)
+    jobs = min(jobs, samples)
+    cuts = [samples * i // jobs for i in range(jobs + 1)]
     with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=get_context("fork")) as pool:
         hits = [h for h in pool.map(scan, cuts, cuts[1:]) if h is not None]
@@ -241,7 +258,7 @@ def _first_failure(kind: str, seed: int | None, r: int, n: int,
 def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
            select: Callable, *, mode: str, budget: SearchBudget | None,
            seed: int, samples: int, jobs: int) -> PCheckResult:
-    """Scan the r-colorings of hom(a, c) against groups of hom(a, b) under a cap.
+    """Decide the r-colorings of hom(a, c) against groups of hom(a, b) under a cap.
 
     select(hom(a, b)) returns the groups, as tuples of indices in hom(a, b),
     and the set of indices in hom(b, c) of the admissible arrows g, or None
@@ -274,7 +291,8 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
     count = total if exhaustive else samples
     kind = "index" if exhaustive else "sample"
     scan_seed = None if exhaustive else seed
-    hit = _first_failure(kind, scan_seed, r, n, checks, cap, count, jobs)
+    hit = (_search(r, n, checks, cap) if exhaustive else
+           _first_sampled_failure(seed, r, checks, cap, samples, jobs))
     cex = None
     if hit is not None:
         cex = Coloring(r=r, size=n, kind=kind, index=hit, seed=scan_seed)

@@ -59,6 +59,18 @@ def rectangle_free_exists(q: int, r: int) -> bool:
     return extend([], 0)
 
 
+def brute_first_failure(r: int, n: int, checks, cap: int) -> int | None:
+    """Least index idx < r**n whose coloring, cell j colored
+    (idx // r**j) % r, lets no check keep every group within cap colors;
+    None when there is none.  A check is a tuple of groups of cells."""
+    for idx in range(r ** n):
+        colors = [(idx // r ** j) % r for j in range(n)]
+        if not any(all(len({colors[p] for p in grp}) <= cap for grp in groups)
+                   for groups in checks):
+            return idx
+    return None
+
+
 def brute_minimal_grid(r: int, *, cap: int = 6) -> int | None:
     """Least q <= cap forcing a monochromatic rectangle in every r-coloring."""
     for q in range(2, cap + 1):

@@ -238,6 +238,17 @@ def test_modeling_relation_sweep_refuses_before_building(capsys, monkeypatch):
     assert "budget refusal: hom-set size" in err and "cap 2000000" in err
 
 
+@pytest.mark.parametrize("theorem", ["modeling", "hj"])
+def test_relation_sweeps_honour_max_hom_size(capsys, monkeypatch, theorem):
+    forbid_hom(monkeypatch, ProductCategory)
+    code, _, err = run(capsys, "construct", "--theorem", theorem,
+                       "--k", "2", "--l", "2", "--r", "2",
+                       "--max-hom-size", "1000")
+    assert code == 2, err
+    assert "budget refusal: hom-set size" in err
+    assert err.rstrip().endswith("cap 1000")
+
+
 def test_construct_bad_coords(capsys):
     code, _, err = run(capsys, "construct", "--theorem", "product",
                        "--coords", "nope", "--r", "2")

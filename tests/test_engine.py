@@ -2,6 +2,7 @@
 
 import pytest
 
+from ramcat import engine
 from ramcat import (BudgetExceeded, Coloring, FpInstance, Morph, SearchBudget,
                     check_degree_bound, check_degree_witness, check_fp_witness,
                     check_p_witness, compose_word, degree_upper_bound, fiber,
@@ -165,6 +166,48 @@ def test_jobs_split_gives_identical_results():
         runs = [check_p_witness(DD, 2, 3, c, 2, jobs=j) for j in (1, 2, 4)]
         assert all(r.ok is expect for r in runs)
         assert runs[0] == runs[1] == runs[2]
+
+
+def test_exhaustive_search_needs_no_deep_stack():
+    # r = 1 leaves n unbounded by the coloring budget: 3,000 cells deep
+    res = check_degree_witness(subset_category(), 1, 1, 3000, 1, 0)
+    assert not res.ok and res.exhaustive
+    assert res.checked == res.total == 1
+    assert res.counterexample.index == 0
+
+
+def test_exhaustive_search_covers_two_to_the_21():
+    res = check_p_witness(DD, 2, 3, 7, 2,
+                          budget=SearchBudget(max_colorings=2 ** 21))
+    assert res.ok and res.exhaustive
+    assert res.checked == res.total == 2 ** 21
+
+
+def test_exhaustive_search_never_forks(monkeypatch):
+    expected = [check_p_witness(DD, 2, 3, c, 2) for c in (5, 6)]
+
+    def refuse(*args, **kw):
+        raise AssertionError("exhaustive checks run in-process")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
+    assert [check_p_witness(DD, 2, 3, c, 2, jobs=4) for c in (5, 6)] == expected
+
+
+def test_sampled_jobs_still_use_the_pool(monkeypatch):
+    kw = dict(mode="sampled", samples=300, seed=1)
+    expected = [check_p_witness(DD, 2, 3, c, 2, **kw) for c in (5, 6)]
+    pools = []
+
+    def counted(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    real = engine.ProcessPoolExecutor
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", counted)
+    got = [check_p_witness(DD, 2, 3, c, 2, jobs=4, **kw) for c in (5, 6)]
+    assert got == expected
+    assert not got[0].ok and got[1].ok
+    assert pools == [4, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Law-level invariants checked over drawn inputs."""
 
-from hypothesis import given, settings
+from brute import brute_first_failure
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramcat import (canon_bytes, canon_parse, check_p_witness, fiber,
                     functor_image, prf_color, ramsey_degree, degree_upper_bound,
                     subset_boundary, subset_category)
 from ramcat.certificates import canonical_json
+from ramcat.engine import _search
 
 DR = subset_boundary()
 CAT = subset_category()
@@ -80,6 +82,31 @@ def test_degree_never_exceeds_the_trivial_ceiling(a, extra, r):
     assert bound <= trivial
     if trivial:
         assert bound >= 1
+
+
+@st.composite
+def search_instances(draw):
+    """r, n, cap and a list of checks, each a tuple of groups of cells < n;
+    groups and checks may be empty."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=8))
+    cap = draw(st.integers(min_value=0, max_value=2))
+    group = st.lists(st.integers(min_value=0, max_value=n - 1),
+                     max_size=4).map(tuple) if n else st.just(())
+    checks = st.lists(st.lists(group, max_size=3).map(tuple), max_size=5)
+    return r, n, cap, draw(checks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_instances())
+@example((2, 0, 1, []))
+@example((2, 0, 0, [()]))
+@example((3, 4, 1, []))
+@example((2, 4, 0, [((0, 1), ()), ()]))
+@example((3, 5, 1, [((), (4, 2)), ((1, 3), (0, 4))]))
+def test_search_finds_the_least_failing_index(inst):
+    r, n, cap, checks = inst
+    assert _search(r, n, checks, cap) == brute_first_failure(r, n, checks, cap)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32),
