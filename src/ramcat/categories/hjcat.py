@@ -113,7 +113,7 @@ class WordCategory(Category):
                 total += (-1) ** miss * comb(l1, miss) * \
                     (self.k0 + 1 + l1 - miss) ** l2
             return total
-        return len(self.hom(a, b))
+        return int(a == b)  # into a V object: only its identity
 
     def identity(self, a: Any) -> Morph:
         if a[0] == "V":

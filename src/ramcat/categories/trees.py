@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, count
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from ..core import Category, EncodingError, Functor, Morph, sort_morphs
 
@@ -49,14 +49,48 @@ def structure(t: tuple) -> tuple[list, list, list]:
     return children, depth, parent
 
 
+class _Shape(NamedTuple):
+    """A validated tree's shape, and what truncation keeps of it."""
+
+    children: tuple[tuple[int, ...], ...]
+    depth: tuple[int, ...]
+    height: int
+    kept: tuple[int, ...]        # preorder indices above the deepest level
+    renumber: tuple[int, ...]    # each kept node's index in the truncation
+    truncation: tuple
+
+
+_SHAPES: dict[tuple, _Shape] = {}
+_MAX_SHAPES = 1 << 14
+
+
+def _shape(t: tuple) -> _Shape:
+    """The shape of t, built by `structure` once per tree; validates t."""
+    try:
+        return _SHAPES[t]
+    except (KeyError, TypeError):  # unhashable input: structure() refuses it
+        pass
+    children, depth, _ = structure(t)
+    h = max(depth)
+    kept = tuple(i for i in range(len(t)) if depth[i] < h)
+    renumber = [-1] * len(t)
+    for new, old in enumerate(kept):
+        renumber[old] = new
+    trunc = tuple(0 if depth[i] == h - 1 else t[i] for i in kept) if h else t
+    if len(_SHAPES) >= _MAX_SHAPES:
+        _SHAPES.clear()
+    shape = _SHAPES[t] = _Shape(tuple(map(tuple, children)), tuple(depth), h,
+                                kept, tuple(renumber), trunc)
+    return shape
+
+
 def height(t: tuple) -> int:
-    _, depth, _ = structure(t)
-    return max(depth)
+    return _shape(t).height
 
 
 def grow(t: tuple, extra: dict[int, int]) -> tuple:
     """Append extra leaf children to selected nodes (by preorder index)."""
-    ch, _, _ = structure(t)
+    ch = _shape(t).children
 
     def emit(i: int) -> list[int]:
         e = extra.get(i, 0)
@@ -109,7 +143,7 @@ class TreeCategory(Category):
 
     def is_object(self, a: Any) -> bool:
         try:
-            structure(a)
+            _shape(a)
         except EncodingError:
             return False
         return True
@@ -119,10 +153,10 @@ class TreeCategory(Category):
             yield from _ordered_trees(n)
 
     def hom(self, a: Any, b: Any) -> tuple[Morph, ...]:
-        cha, deptha, _ = structure(a)
-        chb, depthb, _ = structure(b)
-        if max(deptha) != max(depthb):
+        sa, sb = _shape(a), _shape(b)
+        if sa.height != sb.height:
             return ()
+        cha, chb = sa.children, sb.children
 
         def maps(v: int, w: int) -> list[dict[int, int]]:
             kids = cha[v]
@@ -144,10 +178,10 @@ class TreeCategory(Category):
                            for m in maps(0, 0))
 
     def hom_size(self, a: Any, b: Any) -> int:
-        cha, deptha, _ = structure(a)
-        chb, depthb, _ = structure(b)
-        if max(deptha) != max(depthb):
+        sa, sb = _shape(a), _shape(b)
+        if sa.height != sb.height:
             return 0
+        cha, chb = sa.children, sb.children
 
         @cache
         def embeddings(v: int, w: int) -> int:
@@ -163,7 +197,7 @@ class TreeCategory(Category):
         return embeddings(0, 0)
 
     def identity(self, a: Any) -> Morph:
-        structure(a)
+        _shape(a)
         return Morph(a, a, tuple(range(len(a))))
 
     def compose(self, g: Morph, f: Morph) -> Morph:
@@ -185,28 +219,20 @@ class TreeTruncation(Functor):
         super().__init__(cat, cat)
 
     def obj(self, a: Any) -> Any:
-        _, depth, _ = structure(a)
-        h = max(depth)
-        if h == 0:
-            return a
-        return tuple((0 if depth[i] == h - 1 else a[i])
-                     for i in range(len(a)) if depth[i] < h)
+        return _shape(a).truncation
 
     def morph(self, f: Morph) -> Morph:
-        _, deptha, _ = structure(f.dom)
-        _, depthb, _ = structure(f.cod)
-        h = max(deptha)
-        if h == 0:
+        sa, sb = _shape(f.dom), _shape(f.cod)
+        if sa.height == 0:
             return f
-        keep_b = [i for i in range(len(f.cod)) if depthb[i] < h]
-        remap = {old: new for new, old in enumerate(keep_b)}
-        data = tuple(remap[f.data[i]] for i in range(len(f.dom)) if deptha[i] < h)
-        return Morph(self.obj(f.dom), self.obj(f.cod), data)
+        renumber, data = sb.renumber, f.data
+        return Morph(sa.truncation, sb.truncation,
+                     tuple(renumber[data[i]] for i in sa.kept))
 
     def frank_lift(self, a: Any, b_prime: Any) -> Any:
-        _, depth_a, _ = structure(a)
-        _, depth_b, _ = structure(b_prime)
-        hs, hb = max(depth_a), max(depth_b)
+        sa, sb = _shape(a), _shape(b_prime)
+        depth_b = sb.depth
+        hs, hb = sa.height, sb.height
         if hs == hb + 1:
             # restrictions of embeddings a -> lift must cover hom(obj a, b'):
             # wide enough leaf fans under every deepest node extend any of them

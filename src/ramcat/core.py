@@ -257,85 +257,100 @@ class LawReport:
     violations: tuple[str, ...]
 
 
+_KEPT_VIOLATIONS = 20  # LawReport.violations holds the first this many
+
+
+class _Violations:
+    """Formats only the messages a LawReport keeps, but notes every failure."""
+
+    def __init__(self) -> None:
+        self.found = False
+        self.kept: list[str] = []
+
+    def add(self, template: str, *args: Any) -> None:
+        self.found = True
+        if len(self.kept) < _KEPT_VIOLATIONS:
+            self.kept.append(template.format(*args))
+
+    def report(self, checked: int) -> LawReport:
+        return LawReport(not self.found, checked, tuple(self.kept))
+
+
 def check_category_laws(cat: Category, objects: Sequence[Any],
                         max_hom: int = 20000) -> LawReport:
     """Identity, associativity and closure over the given object fragment."""
-    violations: list[str] = []
+    bad = _Violations()
     checked = 0
     homs: dict[tuple[Any, Any], tuple[Morph, ...]] = {}
-
-    def get_hom(a: Any, b: Any) -> tuple[Morph, ...]:
-        key = (a, b)
-        if key not in homs:
-            hs = cat.hom(a, b)
-            if len(hs) > max_hom:
-                raise ValueError(f"hom fragment too large: {len(hs)}")
-            homs[key] = hs
-        return homs[key]
+    # arrows[a]: (b, hom(a, b)) for each b with a non-empty hom-set, in order
+    arrows: dict[Any, list[tuple[Any, tuple[Morph, ...]]]] = {}
+    compose = cat.compose
 
     for a in objects:
         ida = cat.identity(a)
         if ida.dom != a or ida.cod != a:
-            violations.append(f"identity at {a!r} has wrong endpoints")
+            bad.add("identity at {!r} has wrong endpoints", a)
+        row = arrows[a] = []
         for b in objects:
-            for f in get_hom(a, b):
+            hab = homs.get((a, b))
+            if hab is None:
+                hab = homs[a, b] = cat.hom(a, b)
+                if len(hab) > max_hom:
+                    raise ValueError(f"hom fragment too large: {len(hab)}")
+            if hab:
+                row.append((b, hab))
+            for f in hab:
                 checked += 1
                 if f.dom != a or f.cod != b:
-                    violations.append(f"hom({a!r},{b!r}) contains stray {f!r}")
-                if cat.compose(f, ida) != f:
-                    violations.append(f"f∘id != f for {f!r}")
-                if cat.compose(cat.identity(b), f) != f:
-                    violations.append(f"id∘f != f for {f!r}")
+                    bad.add("hom({!r},{!r}) contains stray {!r}", a, b, f)
+                if compose(f, ida) != f:
+                    bad.add("f∘id != f for {!r}", f)
+                if compose(cat.identity(b), f) != f:
+                    bad.add("id∘f != f for {!r}", f)
 
     for a in objects:
-        for b in objects:
-            hab = get_hom(a, b)
-            if not hab:
-                continue
-            for c in objects:
-                hbc = get_hom(b, c)
-                if not hbc:
-                    continue
+        for b, hab in arrows[a]:
+            for c, hbc in arrows[b]:
                 # closure: composites land in the enumerated hom-set
-                hac = set(get_hom(a, c))
+                hac = set(homs[a, c])
                 for f in hab:
                     for g in hbc:
-                        gf = cat.compose(g, f)
+                        gf = compose(g, f)
                         checked += 1
                         if gf not in hac:
-                            violations.append(
-                                f"compose({g!r},{f!r}) not in hom({a!r},{c!r})")
-                for d in objects:
-                    hcd = get_hom(c, d)
-                    if not hcd:
-                        continue
+                            bad.add("compose({!r},{!r}) not in hom({!r},{!r})",
+                                    g, f, a, c)
+                for _, hcd in arrows[c]:
                     for f in hab:
                         for g in hbc:
+                            gf = compose(g, f)
                             for h in hcd:
                                 checked += 1
-                                lhs = cat.compose(h, cat.compose(g, f))
-                                rhs = cat.compose(cat.compose(h, g), f)
-                                if lhs != rhs:
-                                    violations.append(
-                                        f"associativity fails at ({h!r},{g!r},{f!r})")
-    return LawReport(not violations, checked, tuple(violations[:20]))
+                                if compose(h, gf) != compose(compose(h, g), f):
+                                    bad.add("associativity fails at "
+                                            "({!r},{!r},{!r})", h, g, f)
+    return bad.report(checked)
 
 
 def check_functor_laws(fun: Functor, objects: Sequence[Any],
                        max_hom: int = 20000) -> LawReport:
-    violations: list[str] = []
+    bad = _Violations()
     checked = 0
-    dom_homs: dict[tuple[Any, Any], tuple[Morph, ...]] = {}
+    # arrows[a]: (b, hom(a, b)) for each b with a non-empty domain hom-set
+    arrows: dict[Any, list[tuple[Any, tuple[Morph, ...]]]] = {}
     cod_homs: dict[tuple[Any, Any], set[Morph]] = {}
 
-    def dom_hom(a: Any, b: Any) -> tuple[Morph, ...]:
-        key = (a, b)
-        if key not in dom_homs:
-            hs = fun.dom.hom(a, b)
-            if len(hs) > max_hom:
-                raise ValueError("hom fragment too large")
-            dom_homs[key] = hs
-        return dom_homs[key]
+    def row(a: Any) -> list[tuple[Any, tuple[Morph, ...]]]:
+        if a not in arrows:
+            out = []
+            for b in objects:
+                hab = fun.dom.hom(a, b)
+                if len(hab) > max_hom:
+                    raise ValueError("hom fragment too large")
+                if hab:
+                    out.append((b, hab))
+            arrows[a] = out
+        return arrows[a]
 
     def cod_hom(a: Any, b: Any) -> set[Morph]:
         key = (a, b)
@@ -343,37 +358,30 @@ def check_functor_laws(fun: Functor, objects: Sequence[Any],
             cod_homs[key] = set(fun.cod.hom(a, b))
         return cod_homs[key]
 
+    morph, compose, cod_compose = fun.morph, fun.dom.compose, fun.cod.compose
     for a in objects:
         fa = fun.obj(a)
         if not fun.cod.is_object(fa):
-            violations.append(f"obj({a!r}) = {fa!r} is not a codomain object")
+            bad.add("obj({!r}) = {!r} is not a codomain object", a, fa)
             continue
-        ida = fun.morph(fun.dom.identity(a))
+        ida = morph(fun.dom.identity(a))
         if ida != fun.cod.identity(fa):
-            violations.append(f"identity at {a!r} not preserved")
-        for b in objects:
-            hab = dom_hom(a, b)
-            if not hab:
-                continue
+            bad.add("identity at {!r} not preserved", a)
+        for b, hab in row(a):
             target = cod_hom(fa, fun.obj(b))
             for f in hab:
                 checked += 1
-                ff = fun.morph(f)
-                if ff not in target:
-                    violations.append(f"morph({f!r}) outside hom of images")
-            for c in objects:
-                hbc = dom_hom(b, c)
-                if not hbc:
-                    continue
+                if morph(f) not in target:
+                    bad.add("morph({!r}) outside hom of images", f)
+            for _, hbc in row(b):
                 for f in hab:
+                    ff = morph(f)
                     for g in hbc:
                         checked += 1
-                        lhs = fun.morph(fun.dom.compose(g, f))
-                        rhs = fun.cod.compose(fun.morph(g), fun.morph(f))
-                        if lhs != rhs:
-                            violations.append(
-                                f"composition not preserved at ({g!r},{f!r})")
-    return LawReport(not violations, checked, tuple(violations[:20]))
+                        if morph(compose(g, f)) != cod_compose(morph(g), ff):
+                            bad.add("composition not preserved at ({!r},{!r})",
+                                    g, f)
+    return bad.report(checked)
 
 
 @dataclass(frozen=True)
@@ -392,9 +400,9 @@ def check_frank_at(fun: Functor, a: Any, b_prime: Any,
         return FrankResult("no-lift", None, str(exc))
     if fun.obj(b) != b_prime:
         return FrankResult("fail", b, f"obj({b!r}) != {b_prime!r}")
-    hab = fun.dom.hom(a, b)
-    if len(hab) > max_hom:
+    if fun.dom.hom_size(a, b) > max_hom:
         raise ValueError("hom at lifted object exceeds cap")
+    hab = fun.dom.hom(a, b)
     image = {fun.morph(f).encode() for f in hab}
     target = {g.encode() for g in fun.cod.hom(fun.obj(a), b_prime)}
     if image != target:

@@ -1,5 +1,6 @@
 """Structure of the shipped categories, their boundary functors, and lifts."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ramcat import (EncodingError, LiftError, Morph, check_category_laws,
                     check_frank_at, check_functor_laws)
 from ramcat.core import Category, sort_morphs
+from ramcat.categories import trees as trees_module
 from ramcat.categories import (ProductCategory, ProductFunctor, StepBoundary,
                                StepCategory, SubsetBoundary, SubsetCategory,
                                TreeCategory, TreeTruncation, WordBoundary,
@@ -184,6 +186,53 @@ def test_tree_structure_helpers():
             structure(bad)
 
 
+def test_tree_structure_stays_fresh_and_validated_under_caching(monkeypatch):
+    monkeypatch.setattr(trees_module, "_SHAPES", {})
+    cat = tree_category()
+    t, u = (2, 1, 0, 0), (3, 1, 0, 1, 0, 0)
+    ch, depth, parent = structure(t)
+    ch[0].append(3)
+    ch.append([])
+    depth[2] = 0
+    parent.clear()
+    assert structure(t) == ([[1, 3], [2], [], []], [0, 1, 2, 1],
+                            [-1, 0, 1, 0])
+    assert [f.data for f in cat.hom(t, u)] == [(0, 1, 2, 3), (0, 1, 2, 5),
+                                               (0, 3, 4, 5)]
+    assert tree_truncation(cat).obj(t) == (2, 0, 0)
+    for bad in ([1, 0], (1, [0]), (), (2, 0)):
+        with pytest.raises(EncodingError):
+            structure(bad)
+        assert not cat.is_object(bad)
+        with pytest.raises(EncodingError):
+            cat.hom(bad, (0,))
+
+
+def test_tree_sweeps_compute_each_shape_once(monkeypatch):
+    built = Counter()
+
+    def counting_structure(t):
+        built[t] += 1
+        return structure(t)
+
+    monkeypatch.setattr(trees_module, "_SHAPES", {})
+    monkeypatch.setattr(trees_module, "structure", counting_structure)
+    cat = tree_category()
+    trees = cat.objects(65)             # every tree with at most 6 nodes
+    assert len(trees[-1]) == 6
+    assert check_category_laws(cat, trees).ok
+    assert check_functor_laws(tree_truncation(cat), trees).ok
+    assert set(built) == set(trees) and max(built.values()) == 1
+
+
+def test_tree_shape_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(trees_module, "_SHAPES", {})
+    monkeypatch.setattr(trees_module, "_MAX_SHAPES", 2)
+    trees = tree_category().objects(9)
+    assert [height(t) for t in trees] == [0, 1, 2, 1, 3, 2, 2, 2, 1]
+    assert len(trees_module._SHAPES) <= 2
+
+
 def test_tree_truncation_fixes_only_the_point():
     cat = tree_category()
     trunc = tree_truncation(cat)
@@ -251,6 +300,15 @@ def test_step_hom_size_counts_without_enumerating(orientation):
         for b in objs:
             assert cat.hom_size(a, b) == len(cat.hom(a, b)), (a, b)
     assert cat.hom_size((3, 2), (200, 2)) == 19_701  # C(199, 2)
+
+
+@pytest.mark.parametrize("k0", [0, 1, 2])
+def test_word_hom_size_counts_without_enumerating(k0, monkeypatch):
+    cat = word_category(k0)
+    objs = list(cat.v_objects()) + [("L", l) for l in range(4)]
+    sizes = {(a, b): len(cat.hom(a, b)) for a in objs for b in objs}
+    monkeypatch.setattr(WordCategory, "hom", None)
+    assert {pair: cat.hom_size(*pair) for pair in sizes} == sizes
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from ramcat import (EncodingError, IdentityFunctor, LiftError, Morph, binomial,
                     check_category_laws, check_functor_laws, check_frank_at,
                     compose_functors, compose_word, frank_pair, sort_morphs,
                     subset_boundary, subset_category)
-from ramcat.core import ComposedFunctor, Functor, FrankResult
+from ramcat.categories import tree_category, tree_truncation
+from ramcat.core import ComposedFunctor, Functor, FrankResult, LawReport
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +206,53 @@ def test_law_checkers_pass_on_the_subset_category():
     assert frep.ok
 
 
+class _ScrambledCompose(type(subset_category())):
+    """Breaks only composites of two non-identities, so closure and
+    associativity are what fail."""
+
+    def compose(self, g, f):
+        good = super().compose(g, f)
+        if f.dom != f.cod and g.dom != g.cod and len(good.data) == 2:
+            return Morph(good.dom, good.cod, good.data[::-1])
+        return good
+
+
+def test_law_reports_are_pinned():
+    # ok, checked and the kept violations, in order, must not depend on which
+    # empty hom-sets the sweeps skip
+    cat = subset_category()
+    hom = cat.hom
+
+    rep = check_category_laws(_BrokenCompose(), [1, 2, 3, 4])
+    assert rep == LawReport(False, 336, tuple(
+        f"{law} != f for {f!r}" for b in (2, 3, 4) for f in hom(2, b)
+        for law in ("f∘id", "id∘f")))
+
+    rep = check_category_laws(_ScrambledCompose(), [2, 3, 4, 5])
+    closure = [f"compose({g!r},{f!r}) not in hom(2,4)"
+               for f in hom(2, 3) for g in hom(3, 4)]
+    assoc = [f"associativity fails at ({h!r},{g!r},{f!r})"
+             for f in hom(2, 3) for g in hom(3, 4) for h in hom(4, 5)]
+    assert rep == LawReport(False, 668, tuple(closure + assoc[:8]))
+
+    rep = check_functor_laws(_BrokenImage(cat), [0, 1, 2, 3])
+    assert rep == LawReport(False, 55, tuple(
+        f"composition not preserved at ({g!r},{f!r})"
+        for f in hom(1, 2) for g in hom(2, 3) if g.data != (1, 3)))
+
+    objs = list(range(7))
+    assert check_category_laws(cat, objs) == LawReport(True, 6681, ())
+    assert check_functor_laws(subset_boundary(cat), objs) == \
+        LawReport(True, 1220, ())
+
+    tcat = tree_category()
+    trees = tcat.objects(23)            # every tree with at most 5 nodes
+    assert len(trees[-1]) == 5 and len(tcat.objects(24)[-1]) == 6
+    assert check_category_laws(tcat, trees) == LawReport(True, 715, ())
+    assert check_functor_laws(tree_truncation(tcat), trees) == \
+        LawReport(True, 293, ())
+
+
 def test_law_checker_hom_cap():
     cat = subset_category()
     with pytest.raises(ValueError, match="too large"):
@@ -222,6 +270,18 @@ def test_frank_check_passes_on_subset_boundary():
             res = check_frank_at(delta, a, b_prime)
             assert res.status == "pass", (a, b_prime)
             assert res.lifted == b_prime + 1
+
+
+def test_frank_check_refuses_a_large_hom_before_building_it(monkeypatch):
+    delta = subset_boundary()
+
+    def no_hom(self, a, b):
+        raise AssertionError("hom built before the size check")
+
+    monkeypatch.setattr(type(delta.dom), "hom", no_hom)
+    # hom(3, 41) has C(41, 3) = 10,660 arrows
+    with pytest.raises(ValueError, match="^hom at lifted object exceeds cap$"):
+        check_frank_at(delta, 3, 40, max_hom=100)
 
 
 def test_frank_check_fails_on_wrong_lift():
