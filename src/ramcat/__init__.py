@@ -32,7 +32,7 @@ from .constructions import (ConstructionError, CrossRelation, WitnessProvider,
                             p_pigeonhole_witness, product_ramsey_numbers,
                             product_witness, r_fp_witness, tree_fp_witness,
                             word_witness)
-from .certificates import (CertificateError, StaleCertificateError,
+from .certificates import (CertificateError, Claim, StaleCertificateError,
                            dump_certificate, fp_certificate, load_certificate,
                            p_certificate, parse_certificate, replay_verify)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, count
 from typing import Any, Iterator
 
-from ..core import Category, Functor, LiftError, Morph, binomial
+from ..core import Category, Functor, Morph, binomial
 
 
 class SubsetCategory(Category):

@@ -127,7 +127,9 @@ def morph_unhex(text: str) -> Morph:
     return Morph(dom, cod, data)
 
 
-def budget_doc(budget: SearchBudget, mode: str, seed: int, samples: int) -> dict:
+def budget_doc(budget: SearchBudget | None = None, mode: str = "auto",
+               seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> dict:
+    budget = budget or SearchBudget()
     return {"max_colorings": budget.max_colorings,
             "max_hom_size": budget.max_hom_size,
             "mode": mode, "seed": seed, "samples": samples}
@@ -139,12 +141,8 @@ def verification_doc(kind: str, res: PCheckResult) -> dict:
            "mode": "exhaustive" if res.exhaustive else "sampled",
            "probabilistic": res.probabilistic,
            "cells": res.cells, "arrows": res.arrows, "checked": res.checked}
-    if res.total is not None:
-        out["total"] = res.total
-    if res.samples is not None:
-        out["samples"] = res.samples
-    if res.seed is not None:
-        out["seed"] = res.seed
+    optional = {"total": res.total, "samples": res.samples, "seed": res.seed}
+    out.update((k, v) for k, v in optional.items() if v is not None)
     if res.counterexample is not None:
         cex = res.counterexample
         out["counterexample"] = {
@@ -153,17 +151,70 @@ def verification_doc(kind: str, res: PCheckResult) -> dict:
     return out
 
 
-def _base_doc(fun: Functor, theorem: str, trace: dict | None,
-              budget: SearchBudget, mode: str, seed: int, samples: int) -> dict:
-    cat = fun.dom
-    return {"schema_version": SCHEMA_VERSION,
-            "theorem": theorem,
-            "category": cat.spec(),
-            "functor": fun.spec(),
-            "encodings": {"category": cat.encoding_version,
-                          "functor": fun.encoding_version},
-            "budget": budget_doc(budget, mode, seed, samples),
-            "trace": trace}
+@dataclass(frozen=True)
+class Claim:
+    """c witnesses the partition condition for fun at (a, b) with r colors,
+    or, when fiber holds (s, f_prime, g_prime), the fiber condition."""
+
+    fun: Functor
+    a: Any
+    b: Any
+    c: Any
+    r: int
+    fiber: tuple[tuple[Morph, ...], Morph, Morph] | None = None
+
+    def check(self, **run) -> PCheckResult:
+        """The engine's verdict under run: mode, budget, seed, samples, jobs."""
+        if self.fiber is None:
+            return check_p_witness(self.fun, self.a, self.b, self.c, self.r,
+                                   **run)
+        s, f_prime, g_prime = self.fiber
+        return check_fp_witness(self.fun, FpInstance(self.a, self.b, s, self.r),
+                                self.c, f_prime, g_prime, **run)
+
+    def certificate(self, result: PCheckResult, theorem: str | None = None,
+                    trace: dict | None = None, **run) -> dict:
+        """The document for result = check(**run), run minus the job count."""
+        fun, kind = self.fun, "p" if self.fiber is None else "fp"
+        doc = {"schema_version": SCHEMA_VERSION,
+               "theorem": theorem or ("partition-check" if kind == "p"
+                                      else "fiber-check"),
+               "category": fun.dom.spec(), "functor": fun.spec(),
+               "encodings": {"category": fun.dom.encoding_version,
+                             "functor": fun.encoding_version},
+               "budget": budget_doc(**run), "trace": trace,
+               "inputs": {"kind": kind, "a": canon_hex(self.a),
+                          "b": canon_hex(self.b), "r": self.r},
+               "witness": {"c": canon_hex(self.c)},
+               "verification": verification_doc(kind, result),
+               "fingerprint": hom_fingerprint(fun, self.a, self.c)}
+        if self.fiber is not None:
+            s, f_prime, g_prime = self.fiber
+            doc["inputs"]["s"] = [morph_hex(e) for e in s]
+            doc["witness"].update(f_prime=morph_hex(f_prime),
+                                  g_prime=morph_hex(g_prime))
+        doc["digest"] = document_digest(doc)
+        return doc
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> Claim:
+        """The claim of a parsed certificate, rebuilt by the current code."""
+        fun = build_functor(doc["functor"])
+        if build_category(doc["category"]).spec() != fun.dom.spec():
+            raise CertificateError("category spec disagrees with the functor domain")
+        current = {"category": fun.dom.encoding_version,
+                   "functor": fun.encoding_version}
+        if doc["encodings"] != current:
+            raise StaleCertificateError(
+                f"encoding versions moved from {doc['encodings']} to {current}")
+        inputs, witness = doc["inputs"], doc["witness"]
+        if inputs["kind"] not in ("p", "fp"):
+            raise CertificateError(f"unknown input kind {inputs['kind']!r}")
+        fiber = None if inputs["kind"] == "p" else (
+            tuple(morph_unhex(e) for e in inputs["s"]),
+            morph_unhex(witness["f_prime"]), morph_unhex(witness["g_prime"]))
+        return cls(fun, canon_unhex(inputs["a"]), canon_unhex(inputs["b"]),
+                   canon_unhex(witness["c"]), inputs["r"], fiber)
 
 
 def p_certificate(fun: Functor, a: Any, b: Any, c: Any, r: int,
@@ -171,14 +222,9 @@ def p_certificate(fun: Functor, a: Any, b: Any, c: Any, r: int,
                   trace: dict | None = None, mode: str = "auto",
                   budget: SearchBudget | None = None, seed: int = DEFAULT_SEED,
                   samples: int = DEFAULT_SAMPLES) -> dict:
-    budget = budget or SearchBudget()
-    doc = _base_doc(fun, theorem, trace, budget, mode, seed, samples)
-    doc["inputs"] = {"kind": "p", "a": canon_hex(a), "b": canon_hex(b), "r": r}
-    doc["witness"] = {"c": canon_hex(c)}
-    doc["verification"] = verification_doc("p", result)
-    doc["fingerprint"] = hom_fingerprint(fun, a, c)
-    doc["digest"] = document_digest(doc)
-    return doc
+    return Claim(fun, a, b, c, r).certificate(
+        result, theorem, trace, mode=mode, budget=budget, seed=seed,
+        samples=samples)
 
 
 def fp_certificate(fun: Functor, inst: FpInstance, c: Any, f_prime: Morph,
@@ -187,17 +233,9 @@ def fp_certificate(fun: Functor, inst: FpInstance, c: Any, f_prime: Morph,
                    mode: str = "auto", budget: SearchBudget | None = None,
                    seed: int = DEFAULT_SEED,
                    samples: int = DEFAULT_SAMPLES) -> dict:
-    budget = budget or SearchBudget()
-    doc = _base_doc(fun, theorem, trace, budget, mode, seed, samples)
-    doc["inputs"] = {"kind": "fp", "a": canon_hex(inst.a),
-                     "b": canon_hex(inst.b), "r": inst.r,
-                     "s": [morph_hex(e) for e in inst.s]}
-    doc["witness"] = {"c": canon_hex(c), "f_prime": morph_hex(f_prime),
-                      "g_prime": morph_hex(g_prime)}
-    doc["verification"] = verification_doc("fp", result)
-    doc["fingerprint"] = hom_fingerprint(fun, inst.a, c)
-    doc["digest"] = document_digest(doc)
-    return doc
+    return Claim(fun, inst.a, inst.b, c, inst.r, (inst.s, f_prime, g_prime)
+                 ).certificate(result, theorem, trace, mode=mode,
+                               budget=budget, seed=seed, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -255,52 +293,24 @@ def replay_verify(doc: dict, *, mode: str | None = None,
     """Re-run the certified check, optionally under an override budget.
 
     Without one the certificate's caps apply, but never a hom-size cap above
-    max_hom_size: the certificate is outside input.
-
-    Raises StaleCertificateError when the current code's enumeration of
-    hom(a, c) (or the encoding versions) no longer matches the certificate.
-    The report notes an upgrade when a sampled certificate replays
-    exhaustively.
+    max_hom_size: the certificate is outside input.  Raises
+    StaleCertificateError when the current code's enumeration of hom(a, c)
+    (or the encoding versions) no longer matches the certificate.  The
+    report notes an upgrade when a sampled certificate replays exhaustively.
     """
-    fun = build_functor(doc["functor"])
-    cat = build_category(doc["category"])
-    if cat.spec() != fun.dom.spec():
-        raise CertificateError("category spec disagrees with the functor domain")
-    current = {"category": fun.dom.encoding_version,
-               "functor": fun.encoding_version}
-    if doc["encodings"] != current:
-        raise StaleCertificateError(
-            f"encoding versions moved from {doc['encodings']} to {current}")
-    inputs = doc["inputs"]
-    a = canon_unhex(inputs["a"])
-    b = canon_unhex(inputs["b"])
-    r = inputs["r"]
-    c = canon_unhex(doc["witness"]["c"])
+    claim = Claim.from_doc(doc)
     saved = doc["budget"]
     run_budget = budget or SearchBudget(
         max_colorings=saved["max_colorings"],
         max_hom_size=min(saved["max_hom_size"], max_hom_size))
     # refuse before fingerprinting hom(a, c)
-    require_hom_budget(fun.dom, run_budget, (a, c))
-    if hom_fingerprint(fun, a, c) != doc["fingerprint"]:
+    require_hom_budget(claim.fun.dom, run_budget, (claim.a, claim.c))
+    if hom_fingerprint(claim.fun, claim.a, claim.c) != doc["fingerprint"]:
         raise StaleCertificateError("canonical hom enumeration changed")
-    run_mode = mode or saved["mode"]
-    run_seed = saved["seed"] if seed is None else seed
-    run_samples = saved["samples"] if samples is None else samples
-    if inputs["kind"] == "p":
-        res = check_p_witness(fun, a, b, c, r, mode=run_mode,
-                              budget=run_budget, seed=run_seed,
-                              samples=run_samples, jobs=jobs)
-    elif inputs["kind"] == "fp":
-        s = tuple(morph_unhex(e) for e in inputs["s"])
-        inst = FpInstance(a=a, b=b, s=s, r=r)
-        res = check_fp_witness(fun, inst, c,
-                               morph_unhex(doc["witness"]["f_prime"]),
-                               morph_unhex(doc["witness"]["g_prime"]),
-                               mode=run_mode, budget=run_budget, seed=run_seed,
-                               samples=run_samples, jobs=jobs)
-    else:
-        raise CertificateError(f"unknown input kind {inputs['kind']!r}")
+    res = claim.check(mode=mode or saved["mode"], budget=run_budget,
+                      seed=saved["seed"] if seed is None else seed,
+                      samples=saved["samples"] if samples is None else samples,
+                      jobs=jobs)
     verdict = "pass" if res.ok else "fail"
     expected = doc["verification"]["verdict"]
     upgraded = res.exhaustive and doc["verification"]["mode"] == "sampled"

@@ -14,20 +14,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .categories.hjcat import WordBoundary, WordCategory, standard_window
 from .categories.pcat import ORIENTATIONS, StepBoundary, StepCategory
 from .categories.product import product_functor
 from .categories.rcat import subset_boundary, subset_category
 from .categories.trees import height, tree_category, tree_truncation
-from .core import Category, Functor, IdentityFunctor, Morph, compose_word
+from .core import Category, Functor, IdentityFunctor, compose_word
 from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, FpInstance,
-                     SearchBudget, check_degree_bound, check_fp_witness,
-                     check_p_witness, functor_image, ramsey_degree)
-from .certificates import (CertificateError, StaleCertificateError,
-                           dump_certificate, fp_certificate, load_certificate,
-                           morph_unhex, p_certificate, replay_verify)
+                     SearchBudget, check_degree_bound, functor_image,
+                     ramsey_degree, require_hom_budget)
+from .certificates import (CertificateError, Claim, StaleCertificateError,
+                           dump_certificate, load_certificate, morph_unhex,
+                           replay_verify)
 from .constructions import (ConstructionError, fouche_witness, fp_provider,
                             fp_to_p_construct, hj_provider, hj_witness,
                             p_pigeonhole_witness, product_ramsey_numbers,
@@ -137,41 +137,18 @@ def _report(res) -> str:
     return line
 
 
-class Claim(NamedTuple):
-    """c witnesses the partition condition for fun at (a, b), or, when fiber
-    holds (s, f_prime, g_prime), the fiber condition.  shown is the
-    constructed value to print, None for a claim given on the command line."""
-
-    fun: Functor
-    a: Any
-    b: Any
-    c: Any
-    shown: Any = None
-    trace: dict | None = None
-    fiber: tuple[tuple[Morph, ...], Morph, Morph] | None = None
-
-
-def _settle(args, claim: Claim, theorem: str | None = None) -> int:
-    """Check the claim, print the report, write --out; return the exit code."""
-    fun, a, b, c = claim.fun, claim.a, claim.b, claim.c
+def _settle(args, claim: Claim, shown: Any = None, trace: dict | None = None,
+            theorem: str | None = None) -> int:
+    """Check, report and certify the claim; return the exit code."""
     run = _engine_kw(args)
-    jobs = run.pop("jobs")
-    label = {"theorem": theorem, "trace": claim.trace} if theorem else {}
-    if claim.fiber is None:
-        res = check_p_witness(fun, a, b, c, args.r, jobs=jobs, **run)
-        doc = p_certificate(fun, a, b, c, args.r, res, **label, **run)
-    else:
-        s, f_prime, g_prime = claim.fiber
-        inst = FpInstance(a=a, b=b, s=s, r=args.r)
-        res = check_fp_witness(fun, inst, c, f_prime, g_prime, jobs=jobs,
-                               **run)
-        doc = fp_certificate(fun, inst, c, f_prime, g_prime, res, **label,
-                             **run)
-    if claim.shown is not None:
-        print(f"constructed witness: {claim.shown!r}")
+    jobs = run.pop("jobs")      # certificates never record the job count
+    res = claim.check(jobs=jobs, **run)
+    if shown is not None:
+        print(f"constructed witness: {shown!r}")
     print(_report(res))
     if args.out:
-        dump_certificate(doc, args.out)
+        dump_certificate(claim.certificate(res, theorem, trace, **run),
+                         args.out)
         print(f"certificate written to {args.out}")
     return EXIT_PASS if res.ok else EXIT_FAIL
 
@@ -185,12 +162,12 @@ def cmd_verify(args) -> int:
     fun = compose_word(functor_word(tokens, args.functor))
     a, b, c = parse(args.a), parse(args.b), parse(args.c)
     if args.kind == "p":
-        return _settle(args, Claim(fun, a, b, c))
+        return _settle(args, Claim(fun, a, b, c, args.r))
+    require_hom_budget(fun.dom, budget_from(args), (a, b))
     s = (tuple(morph_unhex(x) for x in args.s.split(","))
          if args.s else functor_image(fun, a, b))
     if args.f_prime and args.g_prime:
-        f_prime = morph_unhex(args.f_prime)
-        g_prime = morph_unhex(args.g_prime)
+        f_prime, g_prime = morph_unhex(args.f_prime), morph_unhex(args.g_prime)
     elif args.category.partition(":")[0] == "R" and args.functor == "dR":
         # canonical subset picks, with g' retargeted at the user's c
         _, f_prime, _ = r_fp_witness(FpInstance(a=a, b=b, s=s, r=args.r))
@@ -198,43 +175,48 @@ def cmd_verify(args) -> int:
     else:
         raise CliError("verify fp needs --f-prime and --g-prime hexes "
                        "outside plain dR over R")
-    return _settle(args, Claim(fun, a, b, c, fiber=(s, f_prime, g_prime)))
+    return _settle(args, Claim(fun, a, b, c, args.r, (s, f_prime, g_prime)))
 
 
-# Each theorem builds its claim; _settle checks and certifies it under the
-# theorem's name.
+# Each theorem returns its claim, the constructed value to print and the
+# construction trace; _settle checks and certifies it under the theorem's name.
+Built = tuple[Claim, Any, dict | None]
 
 
-def _theorem_fp2p(args) -> Claim:
+def _theorem_fp2p(args) -> Built:
     delta = subset_boundary()
     c, trace = fp_to_p_construct(delta, args.k, args.l, args.r,
-                                 r_fp_oracle(delta), selection="max-rule")
-    return Claim(delta, args.k, args.l, c, c, trace.doc())
+                                 r_fp_oracle(delta), selection="max-rule",
+                                 budget=budget_from(args))
+    return Claim(delta, args.k, args.l, c, args.r), c, trace.doc()
 
 
-def _theorem_r_fp(args) -> Claim:
+def _theorem_r_fp(args) -> Built:
     delta = subset_boundary()
+    require_hom_budget(delta.dom, budget_from(args), (args.k, args.l))
     s = functor_image(delta, args.k, args.l)
     c, f_prime, g_prime = r_fp_witness(
         FpInstance(a=args.k, b=args.l, s=s, r=args.r), delta)
-    return Claim(delta, args.k, args.l, c, c, fiber=(s, f_prime, g_prime))
+    claim = Claim(delta, args.k, args.l, c, args.r, (s, f_prime, g_prime))
+    return claim, c, None
 
 
-def _theorem_pigeonhole(args) -> Claim:
+def _theorem_pigeonhole(args) -> Built:
     c = p_pigeonhole_witness(args.k1, args.l, args.r)
     delta = StepBoundary(StepCategory(args.orientation))
-    return Claim(delta, (args.k1, 1), (args.l, 2), c, c)
+    return Claim(delta, (args.k1, 1), (args.l, 2), c, args.r), c, None
 
 
-def _theorem_compose(args) -> Claim:
+def _theorem_compose(args) -> Built:
     delta = subset_boundary()
     word = [delta] * args.length
     c, trace = word_witness(word, args.k, args.l, args.r,
-                            fp_provider(r_fp_oracle, "max-rule"))
-    return Claim(compose_word(word), args.k, args.l, c, c, trace.doc())
+                            fp_provider(r_fp_oracle, "max-rule",
+                                        budget_from(args)))
+    return Claim(compose_word(word), args.k, args.l, c, args.r), c, trace.doc()
 
 
-def _theorem_product(args) -> Claim:
+def _theorem_product(args) -> Built:
     pairs = [pair.split(":") for pair in args.coords.split(",")]
     try:
         kvec = tuple(int(p[0]) for p in pairs)
@@ -244,34 +226,34 @@ def _theorem_product(args) -> Claim:
     qvec, trace = product_ramsey_numbers(kvec, pvec, args.r)
     fun = product_functor(*[subset_boundary() for _ in kvec])
     pack = fun.dom.pack
-    return Claim(fun, pack(kvec), pack(pvec), pack(qvec), qvec, trace.doc())
+    return (Claim(fun, pack(kvec), pack(pvec), pack(qvec), args.r), qvec,
+            trace.doc())
 
 
-def _theorem_modeling(args) -> Claim:
+def _theorem_modeling(args) -> Built:
     fun = WordBoundary(WordCategory(args.k))
     v0, b = standard_window(args.k), ("L", args.l)
     provider = hj_provider(args.max_color_bits, args.max_pairs,
                            budget_from(args))
     c, note = provider(fun, v0, b, args.r)
-    return Claim(fun, v0, b, c, c, note)
+    return Claim(fun, v0, b, c, args.r), c, note
 
 
-def _theorem_hj(args) -> Claim:
+def _theorem_hj(args) -> Built:
     m, trace = hj_witness(args.k, args.l, args.r,
                           max_color_bits=args.max_color_bits,
                           max_pairs=args.max_pairs, budget=budget_from(args))
     fun = compose_word([WordBoundary(WordCategory(args.k))] * args.k)
-    return Claim(fun, standard_window(args.k), ("L", args.l), ("L", m), m,
-                 trace.doc())
+    return (Claim(fun, standard_window(args.k), ("L", args.l), ("L", m),
+                  args.r), m, trace.doc())
 
 
-def _theorem_fouche(args) -> Claim:
+def _theorem_fouche(args) -> Built:
     s_tree, t_tree = _parse_tree(args.s_tree), _parse_tree(args.t_tree)
     v, trace = fouche_witness(s_tree, t_tree, args.r)
-    if trace is None:
-        return Claim(IdentityFunctor(tree_category()), s_tree, t_tree, v, v)
-    fun = compose_word([tree_truncation()] * height(s_tree))
-    return Claim(fun, s_tree, t_tree, v, v, trace.doc())
+    fun = (IdentityFunctor(tree_category()) if trace is None
+           else compose_word([tree_truncation()] * height(s_tree)))
+    return Claim(fun, s_tree, t_tree, v, args.r), v, trace and trace.doc()
 
 
 _THEOREMS = {"fp2p": _theorem_fp2p, "r-fp": _theorem_r_fp,
@@ -281,7 +263,7 @@ _THEOREMS = {"fp2p": _theorem_fp2p, "r-fp": _theorem_r_fp,
 
 
 def cmd_construct(args) -> int:
-    return _settle(args, _THEOREMS[args.theorem](args), args.theorem)
+    return _settle(args, *_THEOREMS[args.theorem](args), args.theorem)
 
 
 def _parse_pool(text: str) -> tuple[int, ...]:
@@ -419,6 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (error, stderr label, exit code); the first match wins, subclasses first
+_ERRORS = ((BudgetExceeded, "budget refusal", EXIT_BUDGET),
+           (StaleCertificateError, "stale certificate", EXIT_FAIL),
+           (CertificateError, "bad certificate", EXIT_FAIL),
+           (ConstructionError, "construction failed", EXIT_FAIL),
+           (AssertionError, "consistency check failed", EXIT_FAIL),
+           (OSError, "cannot read/write", EXIT_USAGE),
+           (ValueError, "invalid inputs", EXIT_USAGE))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -430,27 +422,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except StaleCertificateError as exc:
-        print(f"stale certificate: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except CertificateError as exc:
-        print(f"bad certificate: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except ConstructionError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except AssertionError as exc:
-        print(f"consistency check failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as exc:
-        print(f"cannot read/write: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"invalid inputs: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        label, code = next((label, code) for cls, label, code in _ERRORS
+                           if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

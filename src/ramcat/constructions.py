@@ -216,14 +216,19 @@ class FpToPTrace:
 
 def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
                       oracle: Callable[[FpInstance], tuple[Any, Morph, Morph]],
-                      *, selection: str = "oracle-defined") -> tuple[Any, FpToPTrace]:
+                      *, selection: str = "oracle-defined",
+                      budget: SearchBudget | None = None
+                      ) -> tuple[Any, FpToPTrace]:
     """Iterate a fiber-condition oracle once per image element of hom(a, b).
 
     Stage k hands the oracle the images of the still-unhandled arrows pushed
     through the accumulated g-chain; the oracle's pick is mapped back to the
     first remaining image element whose pushed copy matches it.  The stages
     certify that the picks are pairwise distinct and exhaust the image.
+    Each stage's hom(a, c) past the budget's hom-size cap is refused before
+    the oracle is called: the stage objects grow geometrically.
     """
+    require_hom_budget(delta.dom, budget, (a, b))
     image = functor_image(delta, a, b)
     n = len(image)
     if n == 0:
@@ -242,6 +247,7 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
     stages: list[FpStage] = []
     for k in range(1, n + 1):
         s_k = sort_morphs(pushed(e) for e in remaining)
+        require_hom_budget(delta.dom, budget, (a, c_cur))
         inst = FpInstance(a=a, b=c_cur, s=s_k, r=r)
         c_next, picked, g = _stage(f"oracle at stage {k}", lambda: oracle(inst))
         origin = next((e for e in remaining if pushed(e) == picked), None)
@@ -266,12 +272,13 @@ def r_fp_oracle(delta: SubsetBoundary | None = None) -> Callable[[FpInstance], t
 
 
 def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
-                selection: str = "oracle-defined") -> WitnessProvider:
-    """Witnesses built by the fp->p recursion with oracle_for(fun); the note
-    is the recursion's trace."""
+                selection: str = "oracle-defined",
+                budget: SearchBudget | None = None) -> WitnessProvider:
+    """Witnesses built by the fp->p recursion with oracle_for(fun), under the
+    budget's hom-size cap; the note is the recursion's trace."""
     def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
         c, trace = fp_to_p_construct(fun, a, b, r, oracle_for(fun),
-                                     selection=selection)
+                                     selection=selection, budget=budget)
         return c, trace.doc()
 
     return WitnessProvider(fn, CONSTRUCTED)

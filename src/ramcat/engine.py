@@ -265,26 +265,26 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
     when every g is admissible.  A coloring passes when some admissible g
     carries every group onto at most cap colors.
     """
+    if r < 0:
+        raise ValueError("color count must be nonnegative")
+    if mode not in ("exhaustive", "sampled", "auto"):
+        raise ValueError(f"unknown mode {mode!r}")
     budget = budget or SearchBudget()
     require_hom_budget(cat, budget, (a, b), (b, c), (a, c))
+    n = cat.hom_size(a, c)
+    if r == 0 and n > 0:
+        raise ValueError("no 0-colorings of a nonempty hom set")
     groups, admissible = select(cat.hom(a, b))
     rows = cat.action(a, b, c)
     if admissible is not None:
         rows = (row for j, row in enumerate(rows) if j in admissible)
     checks: list[Check] = [tuple(tuple(row[i] for i in grp) for grp in groups)
                            for row in rows]
-    n = cat.hom_size(a, c)
-    if r < 0:
-        raise ValueError("color count must be nonnegative")
     if r == 0:
-        if n > 0:
-            raise ValueError("no 0-colorings of a nonempty hom set")
         # 0-colorings exist only on an empty hom set; the check is vacuous
         return PCheckResult(ok=True, exhaustive=True, r=0, cells=0,
                             arrows=len(checks), checked=1, total=1)
     total = r ** n
-    if mode not in ("exhaustive", "sampled", "auto"):
-        raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive" and total > budget.max_colorings:
         raise BudgetExceeded("colorings", total, budget.max_colorings)
     exhaustive = mode != "sampled" and total <= budget.max_colorings

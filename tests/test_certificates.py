@@ -1,17 +1,19 @@
 """Certificate documents: canonical JSON, digests, staleness, replay."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from ramcat import (FpInstance, Morph, SearchBudget, compose_word,
+from ramcat import (Claim, FpInstance, Morph, SearchBudget, compose_word,
                     check_fp_witness, check_p_witness, dump_certificate,
                     fp_certificate, load_certificate, p_certificate,
                     parse_certificate, replay_verify, subset_boundary)
 from ramcat.categories.rcat import SubsetBoundary, SubsetCategory
 from ramcat.certificates import (CertificateError, StaleCertificateError,
                                  budget_doc, build_category, build_functor,
-                                 canonical_json, morph_hex, morph_unhex)
+                                 canonical_json, document_digest, morph_hex,
+                                 morph_unhex)
 
 DR = subset_boundary()
 
@@ -54,6 +56,27 @@ def test_fp_certificate_round_trip():
     assert parse_certificate(dump_certificate(doc)) == doc
     rep = replay_verify(doc)
     assert rep.match and rep.verdict == "pass"
+
+
+def test_claims_decode_to_what_they_certify():
+    s = (Morph(0, 1, ()),)
+    fiber = (s, Morph(0, 1, ()), Morph(1, 5, (1,)))
+    inst = FpInstance(1, 2, s, 2)
+    for claim, theorem, adapter in [
+            (Claim(DR, 2, 3, 4, 2), "partition-check",
+             lambda res: p_certificate(DR, 2, 3, 4, 2, res)),
+            (Claim(DR, 1, 2, 6, 2, fiber), "fiber-check",
+             lambda res: fp_certificate(DR, inst, 6, *fiber[1:], res))]:
+        res = claim.check()
+        doc = claim.certificate(res)
+        assert doc == adapter(res) and doc["theorem"] == theorem
+        back = Claim.from_doc(parse_certificate(dump_certificate(doc)))
+        assert back.fun.spec() == claim.fun.spec()
+        assert back == replace(claim, fun=back.fun)
+    doc["inputs"]["kind"] = "q"
+    doc["digest"] = document_digest(doc)
+    with pytest.raises(CertificateError, match="unknown input kind 'q'"):
+        replay_verify(doc)
 
 
 def test_canonical_json_is_key_order_independent():

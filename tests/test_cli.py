@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import ramcat
-from ramcat import ProductCategory, SubsetCategory, load_certificate
+from ramcat import (Claim, ProductCategory, SearchBudget, SubsetCategory,
+                    dump_certificate, load_certificate, replay_verify)
 from ramcat.certificates import document_digest
 from ramcat.cli import main
 from ramcat.core import canon_hex
@@ -249,6 +250,34 @@ def test_relation_sweeps_honour_max_hom_size(capsys, monkeypatch, theorem):
     assert err.rstrip().endswith("cap 1000")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "fp", "--category", "R", "--functor", "dR", "--a", "3",
+     "--b", "250", "--c", "251"),
+    ("construct", "--theorem", "r-fp", "--k", "3", "--l", "250")],
+    ids=["verify", "construct"])
+def test_fiber_claims_refuse_hom_ab_before_building_it(capsys, monkeypatch,
+                                                       argv):
+    # the default s is the image of hom(a, b)
+    forbid_hom(monkeypatch, SubsetCategory)
+    code, out, err = run(capsys, *argv, "--r", "2", "--max-hom-size", "100")
+    assert code == 2, err
+    assert "hom-set size: need 2573000, cap 100" in err and not out
+
+
+@pytest.mark.parametrize("theorem, cap, need", [
+    ("fp2p", None, 5_247_180), ("compose", None, 5_073_705),
+    ("fp2p", "1000", 7140)])
+def test_fp_recursion_refuses_growing_stages(capsys, theorem, cap, need):
+    # each stage triples c, and the oracle's g carries one entry per point
+    # of c: a refusal at the run's hom-size cap, not a MemoryError
+    flags = ("--max-hom-size", cap) if cap else ()
+    code, out, err = run(capsys, "construct", "--theorem", theorem, "--k", "2",
+                         "--l", "40", "--r", "2", *flags)
+    assert code == 2, err
+    assert f"hom-set size: need {need}, cap {cap or 2000000}" in err
+    assert not out
+
+
 def test_construct_bad_coords(capsys):
     code, _, err = run(capsys, "construct", "--theorem", "product",
                        "--coords", "nope", "--r", "2")
@@ -478,30 +507,62 @@ def test_jobs_yield_bitwise_identical_certificates(capsys, tmp_path):
     assert texts[0] == texts[1]
 
 
-# digests of `construct --theorem T --r 2` at default flags; a refactor that
-# changes any certificate byte changes its digest
-CONSTRUCT_DIGESTS = {
-    "fp2p": "daf15efea2ac32c998719c839ff4e724de921cd91fa6a8d9b31951a35dcf6cca",
-    "r-fp": "fe0dda78a0d866d06add05f506298f27ef7ec62b6f24cd20188072c6ed52c2dc",
-    "p-pigeonhole":
-        "d2be207cadcbd8698f700fb6b471dddb98f4257c86d382a309a93e8e0630e25e",
-    "compose":
-        "eae6190eeff7745822d99e0eff96c7cd0f14509156d563cfa82f9f9d26b2f8b7",
-    "product":
-        "6fa09a4b07e192bac2ba17a27843a1e1ef5048fad6281cf4cc0f93e59793c338",
-    "modeling":
-        "fbf5a109193750768e6bca417f2698c1e3dd138d388c92e1903dc381298af845",
-    "hj": "9d1f8d7f49842e8d0f4eb2f3d82c2d0627e0d4addc3249f1d69b44a70c001320",
-    "fouche": "76fefd15725e1a3078d422cc1afaa9374717264e0c109f1faeabeae188ca4924",
+# exit code and certificate digest of each argv run with --out; a refactor
+# that changes any certificate byte changes its digest
+_R = ("--category", "R", "--r", "2")
+CERTIFICATE_DIGESTS = {
+    ("verify", "p", *_R, "--functor", "dR,dR", "--a", "2", "--b", "3",
+     "--c", "6"):
+        (0, "7b94f9f36ae0f56f3adf804a43fd7147636bdf8901aa119a996d01e9fad224f6"),
+    ("verify", "p", *_R, "--functor", "dR,dR", "--a", "2", "--b", "3",
+     "--c", "5"):
+        (1, "c76f092b825a82cf5bfe1bf92db715865008341d4db7a4bffd4b1356a563464c"),
+    ("verify", "p", *_R, "--functor", "dR", "--a", "2", "--b", "3",
+     "--c", "4", "--mode", "sampled", "--samples", "100"):
+        (0, "029483a718ca1eeef11852c54f3b0505119ec92f9c631ac069a07033ec98829e"),
+    ("verify", "p", "--category", "trees", "--functor", "dT", "--a", "1,0",
+     "--b", "2,0,0", "--c", "3,0,0,0", "--r", "2"):
+        (0, "2735440a340783bc022fa831512136eec6d5dcb2e4769fce7a999102cd055ef4"),
+    ("verify", "fp", *_R, "--functor", "dR", "--a", "1", "--b", "2",
+     "--c", "6"):
+        (0, "12d07bca05396e5ed175d17e80cd95ad2b49663b3371412ad95e5dd502775654"),
+    ("verify", "fp", *_R, "--functor", "dR", "--a", "2", "--b", "3",
+     "--c", "5"):
+        (0, "e932ec4f4a1c9e43af8d9fc6fe6fb58b040a6efb46bbcac381c1860bff089eca"),
+    ("construct", "--theorem", "fp2p", "--r", "2"):
+        (0, "daf15efea2ac32c998719c839ff4e724de921cd91fa6a8d9b31951a35dcf6cca"),
+    ("construct", "--theorem", "r-fp", "--r", "2"):
+        (0, "fe0dda78a0d866d06add05f506298f27ef7ec62b6f24cd20188072c6ed52c2dc"),
+    ("construct", "--theorem", "p-pigeonhole", "--r", "2"):
+        (0, "d2be207cadcbd8698f700fb6b471dddb98f4257c86d382a309a93e8e0630e25e"),
+    ("construct", "--theorem", "compose", "--r", "2"):
+        (0, "eae6190eeff7745822d99e0eff96c7cd0f14509156d563cfa82f9f9d26b2f8b7"),
+    ("construct", "--theorem", "product", "--r", "2"):
+        (0, "6fa09a4b07e192bac2ba17a27843a1e1ef5048fad6281cf4cc0f93e59793c338"),
+    ("construct", "--theorem", "modeling", "--r", "2"):
+        (0, "fbf5a109193750768e6bca417f2698c1e3dd138d388c92e1903dc381298af845"),
+    ("construct", "--theorem", "hj", "--r", "2"):
+        (0, "9d1f8d7f49842e8d0f4eb2f3d82c2d0627e0d4addc3249f1d69b44a70c001320"),
+    ("construct", "--theorem", "fouche", "--r", "2"):
+        (0, "76fefd15725e1a3078d422cc1afaa9374717264e0c109f1faeabeae188ca4924"),
 }
 
 
-def test_construct_certificates_are_byte_stable(capsys, tmp_path):
+def test_certificates_are_byte_stable(capsys, tmp_path):
     got = {}
-    for theorem in CONSTRUCT_DIGESTS:
-        cert = tmp_path / f"{theorem}.json"
-        code, _, _ = run(capsys, "construct", "--theorem", theorem, "--r", "2",
-                         "--out", str(cert))
-        assert code == 0, theorem
-        got[theorem] = load_certificate(cert)["digest"]
-    assert got == CONSTRUCT_DIGESTS
+    for i, argv in enumerate(CERTIFICATE_DIGESTS):
+        cert = tmp_path / f"{i}.json"
+        code, _, _ = run(capsys, *argv, "--out", str(cert))
+        doc = load_certificate(cert)
+        got[argv] = (code, doc["digest"])
+        # a replay at two jobs rebuilds the same bytes
+        rep = replay_verify(doc, jobs=2)
+        saved = doc["budget"]
+        again = Claim.from_doc(doc).certificate(
+            rep.result, doc["theorem"], doc["trace"], mode=saved["mode"],
+            budget=SearchBudget(saved["max_colorings"], saved["max_hom_size"]),
+            seed=saved["seed"], samples=saved["samples"])
+        assert rep.match
+        dump_certificate(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == cert.read_bytes()
+    assert got == CERTIFICATE_DIGESTS

@@ -3,7 +3,8 @@
 import pytest
 
 from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
-                    FpInstance, WitnessProvider, check_cross_welldefined,
+                    FpInstance, SearchBudget, WitnessProvider,
+                    check_cross_welldefined,
                     check_cross_zeta, check_modeling_compatibility,
                     check_p_witness, fouche_witness,
                     fp_to_p_construct, fp_provider, hj_modeling, hj_witness,
@@ -93,6 +94,21 @@ def test_fiber_recursion_two_stages():
 def test_fiber_recursion_empty_hom():
     c, trace = fp_to_p_construct(DR, 2, 1, 2, r_fp_oracle())
     assert c == 1 and trace.n == 0 and trace.stages == ()
+
+
+def test_fiber_recursion_checks_each_stage_before_its_oracle():
+    asked = []
+
+    def oracle(inst):
+        asked.append(inst.b)
+        return r_fp_witness(inst, DR)
+
+    with pytest.raises(BudgetExceeded) as exc:
+        fp_to_p_construct(DR, 2, 40, 2, oracle,
+                          budget=SearchBudget(max_hom_size=10_000))
+    # |hom(2, c)|: 780 and 7,140 pass the cap, 64,620 at c = 360 does not
+    assert asked == [40, 120]
+    assert (exc.value.needed, exc.value.cap) == (64_620, 10_000)
 
 
 def test_fiber_recursion_rejects_wayward_oracle():

@@ -7,7 +7,7 @@ from ramcat import (BudgetExceeded, Coloring, FpInstance, Morph, SearchBudget,
                     check_degree_bound, check_degree_witness, check_fp_witness,
                     check_p_witness, compose_word, degree_upper_bound, fiber,
                     functor_image, prf_color, ramsey_degree, search_p_witness,
-                    subset_boundary, subset_category)
+                    SubsetCategory, subset_boundary, subset_category)
 from ramcat.categories import TreeCategory, star, tree_truncation
 from ramcat.categories.pcat import StepBoundary, StepCategory
 
@@ -146,6 +146,19 @@ def test_tree_hom_budget_refuses_before_enumerating(monkeypatch):
                         2, budget=tight)
     assert exc.value.quantity == "hom-set size"
     assert exc.value.needed == 161_700  # C(100, 3) copies of (3, 0, 0, 0)
+
+
+@pytest.mark.parametrize("r, mode, message", [(2, "bogus", "unknown mode"),
+                                              (-1, "auto", "nonnegative"),
+                                              (0, "auto", "no 0-colorings")])
+def test_bad_mode_or_color_count_is_refused_before_any_hom(monkeypatch, r,
+                                                           mode, message):
+    def no_enumeration(self, a, b):
+        pytest.fail(f"hom({a!r}, {b!r}) built before the inputs were refused")
+
+    monkeypatch.setattr(SubsetCategory, "hom", no_enumeration)
+    with pytest.raises(ValueError, match=message):
+        check_p_witness(DD, 2, 3, 7, r, mode=mode)
 
 
 def test_step_hom_budget_refuses_before_enumerating(monkeypatch):
