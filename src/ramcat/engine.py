@@ -17,12 +17,13 @@ depth-first search reports what a scan in this index order would: the least
 failing index, or a pass over every coloring.  It refuses to start when the
 count exceeds the coloring budget, which also bounds the search tree.
 
-Sampled mode draws colorings from a deterministic pseudorandom function: the
-color of cell j in sample i is splitmix64 applied to seed, i and j in turn,
-reduced mod r (see prf_color).  Cells are drawn on first access.  A sampled
-pass is probabilistic evidence only and is flagged as such.  A sampled failure
-is a genuine disproof: the reported coloring is explicit and every candidate
-arrow was checked against it.
+Sampled mode draws colorings from a deterministic pseudorandom function:
+sample i has key splitmix64(splitmix64(seed) + (i+1)*GOLDEN), cell j the color
+splitmix64(key + (j+1)*GOLDEN) % r (see prf_color).  A scan hashes the seed
+once and each sample once, and draws a cell when a check first reads it.  A
+sampled pass is probabilistic evidence only and is flagged as such.  A sampled
+failure is a genuine disproof: the reported coloring is explicit and every
+candidate arrow was checked against it.
 
 jobs splits sampled scans only, into contiguous chunks scanned in parallel;
 the reported failure is the minimum failing sample, so results and
@@ -56,19 +57,25 @@ def splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _sample_key(hashed_seed: int, sample: int) -> int:
+    return splitmix64(hashed_seed + (sample + 1) * _GOLDEN)
+
+
+def _draw(key: int, r: int, cell: int) -> int:
+    return splitmix64(key + (cell + 1) * _GOLDEN) % r
+
+
 def prf_color(seed: int, sample: int, cell: int, r: int) -> int:
-    """Color of one cell in one sampled coloring, deterministic in (seed, sample, cell)."""
-    z = splitmix64(seed)
-    z = splitmix64(z + (sample + 1) * _GOLDEN)
-    z = splitmix64(z + (cell + 1) * _GOLDEN)
-    return z % r
+    """Color of one cell in one sampled coloring, deterministic in (seed,
+    sample, cell): the cell's draw under the sample's key."""
+    return _draw(_sample_key(splitmix64(seed), sample), r, cell)
 
 
 class BudgetExceeded(Exception):
     """An exhaustive check or hom materialization would overrun its cap."""
 
-    def __init__(self, quantity: str, needed: int, cap: int):
-        super().__init__(f"{quantity}: need {needed}, cap {cap}")
+    def __init__(self, quantity: str, needed: int, cap: int, where: str = ""):
+        super().__init__(f"{quantity}: need {needed}, cap {cap}{where}")
         self.quantity = quantity
         self.needed = needed
         self.cap = cap
@@ -161,7 +168,8 @@ def require_hom_budget(cat: Category, budget: SearchBudget | None,
                 raise ValueError(f"{obj!r} is not an object of {cat.name}")
         size = cat.hom_size(x, y)
         if size > cap:
-            raise BudgetExceeded("hom-set size", size, cap)
+            raise BudgetExceeded("hom-set size", size, cap,
+                                 f" at hom({x!r}, {y!r})")
 
 
 # A check is what one admissible g makes of the chosen groups of hom(a, b):
@@ -170,13 +178,16 @@ def require_hom_budget(cat: Category, budget: SearchBudget | None,
 Check = tuple[tuple[int, ...], ...]
 
 
-def _passes(cell, checks: list[Check], cap: int) -> bool:
-    """Does some check keep every group within cap colors?  cell[j] is a color."""
+def _passes(cell: list[int], checks: list[Check], cap: int, draw=None) -> bool:
+    """Does some check keep every group within cap colors?  cell[j] is a
+    color, or -1 for a cell not drawn yet: draw(j) colors it on first read."""
     for groups in checks:
         for grp in groups:
             seen = []
             for p in grp:
                 v = cell[p]
+                if v < 0:
+                    v = cell[p] = draw(p)
                 if v not in seen:
                     if len(seen) == cap:
                         break       # the cap+1-th color: this group fails
@@ -187,18 +198,6 @@ def _passes(cell, checks: list[Check], cap: int) -> bool:
         else:
             return True
     return False
-
-
-class _Draws(dict):
-    """The cells of one sampled coloring, drawn on first access."""
-
-    def __init__(self, seed: int, sample: int, r: int):
-        super().__init__()
-        self.seed, self.sample, self.r = seed, sample, r
-
-    def __missing__(self, j: int) -> int:
-        v = self[j] = prf_color(self.seed, self.sample, j, self.r)
-        return v
 
 
 def _search(r: int, n: int, checks: list[Check], cap: int) -> int | None:
@@ -233,18 +232,20 @@ def _search(r: int, n: int, checks: list[Check], cap: int) -> int | None:
     return None
 
 
-def _scan_range(seed: int, r: int, checks: list[Check], cap: int,
+def _scan_range(seed: int, r: int, n: int, checks: list[Check], cap: int,
                 lo: int, hi: int) -> int | None:
-    """First failing sample in [lo, hi), or None."""
+    """First failing sample in [lo, hi), or None; cells are drawn as read."""
+    hashed = splitmix64(seed)
     for idx in range(lo, hi):
-        if not _passes(_Draws(seed, idx, r), checks, cap):
+        draw = partial(_draw, _sample_key(hashed, idx), r)
+        if not _passes([-1] * n, checks, cap, draw):
             return idx
     return None
 
 
-def _first_sampled_failure(seed: int, r: int, checks: list[Check], cap: int,
-                           samples: int, jobs: int) -> int | None:
-    scan = partial(_scan_range, seed, r, checks, cap)
+def _first_sampled_failure(seed: int, r: int, n: int, checks: list[Check],
+                           cap: int, samples: int, jobs: int) -> int | None:
+    scan = partial(_scan_range, seed, r, n, checks, cap)
     if jobs <= 1 or samples <= 1:
         return scan(0, samples)
     jobs = min(jobs, samples)
@@ -269,11 +270,17 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
         raise ValueError("color count must be nonnegative")
     if mode not in ("exhaustive", "sampled", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     budget = budget or SearchBudget()
     require_hom_budget(cat, budget, (a, b), (b, c), (a, c))
     n = cat.hom_size(a, c)
     if r == 0 and n > 0:
         raise ValueError("no 0-colorings of a nonempty hom set")
+    total = r ** n
+    exhaustive = mode != "sampled" and total <= budget.max_colorings
+    if samples < 1 and not exhaustive and mode != "exhaustive":
+        raise ValueError(f"samples must be at least 1, got {samples}")
     groups, admissible = select(cat.hom(a, b))
     rows = cat.action(a, b, c)
     if admissible is not None:
@@ -284,15 +291,13 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
         # 0-colorings exist only on an empty hom set; the check is vacuous
         return PCheckResult(ok=True, exhaustive=True, r=0, cells=0,
                             arrows=len(checks), checked=1, total=1)
-    total = r ** n
     if mode == "exhaustive" and total > budget.max_colorings:
         raise BudgetExceeded("colorings", total, budget.max_colorings)
-    exhaustive = mode != "sampled" and total <= budget.max_colorings
     count = total if exhaustive else samples
     kind = "index" if exhaustive else "sample"
     scan_seed = None if exhaustive else seed
     hit = (_search(r, n, checks, cap) if exhaustive else
-           _first_sampled_failure(seed, r, checks, cap, samples, jobs))
+           _first_sampled_failure(seed, r, n, checks, cap, samples, jobs))
     cex = None
     if hit is not None:
         cex = Coloring(r=r, size=n, kind=kind, index=hit, seed=scan_seed)
@@ -393,6 +398,8 @@ def ramsey_degree(cat: Category, a: Any, b: Any, r: int, pool: Iterable[Any], *,
     An empty hom(a, b) has degree 0 witnessed by b itself.  Returns degree
     None when no pool object works even at the trivial cap |hom(a, b)|.
     """
+    if jobs < 1:    # an empty hom(a, b) returns before any check refuses it
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     require_hom_budget(cat, budget, (a, b))
     pool = tuple(pool)
     hom_ab = cat.hom(a, b)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from ramcat import SearchBudget, check_p_witness, subset_boundary
+from ramcat import SearchBudget, check_p_witness, prf_color, subset_boundary
 
 
 def brute_minimal_single(k: int, p: int, r: int, *, cap: int = 12,
@@ -65,6 +65,19 @@ def brute_first_failure(r: int, n: int, checks, cap: int) -> int | None:
     None when there is none.  A check is a tuple of groups of cells."""
     for idx in range(r ** n):
         colors = [(idx // r ** j) % r for j in range(n)]
+        if not any(all(len({colors[p] for p in grp}) <= cap for grp in groups)
+                   for groups in checks):
+            return idx
+    return None
+
+
+def brute_first_sampled_failure(seed: int, r: int, n: int, checks, cap: int,
+                                samples: int) -> int | None:
+    """Least sample idx < samples whose coloring, cell j colored
+    prf_color(seed, idx, j, r), lets no check keep every group within cap
+    colors; None when there is none."""
+    for idx in range(samples):
+        colors = [prf_color(seed, idx, j, r) for j in range(n)]
         if not any(all(len({colors[p] for p in grp}) <= cap for grp in groups)
                    for groups in checks):
             return idx

@@ -247,7 +247,16 @@ def test_relation_sweeps_honour_max_hom_size(capsys, monkeypatch, theorem):
                        "--max-hom-size", "1000")
     assert code == 2, err
     assert "budget refusal: hom-set size" in err
-    assert err.rstrip().endswith("cap 1000")
+    head, _, where = err.rstrip().partition(", cap 1000 at hom(")
+    assert head and where.endswith(")")
+
+
+def test_fp_recursion_refusal_names_the_hom_set(capsys):
+    code, out, err = run(capsys, "construct", "--theorem", "fp2p", "--k", "2",
+                         "--l", "40", "--r", "2")
+    assert code == 2 and not out
+    assert err.rstrip().endswith(
+        "hom-set size: need 5247180, cap 2000000 at hom(2, 3240)")
 
 
 @pytest.mark.parametrize("argv", [
@@ -410,6 +419,45 @@ def test_replay_explicit_seed_and_samples_override(capsys, tmp_path):
                        "--samples", "10000")
     assert code == 0
     assert "sampled(seed=1729)" in out and "colorings_checked=10000" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_refuses_a_sampled_run_without_samples(capsys, samples):
+    # (2,4,17) has 2**136 colorings, so auto mode samples
+    code, out, err = run(capsys, "verify", "p", "--category", "R",
+                         "--functor", "dR,dR", "--a", "2", "--b", "4",
+                         "--c", "17", "--r", "2", "--samples", samples)
+    assert code == 64 and not out
+    assert f"samples must be at least 1, got {samples}" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "p", "--category", "R", "--functor", "dR", "--a", "2",
+     "--b", "3", "--c", "4", "--r", "2"),
+    # hom(3, 2) is empty: the degree is 0 without any check
+    ("degree", "--a", "3", "--b", "2", "--r", "2", "--pool", "0..3")],
+    ids=["verify", "degree"])
+def test_runs_refuse_fewer_than_one_job(capsys, argv, jobs):
+    code, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert code == 64 and not out
+    assert f"jobs must be at least 1, got {jobs}" in err
+
+
+def test_replay_refuses_a_certificate_without_samples(capsys, tmp_path):
+    cert = tmp_path / "p.json"
+    code, _, _ = run(capsys, "verify", "p", "--category", "R",
+                     "--functor", "dR", "--a", "2", "--b", "3", "--c", "4",
+                     "--r", "2", "--mode", "sampled", "--samples", "100",
+                     "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    doc["budget"]["samples"] = 0
+    doc["digest"] = document_digest(doc)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "replay", str(cert))
+    assert code == 64 and not out
+    assert "samples must be at least 1, got 0" in err
 
 
 def test_replay_refuses_non_objects(capsys, tmp_path):

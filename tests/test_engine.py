@@ -174,6 +174,37 @@ def test_step_hom_budget_refuses_before_enumerating(monkeypatch):
     assert exc.value.needed == 19_701  # C(199, 2) surjections onto [3]
 
 
+def test_hom_budget_refusal_names_the_hom_set():
+    with pytest.raises(BudgetExceeded) as exc:
+        check_p_witness(DR, 2, 3, 6, 2, budget=SearchBudget(max_hom_size=5))
+    assert exc.value.quantity == "hom-set size"
+    assert str(exc.value) == "hom-set size: need 20, cap 5 at hom(3, 6)"
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(mode="sampled", samples=0), "samples must be at least 1, got 0"),
+    (dict(mode="auto", samples=-5), "samples must be at least 1, got -5"),
+    (dict(jobs=0), "jobs must be at least 1, got 0"),
+    (dict(mode="exhaustive", jobs=-1), "jobs must be at least 1, got -1")])
+def test_empty_sample_or_job_counts_are_refused_before_any_hom(monkeypatch,
+                                                               kw, message):
+    def no_enumeration(self, a, b):
+        pytest.fail(f"hom({a!r}, {b!r}) built before the inputs were refused")
+
+    monkeypatch.setattr(SubsetCategory, "hom", no_enumeration)
+    with pytest.raises(ValueError, match=message):
+        check_p_witness(DD, 2, 4, 17, 2, **kw)
+
+
+def test_sample_count_is_only_checked_when_sampling():
+    # decided exhaustively, so no sample is drawn
+    for mode in ("auto", "exhaustive"):
+        res = check_p_witness(DD, 2, 3, 6, 2, mode=mode, samples=0)
+        assert res.ok and res.exhaustive and res.checked == 2 ** 15
+    with pytest.raises(BudgetExceeded):
+        check_p_witness(DD, 2, 4, 17, 2, mode="exhaustive", samples=0)
+
+
 def test_jobs_split_gives_identical_results():
     for c, expect in ((5, False), (6, True)):
         runs = [check_p_witness(DD, 2, 3, c, 2, jobs=j) for j in (1, 2, 4)]
@@ -320,6 +351,44 @@ def test_degree_monotone_in_colors():
 
 # ---------------------------------------------------------------------------
 # the pseudorandom colorer
+
+
+# (seed, sample, cell, r, color): fixed values of the sampling PRF, which
+# every sampled certificate depends on
+PINNED_PRF = [
+    (0, 0, 0, 2, 1), (1729, 0, 0, 2, 1), (1729, 0, 1, 2, 0), (1729, 1, 0, 2, 0),
+    (1729, 9999, 135, 2, 1), (7, 3, 119, 2, 0), (2 ** 63 + 5, 42, 17, 2, 1),
+    (2 ** 64 + 3, 100, 4095, 2, 0), (1, 2, 3, 2, 1), (123456789, 5, 77, 2, 0),
+    (1729, 500, 64, 2, 1), (99, 0, 1000, 2, 1), (1729, 1234, 56, 2, 1),
+    (31337, 7, 7, 2, 1), (5, 8000, 2, 2, 0), (1729, 2, 999, 2, 0),
+    (0, 0, 0, 3, 0), (1729, 0, 0, 3, 2), (1729, 0, 1, 3, 2), (1729, 1, 0, 3, 0),
+    (1729, 9999, 135, 3, 0), (7, 3, 119, 3, 1), (2 ** 63 + 5, 42, 17, 3, 2),
+    (2 ** 64 + 3, 100, 4095, 3, 1), (1, 2, 3, 3, 1), (123456789, 5, 77, 3, 0),
+    (1729, 500, 64, 3, 1), (99, 0, 1000, 3, 1), (1729, 1234, 56, 3, 1),
+    (31337, 7, 7, 3, 2), (5, 8000, 2, 3, 2), (1729, 2, 999, 3, 2),
+    (0, 0, 0, 4, 3), (1729, 0, 0, 4, 1), (1729, 0, 1, 4, 2), (1729, 1, 0, 4, 0),
+    (1729, 9999, 135, 4, 3), (7, 3, 119, 4, 2), (2 ** 63 + 5, 42, 17, 4, 1),
+    (2 ** 64 + 3, 100, 4095, 4, 2), (1, 2, 3, 4, 1), (123456789, 5, 77, 4, 0),
+    (1729, 500, 64, 4, 1), (99, 0, 1000, 4, 1), (1729, 1234, 56, 4, 3),
+    (31337, 7, 7, 4, 3), (5, 8000, 2, 4, 0), (1729, 2, 999, 4, 2),
+    (0, 0, 0, 5, 0), (1729, 0, 0, 5, 3), (1729, 0, 1, 5, 1), (1729, 1, 0, 5, 1),
+    (1729, 9999, 135, 5, 4), (7, 3, 119, 5, 4), (2 ** 63 + 5, 42, 17, 5, 1),
+    (2 ** 64 + 3, 100, 4095, 5, 3), (1, 2, 3, 5, 4), (123456789, 5, 77, 5, 0),
+    (1729, 500, 64, 5, 1), (99, 0, 1000, 5, 0), (1729, 1234, 56, 5, 0),
+    (31337, 7, 7, 5, 2), (5, 8000, 2, 5, 2), (1729, 2, 999, 5, 3),
+]
+
+
+def test_prf_color_values_are_pinned():
+    assert len(PINNED_PRF) == 64
+    got = [(seed, sample, cell, r, prf_color(seed, sample, cell, r))
+           for seed, sample, cell, r, _ in PINNED_PRF]
+    assert got == PINNED_PRF
+    # a sampled coloring reads its cells through the same two steps
+    for seed, sample, cell, r, color in PINNED_PRF[:16]:
+        cex = Coloring(r=r, size=cell + 1, kind="sample", index=sample,
+                       seed=seed)
+        assert cex.cell(cell) == color
 
 
 def test_prf_color_is_deterministic_and_in_range():

@@ -1,6 +1,7 @@
 """Law-level invariants checked over drawn inputs."""
 
-from brute import brute_first_failure
+import pytest
+from brute import brute_first_failure, brute_first_sampled_failure
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,7 @@ from ramcat import (canon_bytes, canon_parse, check_p_witness, fiber,
                     functor_image, prf_color, ramsey_degree, degree_upper_bound,
                     subset_boundary, subset_category)
 from ramcat.certificates import canonical_json
-from ramcat.engine import _search
+from ramcat.engine import _first_sampled_failure, _search
 
 DR = subset_boundary()
 CAT = subset_category()
@@ -107,6 +108,32 @@ def search_instances(draw):
 def test_search_finds_the_least_failing_index(inst):
     r, n, cap, checks = inst
     assert _search(r, n, checks, cap) == brute_first_failure(r, n, checks, cap)
+
+
+@st.composite
+def sampled_instances(draw):
+    """(seed, r, n, checks, samples): n cells in groups of up to four, so a
+    check under cap 1 or 2 fails often enough to matter."""
+    seed = draw(st.integers(min_value=0, max_value=2 ** 64))
+    r = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=10))
+    group = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1,
+                     max_size=4).map(tuple)
+    checks = st.lists(st.lists(group, max_size=3).map(tuple), max_size=4)
+    return seed, r, n, draw(checks), draw(st.integers(min_value=1,
+                                                      max_value=40))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("cap", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(sampled_instances())
+@example((1729, 2, 3, [], 5))
+@example((0, 3, 4, [((0, 1, 2, 3),)], 30))
+def test_sampled_scan_finds_the_least_failing_sample(cap, jobs, inst):
+    seed, r, n, checks, samples = inst
+    assert (_first_sampled_failure(seed, r, n, checks, cap, samples, jobs)
+            == brute_first_sampled_failure(seed, r, n, checks, cap, samples))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32),
