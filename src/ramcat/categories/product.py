@@ -15,7 +15,7 @@ objects are still valid inputs everywhere else.
 from __future__ import annotations
 
 from itertools import product
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..core import Category, Functor, Morph
 
@@ -88,10 +88,9 @@ class ProductCategory(Category):
             size *= self.factors[i].hom_size(x, y)
         return size
 
-    def action(self, a: Any, b: Any, c: Any) -> Iterator[tuple[int, ...]]:
+    def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
         if not self.support(a) == self.support(b) == self.support(c):
-            yield from super().action(a, b, c)
-            return
+            return super().action(a, b, c)
         # the index of a product arrow of hom(a, c) is the sum of its factor
         # indices, each scaled by the size of the later factors' hom(x, z)
         tables, stride = [], 1
@@ -100,8 +99,9 @@ class ProductCategory(Category):
             tables.insert(0, [[stride * j for j in row]
                               for row in cat.action(x, y, z)])
             stride *= cat.hom_size(x, z)
-        for rows in product(*tables):
-            yield tuple(map(sum, product(*rows)))
+        # rows are summed as they are read, so a caller that stops early
+        # never builds the rest
+        return (tuple(map(sum, product(*rows))) for rows in product(*tables))
 
     def identity(self, a: Any) -> Morph:
         return Morph(a, a, tuple(self.factors[i].identity(x).data

@@ -321,6 +321,15 @@ def cmd_replay(args) -> int:
 # wiring
 
 
+def _job_count(text: str) -> int:
+    """--jobs, refused at parse time when below 1: a run that starts no
+    check (degree --bound without --pool) would never see it otherwise."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
                    default="auto")
@@ -328,7 +337,7 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help=f"sampling seed (default {DEFAULT_SEED}; replay "
                         f"defaults to the certificate's)")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_job_count, default=1,
                    help="worker processes for sampled scans; results are "
                         "independent of N")
     p.add_argument("--max-colorings", type=int, default=None)

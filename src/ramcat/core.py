@@ -123,8 +123,12 @@ class Category(ABC):
 
     `hom` returns the full hom-set in canonical order; `hom_size` may count it
     without building it.  `compose(g, f)` is "f then g".  `action(a, b, c)`
-    yields one row per g in hom(b, c): the hom(a, c) indices of g∘f over
-    hom(a, b); products override it with mixed-radix index sums.
+    gives one row per g in hom(b, c), in order: the hom(a, c) indices of g∘f
+    over hom(a, b).  Every row is composed and validated before `action`
+    returns, so a composite outside hom(a, c) raises ValueError even in a row
+    that no caller reads.  Products override it with a stream of mixed-radix
+    index sums over their factors' tables, which are built and validated
+    before `action` returns.
     """
 
     name: str = "category"
@@ -149,19 +153,20 @@ class Category(ABC):
     def hom_size(self, a: Any, b: Any) -> int:
         return len(self.hom(a, b))
 
-    def action(self, a: Any, b: Any, c: Any) -> Iterator[tuple[int, ...]]:
+    def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
         hom_ab = self.hom(a, b)
         pos = {f: i for i, f in enumerate(self.hom(a, c))}
         compose = self.compose
+        rows = []
         for g in self.hom(b, c):
             try:
-                row = tuple(pos[compose(g, f)] for f in hom_ab)
+                rows.append(tuple(pos[compose(g, f)] for f in hom_ab))
             except KeyError:
                 f = next(f for f in hom_ab if compose(g, f) not in pos)
                 raise ValueError(f"{self.name}: compose(g, f) is not in "
                                  f"hom({a!r}, {c!r}) for g={g!r}, "
                                  f"f={f!r}") from None
-            yield row
+        return rows
 
     def objects(self, count: int) -> tuple[Any, ...]:
         return tuple(islice(self.iter_objects(), count))

@@ -28,6 +28,14 @@ candidate arrow was checked against it.
 jobs splits sampled scans only, into contiguous chunks scanned in parallel;
 the reported failure is the minimum failing sample, so results and
 certificates are identical for any job count.  Search runs in-process.
+
+A one-job sampled scan compiles checks on demand: it starts with none, and
+a sample that fails every check built so far pulls as many again from the
+action rows (a product streams them), so a true witness, rescued early by
+each sample, never builds most of its checks.  A failing sample reads them
+all.  The search (which indexes checks by their lowest cell) and a scan over
+several jobs (whose workers receive the list by pickle) compile every check
+first.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from itertools import product
+from itertools import islice, product
 from multiprocessing import get_context
 from typing import Any, Callable, Iterable
 
@@ -232,22 +240,33 @@ def _search(r: int, n: int, checks: list[Check], cap: int) -> int | None:
     return None
 
 
-def _scan_range(seed: int, r: int, n: int, checks: list[Check], cap: int,
+def _scan_range(seed: int, r: int, n: int, source: Iterable[Check], cap: int,
                 lo: int, hi: int) -> int | None:
-    """First failing sample in [lo, hi), or None; cells are drawn as read."""
-    hashed = splitmix64(seed)
+    """First failing sample in [lo, hi), or None; cells are drawn as read.
+
+    Checks are taken from source as needed: a sample that no check taken so
+    far passes takes as many again, and reads them in order, until source
+    runs out.  Taken checks are kept for later samples.
+    """
+    hashed, source, checks = splitmix64(seed), iter(source), []
     for idx in range(lo, hi):
         draw = partial(_draw, _sample_key(hashed, idx), r)
-        if not _passes([-1] * n, checks, cap, draw):
-            return idx
+        cell, todo = [-1] * n, checks
+        while not _passes(cell, todo, cap, draw):
+            todo = list(islice(source, len(checks) or 1))
+            if not todo:
+                return idx
+            checks.extend(todo)
     return None
 
 
-def _first_sampled_failure(seed: int, r: int, n: int, checks: list[Check],
+def _first_sampled_failure(seed: int, r: int, n: int, checks: Iterable[Check],
                            cap: int, samples: int, jobs: int) -> int | None:
-    scan = partial(_scan_range, seed, r, n, checks, cap)
+    """Least failing sample of [0, samples), or None.  One job compiles the
+    checks as samples need them; more jobs get the whole list by pickle."""
     if jobs <= 1 or samples <= 1:
-        return scan(0, samples)
+        return _scan_range(seed, r, n, checks, cap, 0, samples)
+    scan = partial(_scan_range, seed, r, n, list(checks), cap)
     jobs = min(jobs, samples)
     cuts = [samples * i // jobs for i in range(jobs + 1)]
     with ProcessPoolExecutor(max_workers=jobs,
@@ -285,18 +304,19 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
     rows = cat.action(a, b, c)
     if admissible is not None:
         rows = (row for j, row in enumerate(rows) if j in admissible)
-    checks: list[Check] = [tuple(tuple(row[i] for i in grp) for grp in groups)
-                           for row in rows]
+    arrows = cat.hom_size(b, c) if admissible is None else len(admissible)
+    checks = (tuple(tuple(row[i] for i in grp) for grp in groups)
+              for row in rows)
     if r == 0:
         # 0-colorings exist only on an empty hom set; the check is vacuous
         return PCheckResult(ok=True, exhaustive=True, r=0, cells=0,
-                            arrows=len(checks), checked=1, total=1)
+                            arrows=arrows, checked=1, total=1)
     if mode == "exhaustive" and total > budget.max_colorings:
         raise BudgetExceeded("colorings", total, budget.max_colorings)
     count = total if exhaustive else samples
     kind = "index" if exhaustive else "sample"
     scan_seed = None if exhaustive else seed
-    hit = (_search(r, n, checks, cap) if exhaustive else
+    hit = (_search(r, n, list(checks), cap) if exhaustive else
            _first_sampled_failure(seed, r, n, checks, cap, samples, jobs))
     cex = None
     if hit is not None:
@@ -304,7 +324,7 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
         if n <= COUNTEREXAMPLE_INLINE_CAP:
             cex = replace(cex, cells=tuple(cex.cell(j) for j in range(n)))
     return PCheckResult(ok=hit is None, exhaustive=exhaustive, r=r, cells=n,
-                        arrows=len(checks),
+                        arrows=arrows,
                         checked=count if hit is None else hit + 1,
                         total=total if exhaustive else None,
                         samples=None if exhaustive else samples,

@@ -84,6 +84,22 @@ def brute_first_sampled_failure(seed: int, r: int, n: int, checks, cap: int,
     return None
 
 
+def brute_p_checks(delta, a, b, c) -> list:
+    """The partition checks of delta at (a, b, c), composed arrow by arrow:
+    per g in hom(b, c), the delta-fibers of hom(a, b) (those with two or more
+    arrows) carried through g to indices of hom(a, c)."""
+    cat = delta.dom
+    hom_ab = cat.hom(a, b)
+    index = {f.encode(): i for i, f in enumerate(cat.hom(a, c))}
+    fibers: dict[bytes, list] = {}
+    for f in hom_ab:
+        fibers.setdefault(delta.morph(f).encode(), []).append(f)
+    groups = [grp for grp in fibers.values() if len(grp) > 1]
+    return [tuple(tuple(index[cat.compose(g, f).encode()] for f in grp)
+                  for grp in groups)
+            for g in cat.hom(b, c)]
+
+
 def brute_minimal_grid(r: int, *, cap: int = 6) -> int | None:
     """Least q <= cap forcing a monochromatic rectangle in every r-coloring."""
     for q in range(2, cap + 1):

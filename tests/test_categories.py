@@ -419,6 +419,10 @@ def test_product_action_matches_generic_action():
         assert rows == list(Category.action(rpr, x, y, z)), name
         assert len(rows) == rpr.hom_size(y, z), name
     assert len(list(rpr.action(a, b, c))[0]) == 2 * 2 * 1
+    # unequal supports take the generic path, which returns every row
+    # composed and validated; equal supports stream mixed-radix sums
+    assert isinstance(rpr.action(*cases["unequal supports"]), list)
+    assert not isinstance(rpr.action(a, b, c), list)
 
 
 def test_product_iter_objects_streams_full_support():

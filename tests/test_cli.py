@@ -436,8 +436,12 @@ def test_verify_refuses_a_sampled_run_without_samples(capsys, samples):
     ("verify", "p", "--category", "R", "--functor", "dR", "--a", "2",
      "--b", "3", "--c", "4", "--r", "2"),
     # hom(3, 2) is empty: the degree is 0 without any check
-    ("degree", "--a", "3", "--b", "2", "--r", "2", "--pool", "0..3")],
-    ids=["verify", "degree"])
+    ("degree", "--a", "3", "--b", "2", "--r", "2", "--pool", "0..3"),
+    # no pool: the bound alone runs no check at all
+    ("degree", "--a", "1", "--b", "3", "--r", "2", "--bound"),
+    ("construct", "--theorem", "fp2p", "--k", "2", "--l", "3", "--r", "2"),
+    ("replay", "missing.json")],
+    ids=["verify", "degree", "degree-bound", "construct", "replay"])
 def test_runs_refuse_fewer_than_one_job(capsys, argv, jobs):
     code, out, err = run(capsys, *argv, "--jobs", jobs)
     assert code == 64 and not out

@@ -3,12 +3,14 @@
 import pytest
 
 from ramcat import engine
-from ramcat import (BudgetExceeded, Coloring, FpInstance, Morph, SearchBudget,
+from ramcat import (BudgetExceeded, Coloring, FpInstance, Morph,
+                    ProductCategory, SearchBudget,
                     check_degree_bound, check_degree_witness, check_fp_witness,
                     check_p_witness, compose_word, degree_upper_bound, fiber,
                     functor_image, prf_color, ramsey_degree, search_p_witness,
                     SubsetCategory, subset_boundary, subset_category)
-from ramcat.categories import TreeCategory, star, tree_truncation
+from ramcat.categories import (TreeCategory, product_functor, star,
+                               tree_truncation)
 from ramcat.categories.pcat import StepBoundary, StepCategory
 
 DR = subset_boundary()
@@ -252,6 +254,56 @@ def test_sampled_jobs_still_use_the_pool(monkeypatch):
     assert got == expected
     assert not got[0].ok and got[1].ok
     assert pools == [4, 4]
+
+
+# ---------------------------------------------------------------------------
+# checks compiled on demand
+
+
+class _LateBrokenCompose(SubsetCategory):
+    """Composes wrongly only through (4, 5, 6), the last arrow of hom(3, 6):
+    the bad composites sit in the last of hom(3, 6)'s 20 action rows."""
+
+    def compose(self, g, f):
+        good = super().compose(g, f)
+        if g.data == (4, 5, 6) and len(f.data) == 2:
+            return Morph(good.dom, good.cod, good.data[::-1])
+        return good
+
+
+def test_validation_covers_rows_a_sampled_pass_never_reads():
+    # sample 0 passes on one of the first four checks of the sound category
+    res = check_p_witness(DR, 2, 3, 6, 2, mode="sampled", samples=1)
+    assert res.ok and res.checked == 1 and res.arrows == 20
+    broken = subset_boundary(_LateBrokenCompose())
+    with pytest.raises(ValueError, match=r"not in hom\(2, 6\)"):
+        check_p_witness(broken, 2, 3, 6, 2, mode="sampled", samples=1)
+    # a product validates its factor tables before it streams any row
+    pcat = ProductCategory((subset_category(), _LateBrokenCompose()))
+    a, b, c = (pcat.pack(v) for v in ((1, 2), (1, 3), (1, 6)))
+    with pytest.raises(ValueError, match=r"not in hom\(2, 6\)"):
+        pcat.action(a, b, c)
+
+
+def test_sampled_pass_pulls_few_product_rows(monkeypatch):
+    fun = product_functor(DR, DR)
+    pcat = fun.dom
+    a, b, c = (pcat.pack(v) for v in ((1, 1), (2, 2), (8, 8)))
+    kw = dict(mode="sampled", samples=200)
+    eager = check_p_witness(fun, a, b, c, 2, jobs=2, **kw)
+    pulled = []
+    real = ProductCategory.action
+
+    def counted(self, x, y, z):
+        for row in real(self, x, y, z):
+            pulled.append(row)
+            yield row
+
+    monkeypatch.setattr(ProductCategory, "action", counted)
+    res = check_p_witness(fun, a, b, c, 2, **kw)
+    assert res == eager and res.ok
+    assert res.arrows == pcat.hom_size(b, c) == 784
+    assert 0 < len(pulled) <= res.arrows // 8
 
 
 # ---------------------------------------------------------------------------

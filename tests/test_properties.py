@@ -1,17 +1,19 @@
 """Law-level invariants checked over drawn inputs."""
 
 import pytest
-from brute import brute_first_failure, brute_first_sampled_failure
+from brute import (brute_first_failure, brute_first_sampled_failure,
+                   brute_p_checks)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramcat import (canon_bytes, canon_parse, check_p_witness, fiber,
-                    functor_image, prf_color, ramsey_degree, degree_upper_bound,
-                    subset_boundary, subset_category)
+from ramcat import (canon_bytes, canon_parse, check_p_witness, compose_word,
+                    fiber, functor_image, prf_color, ramsey_degree,
+                    degree_upper_bound, subset_boundary, subset_category)
 from ramcat.certificates import canonical_json
 from ramcat.engine import _first_sampled_failure, _search
 
 DR = subset_boundary()
+DD = compose_word([DR, DR])
 CAT = subset_category()
 
 scalars = st.one_of(
@@ -134,6 +136,34 @@ def test_sampled_scan_finds_the_least_failing_sample(cap, jobs, inst):
     seed, r, n, checks, samples = inst
     assert (_first_sampled_failure(seed, r, n, checks, cap, samples, jobs)
             == brute_first_sampled_failure(seed, r, n, checks, cap, samples))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([DR, DD]), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2 ** 64),
+       st.integers(min_value=1, max_value=30))
+@example(DD, 2, 1, 2, 2, 3, 30)      # (2, 3, 5): fails at sample 1
+@example(DD, 2, 1, 3, 2, 1729, 30)   # (2, 3, 6): passes every sample
+def test_sampled_check_matches_a_scan_of_every_check(jobs, delta, a, up, out,
+                                                     r, seed, samples):
+    b, c = a + up, a + up + out
+    res = check_p_witness(delta, a, b, c, r, mode="sampled", seed=seed,
+                          samples=samples, jobs=jobs)
+    checks = brute_p_checks(delta, a, b, c)
+    n = CAT.hom_size(a, c)
+    hit = brute_first_sampled_failure(seed, r, n, checks, 1, samples)
+    assert (res.ok, res.arrows) == (hit is None, len(checks))
+    assert res.checked == (samples if hit is None else hit + 1)
+    if hit is None:
+        assert res.counterexample is None
+    else:
+        cex = res.counterexample
+        assert (cex.kind, cex.index, cex.seed) == ("sample", hit, seed)
+        assert cex.cells == tuple(prf_color(seed, hit, j, r) for j in range(n))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32),
