@@ -28,7 +28,8 @@ from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, FpInstance,
 from .certificates import (CertificateError, Claim, StaleCertificateError,
                            dump_certificate, load_certificate, morph_unhex,
                            replay_verify)
-from .constructions import (ConstructionError, fouche_witness, fp_provider,
+from .constructions import (DEFAULT_CHECK_PAIRS, DEFAULT_MAX_COLOR_BITS,
+                            ConstructionError, fouche_witness, fp_provider,
                             fp_to_p_construct, hj_provider, hj_witness,
                             p_pigeonhole_witness, product_ramsey_numbers,
                             r_fp_oracle, r_fp_witness, subset_g_prime,
@@ -382,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="product: comma-separated k:p pairs")
     pc.add_argument("--s-tree", default="1,0", help="fouche: child counts")
     pc.add_argument("--t-tree", default="2,0,0", help="fouche: child counts")
-    pc.add_argument("--max-color-bits", type=int, default=1_000_000)
-    pc.add_argument("--max-pairs", type=int, default=500_000)
+    pc.add_argument("--max-color-bits", type=int,
+                    default=DEFAULT_MAX_COLOR_BITS)
+    pc.add_argument("--max-pairs", type=int, default=DEFAULT_CHECK_PAIRS)
     _add_engine_flags(pc)
     pc.set_defaults(fn=cmd_construct)
 

@@ -29,13 +29,13 @@ jobs splits sampled scans only, into contiguous chunks scanned in parallel;
 the reported failure is the minimum failing sample, so results and
 certificates are identical for any job count.  Search runs in-process.
 
-A one-job sampled scan compiles checks on demand: it starts with none, and
-a sample that fails every check built so far pulls as many again from the
-action rows (a product streams them), so a true witness, rescued early by
-each sample, never builds most of its checks.  A failing sample reads them
-all.  The search (which indexes checks by their lowest cell) and a scan over
-several jobs (whose workers receive the list by pickle) compile every check
-first.
+Every check comes from one source: a picklable callable that yields one
+check per admissible row of the action table.  The search lists it once.
+Each sampled scan, in-process or in a pool worker, calls it afresh and
+compiles checks on demand: a sample that fails every check built so far pulls
+as many again (a product streams its rows), so a true witness, rescued early
+by each sample, never builds most of its checks; a failing sample reads them
+all.  jobs > 1 pickles the source, so its category must pickle.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import islice, product
 from multiprocessing import get_context
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import Category, Functor, Morph, sort_morphs
 
@@ -184,6 +184,7 @@ def require_hom_budget(cat: Category, budget: SearchBudget | None,
 # each group carried through g to cells of hom(a, c).  It passes a coloring
 # when every group shows at most the scan's cap of colors.
 Check = tuple[tuple[int, ...], ...]
+Source = Callable[[], Iterable[Check]]      # each call starts a fresh stream
 
 
 def _passes(cell: list[int], checks: list[Check], cap: int, draw=None) -> bool:
@@ -240,15 +241,15 @@ def _search(r: int, n: int, checks: list[Check], cap: int) -> int | None:
     return None
 
 
-def _scan_range(seed: int, r: int, n: int, source: Iterable[Check], cap: int,
+def _scan_range(seed: int, r: int, n: int, source: Source, cap: int,
                 lo: int, hi: int) -> int | None:
     """First failing sample in [lo, hi), or None; cells are drawn as read.
 
-    Checks are taken from source as needed: a sample that no check taken so
-    far passes takes as many again, and reads them in order, until source
-    runs out.  Taken checks are kept for later samples.
+    Checks are taken from a fresh source() as needed: a sample that no check
+    taken so far passes takes as many again, and reads them in order, until
+    the source runs out.  Taken checks are kept for later samples.
     """
-    hashed, source, checks = splitmix64(seed), iter(source), []
+    hashed, source, checks = splitmix64(seed), iter(source()), []
     for idx in range(lo, hi):
         draw = partial(_draw, _sample_key(hashed, idx), r)
         cell, todo = [-1] * n, checks
@@ -260,19 +261,26 @@ def _scan_range(seed: int, r: int, n: int, source: Iterable[Check], cap: int,
     return None
 
 
-def _first_sampled_failure(seed: int, r: int, n: int, checks: Iterable[Check],
+def _first_sampled_failure(seed: int, r: int, n: int, source: Source,
                            cap: int, samples: int, jobs: int) -> int | None:
-    """Least failing sample of [0, samples), or None.  One job compiles the
-    checks as samples need them; more jobs get the whole list by pickle."""
+    """Least failing sample of [0, samples), or None."""
     if jobs <= 1 or samples <= 1:
-        return _scan_range(seed, r, n, checks, cap, 0, samples)
-    scan = partial(_scan_range, seed, r, n, list(checks), cap)
+        return _scan_range(seed, r, n, source, cap, 0, samples)
+    scan = partial(_scan_range, seed, r, n, source, cap)
     jobs = min(jobs, samples)
     cuts = [samples * i // jobs for i in range(jobs + 1)]
     with ProcessPoolExecutor(max_workers=jobs,
                              mp_context=get_context("fork")) as pool:
         hits = [h for h in pool.map(scan, cuts, cuts[1:]) if h is not None]
     return min(hits, default=None)
+
+
+def _checks(cat: Category, a: Any, b: Any, c: Any, groups, admissible
+            ) -> Iterator[Check]:
+    """One check per admissible row of the action table."""
+    for j, row in enumerate(cat.action(a, b, c)):
+        if admissible is None or j in admissible:
+            yield tuple(tuple(row[i] for i in grp) for grp in groups)
 
 
 def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
@@ -297,35 +305,30 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
     if r == 0 and n > 0:
         raise ValueError("no 0-colorings of a nonempty hom set")
     total = r ** n
+    if mode == "exhaustive" and total > budget.max_colorings:
+        raise BudgetExceeded("colorings", total, budget.max_colorings)
     exhaustive = mode != "sampled" and total <= budget.max_colorings
-    if samples < 1 and not exhaustive and mode != "exhaustive":
+    if samples < 1 and not exhaustive:
         raise ValueError(f"samples must be at least 1, got {samples}")
     groups, admissible = select(cat.hom(a, b))
-    rows = cat.action(a, b, c)
-    if admissible is not None:
-        rows = (row for j, row in enumerate(rows) if j in admissible)
     arrows = cat.hom_size(b, c) if admissible is None else len(admissible)
-    checks = (tuple(tuple(row[i] for i in grp) for grp in groups)
-              for row in rows)
     if r == 0:
         # 0-colorings exist only on an empty hom set; the check is vacuous
         return PCheckResult(ok=True, exhaustive=True, r=0, cells=0,
                             arrows=arrows, checked=1, total=1)
-    if mode == "exhaustive" and total > budget.max_colorings:
-        raise BudgetExceeded("colorings", total, budget.max_colorings)
+    source = partial(_checks, cat, a, b, c, groups, admissible)
     count = total if exhaustive else samples
     kind = "index" if exhaustive else "sample"
     scan_seed = None if exhaustive else seed
-    hit = (_search(r, n, list(checks), cap) if exhaustive else
-           _first_sampled_failure(seed, r, n, checks, cap, samples, jobs))
+    hit = (_search(r, n, list(source()), cap) if exhaustive else
+           _first_sampled_failure(seed, r, n, source, cap, samples, jobs))
     cex = None
     if hit is not None:
         cex = Coloring(r=r, size=n, kind=kind, index=hit, seed=scan_seed)
         if n <= COUNTEREXAMPLE_INLINE_CAP:
             cex = replace(cex, cells=tuple(cex.cell(j) for j in range(n)))
     return PCheckResult(ok=hit is None, exhaustive=exhaustive, r=r, cells=n,
-                        arrows=arrows,
-                        checked=count if hit is None else hit + 1,
+                        arrows=arrows, checked=count if hit is None else hit + 1,
                         total=total if exhaustive else None,
                         samples=None if exhaustive else samples,
                         seed=scan_seed, counterexample=cex)

@@ -1,12 +1,14 @@
 """Structure of the shipped categories, their boundary functors, and lifts."""
 
+import pickle
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from ramcat import (EncodingError, LiftError, Morph, check_category_laws,
-                    check_frank_at, check_functor_laws)
+from ramcat import (EncodingError, IdentityFunctor, LiftError, Morph,
+                    check_category_laws, check_frank_at, check_functor_laws,
+                    compose_word)
 from ramcat.core import Category, sort_morphs
 from ramcat.categories import trees as trees_module
 from ramcat.categories import (ProductCategory, ProductFunctor, StepBoundary,
@@ -449,3 +451,19 @@ def test_specs_rebuild_identically():
             product_functor(subset_boundary(), subset_boundary())]
     for fun in funs:
         assert build_functor(fun.spec()).spec() == fun.spec()
+
+
+def test_selectable_categories_and_functors_pickle():
+    # a check over several jobs ships its category to the workers by pickle
+    from ramcat.certificates import build_category, build_functor
+    from ramcat.cli import category_handle
+    objs = []
+    for selector in ("R", "P", "P:mirror", "HJ", "HJ:2", "trees"):
+        cat, tokens, _ = category_handle(selector)
+        (delta,) = tokens.values()
+        objs += [cat, delta, compose_word([delta, delta]), IdentityFunctor(cat),
+                 ProductCategory((cat, cat)), product_functor(delta, delta)]
+    built = [build_category(o.spec()) if isinstance(o, Category)
+             else build_functor(o.spec()) for o in objs]
+    for obj in objs + built:
+        assert pickle.loads(pickle.dumps(obj)).spec() == obj.spec()

@@ -145,6 +145,15 @@ def test_exhaustive_over_budget_refuses(capsys):
     assert code == 2 and "budget refusal" in err
 
 
+def test_exhaustive_over_budget_refuses_before_any_hom(capsys, monkeypatch):
+    # 2**7140 colorings: the refusal comes before hom(3, 120)'s 280,840 rows
+    forbid_hom(monkeypatch, SubsetCategory)
+    code, _, err = run(capsys, "verify", "p", "--category", "R",
+                       "--functor", "dR,dR", "--a", "2", "--b", "3",
+                       "--c", "120", "--r", "2", "--mode", "exhaustive")
+    assert code == 2 and "budget refusal: colorings" in err
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("RAMCAT_MAX_COLORINGS", "10")
     code, _, err = run(capsys, "verify", "p", "--category", "R",
@@ -547,16 +556,23 @@ def test_replay_upgrades_sampled_certificates(capsys, tmp_path):
 
 
 def test_jobs_yield_bitwise_identical_certificates(capsys, tmp_path):
-    texts = []
-    for jobs, name in ((1, "one.json"), (4, "four.json")):
-        cert = tmp_path / name
-        code, out, _ = run(capsys, "verify", "p", "--category", "R",
-                           "--functor", "dR,dR", "--a", "2", "--b", "3",
-                           "--c", "6", "--r", "2", "--jobs", str(jobs),
-                           "--out", str(cert))
-        assert code == 0
-        texts.append(cert.read_bytes())
-    assert texts[0] == texts[1]
+    dd = ("verify", "p", "--category", "R", "--functor", "dR,dR", "--a", "2",
+          "--b", "3", "--r", "2")
+    runs = {  # an exhaustive pass, a sampled product pass, a sampled fail
+        (*dd, "--c", "6"): (0, (1, 2, 4)),
+        ("construct", "--theorem", "product", "--coords", "1:2,1:2",
+         "--r", "2", "--samples", "20"): (0, (1, 2)),
+        (*dd, "--c", "5", "--mode", "sampled", "--samples", "500"): (1, (1, 2)),
+    }
+    for argv, (expect, job_counts) in runs.items():
+        texts = set()
+        for jobs in job_counts:
+            cert = tmp_path / f"{jobs}.json"
+            code, _, _ = run(capsys, *argv, "--jobs", str(jobs),
+                             "--out", str(cert))
+            assert code == expect
+            texts.add(cert.read_bytes())
+        assert len(texts) == 1
 
 
 # exit code and certificate digest of each argv run with --out; a refactor

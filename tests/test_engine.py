@@ -3,7 +3,7 @@
 import pytest
 
 from ramcat import engine
-from ramcat import (BudgetExceeded, Coloring, FpInstance, Morph,
+from ramcat import (BudgetExceeded, Category, Coloring, FpInstance, Morph,
                     ProductCategory, SearchBudget,
                     check_degree_bound, check_degree_witness, check_fp_witness,
                     check_p_witness, compose_word, degree_upper_bound, fiber,
@@ -163,6 +163,19 @@ def test_bad_mode_or_color_count_is_refused_before_any_hom(monkeypatch, r,
         check_p_witness(DD, 2, 3, 7, r, mode=mode)
 
 
+def test_exhaustive_over_the_coloring_budget_is_refused_before_any_hom(
+        monkeypatch):
+    def built(*args):
+        pytest.fail("a hom-set or action row was built before the refusal")
+
+    monkeypatch.setattr(SubsetCategory, "hom", built)
+    monkeypatch.setattr(Category, "action", built)
+    with pytest.raises(BudgetExceeded) as exc:
+        check_p_witness(DD, 2, 3, 120, 2, mode="exhaustive")
+    assert exc.value.quantity == "colorings"
+    assert exc.value.needed == 2 ** 7140     # C(120, 2) cells
+
+
 def test_step_hom_budget_refuses_before_enumerating(monkeypatch):
     def no_enumeration(self, a, b):
         pytest.fail(f"hom({a!r}, {b!r}) built before the budget refused it")
@@ -271,13 +284,16 @@ class _LateBrokenCompose(SubsetCategory):
         return good
 
 
-def test_validation_covers_rows_a_sampled_pass_never_reads():
-    # sample 0 passes on one of the first four checks of the sound category
-    res = check_p_witness(DR, 2, 3, 6, 2, mode="sampled", samples=1)
-    assert res.ok and res.checked == 1 and res.arrows == 20
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_validation_covers_rows_a_sampled_pass_never_reads(jobs):
+    # the sound category passes every sample early; the broken one fails
+    # validation in a row that no passing sample would read
+    kw = dict(mode="sampled", samples=jobs, jobs=jobs)
+    res = check_p_witness(DR, 2, 3, 6, 2, **kw)
+    assert res.ok and res.checked == jobs and res.arrows == 20
     broken = subset_boundary(_LateBrokenCompose())
     with pytest.raises(ValueError, match=r"not in hom\(2, 6\)"):
-        check_p_witness(broken, 2, 3, 6, 2, mode="sampled", samples=1)
+        check_p_witness(broken, 2, 3, 6, 2, **kw)
     # a product validates its factor tables before it streams any row
     pcat = ProductCategory((subset_category(), _LateBrokenCompose()))
     a, b, c = (pcat.pack(v) for v in ((1, 2), (1, 3), (1, 6)))
@@ -290,18 +306,20 @@ def test_sampled_pass_pulls_few_product_rows(monkeypatch):
     pcat = fun.dom
     a, b, c = (pcat.pack(v) for v in ((1, 1), (2, 2), (8, 8)))
     kw = dict(mode="sampled", samples=200)
-    eager = check_p_witness(fun, a, b, c, 2, jobs=2, **kw)
-    pulled = []
+    expected = check_p_witness(fun, a, b, c, 2, **kw)
+    calls, pulled = [], []          # filled in the calling process only
     real = ProductCategory.action
 
     def counted(self, x, y, z):
-        for row in real(self, x, y, z):
-            pulled.append(row)
-            yield row
+        calls.append((x, y, z))
+        return (pulled.append(row) or row for row in real(self, x, y, z))
 
     monkeypatch.setattr(ProductCategory, "action", counted)
+    # two jobs leave every action call to the workers
+    assert check_p_witness(fun, a, b, c, 2, jobs=2, **kw) == expected
+    assert calls == pulled == []
     res = check_p_witness(fun, a, b, c, 2, **kw)
-    assert res == eager and res.ok
+    assert res == expected and res.ok and calls == [(a, b, c)]
     assert res.arrows == pcat.hom_size(b, c) == 784
     assert 0 < len(pulled) <= res.arrows // 8
 

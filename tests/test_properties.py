@@ -1,5 +1,7 @@
 """Law-level invariants checked over drawn inputs."""
 
+from functools import partial
+
 import pytest
 from brute import (brute_first_failure, brute_first_sampled_failure,
                    brute_p_checks)
@@ -134,7 +136,8 @@ def sampled_instances(draw):
 @example((0, 3, 4, [((0, 1, 2, 3),)], 30))
 def test_sampled_scan_finds_the_least_failing_sample(cap, jobs, inst):
     seed, r, n, checks, samples = inst
-    assert (_first_sampled_failure(seed, r, n, checks, cap, samples, jobs)
+    source = partial(iter, checks)
+    assert (_first_sampled_failure(seed, r, n, source, cap, samples, jobs)
             == brute_first_sampled_failure(seed, r, n, checks, cap, samples))
 
 
