@@ -21,7 +21,7 @@ from itertools import count, product
 from math import comb
 from typing import Any, Iterator
 
-from ..core import Category, Functor, LiftError, Morph, sort_morphs
+from ..core import Category, Functor, LiftError, Morph
 
 _IDV = ("idv",)
 
@@ -88,18 +88,16 @@ class WordCategory(Category):
             return (self.identity(a),) if a == b else ()
         if ka == "L" and kb == "V":
             return ()
+        # product() is ascending-lex: under one tag, the canonical order
         if ka == "V" and kb == "L":
             k, l = self.image(a), b[1]
-            return sort_morphs(Morph(a, b, ("F", vals))
-                               for vals in product(range(1, k + 1), repeat=l))
+            return tuple([Morph(a, b, ("F", vals))
+                          for vals in product(range(1, k + 1), repeat=l)])
         l1, l2 = a[1], b[1]
-        morphs = []
-        rng = range(-self.k0, l1 + 1)
         required = set(range(1, l1 + 1))
-        for vals in product(rng, repeat=l2):
-            if required <= set(vals):
-                morphs.append(Morph(a, b, ("G", vals)))
-        return sort_morphs(morphs)
+        return tuple([Morph(a, b, ("G", vals))
+                      for vals in product(range(-self.k0, l1 + 1), repeat=l2)
+                      if required <= set(vals)])
 
     def hom_size(self, a: Any, b: Any) -> int:
         ka, kb = a[0], b[0]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import combinations, count
 from typing import Any, Iterator
 
-from ..core import Category, Functor, LiftError, Morph, binomial, sort_morphs
+from ..core import Category, Functor, LiftError, Morph, binomial
 
 ORIENTATIONS = ("definition", "mirror")
 
@@ -77,7 +77,7 @@ class StepCategory(Category):
         if tag == 2:
             if l < k:
                 return ()
-            morphs = []
+            payloads = []
             # p is determined by its k-1 ascent positions inside [l-1]
             for ascents in combinations(range(1, l), k - 1):
                 vals, cur = [], 1
@@ -86,11 +86,12 @@ class StepCategory(Category):
                     vals.append(cur)
                     if j in ascent_set:
                         cur += 1
-                morphs.append(Morph(a, b, tuple(vals)))
-            return sort_morphs(morphs)
-        left, right = self._endpoints(k, tag)
-        return sort_morphs(Morph(a, b, vals)
-                           for vals in _step_functions(l, left, right, k))
+                payloads.append(tuple(vals))
+        else:
+            left, right = self._endpoints(k, tag)
+            payloads = _step_functions(l, left, right, k)
+        # equal-length int payloads: tuple order is canonical order
+        return tuple([Morph(a, b, p) for p in sorted(payloads)])
 
     def hom_size(self, a: Any, b: Any) -> int:
         (k, tag), (l, tag_b) = a, b

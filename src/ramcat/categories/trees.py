@@ -16,11 +16,10 @@ reindexed.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations, count
 from typing import Any, Iterator, NamedTuple
 
-from ..core import Category, EncodingError, Functor, Morph, sort_morphs
+from ..core import Category, EncodingError, Functor, Morph
 
 
 def structure(t: tuple) -> tuple[list, list, list]:
@@ -55,6 +54,7 @@ class _Shape(NamedTuple):
     children: tuple[tuple[int, ...], ...]
     depth: tuple[int, ...]
     height: int
+    levels: tuple[int, ...]      # node count at each depth
     kept: tuple[int, ...]        # preorder indices above the deepest level
     renumber: tuple[int, ...]    # each kept node's index in the truncation
     truncation: tuple
@@ -79,8 +79,9 @@ def _shape(t: tuple) -> _Shape:
     trunc = tuple(0 if depth[i] == h - 1 else t[i] for i in kept) if h else t
     if len(_SHAPES) >= _MAX_SHAPES:
         _SHAPES.clear()
+    levels = tuple(depth.count(d) for d in range(h + 1))
     shape = _SHAPES[t] = _Shape(tuple(map(tuple, children)), tuple(depth), h,
-                                kept, tuple(renumber), trunc)
+                                levels, kept, tuple(renumber), trunc)
     return shape
 
 
@@ -137,6 +138,13 @@ def _tree_products(parts: tuple[int, ...]) -> Iterator[tuple]:
             yield head + tail
 
 
+def _may_embed(sa: _Shape, sb: _Shape) -> bool:
+    """Embeddings keep depth and are injective, so each level of the source
+    must fit in the same level of the target."""
+    return sa.height == sb.height and all(
+        x <= y for x, y in zip(sa.levels, sb.levels))
+
+
 class TreeCategory(Category):
     name = "trees"
     encoding_version = "1"
@@ -154,45 +162,51 @@ class TreeCategory(Category):
 
     def hom(self, a: Any, b: Any) -> tuple[Morph, ...]:
         sa, sb = _shape(a), _shape(b)
-        if sa.height != sb.height:
+        if not _may_embed(sa, sb):
             return ()
         cha, chb = sa.children, sb.children
+        memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-        def maps(v: int, w: int) -> list[dict[int, int]]:
-            kids = cha[v]
-            if not kids:
-                return [{v: w}]
-            out = []
+        def maps(v: int, w: int) -> list[tuple[int, ...]]:
+            # the images of v's subtree, a preorder range of a, with v at w
+            out = memo.get((v, w))
+            if out is not None:
+                return out
+            kids, out = cha[v], []
             for targets in combinations(chb[w], len(kids)):
-                partials = [{v: w}]
+                partials = [(w,)]
                 for u, x in zip(kids, targets):
                     sub = maps(u, x)
-                    partials = [{**p, **m} for p in partials for m in sub]
+                    partials = [p + m for p in partials for m in sub]
                     if not partials:
                         break
                 out.extend(partials)
+            memo[v, w] = out
             return out
 
-        n = len(a)
-        return sort_morphs(Morph(a, b, tuple(m[i] for i in range(n)))
-                           for m in maps(0, 0))
+        # equal-length int payloads: tuple order is canonical order
+        return tuple([Morph(a, b, p) for p in sorted(maps(0, 0))])
 
     def hom_size(self, a: Any, b: Any) -> int:
         sa, sb = _shape(a), _shape(b)
-        if sa.height != sb.height:
+        if not _may_embed(sa, sb):
             return 0
         cha, chb = sa.children, sb.children
+        memo: dict[tuple[int, int], int] = {}
 
-        @cache
         def embeddings(v: int, w: int) -> int:
             # row[j]: ways to embed v's children so far among w's first j
+            out = memo.get((v, w))
+            if out is not None:
+                return out
             row = [1] * (len(chb[w]) + 1)
             for u in cha[v]:
                 new = [0]
                 for j, x in enumerate(chb[w], 1):
                     new.append(new[j - 1] + row[j - 1] * embeddings(u, x))
                 row = new
-            return row[-1]
+            out = memo[v, w] = row[-1]
+            return out
 
         return embeddings(0, 0)
 

@@ -80,10 +80,17 @@ def prf_color(seed: int, sample: int, cell: int, r: int) -> int:
 
 
 class BudgetExceeded(Exception):
-    """An exhaustive check or hom materialization would overrun its cap."""
+    """An exhaustive check or hom materialization would overrun its cap.
 
-    def __init__(self, quantity: str, needed: int, cap: int, where: str = ""):
-        super().__init__(f"{quantity}: need {needed}, cap {cap}{where}")
+    `power=(r, n)` says that needed == r**n; the message then shows a count
+    past 10**18 as "r**n" rather than in all its digits.
+    """
+
+    def __init__(self, quantity: str, needed: int, cap: int, where: str = "",
+                 *, power: tuple[int, int] | None = None):
+        shown = (f"{power[0]}**{power[1]}" if power and needed > 10 ** 18
+                 else needed)
+        super().__init__(f"{quantity}: need {shown}, cap {cap}{where}")
         self.quantity = quantity
         self.needed = needed
         self.cap = cap
@@ -306,7 +313,8 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
         raise ValueError("no 0-colorings of a nonempty hom set")
     total = r ** n
     if mode == "exhaustive" and total > budget.max_colorings:
-        raise BudgetExceeded("colorings", total, budget.max_colorings)
+        raise BudgetExceeded("colorings", total, budget.max_colorings,
+                             power=(r, n))
     exhaustive = mode != "sampled" and total <= budget.max_colorings
     if samples < 1 and not exhaustive:
         raise ValueError(f"samples must be at least 1, got {samples}")

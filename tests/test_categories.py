@@ -2,7 +2,7 @@
 
 import pickle
 from collections import Counter
-from itertools import product
+from itertools import product, takewhile
 
 import pytest
 
@@ -401,6 +401,34 @@ def test_product_hom_is_canonical_without_sorting():
             for b in objs:
                 hom = pcat.hom(a, b)
                 assert hom == sort_morphs(hom), (pcat.name, a, b)
+
+
+# wider single-category fragments: hom-sets that sort their payload tuples
+# directly, or take their generator's order, must still come out in canonical
+# order, and as many as hom_size counts
+_STEP_OBJECTS = tuple((k, tag) for k in range(1, 6) for tag in (0, 1, 2)
+                      if StepCategory().is_object((k, tag)))
+_SINGLE_FRAGMENTS = [
+    pytest.param(subset_category(), tuple(range(6)), id="subset"),
+    pytest.param(tree_category(),
+                 tuple(takewhile(lambda t: len(t) <= 6,
+                                 tree_category().iter_objects())),
+                 id="trees-to-6-nodes"),
+    *(pytest.param(StepCategory(o), _STEP_OBJECTS, id=f"step-{o}")
+      for o in ("definition", "mirror")),
+    *(pytest.param(word_category(k0), word_category(k0).v_objects()
+                   + tuple(("L", l) for l in range(5)), id=f"word-{k0}")
+      for k0 in (0, 1)),
+]
+
+
+@pytest.mark.parametrize("cat, objs", _SINGLE_FRAGMENTS)
+def test_single_category_hom_is_canonical_and_counted(cat, objs):
+    for a in objs:
+        for b in objs:
+            hom = cat.hom(a, b)
+            assert hom == sort_morphs(hom), (cat.name, a, b)
+            assert len(hom) == cat.hom_size(a, b), (cat.name, a, b)
 
 
 def test_product_action_matches_generic_action():

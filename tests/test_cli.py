@@ -154,6 +154,16 @@ def test_exhaustive_over_budget_refuses_before_any_hom(capsys, monkeypatch):
     assert code == 2 and "budget refusal: colorings" in err
 
 
+def test_coloring_budget_refusal_is_short(capsys):
+    # 2**7140 has 2,150 digits; the refusal names the power instead
+    code, _, err = run(capsys, "verify", "p", "--category", "R",
+                       "--functor", "dR,dR", "--a", "2", "--b", "3",
+                       "--c", "120", "--r", "2", "--mode", "exhaustive")
+    assert code == 2
+    line, = err.splitlines()
+    assert "2**7140" in line and len(line) < 200
+
+
 def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("RAMCAT_MAX_COLORINGS", "10")
     code, _, err = run(capsys, "verify", "p", "--category", "R",

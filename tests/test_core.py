@@ -1,5 +1,8 @@
 """Canonical encoding, morphism plumbing, and the law/frankness checkers."""
 
+import copy
+import pickle
+
 import pytest
 
 from ramcat import (EncodingError, IdentityFunctor, LiftError, Morph, binomial,
@@ -80,6 +83,28 @@ def test_morph_key_and_sort():
     assert m.key() == canon_bytes((1, 3))
     assert m.encode() == canon_bytes((2, 4, (1, 3)))
     assert canon_parse(m.encode()) == (2, 4, (1, 3))
+
+
+def test_morph_is_an_immutable_value():
+    m = Morph(2, 4, (1, 3))
+    for field in ("dom", "cod", "data"):
+        with pytest.raises(AttributeError):
+            setattr(m, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(m, field)
+    assert (m.dom, m.cod, m.data) == (2, 4, (1, 3))
+    assert hash(m) == hash((m.dom, m.cod, m.data))
+    assert repr(m) == "Morph(dom=2, cod=4, data=(1, 3))"
+    assert repr(Morph(("V", (1,)), ("L", 0), ("F", ()))) == \
+        "Morph(dom=('V', (1,)), cod=('L', 0), data=('F', ()))"
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m),
+                   copy.copy(m)):
+        assert type(copied) is Morph and copied == m
+        assert hash(copied) == hash(m)
+    assert m == Morph(2, 4, (1, 3)) and m != Morph(2, 4, (1, 2))
+    assert m != (m.dom, m.cod, m.data)
+    with pytest.raises(EncodingError):
+        canon_bytes(m)
 
 
 # ---------------------------------------------------------------------------
