@@ -6,7 +6,8 @@ certificates written via --out are the reproducible artifact.
 
 Default caps come from SearchBudget and can be overridden per run with
 --max-colorings/--max-hom-size or the environment variables
-RAMCAT_MAX_COLORINGS and RAMCAT_MAX_HOM_SIZE.
+RAMCAT_MAX_COLORINGS and RAMCAT_MAX_HOM_SIZE; construct also takes
+--max-color-bits and --max-pairs, and every theorem obeys all four.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .categories.trees import height, tree_category, tree_truncation
 from .core import Category, Functor, IdentityFunctor, compose_word
 from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, FpInstance,
                      SearchBudget, check_degree_bound, functor_image,
-                     ramsey_degree, require_hom_budget)
+                     ramsey_degree)
 from .certificates import (CertificateError, Claim, StaleCertificateError,
                            dump_certificate, load_certificate, morph_unhex,
                            replay_verify)
-from .constructions import (DEFAULT_CHECK_PAIRS, DEFAULT_MAX_COLOR_BITS,
-                            ConstructionError, fouche_witness, fp_provider,
+from .constructions import (ConstructionError, fouche_witness, fp_provider,
                             fp_to_p_construct, hj_provider, hj_witness,
                             p_pigeonhole_witness, product_ramsey_numbers,
                             r_fp_oracle, r_fp_witness, subset_g_prime,
@@ -111,14 +111,18 @@ def functor_word(tokens: dict[str, Functor], text: str) -> list[Functor]:
 
 
 def budget_from(args) -> SearchBudget:
-    """Caps from the flags, else from the environment, else the defaults."""
+    """Caps from the flags, else from the environment, else the defaults;
+    only construct has the color-bit and pair flags."""
     def cap(flag: int | None, var: str, default: int) -> int:
         return flag if flag is not None else int(os.environ.get(var, default))
     return SearchBudget(
         max_colorings=cap(args.max_colorings, "RAMCAT_MAX_COLORINGS",
                           SearchBudget.max_colorings),
         max_hom_size=cap(args.max_hom_size, "RAMCAT_MAX_HOM_SIZE",
-                         SearchBudget.max_hom_size))
+                         SearchBudget.max_hom_size),
+        max_color_bits=getattr(args, "max_color_bits",
+                               SearchBudget.max_color_bits),
+        max_pairs=getattr(args, "max_pairs", SearchBudget.max_pairs))
 
 
 def _engine_kw(args) -> dict:
@@ -164,9 +168,8 @@ def cmd_verify(args) -> int:
     a, b, c = parse(args.a), parse(args.b), parse(args.c)
     if args.kind == "p":
         return _settle(args, Claim(fun, a, b, c, args.r))
-    require_hom_budget(fun.dom, budget_from(args), (a, b))
     s = (tuple(morph_unhex(x) for x in args.s.split(","))
-         if args.s else functor_image(fun, a, b))
+         if args.s else functor_image(fun, a, b, budget_from(args)))
     if args.f_prime and args.g_prime:
         f_prime, g_prime = morph_unhex(args.f_prime), morph_unhex(args.g_prime)
     elif args.category.partition(":")[0] == "R" and args.functor == "dR":
@@ -179,79 +182,73 @@ def cmd_verify(args) -> int:
     return _settle(args, Claim(fun, a, b, c, args.r, (s, f_prime, g_prime)))
 
 
-# Each theorem returns its claim, the constructed value to print and the
-# construction trace; _settle checks and certifies it under the theorem's name.
+# Each theorem builds under the run's budget and returns its claim, the value
+# to print and the trace; _settle checks and certifies it under its name.
 Built = tuple[Claim, Any, dict | None]
 
 
-def _theorem_fp2p(args) -> Built:
+def _theorem_fp2p(args, budget: SearchBudget) -> Built:
     delta = subset_boundary()
     c, trace = fp_to_p_construct(delta, args.k, args.l, args.r,
                                  r_fp_oracle(delta), selection="max-rule",
-                                 budget=budget_from(args))
+                                 budget=budget)
     return Claim(delta, args.k, args.l, c, args.r), c, trace.doc()
 
 
-def _theorem_r_fp(args) -> Built:
+def _theorem_r_fp(args, budget: SearchBudget) -> Built:
     delta = subset_boundary()
-    require_hom_budget(delta.dom, budget_from(args), (args.k, args.l))
-    s = functor_image(delta, args.k, args.l)
+    s = functor_image(delta, args.k, args.l, budget)
     c, f_prime, g_prime = r_fp_witness(
         FpInstance(a=args.k, b=args.l, s=s, r=args.r), delta)
     claim = Claim(delta, args.k, args.l, c, args.r, (s, f_prime, g_prime))
     return claim, c, None
 
 
-def _theorem_pigeonhole(args) -> Built:
+def _theorem_pigeonhole(args, budget: SearchBudget) -> Built:
     c = p_pigeonhole_witness(args.k1, args.l, args.r)
     delta = StepBoundary(StepCategory(args.orientation))
     return Claim(delta, (args.k1, 1), (args.l, 2), c, args.r), c, None
 
 
-def _theorem_compose(args) -> Built:
+def _theorem_compose(args, budget: SearchBudget) -> Built:
     delta = subset_boundary()
     word = [delta] * args.length
     c, trace = word_witness(word, args.k, args.l, args.r,
-                            fp_provider(r_fp_oracle, "max-rule",
-                                        budget_from(args)))
+                            fp_provider(r_fp_oracle, "max-rule", budget))
     return Claim(compose_word(word), args.k, args.l, c, args.r), c, trace.doc()
 
 
-def _theorem_product(args) -> Built:
+def _theorem_product(args, budget: SearchBudget) -> Built:
     pairs = [pair.split(":") for pair in args.coords.split(",")]
     try:
         kvec = tuple(int(p[0]) for p in pairs)
         pvec = tuple(int(p[1]) for p in pairs)
     except (IndexError, ValueError) as exc:
         raise CliError(f"--coords reads k:p pairs, got {args.coords!r}") from exc
-    qvec, trace = product_ramsey_numbers(kvec, pvec, args.r)
+    qvec, trace = product_ramsey_numbers(kvec, pvec, args.r, budget=budget)
     fun = product_functor(*[subset_boundary() for _ in kvec])
     pack = fun.dom.pack
     return (Claim(fun, pack(kvec), pack(pvec), pack(qvec), args.r), qvec,
             trace.doc())
 
 
-def _theorem_modeling(args) -> Built:
+def _theorem_modeling(args, budget: SearchBudget) -> Built:
     fun = WordBoundary(WordCategory(args.k))
     v0, b = standard_window(args.k), ("L", args.l)
-    provider = hj_provider(args.max_color_bits, args.max_pairs,
-                           budget_from(args))
-    c, note = provider(fun, v0, b, args.r)
+    c, note = hj_provider(budget)(fun, v0, b, args.r)
     return Claim(fun, v0, b, c, args.r), c, note
 
 
-def _theorem_hj(args) -> Built:
-    m, trace = hj_witness(args.k, args.l, args.r,
-                          max_color_bits=args.max_color_bits,
-                          max_pairs=args.max_pairs, budget=budget_from(args))
+def _theorem_hj(args, budget: SearchBudget) -> Built:
+    m, trace = hj_witness(args.k, args.l, args.r, budget=budget)
     fun = compose_word([WordBoundary(WordCategory(args.k))] * args.k)
     return (Claim(fun, standard_window(args.k), ("L", args.l), ("L", m),
                   args.r), m, trace.doc())
 
 
-def _theorem_fouche(args) -> Built:
+def _theorem_fouche(args, budget: SearchBudget) -> Built:
     s_tree, t_tree = _parse_tree(args.s_tree), _parse_tree(args.t_tree)
-    v, trace = fouche_witness(s_tree, t_tree, args.r)
+    v, trace = fouche_witness(s_tree, t_tree, args.r, budget=budget)
     fun = (IdentityFunctor(tree_category()) if trace is None
            else compose_word([tree_truncation()] * height(s_tree)))
     return Claim(fun, s_tree, t_tree, v, args.r), v, trace and trace.doc()
@@ -264,7 +261,8 @@ _THEOREMS = {"fp2p": _theorem_fp2p, "r-fp": _theorem_r_fp,
 
 
 def cmd_construct(args) -> int:
-    return _settle(args, *_THEOREMS[args.theorem](args), args.theorem)
+    built = _THEOREMS[args.theorem](args, budget_from(args))
+    return _settle(args, *built, args.theorem)
 
 
 def _parse_pool(text: str) -> tuple[int, ...]:
@@ -384,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--s-tree", default="1,0", help="fouche: child counts")
     pc.add_argument("--t-tree", default="2,0,0", help="fouche: child counts")
     pc.add_argument("--max-color-bits", type=int,
-                    default=DEFAULT_MAX_COLOR_BITS)
-    pc.add_argument("--max-pairs", type=int, default=DEFAULT_CHECK_PAIRS)
+                    default=SearchBudget.max_color_bits)
+    pc.add_argument("--max-pairs", type=int, default=SearchBudget.max_pairs)
     _add_engine_flags(pc)
     pc.set_defaults(fn=cmd_construct)
 

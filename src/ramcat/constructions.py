@@ -6,8 +6,9 @@ their own output; the engine does that separately, and the certificates module
 packages trace + verdict.
 
 Color blow-ups (R = r**M) use exact integers; a stage whose color count would
-exceed ``max_color_bits`` bits aborts explicitly instead of attempting the
-arithmetic.
+exceed the run budget's ``max_color_bits`` (a ``SearchBudget`` field, set on
+the command line by ``construct --max-color-bits``) is refused with
+``BudgetExceeded`` instead of attempting the arithmetic.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .categories.hjcat import standard_window, word_boundary, word_category
 from .core import Category, Functor, Morph, canon_hex, sort_morphs
 from .engine import (BudgetExceeded, FpInstance, SearchBudget, functor_image,
                      require_hom_budget, search_p_witness)
-
-DEFAULT_MAX_COLOR_BITS = 1_000_000
-DEFAULT_CHECK_PAIRS = 500_000
 
 CONSTRUCTED = "constructed-by-theorem"
 SEARCHED = "found-by-search"
@@ -228,8 +226,7 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
     Each stage's hom(a, c) past the budget's hom-size cap is refused before
     the oracle is called: the stage objects grow geometrically.
     """
-    require_hom_budget(delta.dom, budget, (a, b))
-    image = functor_image(delta, a, b)
+    image = functor_image(delta, a, b, budget)
     n = len(image)
     if n == 0:
         return b, FpToPTrace(a, b, r, 0, b, selection, ())
@@ -401,20 +398,21 @@ def _put(values: tuple, p: int, x: Any) -> tuple:
 
 
 def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
-                    max_color_bits: int = DEFAULT_MAX_COLOR_BITS
+                    budget: SearchBudget | None = None
                     ) -> tuple[tuple, ProductTrace]:
     """Coordinate-staged witness for the product of the coordinate functors.
 
     Coordinates are handled in ascending index order; the stage for
     coordinate p sees the other coordinates' current hom-sizes as the color
     blow-up exponent M and asks its provider for a witness at r**M colors.
-    Stage color counts beyond max_color_bits bits abort explicitly.
+    Stage color counts beyond the budget's max_color_bits bits are refused.
     """
     if not coords:
         raise ValueError("a product needs at least one coordinate")
     if r < 1:
         raise ValueError("need at least one color")
     k = len(coords)
+    max_bits = (budget or SearchBudget()).max_color_bits
     stages: dict[int, ProductStage] = {}
 
     def go(p: int, x_vals: tuple, y_vals: tuple) -> tuple:
@@ -434,10 +432,9 @@ def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
             cat = coords[i].delta.cod if i < p else coords[i].delta.dom
             m_exp *= cat.hom_size(x_vals[i], y_cur[i])
         bits = m_exp * max(1, r.bit_length())
-        if bits > max_color_bits:
+        if bits > max_bits:
             # refusal, not failure: the blow-up r**M is representable but useless
-            raise BudgetExceeded(f"coordinate {p} color bits", bits,
-                                 max_color_bits)
+            raise BudgetExceeded(f"coordinate {p} color bits", bits, max_bits)
         big_r = r ** m_exp
         c_p = _stage(f"coordinate {p} provider",
                      lambda: coord.provider(coord.delta, x_vals[p], y_cur[p],
@@ -453,35 +450,34 @@ def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
     return c_vals, ProductTrace(r, a_vals, b_vals, c_vals, ordered)
 
 
-def product_provider(coord_provider: WitnessProvider, *,
-                     max_color_bits: int = DEFAULT_MAX_COLOR_BITS
-                     ) -> WitnessProvider:
+def product_provider(coord_provider: WitnessProvider,
+                     budget: SearchBudget | None = None) -> WitnessProvider:
     """Witnesses for a ProductFunctor at packed (a, b): the staged product
     with coord_provider at every coordinate; the note is its trace."""
     def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
         cat = fun.dom
         coords = [ProductCoordinate(part, x, y, coord_provider) for part, x, y
                   in zip(fun.parts, cat.values(a), cat.values(b))]
-        c_vals, trace = product_witness(coords, r,
-                                        max_color_bits=max_color_bits)
+        c_vals, trace = product_witness(coords, r, budget=budget)
         return cat.pack(c_vals), {"product": trace.doc()}
 
     return WitnessProvider(fn, coord_provider.provenance)
 
 
 def product_ramsey_numbers(kvec: Sequence[int], pvec: Sequence[int], r: int, *,
-                           max_color_bits: int = DEFAULT_MAX_COLOR_BITS
+                           budget: SearchBudget | None = None
                            ) -> tuple[tuple, ProductTrace]:
-    """Grid Ramsey dimensions via the staged product of subset boundaries."""
+    """Grid Ramsey dimensions via the staged product of subset boundaries,
+    each coordinate built by the fp->p recursion under the budget."""
     if len(kvec) != len(pvec) or not kvec:
         raise ValueError("need equally long, non-empty vectors")
     for kk, pp in zip(kvec, pvec):
         if not 0 <= kk <= pp:
             raise ValueError(f"need 0 <= k <= p per coordinate, got {(kk, pp)}")
-    provider = fp_provider(r_fp_oracle)
+    provider = fp_provider(r_fp_oracle, budget=budget)
     coords = [ProductCoordinate(subset_boundary(), kk, pp, provider)
               for kk, pp in zip(kvec, pvec)]
-    return product_witness(coords, r, max_color_bits=max_color_bits)
+    return product_witness(coords, r, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +516,11 @@ class RelationCheck:
 
 
 def _sweep(pairs: Iterable, test: Callable[[Any], str],
-           max_pairs: int) -> RelationCheck:
-    """Test pairs until a violation or max_pairs tests; one more pair marks
-    the check partial, at the cost of drawing it from the lazy pairs only."""
+           budget: SearchBudget | None) -> RelationCheck:
+    """Test pairs until a violation or the budget's max_pairs tests; one more
+    pair marks the check partial, at the cost of drawing it from the lazy
+    pairs only."""
+    max_pairs = (budget or SearchBudget()).max_pairs
     checked = 0
     for pair in pairs:
         if checked >= max_pairs:
@@ -552,7 +550,6 @@ def _g_f_pairs(rel: CrossRelation, budget: SearchBudget | None
 
 
 def check_cross_zeta(rel: CrossRelation, *,
-                     max_pairs: int = DEFAULT_CHECK_PAIRS,
                      budget: SearchBudget | None = None) -> RelationCheck:
     """zeta(g.phi(f,g)) == psi(g).f over all in-cap (f, g) pairs."""
     if rel.zeta is None:
@@ -564,11 +561,10 @@ def check_cross_zeta(rel: CrossRelation, *,
             return ""
         return f"zeta identity fails at f={f.data!r}, g={g.data!r}"
 
-    return _sweep(_g_f_pairs(rel, budget), test, max_pairs)
+    return _sweep(_g_f_pairs(rel, budget), test, budget)
 
 
 def check_cross_welldefined(rel: CrossRelation, *,
-                            max_pairs: int = DEFAULT_CHECK_PAIRS,
                             budget: SearchBudget | None = None) -> RelationCheck:
     """g.phi(f,g) == g'.phi(f',g') implies psi(g).f == psi(g').f'."""
     seen: dict[bytes, Morph] = {}
@@ -582,12 +578,11 @@ def check_cross_welldefined(rel: CrossRelation, *,
         return ("well-definedness fails: equal composites "
                 "with different transfers")
 
-    return _sweep(_g_f_pairs(rel, budget), test, max_pairs)
+    return _sweep(_g_f_pairs(rel, budget), test, budget)
 
 
 def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
                                  delta: Functor, *,
-                                 max_pairs: int = DEFAULT_CHECK_PAIRS,
                                  budget: SearchBudget | None = None
                                  ) -> RelationCheck:
     """gamma f == gamma f' implies delta phi(f,g) == delta phi(f',g)."""
@@ -606,7 +601,7 @@ def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
         return (f"compatibility fails at f={lead.data!r}, "
                 f"f'={other.data!r}, g={getattr(g, 'data', None)!r}")
 
-    return _sweep(triples, test, max_pairs)
+    return _sweep(triples, test, budget)
 
 
 def identity_modeling(cat: Category, a: Any, b: Any, c: Any) -> CrossRelation:
@@ -647,8 +642,7 @@ class ModelingTrace:
 def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
                       delta_witness: WitnessProvider, gamma: Functor,
                       delta: Functor, d1: Any, d2: Any, a: Any, b: Any, r: int,
-                      *, max_pairs: int = DEFAULT_CHECK_PAIRS,
-                      budget: SearchBudget | None = None
+                      *, budget: SearchBudget | None = None
                       ) -> tuple[Any, ModelingTrace]:
     """Pull a witness for gamma at (a, b) across modeling data.
 
@@ -662,15 +656,14 @@ def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
         raise ConstructionError("relation triple disagrees with (a, b, c)")
     if (rel.d1, rel.d2, rel.d3) != (d1, d2, d3):
         raise ConstructionError("relation triple disagrees with (d1, d2, d3)")
-    sweep = {"max_pairs": max_pairs, "budget": budget}
-    compat = check_modeling_compatibility(rel, gamma, delta, **sweep)
+    compat = check_modeling_compatibility(rel, gamma, delta, budget=budget)
     if not compat.ok:
         raise ConstructionError(f"modeling {compat.violation}")
     if rel.zeta is not None:
-        wd = check_cross_zeta(rel, **sweep)
+        wd = check_cross_zeta(rel, budget=budget)
         via = "zeta-identity"
     else:
-        wd = check_cross_welldefined(rel, **sweep)
+        wd = check_cross_welldefined(rel, budget=budget)
         via = "equal-composite-scan"
     if not wd.ok:
         raise ConstructionError(f"modeling {wd.violation}")
@@ -681,7 +674,7 @@ def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
 def r_modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
                         degree_provider: Callable[[Any, Any, int], tuple[Any, int]],
                         d1: Any, d2: Any, r: int, *,
-                        max_pairs: int = DEFAULT_CHECK_PAIRS
+                        budget: SearchBudget | None = None
                         ) -> tuple[Any, int, RelationCheck]:
     """Degree-bound transfer: only zeta data is needed, no functors.
 
@@ -693,7 +686,7 @@ def r_modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]]
     c3, rel = _stage("relation provider", lambda: rel_provider(d3))
     if rel.zeta is None:
         raise ConstructionError("degree transfer needs zeta data")
-    check = check_cross_zeta(rel, max_pairs=max_pairs)
+    check = check_cross_zeta(rel, budget=budget)
     if not check.ok:
         raise ConstructionError(check.violation)
     return c3, k, check
@@ -779,12 +772,10 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
     return l_prime, rel
 
 
-def hj_provider(max_color_bits: int, max_pairs: int,
-                budget: SearchBudget | None = None) -> WitnessProvider:
+def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
     """Word-boundary witnesses at (window, ("L", l)): a staged product of
     pigeonhole witnesses, transferred through the block modeling."""
-    delta_witness = product_provider(pigeonhole_provider(),
-                                     max_color_bits=max_color_bits)
+    delta_witness = product_provider(pigeonhole_provider(), budget)
 
     def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
         lam = b[1]
@@ -795,16 +786,13 @@ def hj_provider(max_color_bits: int, max_pairs: int,
             return ("L", l_prime), rel
 
         c3, trace = modeling_transfer(rel_provider, delta_witness, fun,
-                                      delta_fun, d1, d2, a, b, r,
-                                      max_pairs=max_pairs, budget=budget)
+                                      delta_fun, d1, d2, a, b, r, budget=budget)
         return c3, trace.doc()
 
     return WitnessProvider(fn, CONSTRUCTED)
 
 
 def hj_witness(k: int, l: int, r: int, *,
-               max_color_bits: int = DEFAULT_MAX_COLOR_BITS,
-               max_pairs: int = DEFAULT_CHECK_PAIRS,
                budget: SearchBudget | None = None) -> tuple[int, WordTrace]:
     """Dimension m for the combinatorial-line statement at window size k.
 
@@ -816,7 +804,7 @@ def hj_witness(k: int, l: int, r: int, *,
         raise ValueError(f"need k, l, r >= 1, got {(k, l, r)}")
     word = [word_boundary(k)] * k
     c, trace = word_witness(word, standard_window(k), ("L", l), r,
-                            hj_provider(max_color_bits, max_pairs, budget))
+                            hj_provider(budget))
     return c[1], trace
 
 
@@ -825,7 +813,7 @@ def hj_witness(k: int, l: int, r: int, *,
 
 
 def fouche_witness(s_tree: tuple, t_tree: tuple, r: int, *,
-                   max_color_bits: int = DEFAULT_MAX_COLOR_BITS
+                   budget: SearchBudget | None = None
                    ) -> tuple[tuple, WordTrace | None]:
     """Tree V making embeddings of S into T monochromatic inside V.
 
@@ -839,12 +827,11 @@ def fouche_witness(s_tree: tuple, t_tree: tuple, r: int, *,
         return t_tree, None
 
     def product_ramsey(kvec: tuple, pvec: tuple, rr: int) -> tuple:
-        return product_ramsey_numbers(kvec, pvec, rr,
-                                      max_color_bits=max_color_bits)[0]
+        return product_ramsey_numbers(kvec, pvec, rr, budget=budget)[0]
 
     def oracle_for(trunc: Functor) -> Callable[[FpInstance], tuple]:
         return lambda inst: tree_fp_witness(inst, product_ramsey, trunc)
 
     word = [tree_truncation()] * height(s_tree)
     return word_witness(word, s_tree, t_tree, r,
-                        fp_provider(oracle_for, "first-canonical"))
+                        fp_provider(oracle_for, "first-canonical", budget))

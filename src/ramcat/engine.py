@@ -40,6 +40,7 @@ all.  jobs > 1 pickles the source, so its category must pickle.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
@@ -82,14 +83,19 @@ def prf_color(seed: int, sample: int, cell: int, r: int) -> int:
 class BudgetExceeded(Exception):
     """An exhaustive check or hom materialization would overrun its cap.
 
-    `power=(r, n)` says that needed == r**n; the message then shows a count
-    past 10**18 as "r**n" rather than in all its digits.
+    The message shows a count past 10**18 without its decimal digits: as
+    "r**n" when `power=(r, n)` says that needed == r**n, else as "at least
+    10**e".  `needed` stays exact.
     """
 
     def __init__(self, quantity: str, needed: int, cap: int, where: str = "",
                  *, power: tuple[int, int] | None = None):
-        shown = (f"{power[0]}**{power[1]}" if power and needed > 10 ** 18
-                 else needed)
+        shown = needed
+        if needed > 10 ** 18 and power:
+            shown = f"{power[0]}**{power[1]}"
+        elif needed > 10 ** 18:
+            exp = int(math.log10(needed))   # the float may round up at 10**e
+            shown = f"at least 10**{exp - (needed < 10 ** exp)}"
         super().__init__(f"{quantity}: need {shown}, cap {cap}{where}")
         self.quantity = quantity
         self.needed = needed
@@ -98,8 +104,12 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Every cap a run obeys; certificates record only the first two."""
+
     max_colorings: int = 1_000_000
     max_hom_size: int = 2_000_000
+    max_color_bits: int = 1_000_000
+    max_pairs: int = 500_000
 
 
 @dataclass(frozen=True)
@@ -163,8 +173,11 @@ def fiber(delta: Functor, a: Any, b: Any, target: Morph) -> tuple[Morph, ...]:
     return tuple(f for f in delta.dom.hom(a, b) if delta.morph(f) == target)
 
 
-def functor_image(delta: Functor, a: Any, b: Any) -> tuple[Morph, ...]:
-    """Distinct images of hom(a, b) under the functor, canonically ordered."""
+def functor_image(delta: Functor, a: Any, b: Any,
+                  budget: SearchBudget | None = None) -> tuple[Morph, ...]:
+    """Distinct images of hom(a, b) under the functor, canonically ordered;
+    hom(a, b) past the budget's hom-size cap is refused before it is built."""
+    require_hom_budget(delta.dom, budget, (a, b))
     seen: dict[bytes, Morph] = {}
     for f in delta.dom.hom(a, b):
         m = delta.morph(f)

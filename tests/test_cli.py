@@ -11,6 +11,7 @@ import pytest
 import ramcat
 from ramcat import (Claim, ProductCategory, SearchBudget, SubsetCategory,
                     dump_certificate, load_certificate, replay_verify)
+from ramcat.categories import TreeCategory, WordCategory
 from ramcat.certificates import document_digest
 from ramcat.cli import main
 from ramcat.core import canon_hex
@@ -27,6 +28,19 @@ def forbid_hom(monkeypatch, cls):
     def built(self, a, b):
         raise AssertionError(f"{cls.__name__}.hom({a!r}, {b!r}) was built")
     monkeypatch.setattr(cls, "hom", built)
+
+
+def within_cap(hom, cap):
+    """hom, failing on any hom-set past cap: a refusal must come first."""
+    def built(self, a, b):
+        if self.hom_size(a, b) > cap:
+            raise AssertionError(f"hom({a!r}, {b!r}) was built past the cap")
+        return hom(self, a, b)
+    return built
+
+
+def forbid_check(self, **kw):
+    raise AssertionError("the claim was checked: construction did not refuse")
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +318,47 @@ def test_fp_recursion_refuses_growing_stages(capsys, theorem, cap, need):
     assert code == 2, err
     assert f"hom-set size: need {need}, cap {cap or 2000000}" in err
     assert not out
+
+
+@pytest.mark.parametrize("theorem, flags", [
+    ("product", ("--max-color-bits", "3")),
+    ("modeling", ("--max-color-bits", "1")),
+    ("hj", ("--max-color-bits", "1")),
+    ("fouche", ("--s-tree", "2,0,0", "--t-tree", "3,0,0,0",
+                "--max-color-bits", "1"))])
+def test_every_staged_product_obeys_max_color_bits(capsys, monkeypatch,
+                                                   theorem, flags):
+    # a run that reached its check would end in exit 1, not a refusal
+    monkeypatch.setattr(Claim, "check", forbid_check)
+    code, out, err = run(capsys, "construct", "--theorem", theorem, "--r", "2",
+                         "--samples", "20", *flags)
+    assert code == 2, err
+    assert "color bits" in err and not out
+
+
+@pytest.mark.parametrize("theorem", [
+    "fp2p", "r-fp", "compose", "product", "modeling", "hj", "fouche"])
+def test_every_construction_obeys_max_hom_size(capsys, monkeypatch, theorem):
+    # p-pigeonhole builds no hom-set: only its check can refuse
+    monkeypatch.setattr(Claim, "check", forbid_check)
+    for cls in (SubsetCategory, ProductCategory, TreeCategory, WordCategory):
+        monkeypatch.setattr(cls, "hom", within_cap(cls.hom, 1))
+    code, out, err = run(capsys, "construct", "--theorem", theorem, "--r", "2",
+                         "--k", "1", "--l", "2", "--max-hom-size", "1")
+    assert code == 2, err
+    assert "budget refusal: hom-set size" in err and not out
+
+
+@pytest.mark.parametrize("dim, power", [(2000, 954), (10000, 4771)])
+def test_huge_hom_refusal_is_short(capsys, dim, power):
+    # |hom(l:1, l:dim)| = 3**dim - 2**dim
+    code, out, err = run(capsys, "verify", "p", "--category", "HJ",
+                         "--functor", "dHJ", "--a", "v:1,2", "--b", "l:1",
+                         "--c", f"l:{dim}", "--r", "2")
+    assert code == 2 and not out
+    line, = err.splitlines()
+    assert f"hom-set size: need at least 10**{power}, cap 2000000" in line
+    assert len(line.encode()) < 200
 
 
 def test_construct_bad_coords(capsys):

@@ -201,7 +201,8 @@ def test_product_validations_and_budget():
     with pytest.raises(ValueError):
         product_ramsey_numbers((), (), 2)
     with pytest.raises(BudgetExceeded) as exc:
-        product_ramsey_numbers((1, 1), (2, 2), 2, max_color_bits=3)
+        product_ramsey_numbers((1, 1), (2, 2), 2,
+                               budget=SearchBudget(max_color_bits=3))
     assert "color bits" in exc.value.quantity
     with pytest.raises(ValueError):
         product_witness([], 2)
@@ -284,7 +285,7 @@ def test_relation_sweeps_compose_only_the_pairs_they_check(monkeypatch):
     _, rel = hj_modeling(("V", (1, 2)), 2, ((12, 2), (12, 2)))
     for check in (check_cross_zeta, check_cross_welldefined):
         calls.clear()
-        chk = check(rel, max_pairs=1)
+        chk = check(rel, budget=SearchBudget(max_pairs=1))
         assert chk.ok and chk.partial and chk.checked == 1
         assert len(calls) <= 1, check.__name__
 
@@ -300,6 +301,15 @@ def test_degree_transfer_needs_zeta():
                                          psi=lambda g: g, zeta=None))
     with pytest.raises(ConstructionError, match="zeta"):
         r_modeling_transfer(bare, provider, 1, 2, 2)
+
+
+def test_degree_transfer_sweeps_under_the_budget():
+    cat = subset_category()
+    good = lambda d3: (d3, identity_modeling(cat, 1, 2, d3))
+    _, _, chk = r_modeling_transfer(good, lambda d1, d2, r: (6, 1), 1, 2, 2,
+                                    budget=SearchBudget(max_pairs=1))
+    # 2 x 15 pairs in hom(1, 2) x hom(2, 6); one is tested
+    assert chk.ok and chk.partial and chk.checked == 1
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +390,14 @@ def test_fouche_single_stage():
     assert trace.stages[0].witness == star(6)
     res = check_p_witness(tree_truncation(), (1, 0), (2, 0, 0), v, 2)
     assert res.ok and res.exhaustive
+
+
+def test_fouche_obeys_the_color_bit_cap():
+    # the tree oracle's product Ramsey numbers stage r**M colors
+    with pytest.raises(BudgetExceeded) as exc:
+        fouche_witness((2, 0, 0), (3, 0, 0, 0), 2,
+                       budget=SearchBudget(max_color_bits=1))
+    assert "color bits" in exc.value.quantity
 
 
 def test_fouche_degenerate_inputs():

@@ -196,6 +196,33 @@ def test_hom_budget_refusal_names_the_hom_set():
     assert str(exc.value) == "hom-set size: need 20, cap 5 at hom(3, 6)"
 
 
+@pytest.mark.parametrize("needed, power, shown", [
+    (20, None, "20"), (10 ** 18, None, str(10 ** 18)),
+    (10 ** 18 + 1, None, "at least 10**18"), (10 ** 400, None, "at least 10**400"),
+    (10 ** 400 - 1, None, "at least 10**399"),
+    (3 ** 10000 - 2 ** 10000, None, "at least 10**4771"),
+    (2 ** 60, (2, 60), "2**60"), (2 ** 59, (2, 59), str(2 ** 59))],
+    ids=["small", "10**18", "10**18+1", "10**400", "10**400-1", "3**10000",
+         "power", "small-power"])
+def test_refusals_show_huge_counts_without_their_digits(needed, power, shown):
+    exc = BudgetExceeded("hom-set size", needed, 5, " at hom(1, 2)",
+                         power=power)
+    assert str(exc) == f"hom-set size: need {shown}, cap 5 at hom(1, 2)"
+    assert exc.needed == needed
+
+
+def test_functor_image_refuses_before_building(monkeypatch):
+    def no_enumeration(self, a, b):
+        pytest.fail(f"hom({a!r}, {b!r}) built before the budget refused it")
+
+    monkeypatch.setattr(SubsetCategory, "hom", no_enumeration)
+    with pytest.raises(BudgetExceeded) as exc:
+        functor_image(DR, 2, 6, SearchBudget(max_hom_size=14))
+    assert str(exc.value) == "hom-set size: need 15, cap 14 at hom(2, 6)"
+    with pytest.raises(ValueError, match="not an object"):
+        functor_image(DR, 2, -1)
+
+
 @pytest.mark.parametrize("kw, message", [
     (dict(mode="sampled", samples=0), "samples must be at least 1, got 0"),
     (dict(mode="auto", samples=-5), "samples must be at least 1, got -5"),
