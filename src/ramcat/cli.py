@@ -137,7 +137,7 @@ def _report(res) -> str:
             f"colorings_checked={res.checked}")
     if res.counterexample is not None:
         cex = res.counterexample
-        shown = list(cex.cells) if cex.cells is not None else "(too large)"
+        shown = list(cex.cells) if cex.cells is not None else "(not inlined)"
         line += f"\ncounterexample: index={cex.index} colors={shown}"
     return line
 

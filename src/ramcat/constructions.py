@@ -21,9 +21,9 @@ from .categories.product import ProductFunctor
 from .categories.rcat import SubsetBoundary, subset_boundary
 from .categories.trees import TreeTruncation, grow, height, structure, tree_truncation
 from .categories.hjcat import standard_window, word_boundary, word_category
-from .core import Category, Functor, Morph, canon_hex, sort_morphs
-from .engine import (BudgetExceeded, FpInstance, SearchBudget, functor_image,
-                     require_hom_budget, search_p_witness)
+from .core import (BudgetExceeded, Category, Functor, Morph, SearchBudget,
+                   budgeted_hom, canon_hex, require_hom_budget, sort_morphs)
+from .engine import FpInstance, functor_image, search_p_witness
 
 CONSTRUCTED = "constructed-by-theorem"
 SEARCHED = "found-by-search"
@@ -223,8 +223,8 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
     through the accumulated g-chain; the oracle's pick is mapped back to the
     first remaining image element whose pushed copy matches it.  The stages
     certify that the picks are pairwise distinct and exhaust the image.
-    Each stage's hom(a, c) past the budget's hom-size cap is refused before
-    the oracle is called: the stage objects grow geometrically.
+    Each stage witness c is refused past the budget's hom-size cap on hom(a, c)
+    before the next oracle call or its return: stage objects grow geometrically.
     """
     image = functor_image(delta, a, b, budget)
     n = len(image)
@@ -244,7 +244,6 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
     stages: list[FpStage] = []
     for k in range(1, n + 1):
         s_k = sort_morphs(pushed(e) for e in remaining)
-        require_hom_budget(delta.dom, budget, (a, c_cur))
         inst = FpInstance(a=a, b=c_cur, s=s_k, r=r)
         c_next, picked, g = _stage(f"oracle at stage {k}", lambda: oracle(inst))
         origin = next((e for e in remaining if pushed(e) == picked), None)
@@ -252,6 +251,7 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
             raise ConstructionError(
                 f"stage {k}: oracle picked {picked!r} outside the admissible set "
                 f"{[m.data for m in s_k]!r}")
+        require_hom_budget(delta.dom, budget, (a, c_next))
         remaining.remove(origin)
         chain.append(g)
         stages.append(FpStage(k, c_cur, s_k, picked, origin, g, c_next))
@@ -532,18 +532,11 @@ def _sweep(pairs: Iterable, test: Callable[[Any], str],
     return RelationCheck(True, checked, partial=False)
 
 
-def _hom(cat: Category, x: Any, y: Any,
-         budget: SearchBudget | None) -> tuple[Morph, ...]:
-    """hom(x, y), refused past the budget's hom-size cap before it is built."""
-    require_hom_budget(cat, budget, (x, y))
-    return cat.hom(x, y)
-
-
 def _g_f_pairs(rel: CrossRelation, budget: SearchBudget | None
                ) -> Iterable[tuple[Morph, Morph, Morph]]:
     """(g, psi(g), f) over hom(d2, d3) x hom(c1, c2), g outermost."""
-    hom_fc = _hom(rel.c_cat, rel.c1, rel.c2, budget)
-    for g in _hom(rel.d_cat, rel.d2, rel.d3, budget):
+    hom_fc = budgeted_hom(rel.c_cat, rel.c1, rel.c2, budget)
+    for g in budgeted_hom(rel.d_cat, rel.d2, rel.d3, budget):
         psi_g = rel.psi(g)
         for f in hom_fc:
             yield g, psi_g, f
@@ -586,10 +579,10 @@ def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
                                  budget: SearchBudget | None = None
                                  ) -> RelationCheck:
     """gamma f == gamma f' implies delta phi(f,g) == delta phi(f',g)."""
-    gs = (_hom(rel.d_cat, rel.d2, rel.d3, budget) if rel.phi_depends_on_g
-          else (None,))
+    gs = (budgeted_hom(rel.d_cat, rel.d2, rel.d3, budget)
+          if rel.phi_depends_on_g else (None,))
     by_image: dict[bytes, list[Morph]] = {}
-    for f in _hom(rel.c_cat, rel.c1, rel.c2, budget):
+    for f in budgeted_hom(rel.c_cat, rel.c1, rel.c2, budget):
         by_image.setdefault(gamma.morph(f).encode(), []).append(f)
     triples = ((group[0], other, g) for group in by_image.values()
                for other in group[1:] for g in gs)

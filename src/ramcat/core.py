@@ -1,4 +1,4 @@
-"""Finite categories with canonical byte encodings, plus functor law checks.
+"""Finite categories with canonical byte encodings, the run budget, and law checks.
 
 Objects and morphism payloads are immutable trees of ints, strings and tuples.
 Every value has a canonical byte encoding (`canon_bytes`); equality of encoded
@@ -40,7 +40,7 @@ def canon_bytes(value: Any) -> bytes:
     if isinstance(value, int):
         shifted = value + _INT_OFFSET
         if not 0 <= shifted < (1 << 64):
-            raise EncodingError(f"integer out of encodable range: {value}")
+            raise EncodingError(f"integer out of encodable range: {_shown(value)}")
         return b"I" + shifted.to_bytes(8, "big")
     if isinstance(value, str):
         raw = value.encode("utf-8")
@@ -104,6 +104,50 @@ def _parse_at(raw: bytes, at: int) -> tuple[Any, int]:
             items.append(item)
         return tuple(items), cursor
     raise EncodingError(f"unknown tag {tag!r} at offset {at}")
+
+
+def _shown(value: Any) -> str:
+    """repr(value), with each int past 10**18 in size shown as "at least
+    10**e" (or "at most -10**e"), so no message holds a huge int's digits."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+    if isinstance(value, int) and abs(value) > 10 ** 18:
+        exp = int(math.log10(abs(value)))   # the float may round up at 10**e
+        exp -= abs(value) < 10 ** exp
+        return f"at least 10**{exp}" if value > 0 else f"at most -10**{exp}"
+    return repr(value)
+
+
+class BudgetExceeded(Exception):
+    """A check, hom-set or construction stage would overrun its cap.
+
+    The message shows a count past 10**18 without its decimal digits: as
+    "r**n" when `power=(r, n)` says that needed == r**n, else as "at least
+    10**e".  `needed` stays exact.
+    """
+
+    def __init__(self, quantity: str, needed: int, cap: int, where: str = "",
+                 *, power: tuple[int, int] | None = None):
+        shown = (f"{power[0]}**{power[1]}" if power and needed > 10 ** 18
+                 else _shown(needed))
+        super().__init__(f"{quantity}: need {shown}, cap {_shown(cap)}{where}")
+        self.quantity = quantity
+        self.needed = needed
+        self.cap = cap
+
+
+def _hom_refusal(size: int, cap: int, x: Any, y: Any) -> BudgetExceeded:
+    return BudgetExceeded("hom-set size", size, cap, f" at hom({_shown(x)}, {_shown(y)})")
+
+
+@dataclass(frozen=True)
+class SearchBudget:
+    """Every cap a run obeys; certificates record only the first two."""
+
+    max_colorings: int = 1_000_000
+    max_hom_size: int = 2_000_000
+    max_color_bits: int = 1_000_000
+    max_pairs: int = 500_000
 
 
 class Morph:
@@ -295,6 +339,27 @@ def compose_word(word: Sequence[Functor]) -> Functor:
     return acc
 
 
+def require_hom_budget(cat: Category, budget: SearchBudget | None,
+                       *pairs: tuple[Any, Any]) -> None:
+    """Refuse before any hom(x, y) of the pairs is built: ValueError for a
+    non-object, BudgetExceeded past the hom-size cap (None: the default)."""
+    cap = (budget or SearchBudget()).max_hom_size
+    for x, y in pairs:
+        for obj in (x, y):
+            if not cat.is_object(obj):
+                raise ValueError(f"{_shown(obj)} is not an object of {cat.name}")
+        size = cat.hom_size(x, y)
+        if size > cap:
+            raise _hom_refusal(size, cap, x, y)
+
+
+def budgeted_hom(cat: Category, x: Any, y: Any,
+                 budget: SearchBudget | None) -> tuple[Morph, ...]:
+    """hom(x, y), refused past the budget's hom-size cap before it is built."""
+    require_hom_budget(cat, budget, (x, y))
+    return cat.hom(x, y)
+
+
 @dataclass(frozen=True)
 class LawReport:
     ok: bool
@@ -321,30 +386,39 @@ class _Violations:
         return LawReport(not self.found, checked, tuple(self.kept))
 
 
+def _fragment(cat: Category, objects: Sequence[Any],
+              budget: SearchBudget | None
+              ) -> dict[Any, dict[Any, tuple[Morph, ...]]]:
+    """rows[a][b] = hom(a, b) for each non-empty hom-set of the fragment, in
+    object order.  Each is built once, then refused past the budget's hom-size
+    cap: on a mostly empty fragment, asking hom_size first costs a build."""
+    cap = (budget or SearchBudget()).max_hom_size
+    rows: dict[Any, dict[Any, tuple[Morph, ...]]] = {}
+    for a in objects:
+        row = rows[a] = {}
+        for b in objects:
+            hab = cat.hom(a, b)
+            if len(hab) > cap:
+                raise _hom_refusal(len(hab), cap, a, b)
+            if hab:
+                row[b] = hab
+    return rows
+
+
 def check_category_laws(cat: Category, objects: Sequence[Any],
-                        max_hom: int = 20000) -> LawReport:
+                        budget: SearchBudget | None = None) -> LawReport:
     """Identity, associativity and closure over the given object fragment."""
     bad = _Violations()
     checked = 0
+    rows = _fragment(cat, objects, budget)
     ids = {a: cat.identity(a) for a in objects}
-    homs: dict[tuple[Any, Any], tuple[Morph, ...]] = {}
-    # arrows[a]: (b, hom(a, b)) for each b with a non-empty hom-set, in order
-    arrows: dict[Any, list[tuple[Any, tuple[Morph, ...]]]] = {}
     compose = cat.compose
 
     for a in objects:
         ida = ids[a]
         if ida.dom != a or ida.cod != a:
             bad.add("identity at {!r} has wrong endpoints", a)
-        row = arrows[a] = []
-        for b in objects:
-            hab = homs.get((a, b))
-            if hab is None:
-                hab = homs[a, b] = cat.hom(a, b)
-                if len(hab) > max_hom:
-                    raise ValueError(f"hom fragment too large: {len(hab)}")
-            if hab:
-                row.append((b, hab))
+        for b, hab in rows[a].items():
             idb = ids[b]
             for f in hab:
                 checked += 1
@@ -356,10 +430,10 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
                     bad.add("id∘f != f for {!r}", f)
 
     for a in objects:
-        for b, hab in arrows[a]:
-            for c, hbc in arrows[b]:
+        for b, hab in rows[a].items():
+            for c, hbc in rows[b].items():
                 # closure: composites land in the enumerated hom-set
-                hac = set(homs[a, c])
+                hac = set(rows[a].get(c, ()))
                 gfs = [[compose(g, f) for g in hbc] for f in hab]
                 for f, gf_row in zip(hab, gfs):
                     for g, gf in zip(hbc, gf_row):
@@ -367,7 +441,7 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
                         if gf not in hac:
                             bad.add("compose({!r},{!r}) not in hom({!r},{!r})",
                                     g, f, a, c)
-                for _, hcd in arrows[c]:
+                for hcd in rows[c].values():
                     hgs = [[compose(h, g) for h in hcd] for g in hbc]
                     for f, gf_row in zip(hab, gfs):
                         for g, gf, hg_row in zip(hbc, gf_row, hgs):
@@ -380,32 +454,14 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
 
 
 def check_functor_laws(fun: Functor, objects: Sequence[Any],
-                       max_hom: int = 20000) -> LawReport:
+                       budget: SearchBudget | None = None) -> LawReport:
     bad = _Violations()
     checked = 0
-    # arrows[a]: (b, hom(a, b), its images) for each b with a non-empty
-    # domain hom-set
-    arrows: dict[Any, list[tuple[Any, tuple[Morph, ...], list[Morph]]]] = {}
-    cod_homs: dict[tuple[Any, Any], set[Morph]] = {}
     morph, compose, cod_compose = fun.morph, fun.dom.compose, fun.cod.compose
-
-    def row(a: Any) -> list[tuple[Any, tuple[Morph, ...], list[Morph]]]:
-        if a not in arrows:
-            out = []
-            for b in objects:
-                hab = fun.dom.hom(a, b)
-                if len(hab) > max_hom:
-                    raise ValueError("hom fragment too large")
-                if hab:
-                    out.append((b, hab, [morph(f) for f in hab]))
-            arrows[a] = out
-        return arrows[a]
-
-    def cod_hom(a: Any, b: Any) -> set[Morph]:
-        key = (a, b)
-        if key not in cod_homs:
-            cod_homs[key] = set(fun.cod.hom(a, b))
-        return cod_homs[key]
+    # rows[a]: (b, hom(a, b), its images) per non-empty domain hom(a, b)
+    rows = {a: [(b, hab, [morph(f) for f in hab]) for b, hab in row.items()]
+            for a, row in _fragment(fun.dom, objects, budget).items()}
+    cod_homs: dict[tuple[Any, Any], set[Morph]] = {}
 
     for a in objects:
         fa = fun.obj(a)
@@ -415,13 +471,16 @@ def check_functor_laws(fun: Functor, objects: Sequence[Any],
         ida = morph(fun.dom.identity(a))
         if ida != fun.cod.identity(fa):
             bad.add("identity at {!r} not preserved", a)
-        for b, hab, fab in row(a):
-            target = cod_hom(fa, fun.obj(b))
+        for b, hab, fab in rows[a]:
+            key = (fa, fun.obj(b))
+            if key not in cod_homs:
+                cod_homs[key] = set(fun.cod.hom(*key))
+            target = cod_homs[key]
             for f, ff in zip(hab, fab):
                 checked += 1
                 if ff not in target:
                     bad.add("morph({!r}) outside hom of images", f)
-            for _, hbc, fbc in row(b):
+            for _, hbc, fbc in rows[b]:
                 for f, ff in zip(hab, fab):
                     for g, fg in zip(hbc, fbc):
                         checked += 1
@@ -439,18 +498,16 @@ class FrankResult:
 
 
 def check_frank_at(fun: Functor, a: Any, b_prime: Any,
-                   max_hom: int = 200000) -> FrankResult:
-    """Verify the surjectivity lift of `fun` at source a and target object b_prime."""
+                   budget: SearchBudget | None = None) -> FrankResult:
+    """Verify the surjectivity lift of `fun` at source a and target object
+    b_prime; hom(a, b) past the budget's hom-size cap is refused unbuilt."""
     try:
         b = fun.frank_lift(a, b_prime)
     except LiftError as exc:
         return FrankResult("no-lift", None, str(exc))
     if fun.obj(b) != b_prime:
         return FrankResult("fail", b, f"obj({b!r}) != {b_prime!r}")
-    if fun.dom.hom_size(a, b) > max_hom:
-        raise ValueError("hom at lifted object exceeds cap")
-    hab = fun.dom.hom(a, b)
-    image = {fun.morph(f).encode() for f in hab}
+    image = {fun.morph(f).encode() for f in budgeted_hom(fun.dom, a, b, budget)}
     target = {g.encode() for g in fun.cod.hom(fun.obj(a), b_prime)}
     if image != target:
         return FrankResult("fail", b, "image of hom differs from target hom")

@@ -40,7 +40,6 @@ all.  jobs > 1 pickles the source, so its category must pickle.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
@@ -48,7 +47,8 @@ from itertools import islice, product
 from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Iterator
 
-from .core import Category, Functor, Morph, sort_morphs
+from .core import (BudgetExceeded, Category, Functor, Morph, SearchBudget,
+                   budgeted_hom, require_hom_budget, sort_morphs)
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 10_000
@@ -78,38 +78,6 @@ def prf_color(seed: int, sample: int, cell: int, r: int) -> int:
     """Color of one cell in one sampled coloring, deterministic in (seed,
     sample, cell): the cell's draw under the sample's key."""
     return _draw(_sample_key(splitmix64(seed), sample), r, cell)
-
-
-class BudgetExceeded(Exception):
-    """An exhaustive check or hom materialization would overrun its cap.
-
-    The message shows a count past 10**18 without its decimal digits: as
-    "r**n" when `power=(r, n)` says that needed == r**n, else as "at least
-    10**e".  `needed` stays exact.
-    """
-
-    def __init__(self, quantity: str, needed: int, cap: int, where: str = "",
-                 *, power: tuple[int, int] | None = None):
-        shown = needed
-        if needed > 10 ** 18 and power:
-            shown = f"{power[0]}**{power[1]}"
-        elif needed > 10 ** 18:
-            exp = int(math.log10(needed))   # the float may round up at 10**e
-            shown = f"at least 10**{exp - (needed < 10 ** exp)}"
-        super().__init__(f"{quantity}: need {shown}, cap {cap}{where}")
-        self.quantity = quantity
-        self.needed = needed
-        self.cap = cap
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Every cap a run obeys; certificates record only the first two."""
-
-    max_colorings: int = 1_000_000
-    max_hom_size: int = 2_000_000
-    max_color_bits: int = 1_000_000
-    max_pairs: int = 500_000
 
 
 @dataclass(frozen=True)
@@ -177,27 +145,11 @@ def functor_image(delta: Functor, a: Any, b: Any,
                   budget: SearchBudget | None = None) -> tuple[Morph, ...]:
     """Distinct images of hom(a, b) under the functor, canonically ordered;
     hom(a, b) past the budget's hom-size cap is refused before it is built."""
-    require_hom_budget(delta.dom, budget, (a, b))
     seen: dict[bytes, Morph] = {}
-    for f in delta.dom.hom(a, b):
+    for f in budgeted_hom(delta.dom, a, b, budget):
         m = delta.morph(f)
         seen.setdefault(m.encode(), m)
     return sort_morphs(seen.values())
-
-
-def require_hom_budget(cat: Category, budget: SearchBudget | None,
-                       *pairs: tuple[Any, Any]) -> None:
-    """Refuse before any hom(x, y) of the pairs is built: ValueError for a
-    non-object, BudgetExceeded past the hom-size cap (None: the default)."""
-    cap = (budget or SearchBudget()).max_hom_size
-    for x, y in pairs:
-        for obj in (x, y):
-            if not cat.is_object(obj):
-                raise ValueError(f"{obj!r} is not an object of {cat.name}")
-        size = cat.hom_size(x, y)
-        if size > cap:
-            raise BudgetExceeded("hom-set size", size, cap,
-                                 f" at hom({x!r}, {y!r})")
 
 
 # A check is what one admissible g makes of the chosen groups of hom(a, b):
@@ -444,9 +396,8 @@ def ramsey_degree(cat: Category, a: Any, b: Any, r: int, pool: Iterable[Any], *,
     """
     if jobs < 1:    # an empty hom(a, b) returns before any check refuses it
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    require_hom_budget(cat, budget, (a, b))
+    hom_ab = budgeted_hom(cat, a, b, budget)
     pool = tuple(pool)
-    hom_ab = cat.hom(a, b)
     if not hom_ab:
         return DegreeResult(degree=0, witness=b, r=r, trail=(), result=None)
     trail: list[tuple[int, Any, bool]] = []
@@ -512,8 +463,7 @@ def degree_upper_bound(a: Any, b: Any, deltas: tuple[Functor, ...],
     if not deltas:
         raise ValueError("need at least one functor")
     cat = deltas[0].dom
-    require_hom_budget(cat, budget, (a, b))
-    hom_ab = cat.hom(a, b)
+    hom_ab = budgeted_hom(cat, a, b, budget)
     best, best_word = len(hom_ab), ()
     for length in range(1, word_cap + 1):
         for word in product(range(len(deltas)), repeat=length):

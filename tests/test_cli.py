@@ -292,6 +292,19 @@ def test_fp_recursion_refusal_names_the_hom_set(capsys):
         "hom-set size: need 5247180, cap 2000000 at hom(2, 3240)")
 
 
+@pytest.mark.parametrize("coords, r, exp", [
+    ("1:2,1:2,1:2", "2", 235), ("1:2,1:2", "5000", 36997)],
+    ids=["236-digit", "past-4300-digits"])
+def test_fp_recursion_refuses_its_last_stage_in_few_bytes(capsys, coords, r,
+                                                          exp):
+    code, out, err = run(capsys, "construct", "--theorem", "product",
+                         "--coords", coords, "--r", r, "--samples", "20")
+    assert code == 2 and not out
+    assert err == (f"budget refusal: hom-set size: need at least 10**{exp}, "
+                   f"cap 2000000 at hom(1, at least 10**{exp})\n")
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "fp", "--category", "R", "--functor", "dR", "--a", "3",
      "--b", "250", "--c", "251"),

@@ -5,11 +5,13 @@ import pickle
 
 import pytest
 
-from ramcat import (EncodingError, IdentityFunctor, LiftError, Morph, binomial,
-                    canon_bytes, canon_hex, canon_parse, canon_unhex,
-                    check_category_laws, check_functor_laws, check_frank_at,
-                    compose_functors, compose_word, frank_pair, sort_morphs,
-                    subset_boundary, subset_category)
+import ramcat
+from ramcat import (BudgetExceeded, EncodingError, IdentityFunctor, LiftError,
+                    Morph, SearchBudget, binomial, canon_bytes, canon_hex,
+                    canon_parse, canon_unhex, check_category_laws,
+                    check_functor_laws, check_frank_at, compose_functors,
+                    compose_word, frank_pair, sort_morphs, subset_boundary,
+                    subset_category)
 from ramcat.categories import tree_category, tree_truncation
 from ramcat.core import ComposedFunctor, Functor, FrankResult, LawReport
 
@@ -45,6 +47,15 @@ def test_canon_rejects_unencodable():
         canon_bytes(2 ** 63)
     with pytest.raises(EncodingError):
         canon_bytes(-2 ** 63 - 1)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (10 ** 5000, "at least 10**5000"), (-10 ** 5000, "at most -10**5000"),
+    (2 ** 63, "at least 10**18")], ids=["10**5000", "-10**5000", "2**63"])
+def test_out_of_range_ints_are_refused_without_their_digits(value, shown):
+    with pytest.raises(EncodingError) as exc:
+        canon_bytes(value)
+    assert str(exc.value) == f"integer out of encodable range: {shown}"
 
 
 def test_canon_parse_rejects_malformed():
@@ -278,10 +289,28 @@ def test_law_reports_are_pinned():
         LawReport(True, 293, ())
 
 
+def test_the_run_budget_is_defined_once_in_core():
+    for name in ("SearchBudget", "BudgetExceeded", "require_hom_budget"):
+        assert getattr(ramcat.engine, name) is getattr(ramcat.core, name)
+    assert ramcat.SearchBudget is ramcat.core.SearchBudget
+    assert ramcat.BudgetExceeded is ramcat.core.BudgetExceeded
+
+
 def test_law_checker_hom_cap():
     cat = subset_category()
-    with pytest.raises(ValueError, match="too large"):
-        check_category_laws(cat, [3, 40], max_hom=100)
+    with pytest.raises(BudgetExceeded) as exc:
+        check_category_laws(cat, [3, 40], budget=SearchBudget(max_hom_size=100))
+    assert str(exc.value) == "hom-set size: need 9880, cap 100 at hom(3, 40)"
+
+
+def test_functor_law_checker_hom_cap():
+    delta = subset_boundary()
+    with pytest.raises(BudgetExceeded) as exc:
+        check_functor_laws(delta, [2, 3], budget=SearchBudget(max_hom_size=2))
+    assert str(exc.value) == "hom-set size: need 3, cap 2 at hom(2, 3)"
+    # a hom-set of exactly the cap passes
+    assert check_functor_laws(delta, [2, 3],
+                              budget=SearchBudget(max_hom_size=3)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +334,9 @@ def test_frank_check_refuses_a_large_hom_before_building_it(monkeypatch):
 
     monkeypatch.setattr(type(delta.dom), "hom", no_hom)
     # hom(3, 41) has C(41, 3) = 10,660 arrows
-    with pytest.raises(ValueError, match="^hom at lifted object exceeds cap$"):
-        check_frank_at(delta, 3, 40, max_hom=100)
+    with pytest.raises(BudgetExceeded) as exc:
+        check_frank_at(delta, 3, 40, budget=SearchBudget(max_hom_size=100))
+    assert str(exc.value) == "hom-set size: need 10660, cap 100 at hom(3, 41)"
 
 
 def test_frank_check_fails_on_wrong_lift():
