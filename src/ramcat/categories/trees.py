@@ -48,7 +48,7 @@ def structure(t: tuple) -> tuple[list, list, list]:
     return children, depth, parent
 
 
-class _Shape(NamedTuple):
+class Shape(NamedTuple):
     """A validated tree's shape, and what truncation keeps of it."""
 
     children: tuple[tuple[int, ...], ...]
@@ -60,11 +60,11 @@ class _Shape(NamedTuple):
     truncation: tuple
 
 
-_SHAPES: dict[tuple, _Shape] = {}
+_SHAPES: dict[tuple, Shape] = {}
 _MAX_SHAPES = 1 << 14
 
 
-def _shape(t: tuple) -> _Shape:
+def shape(t: tuple) -> Shape:
     """The shape of t, built by `structure` once per tree; validates t."""
     try:
         return _SHAPES[t]
@@ -80,18 +80,18 @@ def _shape(t: tuple) -> _Shape:
     if len(_SHAPES) >= _MAX_SHAPES:
         _SHAPES.clear()
     levels = tuple(depth.count(d) for d in range(h + 1))
-    shape = _SHAPES[t] = _Shape(tuple(map(tuple, children)), tuple(depth), h,
-                                levels, kept, tuple(renumber), trunc)
-    return shape
+    out = _SHAPES[t] = Shape(tuple(map(tuple, children)), tuple(depth), h,
+                             levels, kept, tuple(renumber), trunc)
+    return out
 
 
 def height(t: tuple) -> int:
-    return _shape(t).height
+    return shape(t).height
 
 
 def grow(t: tuple, extra: dict[int, int]) -> tuple:
     """Append extra leaf children to selected nodes (by preorder index)."""
-    ch = _shape(t).children
+    ch = shape(t).children
 
     def emit(i: int) -> list[int]:
         e = extra.get(i, 0)
@@ -138,7 +138,7 @@ def _tree_products(parts: tuple[int, ...]) -> Iterator[tuple]:
             yield head + tail
 
 
-def _may_embed(sa: _Shape, sb: _Shape) -> bool:
+def _may_embed(sa: Shape, sb: Shape) -> bool:
     """Embeddings keep depth and are injective, so each level of the source
     must fit in the same level of the target."""
     return sa.height == sb.height and all(
@@ -151,7 +151,7 @@ class TreeCategory(Category):
 
     def is_object(self, a: Any) -> bool:
         try:
-            _shape(a)
+            shape(a)
         except EncodingError:
             return False
         return True
@@ -161,7 +161,7 @@ class TreeCategory(Category):
             yield from _ordered_trees(n)
 
     def hom(self, a: Any, b: Any) -> tuple[Morph, ...]:
-        sa, sb = _shape(a), _shape(b)
+        sa, sb = shape(a), shape(b)
         if not _may_embed(sa, sb):
             return ()
         cha, chb = sa.children, sb.children
@@ -188,7 +188,7 @@ class TreeCategory(Category):
         return tuple([Morph(a, b, p) for p in sorted(maps(0, 0))])
 
     def hom_size(self, a: Any, b: Any) -> int:
-        sa, sb = _shape(a), _shape(b)
+        sa, sb = shape(a), shape(b)
         if not _may_embed(sa, sb):
             return 0
         cha, chb = sa.children, sb.children
@@ -211,7 +211,7 @@ class TreeCategory(Category):
         return embeddings(0, 0)
 
     def identity(self, a: Any) -> Morph:
-        _shape(a)
+        shape(a)
         return Morph(a, a, tuple(range(len(a))))
 
     def compose(self, g: Morph, f: Morph) -> Morph:
@@ -233,10 +233,10 @@ class TreeTruncation(Functor):
         super().__init__(cat, cat)
 
     def obj(self, a: Any) -> Any:
-        return _shape(a).truncation
+        return shape(a).truncation
 
     def morph(self, f: Morph) -> Morph:
-        sa, sb = _shape(f.dom), _shape(f.cod)
+        sa, sb = shape(f.dom), shape(f.cod)
         if sa.height == 0:
             return f
         renumber, data = sb.renumber, f.data
@@ -244,7 +244,7 @@ class TreeTruncation(Functor):
                      tuple(renumber[data[i]] for i in sa.kept))
 
     def frank_lift(self, a: Any, b_prime: Any) -> Any:
-        sa, sb = _shape(a), _shape(b_prime)
+        sa, sb = shape(a), shape(b_prime)
         depth_b = sb.depth
         hs, hb = sa.height, sb.height
         if hs == hb + 1:

@@ -27,8 +27,8 @@ from .categories.pcat import StepBoundary, StepCategory
 from .categories.product import ProductCategory, ProductFunctor
 from .categories.rcat import subset_boundary, subset_category
 from .categories.trees import tree_category, tree_truncation
-from .core import (Category, ComposedFunctor, Functor, IdentityFunctor, Morph,
-                   canon_bytes, canon_hex, canon_unhex)
+from .core import (Category, ComposedFunctor, EncodingError, Functor,
+                   IdentityFunctor, Morph, canon_bytes, canon_hex, canon_unhex)
 from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, FpInstance, PCheckResult,
                      SearchBudget, check_fp_witness, check_p_witness,
                      require_hom_budget)
@@ -49,44 +49,58 @@ def canonical_json(doc: Any) -> str:
                       ensure_ascii=True, allow_nan=False)
 
 
+def _field(doc: Any, path: str, kind: type = int) -> Any:
+    """doc's value at the dotted path, refused unless its type is exactly
+    kind: JSON values are of no subclass, so no bool passes for an int."""
+    value = doc
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise CertificateError(f"missing field {path!r}")
+        value = value[key]
+    if type(value) is not kind:
+        raise CertificateError(f"field {path!r} must be {kind.__name__}, "
+                               f"not {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # registry: rebuild categories and functors from their spec dicts
 
 
 def build_category(spec: dict) -> Category:
-    kind = spec.get("kind")
+    kind = _field(spec, "kind", str)
     if kind == "subset":
         return subset_category()
     if kind == "step":
-        return StepCategory(spec["orientation"])
+        return StepCategory(_field(spec, "orientation", str))
     if kind == "word":
-        return WordCategory(spec["k0"])
+        return WordCategory(_field(spec, "k0"))
     if kind == "trees":
         return tree_category()
     if kind == "product":
         return ProductCategory(tuple(build_category(s)
-                                     for s in spec["factors"]))
+                                     for s in _field(spec, "factors", list)))
     raise CertificateError(f"unknown category kind {kind!r}")
 
 
 def build_functor(spec: dict) -> Functor:
-    kind = spec.get("kind")
+    kind = _field(spec, "kind", str)
     if kind == "subset-boundary":
         return subset_boundary()
     if kind == "step-boundary":
-        return StepBoundary(StepCategory(spec["orientation"]))
+        return StepBoundary(StepCategory(_field(spec, "orientation", str)))
     if kind == "word-boundary":
-        return WordBoundary(WordCategory(spec["k0"]))
+        return WordBoundary(WordCategory(_field(spec, "k0")))
     if kind == "tree-truncation":
         return tree_truncation()
     if kind == "product":
         return ProductFunctor(tuple(build_functor(s)
-                                    for s in spec["factors"]))
+                                    for s in _field(spec, "factors", list)))
     if kind == "compose":
-        return ComposedFunctor(build_functor(spec["outer"]),
-                               build_functor(spec["inner"]))
+        return ComposedFunctor(build_functor(_field(spec, "outer", dict)),
+                               build_functor(_field(spec, "inner", dict)))
     if kind == "identity":
-        return IdentityFunctor(build_category(spec["category"]))
+        return IdentityFunctor(build_category(_field(spec, "category", dict)))
     raise CertificateError(f"unknown functor kind {kind!r}")
 
 
@@ -123,8 +137,10 @@ def morph_hex(f: Morph) -> str:
 
 
 def morph_unhex(text: str) -> Morph:
-    dom, cod, data = canon_unhex(text)
-    return Morph(dom, cod, data)
+    value = canon_unhex(text)
+    if not (isinstance(value, tuple) and len(value) == 3):
+        raise EncodingError("a morphism encodes a (dom, cod, data) triple")
+    return Morph(*value)
 
 
 def budget_doc(budget: SearchBudget | None = None, mode: str = "auto",
@@ -199,22 +215,24 @@ class Claim:
     @classmethod
     def from_doc(cls, doc: dict) -> Claim:
         """The claim of a parsed certificate, rebuilt by the current code."""
-        fun = build_functor(doc["functor"])
-        if build_category(doc["category"]).spec() != fun.dom.spec():
+        fun = build_functor(_field(doc, "functor", dict))
+        if build_category(_field(doc, "category", dict)).spec() != fun.dom.spec():
             raise CertificateError("category spec disagrees with the functor domain")
         current = {"category": fun.dom.encoding_version,
                    "functor": fun.encoding_version}
         if doc["encodings"] != current:
             raise StaleCertificateError(
                 f"encoding versions moved from {doc['encodings']} to {current}")
-        inputs, witness = doc["inputs"], doc["witness"]
-        if inputs["kind"] not in ("p", "fp"):
-            raise CertificateError(f"unknown input kind {inputs['kind']!r}")
-        fiber = None if inputs["kind"] == "p" else (
-            tuple(morph_unhex(e) for e in inputs["s"]),
-            morph_unhex(witness["f_prime"]), morph_unhex(witness["g_prime"]))
-        return cls(fun, canon_unhex(inputs["a"]), canon_unhex(inputs["b"]),
-                   canon_unhex(witness["c"]), inputs["r"], fiber)
+        kind = _field(doc, "inputs.kind", str)
+        if kind not in ("p", "fp"):
+            raise CertificateError(f"unknown input kind {kind!r}")
+        fiber = None if kind == "p" else (
+            tuple(map(morph_unhex, _field(doc, "inputs.s", list))),
+            morph_unhex(_field(doc, "witness.f_prime", str)),
+            morph_unhex(_field(doc, "witness.g_prime", str)))
+        a, b, c = (canon_unhex(_field(doc, path, str))
+                   for path in ("inputs.a", "inputs.b", "witness.c"))
+        return cls(fun, a, b, c, _field(doc, "inputs.r"), fiber)
 
 
 def p_certificate(fun: Functor, a: Any, b: Any, c: Any, r: int,
@@ -299,7 +317,10 @@ def replay_verify(doc: dict, *, mode: str | None = None,
     report notes an upgrade when a sampled certificate replays exhaustively.
     """
     claim = Claim.from_doc(doc)
-    saved = doc["budget"]
+    saved = {key: _field(doc, f"budget.{key}", type(value))  # as budget_doc types them
+             for key, value in budget_doc().items()}
+    expected = _field(doc, "verification.verdict", str)
+    sampled = _field(doc, "verification.mode", str) == "sampled"
     run_budget = budget or SearchBudget(
         max_colorings=saved["max_colorings"],
         max_hom_size=min(saved["max_hom_size"], max_hom_size))
@@ -312,7 +333,6 @@ def replay_verify(doc: dict, *, mode: str | None = None,
                       samples=saved["samples"] if samples is None else samples,
                       jobs=jobs)
     verdict = "pass" if res.ok else "fail"
-    expected = doc["verification"]["verdict"]
-    upgraded = res.exhaustive and doc["verification"]["mode"] == "sampled"
+    upgraded = res.exhaustive and sampled
     return ReplayReport(match=verdict == expected, verdict=verdict,
                         expected=expected, upgraded=upgraded, result=res)

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Sequence
 from .categories.pcat import step_boundary
 from .categories.product import ProductFunctor
 from .categories.rcat import SubsetBoundary, subset_boundary
-from .categories.trees import TreeTruncation, grow, height, structure, tree_truncation
+from .categories.trees import TreeTruncation, grow, height, shape, tree_truncation
 from .categories.hjcat import standard_window, word_boundary, word_category
 from .core import (BudgetExceeded, Category, Functor, Morph, SearchBudget,
                    budgeted_hom, canon_hex, require_hom_budget, sort_morphs)
@@ -119,9 +119,7 @@ def r_fp_witness(inst: FpInstance,
     if delta.dom.hom_size(k, l) <= 1:
         return l, sort_morphs(s)[0], subset_g_prime(delta, l, l)
     m = (r + 1) * l
-    top = max((max(e.data) if e.data else 0) for e in s)
-    f_prime = next(e for e in sort_morphs(s)
-                   if (max(e.data) if e.data else 0) == top)
+    f_prime = max(sort_morphs(s), key=lambda e: max(e.data, default=0))
     return m, f_prime, subset_g_prime(delta, l, m)
 
 
@@ -141,28 +139,24 @@ def tree_fp_witness(inst: FpInstance,
     s_tree, t_tree, s, r = inst.a, inst.b, inst.s, inst.r
     if not s:
         raise ValueError("the arrow selection s must be non-empty")
-    h = height(s_tree)
-    if height(t_tree) != h:
+    sh_s, sh_t = shape(s_tree), shape(t_tree)
+    h = sh_s.height
+    if sh_t.height != h:
         raise ValueError("instances with morphisms require equal heights")
     f_prime = sort_morphs(s)[0]
     if h == 0:
         return t_tree, f_prime, delta.morph(delta.dom.identity(t_tree))
     t_star = delta.obj(t_tree)
     g_prime = delta.dom.identity(t_star)
-    _, depth_s, _ = structure(s_tree)
-    _, depth_t, _ = structure(t_tree)
-    kept_s = [i for i in range(len(s_tree)) if depth_s[i] < h]
-    kept_t = [i for i in range(len(t_tree)) if depth_t[i] < h]
-    star_rank_s = {node: pos for pos, node in enumerate(kept_s)}
     # deepest S-nodes that still have children; their images need Ramsey fans
-    v_nodes = [i for i in kept_s if depth_s[i] == h - 1 and s_tree[i] > 0]
+    v_nodes = [i for i in sh_s.kept if sh_s.depth[i] == h - 1 and s_tree[i] > 0]
     kvec = tuple(s_tree[v] for v in v_nodes)
-    targets = tuple(f_prime.data[star_rank_s[v]] for v in v_nodes)
-    pvec = tuple(t_tree[kept_t[w]] for w in targets)
+    targets = tuple(f_prime.data[sh_s.renumber[v]] for v in v_nodes)
+    pvec = tuple(t_tree[sh_t.kept[w]] for w in targets)
     if any(kk > pp for kk, pp in zip(kvec, pvec)):
         raise ConstructionError("embeddings force child counts to fit")
-    fans = {w: t_tree[kept_t[w]]
-            for w in range(len(t_star)) if depth_t[kept_t[w]] == h - 1}
+    fans = {w: t_tree[old] for w, old in enumerate(sh_t.kept)
+            if sh_t.depth[old] == h - 1}
     if v_nodes:
         qvec = product_ramsey(kvec, pvec, r)
         for w, q, pp in zip(targets, qvec, pvec):
@@ -219,47 +213,34 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
                       ) -> tuple[Any, FpToPTrace]:
     """Iterate a fiber-condition oracle once per image element of hom(a, b).
 
-    Stage k hands the oracle the images of the still-unhandled arrows pushed
-    through the accumulated g-chain; the oracle's pick is mapped back to the
-    first remaining image element whose pushed copy matches it.  The stages
-    certify that the picks are pairwise distinct and exhaust the image.
+    Stage k hands the oracle the pushed copies of the still-unhandled image
+    elements, each advanced by one composite with g per stage; the oracle's
+    pick is mapped back to the first unhandled element whose copy matches it.
+    Each stage handles one element, so the picks are distinct and exhaust
+    the image.
     Each stage witness c is refused past the budget's hom-size cap on hom(a, c)
     before the next oracle call or its return: stage objects grow geometrically.
     """
     image = functor_image(delta, a, b, budget)
     n = len(image)
-    if n == 0:
-        return b, FpToPTrace(a, b, r, 0, b, selection, ())
-    cod = delta.cod
-    remaining: list[Morph] = list(image)
-    chain: list[Morph] = []   # g'_1 ... g'_{k-1}, applied in order
-
-    def pushed(e: Morph) -> Morph:
-        out = e
-        for g in chain:
-            out = cod.compose(g, out)
-        return out
-
+    # each unhandled image element, in image order, and its pushed copy
+    pushed = {e: e for e in image}
     c_cur = b
     stages: list[FpStage] = []
     for k in range(1, n + 1):
-        s_k = sort_morphs(pushed(e) for e in remaining)
+        s_k = sort_morphs(pushed.values())
         inst = FpInstance(a=a, b=c_cur, s=s_k, r=r)
         c_next, picked, g = _stage(f"oracle at stage {k}", lambda: oracle(inst))
-        origin = next((e for e in remaining if pushed(e) == picked), None)
+        origin = next((e for e, p in pushed.items() if p == picked), None)
         if origin is None:
             raise ConstructionError(
                 f"stage {k}: oracle picked {picked!r} outside the admissible set "
                 f"{[m.data for m in s_k]!r}")
         require_hom_budget(delta.dom, budget, (a, c_next))
-        remaining.remove(origin)
-        chain.append(g)
+        del pushed[origin]
+        pushed = {e: delta.cod.compose(g, p) for e, p in pushed.items()}
         stages.append(FpStage(k, c_cur, s_k, picked, origin, g, c_next))
         c_cur = c_next
-    if remaining:
-        raise ConstructionError("every image element must be handled exactly once")
-    if len({st.origin.encode() for st in stages}) != n:
-        raise ConstructionError("stage picks must be pairwise distinct")
     return c_cur, FpToPTrace(a, b, r, n, c_cur, selection, tuple(stages))
 
 
@@ -560,12 +541,12 @@ def check_cross_zeta(rel: CrossRelation, *,
 def check_cross_welldefined(rel: CrossRelation, *,
                             budget: SearchBudget | None = None) -> RelationCheck:
     """g.phi(f,g) == g'.phi(f',g') implies psi(g).f == psi(g').f'."""
-    seen: dict[bytes, Morph] = {}
+    seen: dict[Morph, Morph] = {}
 
     def test(pair: tuple) -> str:
         g, psi_g, f = pair
         value = rel.c_cat.compose(psi_g, f)
-        key = rel.d_cat.compose(g, rel.phi(f, g)).encode()
+        key = rel.d_cat.compose(g, rel.phi(f, g))
         if seen.setdefault(key, value) == value:
             return ""
         return ("well-definedness fails: equal composites "
@@ -581,9 +562,9 @@ def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
     """gamma f == gamma f' implies delta phi(f,g) == delta phi(f',g)."""
     gs = (budgeted_hom(rel.d_cat, rel.d2, rel.d3, budget)
           if rel.phi_depends_on_g else (None,))
-    by_image: dict[bytes, list[Morph]] = {}
+    by_image: dict[Morph, list[Morph]] = {}
     for f in budgeted_hom(rel.c_cat, rel.c1, rel.c2, budget):
-        by_image.setdefault(gamma.morph(f).encode(), []).append(f)
+        by_image.setdefault(gamma.morph(f), []).append(f)
     triples = ((group[0], other, g) for group in by_image.values()
                for other in group[1:] for g in gs)
 
@@ -729,16 +710,14 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
     k1, delta, d1, d2 = _hj_blocks(vals, l)
     letters = sorted(set(vals))
     rank = {letter: i + 1 for i, letter in enumerate(letters)}
-    top = letters[-1]
-    low = letters[max(0, k1 - 2)]       # letter of rank max(1, k1-1)
     l_prime = sum(ms)
     wcat = word_category(k0)
     d3 = delta.dom.pack(tuple((m, 2) for m in ms))
     c2 = ("L", l)
     c3 = ("L", l_prime)
     mid_cap = max(1, k1 - 1)
-    u_top = min(t for t in range(-k0, 1) if vals[t + k0] == top)
-    u_low = min(t for t in range(-k0, 1) if vals[t + k0] == low)
+    u_top = wcat.letter_position(v, letters[-1])
+    u_low = wcat.letter_position(v, letters[max(0, k1 - 2)])  # rank max(1, k1-1)
 
     def phi(f: Morph, _g: Morph | None = None) -> Morph:
         fvals = f.data[1]

@@ -66,7 +66,7 @@ def canon_parse(raw: bytes) -> Any:
 def canon_unhex(text: str) -> Any:
     try:
         raw = bytes.fromhex(text)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:      # TypeError: not a str
         raise EncodingError(f"not base-16: {exc}") from exc
     return canon_parse(raw)
 
@@ -301,10 +301,16 @@ class IdentityFunctor(Functor):
 
 
 class ComposedFunctor(Functor):
-    """outer after inner; lift chains the factors' lifts."""
+    """outer after inner; lift chains the factors' lifts.  The factors meet
+    in one category: one handle, or one type with one registry spec."""
 
     def __init__(self, outer: Functor, inner: Functor):
-        if inner.cod is not outer.dom and inner.cod.name != outer.dom.name:
+        x, y = inner.cod, outer.dom
+        try:
+            same = x is y or (type(x), x.spec()) == (type(y), y.spec())
+        except NotImplementedError:     # no spec: only the handle itself
+            same = False
+        if not same:
             raise ValueError("functors not composable")
         super().__init__(inner.dom, outer.cod)
         self.outer = outer
@@ -507,8 +513,8 @@ def check_frank_at(fun: Functor, a: Any, b_prime: Any,
         return FrankResult("no-lift", None, str(exc))
     if fun.obj(b) != b_prime:
         return FrankResult("fail", b, f"obj({b!r}) != {b_prime!r}")
-    image = {fun.morph(f).encode() for f in budgeted_hom(fun.dom, a, b, budget)}
-    target = {g.encode() for g in fun.cod.hom(fun.obj(a), b_prime)}
+    image = {fun.morph(f) for f in budgeted_hom(fun.dom, a, b, budget)}
+    target = set(fun.cod.hom(fun.obj(a), b_prime))
     if image != target:
         return FrankResult("fail", b, "image of hom differs from target hom")
     return FrankResult("pass", b)

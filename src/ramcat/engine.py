@@ -145,11 +145,8 @@ def functor_image(delta: Functor, a: Any, b: Any,
                   budget: SearchBudget | None = None) -> tuple[Morph, ...]:
     """Distinct images of hom(a, b) under the functor, canonically ordered;
     hom(a, b) past the budget's hom-size cap is refused before it is built."""
-    seen: dict[bytes, Morph] = {}
-    for f in budgeted_hom(delta.dom, a, b, budget):
-        m = delta.morph(f)
-        seen.setdefault(m.encode(), m)
-    return sort_morphs(seen.values())
+    return sort_morphs(dict.fromkeys(
+        delta.morph(f) for f in budgeted_hom(delta.dom, a, b, budget)))
 
 
 # A check is what one admissible g makes of the chosen groups of hom(a, b):
@@ -318,9 +315,9 @@ def check_p_witness(delta: Functor, a: Any, b: Any, c: Any, r: int, *,
     with g.
     """
     def select(hom_ab):
-        by_image: dict[bytes, list[int]] = {}
+        by_image: dict[Morph, list[int]] = {}
         for i, f in enumerate(hom_ab):
-            by_image.setdefault(delta.morph(f).encode(), []).append(i)
+            by_image.setdefault(delta.morph(f), []).append(i)
         return [grp for grp in by_image.values() if len(grp) > 1], None
 
     return _check(delta.dom, a, b, c, r, 1, select, mode=mode, budget=budget,
@@ -346,8 +343,7 @@ def check_fp_witness(delta: Functor, inst: FpInstance, c: Any, f_prime: Morph,
 
     def select(hom_ab):
         image_ab = [delta.morph(f) for f in hom_ab]
-        encoded = {m.encode() for m in image_ab}
-        if any(e.encode() not in encoded for e in s):
+        if not set(image_ab).issuperset(s):
             raise ValueError("s must lie in the image of hom(a, b)")
         image_bc = [delta.morph(g) for g in delta.dom.hom(inst.b, c)]
         if g_prime not in image_bc:
@@ -467,12 +463,8 @@ def degree_upper_bound(a: Any, b: Any, deltas: tuple[Functor, ...],
     best, best_word = len(hom_ab), ()
     for length in range(1, word_cap + 1):
         for word in product(range(len(deltas)), repeat=length):
-            images = set()
-            for f in hom_ab:
-                m = f
-                for i in word:
-                    m = deltas[i].morph(m)
-                images.add(m.encode())
+            images = {reduce(lambda m, i: deltas[i].morph(m), word, f)
+                      for f in hom_ab}
             if len(images) < best:
                 best, best_word = len(images), word
     return best, best_word

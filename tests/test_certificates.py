@@ -213,6 +213,16 @@ def test_registry_round_trips_every_kind():
         build_functor({"kind": "nope"})
 
 
+def test_compose_certificates_rebuild_across_handles():
+    dd = compose_word([DR, DR])
+    res = check_p_witness(dd, 1, 2, 5, 2)
+    claim = Claim.from_doc(p_certificate(dd, 1, 2, 5, 2, res))
+    inner, outer = claim.fun.inner, claim.fun.outer
+    # each factor is rebuilt with its own category handle
+    assert inner.cod is not outer.dom
+    assert claim.fun.spec() == dd.spec() and claim.check().ok == res.ok
+
+
 def test_identity_functor_certificate_round_trip():
     from ramcat import IdentityFunctor
     from ramcat.categories import subset_category

@@ -551,6 +551,68 @@ def test_replay_refuses_a_certificate_without_samples(capsys, tmp_path):
     assert "samples must be at least 1, got 0" in err
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize("mode, path, value, named", [
+    ("auto", "inputs.a", _DROP, "missing field 'inputs.a'"),
+    ("auto", "inputs.r", "2", "'inputs.r' must be int, not str"),
+    ("auto", "inputs.r", True, "'inputs.r' must be int, not bool"),
+    ("auto", "category", [], "'category' must be dict, not list"),
+    ("auto", "budget.max_colorings", _DROP,
+     "missing field 'budget.max_colorings'"),
+    ("auto", "verification", 3, "missing field 'verification.verdict'"),
+    ("auto", "functor", {"kind": "step-boundary"},
+     "missing field 'orientation'"),
+    ("sampled", "budget.seed", "1729", "'budget.seed' must be int, not str")],
+    ids=["no-a", "str-r", "bool-r", "list-category", "no-max-colorings",
+         "int-verification", "step-boundary-without-orientation",
+         "str-seed"])
+def test_replay_refuses_malformed_certificates(capsys, tmp_path, mode, path,
+                                               value, named):
+    cert = tmp_path / "p.json"
+    code, _, _ = run(capsys, "verify", "p", "--category", "R",
+                     "--functor", "dR", "--a", "2", "--b", "3", "--c", "4",
+                     "--r", "2", "--mode", mode, "--samples", "50",
+                     "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    *parents, key = path.split(".")
+    holder = doc
+    for part in parents:
+        holder = holder[part]
+    if value is _DROP:
+        del holder[key]
+    else:
+        holder[key] = value
+    doc["digest"] = document_digest(doc)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "replay", str(cert))
+    assert code == 1 and not out
+    assert err.startswith("bad certificate: ") and named in err
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc["inputs"]["s"].__setitem__(0, 7), "not base-16"),
+    (lambda doc: doc["witness"].__setitem__("f_prime", canon_hex(5)),
+     "a morphism encodes a (dom, cod, data) triple")],
+    ids=["int-in-s", "f-prime-not-a-triple"])
+def test_replay_refuses_a_morphism_that_does_not_decode(capsys, tmp_path,
+                                                        edit, named):
+    cert = tmp_path / "fp.json"
+    code, _, _ = run(capsys, "verify", "fp", "--category", "R",
+                     "--functor", "dR", "--a", "1", "--b", "2", "--c", "6",
+                     "--r", "2", "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    edit(doc)
+    doc["digest"] = document_digest(doc)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "replay", str(cert))
+    assert code == 64 and not out
+    assert err.startswith(f"invalid inputs: {named}")
+
+
 def test_replay_refuses_non_objects(capsys, tmp_path):
     cert = tmp_path / "p.json"
     code, _, _ = run(capsys, "verify", "p", "--category", "P",

@@ -1,5 +1,7 @@
 """Witness constructions: staged recursions, products, modeling transfer."""
 
+from collections import Counter
+
 import pytest
 
 from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
@@ -12,7 +14,10 @@ from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
                     product_ramsey_numbers, r_fp_witness, star,
                     subset_boundary, subset_category, tree_fp_witness,
                     tree_truncation, word_boundary, word_witness)
-from ramcat.categories import ProductCategory, ProductFunctor, step_boundary
+from ramcat import constructions as constructions_module
+from ramcat.categories import (ProductCategory, ProductFunctor, SubsetCategory,
+                               step_boundary, structure)
+from ramcat.categories import trees as trees_module
 from ramcat.constructions import (CONSTRUCTED, SEARCHED, ProductCoordinate,
                                   pigeonhole_provider, product_provider,
                                   product_witness, r_fp_oracle,
@@ -109,6 +114,21 @@ def test_fiber_recursion_checks_each_stage_before_its_oracle():
     # |hom(2, c)|: 780 and 7,140 pass the cap, 64,620 at c = 360 does not
     assert asked == [40, 120]
     assert (exc.value.needed, exc.value.cap) == (64_620, 10_000)
+
+
+def test_fiber_recursion_pushes_each_copy_once(monkeypatch):
+    calls = []
+    compose = SubsetCategory.compose
+
+    def counting(self, g, f):
+        calls.append((g, f))
+        return compose(self, g, f)
+
+    monkeypatch.setattr(SubsetCategory, "compose", counting)
+    c, trace = fp_to_p_construct(DR, 2, 4, 2, r_fp_oracle())
+    # stage k advances the n - k unhandled copies by one composite each
+    n = trace.n
+    assert (c, n) == (108, 3) and len(calls) == n * (n - 1) // 2
 
 
 def test_fiber_recursion_rejects_wayward_oracle():
@@ -390,6 +410,22 @@ def test_fouche_single_stage():
     assert trace.stages[0].witness == star(6)
     res = check_p_witness(tree_truncation(), (1, 0), (2, 0, 0), v, 2)
     assert res.ok and res.exhaustive
+
+
+def test_fouche_builds_each_tree_shape_once(monkeypatch):
+    built = Counter()
+
+    def counting(t):
+        built[t] += 1
+        return structure(t)
+
+    monkeypatch.setattr(trees_module, "_SHAPES", {})
+    # every route to structure, a direct import by the constructions included
+    for module in (trees_module, constructions_module):
+        monkeypatch.setattr(module, "structure", counting, raising=False)
+    v, _ = fouche_witness((2, 0, 0), (3, 0, 0, 0), 2)
+    assert set(built) == {(2, 0, 0), (3, 0, 0, 0), (0,), v}
+    assert max(built.values()) == 1
 
 
 def test_fouche_obeys_the_color_bit_cap():

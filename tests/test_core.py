@@ -49,6 +49,12 @@ def test_canon_rejects_unencodable():
         canon_bytes(-2 ** 63 - 1)
 
 
+@pytest.mark.parametrize("text", [3, None, ["00"], b"00"])
+def test_canon_unhex_refuses_non_strings(text):
+    with pytest.raises(EncodingError, match="not base-16"):
+        canon_unhex(text)
+
+
 @pytest.mark.parametrize("value, shown", [
     (10 ** 5000, "at least 10**5000"), (-10 ** 5000, "at most -10**5000"),
     (2 ** 63, "at least 10**18")], ids=["10**5000", "-10**5000", "2**63"])
@@ -179,6 +185,28 @@ def test_composed_functor_structure():
     assert ident.obj(4) == 4
     assert ident.frank_lift(1, 9) == 9
     assert ident.spec() == {"kind": "identity", "category": {"kind": "subset"}}
+
+
+class _Lookalike(type(subset_category())):
+    """Test stub: another category that also calls itself "subset"."""
+
+
+class _Unregistered(_Lookalike):
+    def spec(self):
+        raise NotImplementedError("no registry spec")
+
+
+def test_composition_needs_one_category_not_one_name():
+    delta = subset_boundary()
+    assert _Lookalike.name == _Unregistered.name == delta.cod.name == "subset"
+    for foreign in (_Lookalike(), _Unregistered()):
+        with pytest.raises(ValueError, match="not composable"):
+            compose_functors(IdentityFunctor(foreign), delta)
+        # a category always composes with its own handle
+        ident = IdentityFunctor(foreign)
+        assert compose_functors(ident, ident).dom is foreign
+    # two handles of one registered category compose
+    assert compose_functors(subset_boundary(), delta).obj(5) == 3
 
 
 def test_default_frank_lift_raises():
