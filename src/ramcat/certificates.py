@@ -20,7 +20,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .categories.hjcat import WordBoundary, WordCategory
 from .categories.pcat import StepBoundary, StepCategory
@@ -49,9 +49,11 @@ def canonical_json(doc: Any) -> str:
                       ensure_ascii=True, allow_nan=False)
 
 
-def _field(doc: Any, path: str, kind: type = int) -> Any:
+def _field(doc: Any, path: str, kind: type = int,
+           decode: Callable[[Any], Any] | None = None) -> Any:
     """doc's value at the dotted path, refused unless its type is exactly
-    kind: JSON values are of no subclass, so no bool passes for an int."""
+    kind: JSON values are of no subclass, so no bool passes for an int.
+    decode, if given, reads the value; one it cannot read is refused too."""
     value = doc
     for key in path.split("."):
         if not isinstance(value, dict) or key not in value:
@@ -60,7 +62,10 @@ def _field(doc: Any, path: str, kind: type = int) -> Any:
     if type(value) is not kind:
         raise CertificateError(f"field {path!r} must be {kind.__name__}, "
                                f"not {type(value).__name__}")
-    return value
+    try:
+        return value if decode is None else decode(value)
+    except EncodingError as exc:
+        raise CertificateError(f"field {path!r} does not decode: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +232,23 @@ class Claim:
         if kind not in ("p", "fp"):
             raise CertificateError(f"unknown input kind {kind!r}")
         fiber = None if kind == "p" else (
-            tuple(map(morph_unhex, _field(doc, "inputs.s", list))),
-            morph_unhex(_field(doc, "witness.f_prime", str)),
-            morph_unhex(_field(doc, "witness.g_prime", str)))
-        a, b, c = (canon_unhex(_field(doc, path, str))
+            _field(doc, "inputs.s", list, lambda s: tuple(map(morph_unhex, s))),
+            _field(doc, "witness.f_prime", str, morph_unhex),
+            _field(doc, "witness.g_prime", str, morph_unhex))
+        a, b, c = (_field(doc, path, str, canon_unhex)
                    for path in ("inputs.a", "inputs.b", "witness.c"))
         return cls(fun, a, b, c, _field(doc, "inputs.r"), fiber)
 
 
 def p_certificate(fun: Functor, a: Any, b: Any, c: Any, r: int,
-                  result: PCheckResult, *, theorem: str = "partition-check",
-                  trace: dict | None = None, mode: str = "auto",
-                  budget: SearchBudget | None = None, seed: int = DEFAULT_SEED,
-                  samples: int = DEFAULT_SAMPLES) -> dict:
-    return Claim(fun, a, b, c, r).certificate(
-        result, theorem, trace, mode=mode, budget=budget, seed=seed,
-        samples=samples)
+                  result: PCheckResult, **kw) -> dict:
+    return Claim(fun, a, b, c, r).certificate(result, **kw)
 
 
 def fp_certificate(fun: Functor, inst: FpInstance, c: Any, f_prime: Morph,
-                   g_prime: Morph, result: PCheckResult, *,
-                   theorem: str = "fiber-check", trace: dict | None = None,
-                   mode: str = "auto", budget: SearchBudget | None = None,
-                   seed: int = DEFAULT_SEED,
-                   samples: int = DEFAULT_SAMPLES) -> dict:
+                   g_prime: Morph, result: PCheckResult, **kw) -> dict:
     return Claim(fun, inst.a, inst.b, c, inst.r, (inst.s, f_prime, g_prime)
-                 ).certificate(result, theorem, trace, mode=mode,
-                               budget=budget, seed=seed, samples=samples)
+                 ).certificate(result, **kw)
 
 
 # ---------------------------------------------------------------------------

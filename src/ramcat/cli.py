@@ -127,7 +127,7 @@ def budget_from(args) -> SearchBudget:
 
 def _engine_kw(args) -> dict:
     return {"mode": args.mode, "budget": budget_from(args), "seed": args.seed,
-            "samples": args.samples, "jobs": args.jobs}
+            "samples": args.samples}        # no jobs: certificates omit it
 
 
 def _report(res) -> str:
@@ -146,8 +146,7 @@ def _settle(args, claim: Claim, shown: Any = None, trace: dict | None = None,
             theorem: str | None = None) -> int:
     """Check, report and certify the claim; return the exit code."""
     run = _engine_kw(args)
-    jobs = run.pop("jobs")      # certificates never record the job count
-    res = claim.check(jobs=jobs, **run)
+    res = claim.check(jobs=args.jobs, **run)
     if shown is not None:
         print(f"constructed witness: {shown!r}")
     print(_report(res))
@@ -281,7 +280,7 @@ def cmd_degree(args) -> int:
         # by default the category's own boundary functor
         deltas = functor_word(tokens, args.delta or next(iter(tokens)))
         rep = check_degree_bound(tuple(deltas), a, b, args.r, pool,
-                                 word_cap=args.word_cap, **kw)
+                                 word_cap=args.word_cap, jobs=args.jobs, **kw)
         print(f"image-size bound {rep.bound} via word {rep.word} "
               f"(trivial bound {rep.trivial})")
         if rep.degree is not None:
@@ -290,7 +289,7 @@ def cmd_degree(args) -> int:
         return EXIT_PASS
     if pool is None:
         raise CliError("degree search needs --pool lo..hi")
-    deg = ramsey_degree(cat, a, b, args.r, pool, **kw)
+    deg = ramsey_degree(cat, a, b, args.r, pool, jobs=args.jobs, **kw)
     if deg.degree is None:
         print("no pool object forces any color cap")
         return EXIT_FAIL

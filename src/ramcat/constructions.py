@@ -221,6 +221,8 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
     Each stage witness c is refused past the budget's hom-size cap on hom(a, c)
     before the next oracle call or its return: stage objects grow geometrically.
     """
+    if r < 1:
+        raise ValueError("need at least one color")
     image = functor_image(delta, a, b, budget)
     n = len(image)
     # each unhandled image element, in image order, and its pushed copy
@@ -263,9 +265,9 @@ def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
 
 
 def search_provider(pool: Callable[[Any, Any, int], Iterable[Any]],
-                    **engine_kw) -> WitnessProvider:
+                    **run) -> WitnessProvider:
     def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
-        found = search_p_witness(fun, a, b, r, pool(a, b, r), **engine_kw)
+        found = search_p_witness(fun, a, b, r, pool(a, b, r), **run)
         if found is None:
             raise ConstructionError(f"search pool exhausted at {(a, b, r)!r}")
         return found[0], {}
@@ -624,6 +626,8 @@ def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
     the relation returned for d3 is checked for modeling compatibility and
     well-definedness (through zeta when available) before its c3 is accepted.
     """
+    if r < 1:
+        raise ValueError("need at least one color")
     d3, note = _stage("delta witness", lambda: delta_witness(delta, d1, d2, r))
     c3, rel = _stage("relation provider", lambda: rel_provider(d3))
     if (rel.c1, rel.c2, rel.c3) != (a, b, c3):

@@ -9,6 +9,9 @@ of f_prime, the g with delta(g)∘e == g_prime∘e on s, cap 1.  Degree: all of
 hom(a, b), every g, cap k.  The cells come from the category's action table
 (per g in hom(b, c), the hom(a, c) index of g∘f for each f in hom(a, b)), so
 no check composes arrows; a product sums its factors' indices in mixed radix.
+_check alone states a run (mode, budget, seed, samples, jobs) and its
+defaults, and every public check forwards its **run there.  It refuses r < 1
+before any hom-set is sized, so an empty hom(b, c) fails rather than passes.
 
 Exhaustive mode decides all r**|hom(a, c)| colorings.  Coloring idx assigns
 cell j (the j-th arrow of hom(a, c) in canonical order) the color
@@ -252,9 +255,17 @@ def _checks(cat: Category, a: Any, b: Any, c: Any, groups, admissible
             yield tuple(tuple(row[i] for i in grp) for grp in groups)
 
 
+def _refuse_run(r: int, jobs: int) -> None:
+    if r < 1:
+        raise ValueError(f"need at least one color, got {r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
-           select: Callable, *, mode: str, budget: SearchBudget | None,
-           seed: int, samples: int, jobs: int) -> PCheckResult:
+           select: Callable, *, mode: str = "auto",
+           budget: SearchBudget | None = None, seed: int = DEFAULT_SEED,
+           samples: int = DEFAULT_SAMPLES, jobs: int = 1) -> PCheckResult:
     """Decide the r-colorings of hom(a, c) against groups of hom(a, b) under a cap.
 
     select(hom(a, b)) returns the groups, as tuples of indices in hom(a, b),
@@ -262,17 +273,12 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
     when every g is admissible.  A coloring passes when some admissible g
     carries every group onto at most cap colors.
     """
-    if r < 0:
-        raise ValueError("color count must be nonnegative")
+    _refuse_run(r, jobs)
     if mode not in ("exhaustive", "sampled", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     budget = budget or SearchBudget()
     require_hom_budget(cat, budget, (a, b), (b, c), (a, c))
     n = cat.hom_size(a, c)
-    if r == 0 and n > 0:
-        raise ValueError("no 0-colorings of a nonempty hom set")
     total = r ** n
     if mode == "exhaustive" and total > budget.max_colorings:
         raise BudgetExceeded("colorings", total, budget.max_colorings,
@@ -282,10 +288,6 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
         raise ValueError(f"samples must be at least 1, got {samples}")
     groups, admissible = select(cat.hom(a, b))
     arrows = cat.hom_size(b, c) if admissible is None else len(admissible)
-    if r == 0:
-        # 0-colorings exist only on an empty hom set; the check is vacuous
-        return PCheckResult(ok=True, exhaustive=True, r=0, cells=0,
-                            arrows=arrows, checked=1, total=1)
     source = partial(_checks, cat, a, b, c, groups, admissible)
     count = total if exhaustive else samples
     kind = "index" if exhaustive else "sample"
@@ -304,10 +306,8 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
                         seed=scan_seed, counterexample=cex)
 
 
-def check_p_witness(delta: Functor, a: Any, b: Any, c: Any, r: int, *,
-                    mode: str = "auto", budget: SearchBudget | None = None,
-                    seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
-                    jobs: int = 1) -> PCheckResult:
+def check_p_witness(delta: Functor, a: Any, b: Any, c: Any, r: int,
+                    **run) -> PCheckResult:
     """Does c witness the partition condition for delta at (a, b) with r colors?
 
     Pass means: every r-coloring of hom(a, c) admits g in hom(b, c) such that
@@ -320,14 +320,11 @@ def check_p_witness(delta: Functor, a: Any, b: Any, c: Any, r: int, *,
             by_image.setdefault(delta.morph(f), []).append(i)
         return [grp for grp in by_image.values() if len(grp) > 1], None
 
-    return _check(delta.dom, a, b, c, r, 1, select, mode=mode, budget=budget,
-                  seed=seed, samples=samples, jobs=jobs)
+    return _check(delta.dom, a, b, c, r, 1, select, **run)
 
 
 def check_fp_witness(delta: Functor, inst: FpInstance, c: Any, f_prime: Morph,
-                     g_prime: Morph, *, mode: str = "auto",
-                     budget: SearchBudget | None = None, seed: int = DEFAULT_SEED,
-                     samples: int = DEFAULT_SAMPLES, jobs: int = 1) -> PCheckResult:
+                     g_prime: Morph, **run) -> PCheckResult:
     """Does (c, f_prime, g_prime) witness the fiber condition for the instance?
 
     Pass means: every r-coloring of hom(a, c) admits g in hom(b, c) whose
@@ -354,44 +351,37 @@ def check_fp_witness(delta: Functor, inst: FpInstance, c: Any, f_prime: Morph,
                       if all(cod.compose(dg, e) == ge for e, ge in zip(s, agree))}
         return (fiber_ab,), admissible
 
-    return _check(delta.dom, inst.a, inst.b, c, inst.r, 1, select, mode=mode,
-                  budget=budget, seed=seed, samples=samples, jobs=jobs)
+    return _check(delta.dom, inst.a, inst.b, c, inst.r, 1, select, **run)
 
 
-def check_degree_witness(cat: Category, a: Any, b: Any, c: Any, r: int, k: int, *,
-                         mode: str = "auto", budget: SearchBudget | None = None,
-                         seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
-                         jobs: int = 1) -> PCheckResult:
+def check_degree_witness(cat: Category, a: Any, b: Any, c: Any, r: int, k: int,
+                         **run) -> PCheckResult:
     """Does c force every r-coloring onto at most k colors over some copy of b?"""
     if k < 0:
         raise ValueError("color cap must be nonnegative")
     return _check(cat, a, b, c, r, k,
-                  lambda hom_ab: ((tuple(range(len(hom_ab))),), None),
-                  mode=mode, budget=budget, seed=seed, samples=samples,
-                  jobs=jobs)
+                  lambda hom_ab: ((tuple(range(len(hom_ab))),), None), **run)
 
 
 def search_p_witness(delta: Functor, a: Any, b: Any, r: int,
-                     pool: Iterable[Any], **kw) -> tuple[Any, PCheckResult] | None:
+                     pool: Iterable[Any], **run) -> tuple[Any, PCheckResult] | None:
     """First object in the pool that witnesses the partition condition."""
     for c in pool:
-        res = check_p_witness(delta, a, b, c, r, **kw)
+        res = check_p_witness(delta, a, b, c, r, **run)
         if res.ok:
             return c, res
     return None
 
 
 def ramsey_degree(cat: Category, a: Any, b: Any, r: int, pool: Iterable[Any], *,
-                  mode: str = "auto", budget: SearchBudget | None = None,
-                  seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
-                  jobs: int = 1) -> DegreeResult:
+                  budget: SearchBudget | None = None, jobs: int = 1,
+                  **run) -> DegreeResult:
     """Least k with a pool witness forcing at most k colors over copies of b.
 
     An empty hom(a, b) has degree 0 witnessed by b itself.  Returns degree
     None when no pool object works even at the trivial cap |hom(a, b)|.
     """
-    if jobs < 1:    # an empty hom(a, b) returns before any check refuses it
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _refuse_run(r, jobs)    # an empty hom(a, b) returns before any check
     hom_ab = budgeted_hom(cat, a, b, budget)
     pool = tuple(pool)
     if not hom_ab:
@@ -399,9 +389,8 @@ def ramsey_degree(cat: Category, a: Any, b: Any, r: int, pool: Iterable[Any], *,
     trail: list[tuple[int, Any, bool]] = []
     for k in range(1, len(hom_ab) + 1):
         for c in pool:
-            res = check_degree_witness(cat, a, b, c, r, k, mode=mode,
-                                       budget=budget, seed=seed,
-                                       samples=samples, jobs=jobs)
+            res = check_degree_witness(cat, a, b, c, r, k, budget=budget,
+                                       jobs=jobs, **run)
             trail.append((k, c, res.ok))
             if res.ok:
                 return DegreeResult(degree=k, witness=c, r=r,
@@ -420,9 +409,8 @@ class DegreeBoundReport:
 
 def check_degree_bound(deltas: tuple[Functor, ...], a: Any, b: Any, r: int,
                        pool: Iterable[Any] | None, *, word_cap: int = 3,
-                       mode: str = "auto", budget: SearchBudget | None = None,
-                       seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
-                       jobs: int = 1) -> DegreeBoundReport:
+                       budget: SearchBudget | None = None,
+                       **run) -> DegreeBoundReport:
     """Image-size degree bound over composition words, checked against brute force.
 
     For functors fulfilling the partition condition the image size of hom(a, b)
@@ -435,8 +423,7 @@ def check_degree_bound(deltas: tuple[Functor, ...], a: Any, b: Any, r: int,
     trivial = cat.hom_size(a, b)
     deg = None
     if pool is not None:
-        deg = ramsey_degree(cat, a, b, r, pool, mode=mode, budget=budget,
-                            seed=seed, samples=samples, jobs=jobs)
+        deg = ramsey_degree(cat, a, b, r, pool, budget=budget, **run)
         # the image bound holds for the true degree; a pool lacking the
         # witness object overshoots it, which this surfaces loudly
         if deg.degree is not None and deg.degree > bound:

@@ -535,6 +535,31 @@ def test_runs_refuse_fewer_than_one_job(capsys, argv, jobs):
     assert f"jobs must be at least 1, got {jobs}" in err
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    # hom(3, 2) is empty: no color count below one may pass without a g
+    ("verify", "p", "--category", "R", "--functor", "dR", "--a", "3",
+     "--b", "3", "--c", "2"),
+    # an empty hom(a, b) returns degree 0 before any check
+    ("degree", "--a", "3", "--b", "2", "--pool", "0..4")],
+    ids=["verify", "degree"])
+def test_runs_refuse_fewer_than_one_color(capsys, monkeypatch, argv, r):
+    forbid_hom(monkeypatch, SubsetCategory)
+    code, out, err = run(capsys, *argv, "--r", r)
+    assert code == 64 and not out
+    assert f"invalid inputs: need at least one color, got {r}" in err
+
+
+@pytest.mark.parametrize("theorem", [
+    "fp2p", "r-fp", "p-pigeonhole", "compose", "product", "modeling", "hj",
+    "fouche"])
+def test_every_construction_refuses_no_colors(capsys, monkeypatch, theorem):
+    monkeypatch.setattr(Claim, "check", forbid_check)
+    code, out, err = run(capsys, "construct", "--theorem", theorem, "--r", "0")
+    assert code == 64 and not out
+    assert err.startswith("invalid inputs: need "), err
+
+
 def test_replay_refuses_a_certificate_without_samples(capsys, tmp_path):
     cert = tmp_path / "p.json"
     code, _, _ = run(capsys, "verify", "p", "--category", "R",
@@ -592,13 +617,16 @@ def test_replay_refuses_malformed_certificates(capsys, tmp_path, mode, path,
     assert err.startswith("bad certificate: ") and named in err
 
 
-@pytest.mark.parametrize("edit, named", [
-    (lambda doc: doc["inputs"]["s"].__setitem__(0, 7), "not base-16"),
+@pytest.mark.parametrize("edit, field, named", [
+    (lambda doc: doc["inputs"]["s"].__setitem__(0, 7), "inputs.s",
+     "not base-16"),
     (lambda doc: doc["witness"].__setitem__("f_prime", canon_hex(5)),
-     "a morphism encodes a (dom, cod, data) triple")],
-    ids=["int-in-s", "f-prime-not-a-triple"])
+     "witness.f_prime", "a morphism encodes a (dom, cod, data) triple"),
+    (lambda doc: doc["inputs"].__setitem__("a", "zz"), "inputs.a",
+     "not base-16")],
+    ids=["int-in-s", "f-prime-not-a-triple", "a-not-hex"])
 def test_replay_refuses_a_morphism_that_does_not_decode(capsys, tmp_path,
-                                                        edit, named):
+                                                        edit, field, named):
     cert = tmp_path / "fp.json"
     code, _, _ = run(capsys, "verify", "fp", "--category", "R",
                      "--functor", "dR", "--a", "1", "--b", "2", "--c", "6",
@@ -609,8 +637,19 @@ def test_replay_refuses_a_morphism_that_does_not_decode(capsys, tmp_path,
     doc["digest"] = document_digest(doc)
     cert.write_text(json.dumps(doc))
     code, out, err = run(capsys, "replay", str(cert))
+    # a value that does not decode is a bad certificate, named by its field
+    assert code == 1 and not out
+    assert err.startswith(f"bad certificate: field {field!r} does not decode: "
+                          f"{named}")
+
+
+def test_verify_refuses_a_selection_that_does_not_decode(capsys):
+    # verify shares the morphism decoder with replay, but --s is a usage error
+    code, out, err = run(capsys, "verify", "fp", "--category", "R",
+                         "--functor", "dR", "--a", "1", "--b", "2", "--c", "6",
+                         "--r", "2", "--s", "zz")
     assert code == 64 and not out
-    assert err.startswith(f"invalid inputs: {named}")
+    assert err.startswith("invalid inputs: not base-16")
 
 
 def test_replay_refuses_non_objects(capsys, tmp_path):

@@ -55,10 +55,19 @@ def test_composite_boundary_passes_at_six():
 
 def test_trivial_color_counts():
     assert check_p_witness(DR, 1, 2, 2, 1).ok
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one color"):
         check_p_witness(DR, 1, 2, 2, 0)
-    # no arrows at all makes zero colors vacuously fine
-    assert check_p_witness(DR, 3, 3, 2, 0).ok
+    # zero colors is no run, not a vacuous pass, even with no arrows at all
+    with pytest.raises(ValueError, match="need at least one color, got 0"):
+        check_p_witness(DR, 3, 3, 2, 0)
+
+
+def test_an_empty_hom_bc_fails_at_the_first_coloring():
+    # hom(3, 2) is empty, so no g rescues the one coloring of no cells
+    res = check_p_witness(DR, 3, 3, 2, 1)
+    assert not res.ok and res.exhaustive
+    assert (res.cells, res.arrows, res.checked, res.total) == (0, 0, 1, 1)
+    assert res.counterexample.index == 0 and res.counterexample.cells == ()
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +159,10 @@ def test_tree_hom_budget_refuses_before_enumerating(monkeypatch):
     assert exc.value.needed == 161_700  # C(100, 3) copies of (3, 0, 0, 0)
 
 
-@pytest.mark.parametrize("r, mode, message", [(2, "bogus", "unknown mode"),
-                                              (-1, "auto", "nonnegative"),
-                                              (0, "auto", "no 0-colorings")])
+@pytest.mark.parametrize("r, mode, message", [
+    (2, "bogus", "unknown mode"),
+    pytest.param(-1, "auto", "need at least one color", id="-1-auto-no-colors"),
+    pytest.param(0, "auto", "need at least one color", id="0-auto-no-colors")])
 def test_bad_mode_or_color_count_is_refused_before_any_hom(monkeypatch, r,
                                                            mode, message):
     def no_enumeration(self, a, b):
@@ -407,6 +417,13 @@ def test_degree_zero_when_hom_is_empty():
     deg = ramsey_degree(subset_category(), 3, 2, 2, range(0, 5))
     assert deg.degree == 0 and deg.witness == 2
     assert deg.trail == ()
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_degree_refuses_no_colors_even_when_hom_is_empty(r):
+    # the empty hom(3, 2) returns degree 0 before any check could refuse r
+    with pytest.raises(ValueError, match=f"need at least one color, got {r}"):
+        ramsey_degree(subset_category(), 3, 2, r, range(0, 5))
 
 
 def test_degree_witness_checker_spread():
