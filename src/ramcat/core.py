@@ -202,6 +202,15 @@ def sort_morphs(morphs: Iterable[Morph]) -> tuple[Morph, ...]:
     return tuple(sorted(morphs, key=Morph.key))
 
 
+def _table(cat: Category, hab: Sequence[Morph], hbc: Sequence[Morph],
+           hac: Sequence[Morph]) -> list[tuple[int, ...]]:
+    """One row per g in hbc: the hac index of g∘f for each f in hab, or -1
+    where the composite is not in hac."""
+    pos = {f: i for i, f in enumerate(hac)}.get
+    compose = cat.compose
+    return [tuple([pos(compose(g, f), -1) for f in hab]) for g in hbc]
+
+
 class Category(ABC):
     """Finite-hom category handle.
 
@@ -210,9 +219,10 @@ class Category(ABC):
     gives one row per g in hom(b, c), in order: the hom(a, c) indices of g∘f
     over hom(a, b).  Every row is composed and validated before `action`
     returns, so a composite outside hom(a, c) raises ValueError even in a row
-    that no caller reads.  Products override it with a stream of mixed-radix
-    index sums over their factors' tables, which are built and validated
-    before `action` returns.
+    that no caller reads.  The rows come from `_table`, the builder that
+    `check_category_laws` reads too.  Products override it with a stream of
+    mixed-radix index sums over their factors' tables, which are built and
+    validated before `action` returns.
     """
 
     name: str = "category"
@@ -238,18 +248,13 @@ class Category(ABC):
         return len(self.hom(a, b))
 
     def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
-        hom_ab = self.hom(a, b)
-        pos = {f: i for i, f in enumerate(self.hom(a, c))}
-        compose = self.compose
-        rows = []
-        for g in self.hom(b, c):
-            try:
-                rows.append(tuple(pos[compose(g, f)] for f in hom_ab))
-            except KeyError:
-                f = next(f for f in hom_ab if compose(g, f) not in pos)
+        hom_ab, hom_bc = self.hom(a, b), self.hom(b, c)
+        rows = _table(self, hom_ab, hom_bc, self.hom(a, c))
+        for g, row in zip(hom_bc, rows):
+            if -1 in row:
                 raise ValueError(f"{self.name}: compose(g, f) is not in "
                                  f"hom({a!r}, {c!r}) for g={g!r}, "
-                                 f"f={f!r}") from None
+                                 f"f={hom_ab[row.index(-1)]!r}")
         return rows
 
     def objects(self, count: int) -> tuple[Any, ...]:
@@ -396,29 +401,40 @@ def _fragment(cat: Category, objects: Sequence[Any],
               budget: SearchBudget | None
               ) -> dict[Any, dict[Any, tuple[Morph, ...]]]:
     """rows[a][b] = hom(a, b) for each non-empty hom-set of the fragment, in
-    object order.  Each is built once, then refused past the budget's hom-size
-    cap: on a mostly empty fragment, asking hom_size first costs a build."""
+    object order.  Each pair's hom_size is asked first, so a hom-set past the
+    budget's hom-size cap is refused before it is built and an empty one is
+    never built."""
     cap = (budget or SearchBudget()).max_hom_size
     rows: dict[Any, dict[Any, tuple[Morph, ...]]] = {}
     for a in objects:
         row = rows[a] = {}
         for b in objects:
-            hab = cat.hom(a, b)
-            if len(hab) > cap:
-                raise _hom_refusal(len(hab), cap, a, b)
-            if hab:
-                row[b] = hab
+            size = cat.hom_size(a, b)
+            if size > cap:
+                raise _hom_refusal(size, cap, a, b)
+            if size:
+                row[b] = cat.hom(a, b)
     return rows
 
 
 def check_category_laws(cat: Category, objects: Sequence[Any],
                         budget: SearchBudget | None = None) -> LawReport:
-    """Identity, associativity and closure over the given object fragment."""
+    """Identity, associativity and closure over the given object fragment.
+
+    Closure and associativity read composites as hom-set indices from one
+    `_table` per object triple, the builder `Category.action` reads too;
+    an associativity law whose indices are -1 on either side is decided by
+    composing the arrows themselves.
+    """
     bad = _Violations()
     checked = 0
     rows = _fragment(cat, objects, budget)
     ids = {a: cat.identity(a) for a in objects}
     compose = cat.compose
+    # one table per triple with non-empty hom(a, b) and hom(b, c)
+    tables = {(a, b, c): _table(cat, hab, hbc, rows[a].get(c, ()))
+              for a in objects for b, hab in rows[a].items()
+              for c, hbc in rows[b].items()}
 
     for a in objects:
         ida = ids[a]
@@ -439,21 +455,30 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
         for b, hab in rows[a].items():
             for c, hbc in rows[b].items():
                 # closure: composites land in the enumerated hom-set
-                hac = set(rows[a].get(c, ()))
-                gfs = [[compose(g, f) for g in hbc] for f in hab]
-                for f, gf_row in zip(hab, gfs):
-                    for g, gf in zip(hbc, gf_row):
-                        checked += 1
-                        if gf not in hac:
+                abc = tables[a, b, c]
+                checked += len(hab) * len(hbc)
+                for fi, f in enumerate(hab):
+                    for g, gf_row in zip(hbc, abc):
+                        if gf_row[fi] < 0:
                             bad.add("compose({!r},{!r}) not in hom({!r},{!r})",
                                     g, f, a, c)
-                for hcd in rows[c].values():
-                    hgs = [[compose(h, g) for h in hcd] for g in hbc]
-                    for f, gf_row in zip(hab, gfs):
-                        for g, gf, hg_row in zip(hbc, gf_row, hgs):
-                            for h, hg in zip(hcd, hg_row):
-                                checked += 1
-                                if compose(h, gf) != compose(hg, f):
+                for d, hcd in rows[c].items():
+                    # an index into hom(a, c) or hom(b, d) is -1 unless that
+                    # hom-set is in the fragment, so a missing table is never
+                    # read
+                    bcd = tables[b, c, d]
+                    acd, abd = tables.get((a, c, d)), tables.get((a, b, d))
+                    checked += len(hab) * len(hbc) * len(hcd)
+                    for fi, f in enumerate(hab):
+                        for gi, g in enumerate(hbc):
+                            i = abc[gi][fi]
+                            for hi, h in enumerate(hcd):
+                                j = bcd[hi][gi]
+                                left = acd[hi][i] if i >= 0 else -1
+                                right = abd[j][fi] if j >= 0 else -1
+                                if (left != right if left >= 0 and right >= 0
+                                        else compose(h, compose(g, f))
+                                        != compose(compose(h, g), f)):
                                     bad.add("associativity fails at "
                                             "({!r},{!r},{!r})", h, g, f)
     return bad.report(checked)

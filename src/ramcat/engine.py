@@ -417,6 +417,7 @@ def check_degree_bound(deltas: tuple[Functor, ...], a: Any, b: Any, r: int,
     under any composition word bounds the Ramsey degree; when a pool is given
     the brute-forced degree is computed and the bound is asserted against it.
     """
+    _refuse_run(r, run.get("jobs", 1))    # r is read only through a pool
     cat = deltas[0].dom
     bound, word = degree_upper_bound(a, b, tuple(deltas), word_cap,
                                      budget=budget)

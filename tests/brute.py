@@ -1,7 +1,8 @@
-"""Brute-force minima: small-scale oracles that only the tests call.
+"""Brute-force minima and sweeps: small-scale oracles that only the tests call.
 
 Each computes a known Ramsey-type minimum by exhaustive search over tiny
-instances, independently of the theorem constructions it is compared with.
+instances, independently of the theorem constructions it is compared with,
+or redoes a library sweep the literal way.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from ramcat import SearchBudget, check_p_witness, prf_color, subset_boundary
+from ramcat.core import LawReport
 
 
 def brute_minimal_single(k: int, p: int, r: int, *, cap: int = 12,
@@ -98,6 +100,49 @@ def brute_p_checks(delta, a, b, c) -> list:
     return [tuple(tuple(index[cat.compose(g, f).encode()] for f in grp)
                   for grp in groups)
             for g in cat.hom(b, c)]
+
+
+def brute_category_laws(cat, objects) -> LawReport:
+    """The category-law sweep by composing arrows alone: identity, closure
+    and associativity over the non-empty hom-sets of the fragment, in the
+    order and with the messages of `check_category_laws`, keeping the first
+    20 messages."""
+    homs = {(a, b): cat.hom(a, b) for a in objects for b in objects}
+    rows = {a: [(b, homs[a, b]) for b in objects if homs[a, b]]
+            for a in objects}
+    compose, ids = cat.compose, {a: cat.identity(a) for a in objects}
+    found, checked = [], 0
+    for a in objects:
+        if ids[a].dom != a or ids[a].cod != a:
+            found.append(f"identity at {a!r} has wrong endpoints")
+        for b, hab in rows[a]:
+            for f in hab:
+                checked += 1
+                if f.dom != a or f.cod != b:
+                    found.append(f"hom({a!r},{b!r}) contains stray {f!r}")
+                if compose(f, ids[a]) != f:
+                    found.append(f"f∘id != f for {f!r}")
+                if compose(ids[b], f) != f:
+                    found.append(f"id∘f != f for {f!r}")
+    for a in objects:
+        for b, hab in rows[a]:
+            for c, hbc in rows[b]:
+                for f in hab:
+                    for g in hbc:
+                        checked += 1
+                        if compose(g, f) not in homs[a, c]:
+                            found.append(f"compose({g!r},{f!r}) not in "
+                                         f"hom({a!r},{c!r})")
+                for _, hcd in rows[c]:
+                    for f in hab:
+                        for g in hbc:
+                            for h in hcd:
+                                checked += 1
+                                if (compose(h, compose(g, f))
+                                        != compose(compose(h, g), f)):
+                                    found.append(f"associativity fails at "
+                                                 f"({h!r},{g!r},{f!r})")
+    return LawReport(not found, checked, tuple(found[:20]))
 
 
 def brute_minimal_grid(r: int, *, cap: int = 6) -> int | None:

@@ -550,6 +550,16 @@ def test_runs_refuse_fewer_than_one_color(capsys, monkeypatch, argv, r):
     assert f"invalid inputs: need at least one color, got {r}" in err
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_degree_bound_refuses_fewer_than_one_color(capsys, monkeypatch, r):
+    # with no pool the bound reads r nowhere, yet must refuse it unbuilt
+    forbid_hom(monkeypatch, SubsetCategory)
+    code, out, err = run(capsys, "degree", "--a", "1", "--b", "3", "--r", r,
+                         "--bound")
+    assert code == 64 and not out
+    assert f"invalid inputs: need at least one color, got {r}" in err
+
+
 @pytest.mark.parametrize("theorem", [
     "fp2p", "r-fp", "p-pigeonhole", "compose", "product", "modeling", "hj",
     "fouche"])

@@ -4,6 +4,7 @@ import copy
 import pickle
 
 import pytest
+from brute import brute_category_laws
 
 import ramcat
 from ramcat import (BudgetExceeded, EncodingError, IdentityFunctor, LiftError,
@@ -12,7 +13,9 @@ from ramcat import (BudgetExceeded, EncodingError, IdentityFunctor, LiftError,
                     check_functor_laws, check_frank_at, compose_functors,
                     compose_word, frank_pair, sort_morphs, subset_boundary,
                     subset_category)
-from ramcat.categories import tree_category, tree_truncation
+from ramcat.categories import (ORIENTATIONS, ProductCategory, StepCategory,
+                               SubsetCategory, tree_category, tree_truncation,
+                               word_category)
 from ramcat.core import ComposedFunctor, Functor, FrankResult, LawReport
 
 
@@ -281,6 +284,19 @@ class _ScrambledCompose(type(subset_category())):
         return good
 
 
+class _ReassignedCompose(type(subset_category())):
+    """Sends each composite of two non-identities to its mirror image, another
+    arrow of the same hom-set: closed, but not associative, so the violations
+    are found by comparing hom-set indices."""
+
+    def compose(self, g, f):
+        good = super().compose(g, f)
+        if f.dom != f.cod and g.dom != g.cod:
+            return Morph(good.dom, good.cod,
+                         tuple(good.cod + 1 - x for x in reversed(good.data)))
+        return good
+
+
 def test_law_reports_are_pinned():
     # ok, checked and the kept violations, in order, must not depend on which
     # empty hom-sets the sweeps skip
@@ -315,6 +331,78 @@ def test_law_reports_are_pinned():
     assert check_category_laws(tcat, trees) == LawReport(True, 715, ())
     assert check_functor_laws(tree_truncation(tcat), trees) == \
         LawReport(True, 293, ())
+
+
+def test_reassigned_composites_are_pinned():
+    # (f, g, h) in hom(1, 2), hom(2, 3), hom(3, 4), written as digit strings
+    kept = ("1 12 124", "1 12 134", "1 12 234", "1 13 123", "1 13 124",
+            "1 13 134", "1 13 234", "1 23 124", "1 23 134", "1 23 234",
+            "2 12 123", "2 12 124", "2 12 134", "2 13 123", "2 13 124",
+            "2 13 134", "2 13 234", "2 23 123", "2 23 124", "2 23 134")
+    messages = []
+    for text in kept:
+        f, g, h = (tuple(map(int, part)) for part in text.split())
+        messages.append(f"associativity fails at ({Morph(3, 4, h)!r},"
+                        f"{Morph(2, 3, g)!r},{Morph(1, 2, f)!r})")
+    rep = check_category_laws(_ReassignedCompose(), [1, 2, 3, 4])
+    assert rep == LawReport(False, 336, tuple(messages))
+
+
+def _law_fragments():
+    yield pytest.param(subset_category(), list(range(6)), id="R")
+    for orientation in ORIENTATIONS:
+        cat = StepCategory(orientation)
+        objs = [(k, t) for k in (1, 2, 3) for t in (0, 1)
+                if cat.is_object((k, t))]
+        yield pytest.param(cat, objs + [(l, 2) for l in range(1, 6)],
+                           id=f"P:{orientation}")
+    hj = word_category(0)
+    yield pytest.param(hj, list(hj.v_objects()) + [("L", l) for l in range(4)],
+                       id="HJ:0")
+    yield pytest.param(tree_category(), tree_category().objects(23),
+                       id="trees<=5")
+    rr = ProductCategory((subset_category(), subset_category()))
+    yield pytest.param(rr, [rr.pack(v) for v in ((0, 0), (1, 1), (1, 2),
+                                                 (2, 2), (2, 3), (3, 3))],
+                       id="RxR")
+    yield pytest.param(_BrokenCompose(), [1, 2, 3, 4], id="broken")
+    yield pytest.param(_ScrambledCompose(), [2, 3, 4, 5], id="scrambled")
+    yield pytest.param(_ReassignedCompose(), [1, 2, 3, 4, 5], id="reassigned")
+
+
+@pytest.mark.parametrize("cat, objs", _law_fragments())
+def test_category_laws_match_the_literal_sweep(cat, objs):
+    assert check_category_laws(cat, objs) == brute_category_laws(cat, objs)
+
+
+@pytest.mark.parametrize("cat, objs, calls", [
+    (subset_category(), list(range(7)), 1347),
+    (tree_category(), tree_category().objects(23), 377)], ids=["R", "trees"])
+def test_category_laws_compose_each_table_entry_once(monkeypatch, cat, objs,
+                                                     calls):
+    # 2 identity composites per arrow, then one per entry of one table per
+    # object triple; the literal sweep makes 15,367 and 1,542
+    seen = []
+    compose = type(cat).compose
+    monkeypatch.setattr(type(cat), "compose",
+                        lambda self, g, f: seen.append(1) or compose(self, g, f))
+    assert check_category_laws(cat, objs).ok
+    assert len(seen) == calls
+
+
+def test_law_sweeps_refuse_a_large_hom_before_building_it(monkeypatch):
+    built = []
+    hom = SubsetCategory.hom
+    monkeypatch.setattr(SubsetCategory, "hom",
+                        lambda self, a, b: built.append((a, b)) or hom(self, a, b))
+    budget = SearchBudget(max_hom_size=100)
+    # hom(3, 60) has C(60, 3) = 34,220 arrows
+    for sweep, subject in ((check_category_laws, subset_category()),
+                           (check_functor_laws, subset_boundary())):
+        with pytest.raises(BudgetExceeded) as exc:
+            sweep(subject, [3, 60], budget=budget)
+        assert str(exc.value) == "hom-set size: need 34220, cap 100 at hom(3, 60)"
+    assert (3, 60) not in built
 
 
 def test_the_run_budget_is_defined_once_in_core():
