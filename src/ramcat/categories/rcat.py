@@ -5,12 +5,18 @@ the image of the unique increasing injection, stored as a sorted tuple x of m
 elements of [n].  Composition pushes the smaller subset through the increasing
 enumeration of the larger one.  The boundary functor drops the top element of
 the image and the top point of the target.
+
+`action` needs no `compose` call: g∘f over hom(a, b) in canonical order is
+`combinations(y, a)` for g's image y, each an increasing a-subset of [c] and
+so an arrow of hom(a, c), ranked by a lookup.  A subclass that overrides
+`compose` gets the generic `Category.action`, which composes and validates
+every row through the override.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, count
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from ..core import Category, Functor, Morph, binomial
 
@@ -40,6 +46,14 @@ class SubsetCategory(Category):
             raise ValueError("non-composable subset morphisms")
         y = g.data  # increasing enumeration of g's image inside [g.cod]
         return Morph(f.dom, g.cod, tuple(y[i - 1] for i in f.data))
+
+    def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
+        if type(self).compose is not SubsetCategory.compose:
+            return super().action(a, b, c)
+        rank = {x: i for i, x in
+                enumerate(combinations(range(1, c + 1), a))}.__getitem__
+        return [tuple(map(rank, combinations(y, a)))
+                for y in combinations(range(1, c + 1), b)]
 
     def spec(self) -> dict:
         return {"kind": "subset"}

@@ -162,7 +162,8 @@ def verification_doc(kind: str, res: PCheckResult) -> dict:
            "mode": "exhaustive" if res.exhaustive else "sampled",
            "probabilistic": res.probabilistic,
            "cells": res.cells, "arrows": res.arrows, "checked": res.checked}
-    optional = {"total": res.total, "samples": res.samples, "seed": res.seed}
+    optional = {"total": res.total, "samples": res.samples, "seed": res.seed,
+                "nodes": res.nodes}
     out.update((k, v) for k, v in optional.items() if v is not None)
     if res.counterexample is not None:
         cex = res.counterexample

@@ -133,8 +133,9 @@ def _engine_kw(args) -> dict:
 def _report(res) -> str:
     mode = "exhaustive" if res.exhaustive else f"sampled(seed={res.seed})"
     verdict = "pass" if res.ok else "FAIL"
-    line = (f"{verdict} [{mode}] cells={res.cells} arrows={res.arrows} "
-            f"colorings_checked={res.checked}")
+    count = (f"colorings_checked={res.checked}" if res.nodes is None
+             else f"nodes={res.nodes}")
+    line = f"{verdict} [{mode}] cells={res.cells} arrows={res.arrows} {count}"
     if res.counterexample is not None:
         cex = res.counterexample
         shown = list(cex.cells) if cex.cells is not None else "(not inlined)"

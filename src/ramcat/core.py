@@ -222,7 +222,8 @@ class Category(ABC):
     that no caller reads.  The rows come from `_table`, the builder that
     `check_category_laws` reads too.  Products override it with a stream of
     mixed-radix index sums over their factors' tables, which are built and
-    validated before `action` returns.
+    validated before `action` returns.  Subsets override it in closed form,
+    composing nothing, unless a subclass overrides their `compose`.
     """
 
     name: str = "category"

@@ -20,6 +20,16 @@ depth-first search reports what a scan in this index order would: the least
 failing index, or a pass over every coloring.  It refuses to start when the
 count exceeds the coloring budget, which also bounds the search tree.
 
+Auto mode takes the first route that applies: (1) that search, when r**n is
+within max_colorings; (2) the same search capped at SEARCH_MAX_NODES nodes,
+when there are at most SEARCH_MAX_CHECKS checks; (3) sampling.  A verdict of
+route 2 is exhaustive (a proof, or the least failing index) and reports the
+nodes it visited as `checked`, never r**n.  When route 2 runs out of nodes,
+route 3 samples the checks it compiled, so nothing is composed twice.  Both
+caps are module constants, not budget fields: a certificate records only
+max_colorings and max_hom_size, and a replay must take the route its write
+took.
+
 Sampled mode draws colorings from a deterministic pseudorandom function:
 sample i has key splitmix64(splitmix64(seed) + (i+1)*GOLDEN), cell j the color
 splitmix64(key + (j+1)*GOLDEN) % r (see prf_color).  A scan hashes the seed
@@ -30,15 +40,17 @@ candidate arrow was checked against it.
 
 jobs splits sampled scans only, into contiguous chunks scanned in parallel;
 the reported failure is the minimum failing sample, so results and
-certificates are identical for any job count.  Search runs in-process.
+certificates are identical for any job count.  Search runs in-process,
+whatever jobs is.
 
 Every check comes from one source: a picklable callable that yields one
-check per admissible row of the action table.  The search lists it once.
-Each sampled scan, in-process or in a pool worker, calls it afresh and
-compiles checks on demand: a sample that fails every check built so far pulls
-as many again (a product streams its rows), so a true witness, rescued early
-by each sample, never builds most of its checks; a failing sample reads them
-all.  jobs > 1 pickles the source, so its category must pickle.
+check per admissible row of the action table.  The search lists it once, and
+a sampled scan after a search reads that list.  Any other sampled scan,
+in-process or in a pool worker, calls the source afresh and compiles checks
+on demand: a sample that fails every check built so far pulls as many again
+(a product streams its rows), so a true witness, rescued early by each
+sample, never builds most of its checks; a failing sample reads them all.
+jobs > 1 pickles the source, so there the category must pickle.
 """
 
 from __future__ import annotations
@@ -56,6 +68,10 @@ from .core import (BudgetExceeded, Category, Functor, Morph, SearchBudget,
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 10_000
 COUNTEREXAMPLE_INLINE_CAP = 4096
+# auto past the coloring budget searches when there are at most this many
+# checks, and samples when the search would visit more than this many nodes
+SEARCH_MAX_CHECKS = 10_000
+SEARCH_MAX_NODES = 1_000
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -116,6 +132,7 @@ class PCheckResult:
     samples: int | None = None
     seed: int | None = None
     counterexample: Coloring | None = None
+    nodes: int | None = None    # set by a node-capped search (auto route 2)
 
     @property
     def probabilistic(self) -> bool:
@@ -182,27 +199,38 @@ def _passes(cell: list[int], checks: list[Check], cap: int, draw=None) -> bool:
 
 
 def _search(r: int, n: int, checks: list[Check], cap: int) -> int | None:
-    """Least failing coloring index of all r**n, or None when all pass.
+    """Least failing coloring index of all r**n, or None when all pass."""
+    return _lex_search(r, n, checks, cap, None)[0]
+
+
+def _lex_search(r: int, n: int, checks: list[Check], cap: int,
+                limit: int | None) -> tuple[int | None, int] | None:
+    """(least failing coloring index or None when all pass, nodes visited),
+    or None when the search would visit more than limit nodes.
 
     Cells are set from n-1 (the most significant digit) down to 0, colors
-    ascending, so failing leaves come in index order.  A branch is cut once a
-    check whose lowest cell was just set passes: every completion passes.  A
-    cell takes at most one color beyond those used above it; _passes sees
-    only which cells share a color, so no least failure is lost.
+    ascending, so failing leaves come in index order.  Each color set on a
+    cell is one node.  A branch is cut once a check whose lowest cell was
+    just set passes: every completion passes.  A cell takes at most one color
+    beyond those used above it; _passes sees only which cells share a color,
+    so no least failure is lost.
     """
     by_low: list[list[Check]] = [[] for _ in range(n)]
     for groups in checks:
         if not any(groups):
-            return None             # a check with no cells passes everything
+            return None, 0          # a check with no cells passes everything
         by_low[min(p for grp in groups for p in grp)].append(groups)
     cell = [-1] * n
     used = [0] * (n + 1)            # used[j]: colors among cells j..n-1
-    j = n - 1
+    j, nodes = n - 1, 0
     while j < n:
         if j < 0:
-            return reduce(lambda idx, v: idx * r + v, reversed(cell), 0)
+            return reduce(lambda idx, v: idx * r + v, reversed(cell), 0), nodes
         v = cell[j] + 1
         if v < r and v <= used[j + 1]:
+            if nodes == limit:
+                return None
+            nodes += 1
             cell[j] = v
             used[j] = max(used[j + 1], v + 1)
             if not (by_low[j] and _passes(cell, by_low[j], cap)):
@@ -210,7 +238,7 @@ def _search(r: int, n: int, checks: list[Check], cap: int) -> int | None:
         else:
             cell[j] = -1            # colors at j exhausted: back up
             j += 1
-    return None
+    return None, nodes
 
 
 def _scan_range(seed: int, r: int, n: int, source: Source, cap: int,
@@ -289,21 +317,37 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
     groups, admissible = select(cat.hom(a, b))
     arrows = cat.hom_size(b, c) if admissible is None else len(admissible)
     source = partial(_checks, cat, a, b, c, groups, admissible)
-    count = total if exhaustive else samples
-    kind = "index" if exhaustive else "sample"
-    scan_seed = None if exhaustive else seed
-    hit = (_search(r, n, list(source()), cap) if exhaustive else
-           _first_sampled_failure(seed, r, n, source, cap, samples, jobs))
+    result = partial(_result, r, n, arrows)
+    if exhaustive:
+        return result(_search(r, n, list(source()), cap), total=total)
+    if mode == "auto" and arrows <= SEARCH_MAX_CHECKS:
+        compiled = list(source())
+        found = _lex_search(r, n, compiled, cap, SEARCH_MAX_NODES)
+        if found is not None:
+            return result(found[0], nodes=found[1])
+        source = partial(tuple, compiled)   # no caller composes again
+    return result(_first_sampled_failure(seed, r, n, source, cap, samples,
+                                         jobs), samples=samples, seed=seed)
+
+
+def _result(r: int, n: int, arrows: int, hit: int | None, *,
+            total: int | None = None, nodes: int | None = None,
+            samples: int | None = None, seed: int | None = None
+            ) -> PCheckResult:
+    """The verdict of one route: a scan of all `total` colorings, a search
+    of `nodes` nodes, or `samples` samples under `seed`."""
     cex = None
     if hit is not None:
-        cex = Coloring(r=r, size=n, kind=kind, index=hit, seed=scan_seed)
+        cex = Coloring(r=r, size=n, kind="index" if samples is None else
+                       "sample", index=hit, seed=seed)
         if n <= COUNTEREXAMPLE_INLINE_CAP:
             cex = replace(cex, cells=tuple(cex.cell(j) for j in range(n)))
-    return PCheckResult(ok=hit is None, exhaustive=exhaustive, r=r, cells=n,
-                        arrows=arrows, checked=count if hit is None else hit + 1,
-                        total=total if exhaustive else None,
-                        samples=None if exhaustive else samples,
-                        seed=scan_seed, counterexample=cex)
+    checked = (nodes if nodes is not None else
+               hit + 1 if hit is not None else total or samples)
+    return PCheckResult(ok=hit is None, exhaustive=samples is None, r=r,
+                        cells=n, arrows=arrows, checked=checked, total=total,
+                        samples=samples, seed=seed, counterexample=cex,
+                        nodes=nodes)
 
 
 def check_p_witness(delta: Functor, a: Any, b: Any, c: Any, r: int,

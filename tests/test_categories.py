@@ -455,6 +455,35 @@ def test_product_action_matches_generic_action():
     assert not isinstance(rpr.action(a, b, c), list)
 
 
+@pytest.mark.parametrize("a, b, c", [
+    (0, 0, 0), (0, 3, 0), (1, 0, 0), (0, 2, 5), (2, 2, 5), (2, 5, 5),
+    (3, 2, 5), (2, 6, 4), (1, 3, 6), (2, 3, 27), (2, 4, 17), (2, 3, 16)])
+def test_subset_action_matches_generic_action(a, b, c):
+    cat = subset_category()
+    assert cat.action(a, b, c) == Category.action(cat, a, b, c)
+
+
+def test_subset_action_composes_only_through_an_override(monkeypatch):
+    calls = []
+    real = SubsetCategory.compose
+
+    def counted(self, g, f):
+        calls.append(1)
+        return real(self, g, f)
+
+    # the class's own compose, wrapped as a tracer wraps it, stays closed form
+    monkeypatch.setattr(SubsetCategory, "compose", counted)
+    rows = subset_category().action(2, 3, 27)
+    assert len(rows) == 2925 and calls == []
+
+    class Overriding(SubsetCategory):
+        def compose(self, g, f):
+            return super().compose(g, f)
+
+    assert Overriding().action(2, 3, 27) == rows
+    assert len(calls) == 2925 * 3
+
+
 def test_product_iter_objects_streams_full_support():
     pcat = ProductCategory((subset_category(), subset_category()))
     first = pcat.objects(6)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,10 +84,30 @@ def test_verify_step_category_pigeonhole_value(capsys):
 def test_verify_word_category_sampled(capsys):
     code, out, _ = run(capsys, "verify", "p", "--category", "HJ",
                        "--functor", "dHJ", "--a", "v:1,2", "--b", "l:1",
-                       "--c", "l:6", "--r", "2", "--samples", "300")
+                       "--c", "l:6", "--r", "2", "--samples", "300",
+                       "--mode", "sampled")
     assert code == 0
     assert out.startswith("pass [sampled(seed=1729)]")
     assert "cells=64 arrows=665" in out
+
+
+def test_verify_word_category_auto_is_decided_by_search(capsys):
+    code, out, _ = run(capsys, "verify", "p", "--category", "HJ",
+                       "--functor", "dHJ", "--a", "v:1,2", "--b", "l:1",
+                       "--c", "l:6", "--r", "2", "--samples", "300")
+    assert code == 0
+    assert out.startswith("pass [exhaustive]")
+    assert "cells=64 arrows=665 nodes=" in out
+
+
+def test_search_decided_line_prints_nodes_not_colorings(capsys):
+    # 2**21 colorings, over the default budget: the search proves it
+    code, out, _ = run(capsys, "verify", "p", "--category", "R",
+                       "--functor", "dR,dR", "--a", "2", "--b", "3",
+                       "--c", "7", "--r", "2")
+    assert code == 0
+    assert out == "pass [exhaustive] cells=21 arrows=35 nodes=325\n"
+    assert max(map(len, re.findall(r"\d+", out))) <= 19
 
 
 def test_verify_trees(capsys):
@@ -797,9 +818,9 @@ CERTIFICATE_DIGESTS = {
     ("construct", "--theorem", "product", "--r", "2"):
         (0, "6fa09a4b07e192bac2ba17a27843a1e1ef5048fad6281cf4cc0f93e59793c338"),
     ("construct", "--theorem", "modeling", "--r", "2"):
-        (0, "fbf5a109193750768e6bca417f2698c1e3dd138d388c92e1903dc381298af845"),
+        (0, "5dfb3f26446b57c246cc9c387b698b7cd3a4e2839abacdcb371a21f15f7b40f1"),
     ("construct", "--theorem", "hj", "--r", "2"):
-        (0, "9d1f8d7f49842e8d0f4eb2f3d82c2d0627e0d4addc3249f1d69b44a70c001320"),
+        (0, "5e1c0e241973800d20ac7598bf4a3a98717ec4c14a1b4164f26ef79b18fe0dd2"),
     ("construct", "--theorem", "fouche", "--r", "2"):
         (0, "76fefd15725e1a3078d422cc1afaa9374717264e0c109f1faeabeae188ca4924"),
 }

@@ -12,7 +12,8 @@ from ramcat import (canon_bytes, canon_parse, check_p_witness, compose_word,
                     fiber, functor_image, prf_color, ramsey_degree,
                     degree_upper_bound, subset_boundary, subset_category)
 from ramcat.certificates import canonical_json
-from ramcat.engine import _first_sampled_failure, _search
+from ramcat.core import Category
+from ramcat.engine import _first_sampled_failure, _lex_search, _search
 
 DR = subset_boundary()
 DD = compose_word([DR, DR])
@@ -112,6 +113,24 @@ def search_instances(draw):
 def test_search_finds_the_least_failing_index(inst):
     r, n, cap, checks = inst
     assert _search(r, n, checks, cap) == brute_first_failure(r, n, checks, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_instances(), st.integers(min_value=0, max_value=60))
+def test_node_capped_search_finishes_or_gives_up(inst, limit):
+    r, n, cap, checks = inst
+    full = _lex_search(r, n, checks, cap, None)
+    assert full[0] == _search(r, n, checks, cap)
+    assert _lex_search(r, n, checks, cap, limit) == (
+        full if full[1] <= limit else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=8))
+def test_subset_action_is_the_composed_table(a, b, c):
+    assert CAT.action(a, b, c) == Category.action(CAT, a, b, c)
 
 
 @st.composite
