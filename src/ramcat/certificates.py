@@ -10,6 +10,9 @@ trace, the verification record, and two hashes:
   digest       -- over the whole document minus the digest itself; any edit
                   is detected before replay starts.
 
+The trace is a Trace record rendered field by field (schema version 2);
+version 1 documents, whose traces were written by hand, are refused.
+
 Budgets serialized into certificates never include the job count, so replays
 with any --jobs produce bit-identical verdicts and documents.
 """
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from .categories.hjcat import WordBoundary, WordCategory
 from .categories.pcat import StepBoundary, StepCategory
@@ -33,7 +36,7 @@ from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, FpInstance, PCheckResult,
                      SearchBudget, check_fp_witness, check_p_witness,
                      require_hom_budget)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CertificateError(ValueError):
@@ -156,9 +159,8 @@ def budget_doc(budget: SearchBudget | None = None, mode: str = "auto",
             "mode": mode, "seed": seed, "samples": samples}
 
 
-def verification_doc(kind: str, res: PCheckResult) -> dict:
-    out = {"kind": kind,
-           "verdict": "pass" if res.ok else "fail",
+def verification_doc(res: PCheckResult) -> dict:
+    out = {"verdict": "pass" if res.ok else "fail",
            "mode": "exhaustive" if res.exhaustive else "sampled",
            "probabilistic": res.probabilistic,
            "cells": res.cells, "arrows": res.arrows, "checked": res.checked}
@@ -168,9 +170,39 @@ def verification_doc(kind: str, res: PCheckResult) -> dict:
     if res.counterexample is not None:
         cex = res.counterexample
         out["counterexample"] = {
-            "kind": cex.kind, "index": cex.index, "seed": cex.seed,
+            "index": cex.index,
             "cells": list(cex.cells) if cex.cells is not None else None}
     return out
+
+
+class Trace:
+    """A construction record: a frozen dataclass whose doc() is its fields
+    by name, with kind first when the class sets one.  Fields holding None
+    or {} are left out, so an optional fact needs no new schema version."""
+
+    kind: ClassVar[str | None] = None
+
+    def doc(self) -> dict:
+        out = {"kind": self.kind} if self.kind else {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and value != {}:
+                out[f.name] = _trace_json(value)
+        return out
+
+
+def _trace_json(value: Any) -> Any:
+    """A trace value as JSON: records through doc(), arrows as their hex and
+    repr, tuples as lists; canonical objects are ints, strings and tuples,
+    so they and numbers need nothing more.  Dicts pass through unchanged."""
+    if isinstance(value, Trace):
+        return value.doc()
+    if isinstance(value, Morph):
+        return {"hex": morph_hex(value),
+                "show": repr((value.dom, value.cod, value.data))}
+    if isinstance(value, tuple):
+        return [_trace_json(x) for x in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -195,7 +227,7 @@ class Claim:
                                 self.c, f_prime, g_prime, **run)
 
     def certificate(self, result: PCheckResult, theorem: str | None = None,
-                    trace: dict | None = None, **run) -> dict:
+                    trace: Trace | dict | None = None, **run) -> dict:
         """The document for result = check(**run), run minus the job count."""
         fun, kind = self.fun, "p" if self.fiber is None else "fp"
         doc = {"schema_version": SCHEMA_VERSION,
@@ -204,11 +236,11 @@ class Claim:
                "category": fun.dom.spec(), "functor": fun.spec(),
                "encodings": {"category": fun.dom.encoding_version,
                              "functor": fun.encoding_version},
-               "budget": budget_doc(**run), "trace": trace,
+               "budget": budget_doc(**run), "trace": _trace_json(trace),
                "inputs": {"kind": kind, "a": canon_hex(self.a),
                           "b": canon_hex(self.b), "r": self.r},
                "witness": {"c": canon_hex(self.c)},
-               "verification": verification_doc(kind, result),
+               "verification": verification_doc(result),
                "fingerprint": hom_fingerprint(fun, self.a, self.c)}
         if self.fiber is not None:
             s, f_prime, g_prime = self.fiber

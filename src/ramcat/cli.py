@@ -27,8 +27,8 @@ from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, FpInstance,
                      SearchBudget, check_degree_bound, functor_image,
                      ramsey_degree)
 from .certificates import (CertificateError, Claim, StaleCertificateError,
-                           dump_certificate, load_certificate, morph_unhex,
-                           replay_verify)
+                           Trace, dump_certificate, load_certificate,
+                           morph_unhex, replay_verify)
 from .constructions import (ConstructionError, fouche_witness, fp_provider,
                             fp_to_p_construct, hj_provider, hj_witness,
                             p_pigeonhole_witness, product_ramsey_numbers,
@@ -143,7 +143,7 @@ def _report(res) -> str:
     return line
 
 
-def _settle(args, claim: Claim, shown: Any = None, trace: dict | None = None,
+def _settle(args, claim: Claim, shown: Any = None, trace: Trace | None = None,
             theorem: str | None = None) -> int:
     """Check, report and certify the claim; return the exit code."""
     run = _engine_kw(args)
@@ -184,7 +184,7 @@ def cmd_verify(args) -> int:
 
 # Each theorem builds under the run's budget and returns its claim, the value
 # to print and the trace; _settle checks and certifies it under its name.
-Built = tuple[Claim, Any, dict | None]
+Built = tuple[Claim, Any, Trace | None]
 
 
 def _theorem_fp2p(args, budget: SearchBudget) -> Built:
@@ -192,7 +192,7 @@ def _theorem_fp2p(args, budget: SearchBudget) -> Built:
     c, trace = fp_to_p_construct(delta, args.k, args.l, args.r,
                                  r_fp_oracle(delta), selection="max-rule",
                                  budget=budget)
-    return Claim(delta, args.k, args.l, c, args.r), c, trace.doc()
+    return Claim(delta, args.k, args.l, c, args.r), c, trace
 
 
 def _theorem_r_fp(args, budget: SearchBudget) -> Built:
@@ -215,7 +215,7 @@ def _theorem_compose(args, budget: SearchBudget) -> Built:
     word = [delta] * args.length
     c, trace = word_witness(word, args.k, args.l, args.r,
                             fp_provider(r_fp_oracle, "max-rule", budget))
-    return Claim(compose_word(word), args.k, args.l, c, args.r), c, trace.doc()
+    return Claim(compose_word(word), args.k, args.l, c, args.r), c, trace
 
 
 def _theorem_product(args, budget: SearchBudget) -> Built:
@@ -228,8 +228,7 @@ def _theorem_product(args, budget: SearchBudget) -> Built:
     qvec, trace = product_ramsey_numbers(kvec, pvec, args.r, budget=budget)
     fun = product_functor(*[subset_boundary() for _ in kvec])
     pack = fun.dom.pack
-    return (Claim(fun, pack(kvec), pack(pvec), pack(qvec), args.r), qvec,
-            trace.doc())
+    return Claim(fun, pack(kvec), pack(pvec), pack(qvec), args.r), qvec, trace
 
 
 def _theorem_modeling(args, budget: SearchBudget) -> Built:
@@ -243,7 +242,7 @@ def _theorem_hj(args, budget: SearchBudget) -> Built:
     m, trace = hj_witness(args.k, args.l, args.r, budget=budget)
     fun = compose_word([WordBoundary(WordCategory(args.k))] * args.k)
     return (Claim(fun, standard_window(args.k), ("L", args.l), ("L", m),
-                  args.r), m, trace.doc())
+                  args.r), m, trace)
 
 
 def _theorem_fouche(args, budget: SearchBudget) -> Built:
@@ -251,7 +250,7 @@ def _theorem_fouche(args, budget: SearchBudget) -> Built:
     v, trace = fouche_witness(s_tree, t_tree, args.r, budget=budget)
     fun = (IdentityFunctor(tree_category()) if trace is None
            else compose_word([tree_truncation()] * height(s_tree)))
-    return Claim(fun, s_tree, t_tree, v, args.r), v, trace and trace.doc()
+    return Claim(fun, s_tree, t_tree, v, args.r), v, trace
 
 
 _THEOREMS = {"fp2p": _theorem_fp2p, "r-fp": _theorem_r_fp,
@@ -265,11 +264,11 @@ def cmd_construct(args) -> int:
     return _settle(args, *built, args.theorem)
 
 
-def _parse_pool(text: str) -> tuple[int, ...]:
+def _parse_pool(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise CliError(f"--pool reads lo..hi, got {text!r}")
-    return tuple(range(int(lo), int(hi) + 1))
+    return range(int(lo), int(hi) + 1)
 
 
 def cmd_degree(args) -> int:

@@ -3,7 +3,7 @@
 Each builder returns a witness object together with a trace recording every
 oracle call, intermediate object and selected morphism.  Builders never verify
 their own output; the engine does that separately, and the certificates module
-packages trace + verdict.
+renders trace + verdict: every trace record here is a certificates.Trace.
 
 Color blow-ups (R = r**M) use exact integers; a stage whose color count would
 exceed the run budget's ``max_color_bits`` (a ``SearchBudget`` field, set on
@@ -21,8 +21,9 @@ from .categories.product import ProductFunctor
 from .categories.rcat import SubsetBoundary, subset_boundary
 from .categories.trees import TreeTruncation, grow, height, shape, tree_truncation
 from .categories.hjcat import standard_window, word_boundary, word_category
+from .certificates import Trace
 from .core import (BudgetExceeded, Category, Functor, Morph, SearchBudget,
-                   budgeted_hom, canon_hex, require_hom_budget, sort_morphs)
+                   budgeted_hom, require_hom_budget, sort_morphs)
 from .engine import FpInstance, functor_image, search_p_witness
 
 CONSTRUCTED = "constructed-by-theorem"
@@ -40,21 +41,14 @@ def _stage(label: str, thunk: Callable[[], Any]) -> Any:
         raise ConstructionError(f"{label}: {exc}") from exc
 
 
-def obj_doc(obj: Any) -> dict:
-    return {"hex": canon_hex(obj), "show": repr(obj)}
-
-
-def morph_doc(f: Morph) -> dict:
-    return {"hex": f.encode().hex(), "show": repr((f.dom, f.cod, f.data))}
-
-
 @dataclass(frozen=True)
 class WitnessProvider:
     """The one witness source: fn(fun, a, b, r) -> (c, note), where c
-    witnesses fun at (a, b) with r colors and note is the JSON-able record
-    for the trace; tagged with its provenance."""
+    witnesses fun at (a, b) with r colors and note is the trace record of
+    its construction, or None when there is nothing to record; tagged with
+    its provenance."""
 
-    fn: Callable[[Functor, Any, Any, int], tuple[Any, dict]]
+    fn: Callable[[Functor, Any, Any, int], tuple[Any, Trace | None]]
     provenance: str
 
     def __call__(self, fun: Functor, a: Any, b: Any, r: int) -> tuple:
@@ -81,11 +75,11 @@ def p_pigeonhole_witness(k1: int, l: int, r: int) -> tuple[int, int]:
 def pigeonhole_provider() -> WitnessProvider:
     """Provider for the step boundary at ((k1,1), (l,2)) pairs."""
 
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, None]:
         l, tag = b
         if tag != 2:
             raise ValueError(f"pigeonhole target must be a (l, 2) object, got {b!r}")
-        return p_pigeonhole_witness(max(2, a[0]), l, r), {}
+        return p_pigeonhole_witness(max(2, a[0]), l, r), None
 
     return WitnessProvider(fn, CONSTRUCTED)
 
@@ -172,8 +166,7 @@ def tree_fp_witness(inst: FpInstance,
 
 
 @dataclass(frozen=True)
-class FpStage:
-    index: int
+class FpStage(Trace):
     c_prev: Any
     s: tuple[Morph, ...]
     picked: Morph
@@ -181,29 +174,21 @@ class FpStage:
     g: Morph
     c_next: Any
 
-    def doc(self) -> dict:
-        return {"stage": self.index, "c_prev": obj_doc(self.c_prev),
-                "s": [morph_doc(e) for e in self.s],
-                "picked": morph_doc(self.picked),
-                "origin": morph_doc(self.origin), "g": morph_doc(self.g),
-                "c_next": obj_doc(self.c_next)}
-
 
 @dataclass(frozen=True)
-class FpToPTrace:
+class FpToPTrace(Trace):
+    kind = "fp-to-p"
     a: Any
     b: Any
     r: int
-    n: int
     c: Any
     selection: str
     stages: tuple[FpStage, ...]
 
-    def doc(self) -> dict:
-        return {"kind": "fp-to-p", "a": obj_doc(self.a), "b": obj_doc(self.b),
-                "r": self.r, "image_size": self.n, "witness": obj_doc(self.c),
-                "selection": self.selection,
-                "stages": [st.doc() for st in self.stages]}
+    @property
+    def n(self) -> int:
+        """The size of the image of hom(a, b): one stage per element."""
+        return len(self.stages)
 
 
 def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
@@ -224,12 +209,11 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
     if r < 1:
         raise ValueError("need at least one color")
     image = functor_image(delta, a, b, budget)
-    n = len(image)
     # each unhandled image element, in image order, and its pushed copy
     pushed = {e: e for e in image}
     c_cur = b
     stages: list[FpStage] = []
-    for k in range(1, n + 1):
+    for k in range(1, len(image) + 1):
         s_k = sort_morphs(pushed.values())
         inst = FpInstance(a=a, b=c_cur, s=s_k, r=r)
         c_next, picked, g = _stage(f"oracle at stage {k}", lambda: oracle(inst))
@@ -241,9 +225,9 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
         require_hom_budget(delta.dom, budget, (a, c_next))
         del pushed[origin]
         pushed = {e: delta.cod.compose(g, p) for e, p in pushed.items()}
-        stages.append(FpStage(k, c_cur, s_k, picked, origin, g, c_next))
+        stages.append(FpStage(c_cur, s_k, picked, origin, g, c_next))
         c_cur = c_next
-    return c_cur, FpToPTrace(a, b, r, n, c_cur, selection, tuple(stages))
+    return c_cur, FpToPTrace(a, b, r, c_cur, selection, tuple(stages))
 
 
 def r_fp_oracle(delta: SubsetBoundary | None = None) -> Callable[[FpInstance], tuple]:
@@ -256,21 +240,20 @@ def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
                 budget: SearchBudget | None = None) -> WitnessProvider:
     """Witnesses built by the fp->p recursion with oracle_for(fun), under the
     budget's hom-size cap; the note is the recursion's trace."""
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
-        c, trace = fp_to_p_construct(fun, a, b, r, oracle_for(fun),
-                                     selection=selection, budget=budget)
-        return c, trace.doc()
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, FpToPTrace]:
+        return fp_to_p_construct(fun, a, b, r, oracle_for(fun),
+                                 selection=selection, budget=budget)
 
     return WitnessProvider(fn, CONSTRUCTED)
 
 
 def search_provider(pool: Callable[[Any, Any, int], Iterable[Any]],
                     **run) -> WitnessProvider:
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, None]:
         found = search_p_witness(fun, a, b, r, pool(a, b, r), **run)
         if found is None:
             raise ConstructionError(f"search pool exhausted at {(a, b, r)!r}")
-        return found[0], {}
+        return found[0], None
 
     return WitnessProvider(fn, SEARCHED)
 
@@ -280,32 +263,24 @@ def search_provider(pool: Callable[[Any, Any, int], Iterable[Any]],
 
 
 @dataclass(frozen=True)
-class WordStage:
-    index: int
+class WordStage(Trace):
     a: Any
     b: Any
     witness: Any
     lifted_from: Any | None
-    note: dict
-
-    def doc(self) -> dict:
-        out = {"stage": self.index, "a": obj_doc(self.a), "b": obj_doc(self.b),
-               "witness": obj_doc(self.witness)}
-        if self.lifted_from is not None:
-            out["lifted_from"] = obj_doc(self.lifted_from)
-        if self.note:
-            out["note"] = self.note
-        return out
+    note: Trace | None
 
 
 @dataclass(frozen=True)
-class WordTrace:
-    length: int
+class WordTrace(Trace):
+    """Stages outer to inner: stages[0] applies word[0]."""
+
+    kind = "word"
     stages: tuple[WordStage, ...]
 
-    def doc(self) -> dict:
-        return {"kind": "word", "length": self.length,
-                "stages": [st.doc() for st in self.stages]}
+    @property
+    def length(self) -> int:
+        return len(self.stages)
 
 
 def word_witness(word: Sequence[Functor], a: Any, b: Any, r: int,
@@ -321,13 +296,12 @@ def word_witness(word: Sequence[Functor], a: Any, b: Any, r: int,
         raise ValueError("empty words need no construction; b itself works")
     if len(word) == 1:
         c, note = provider(word[0], a, b, r)
-        return c, WordTrace(1, (WordStage(0, a, b, c, None, note),))
+        return c, WordTrace((WordStage(a, b, c, None, note),))
     gamma = word[0]
     d, inner = word_witness(word[1:], gamma.obj(a), gamma.obj(b), r, provider)
     c_prime = _stage("lift between stages", lambda: gamma.frank_lift(b, d))
     c, note = provider(gamma, a, c_prime, r)
-    stages = (WordStage(0, a, c_prime, c, d, note),) + inner.stages
-    return c, WordTrace(len(word), stages)
+    return c, WordTrace((WordStage(a, c_prime, c, d, note),) + inner.stages)
 
 
 # ---------------------------------------------------------------------------
@@ -343,36 +317,26 @@ class ProductCoordinate:
 
 
 @dataclass(frozen=True)
-class ProductStage:
-    index: int
+class ProductStage(Trace):
+    """One coordinate's stage, built at r**m_exponent colors."""
+
     a: Any
     b: Any
     m_exponent: int
-    base_colors: int
     witness: Any
     provenance: str
 
-    def doc(self) -> dict:
-        return {"coordinate": self.index, "a": obj_doc(self.a),
-                "b": obj_doc(self.b), "m": self.m_exponent,
-                "colors": {"base": self.base_colors, "exponent": self.m_exponent},
-                "witness": obj_doc(self.witness), "provenance": self.provenance}
-
 
 @dataclass(frozen=True)
-class ProductTrace:
+class ProductTrace(Trace):
+    """Stages in coordinate order."""
+
+    kind = "product"
     r: int
     a_values: tuple
     b_values: tuple
     c_values: tuple
     stages: tuple[ProductStage, ...]
-
-    def doc(self) -> dict:
-        return {"kind": "product", "r": self.r,
-                "a": [obj_doc(x) for x in self.a_values],
-                "b": [obj_doc(x) for x in self.b_values],
-                "witness": [obj_doc(x) for x in self.c_values],
-                "stages": [st.doc() for st in self.stages]}
 
 
 def _put(values: tuple, p: int, x: Any) -> tuple:
@@ -422,7 +386,7 @@ def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
         c_p = _stage(f"coordinate {p} provider",
                      lambda: coord.provider(coord.delta, x_vals[p], y_cur[p],
                                             big_r)[0])
-        stages[p] = ProductStage(p, x_vals[p], y_cur[p], m_exp, r, c_p,
+        stages[p] = ProductStage(x_vals[p], y_cur[p], m_exp, c_p,
                                  coord.provider.provenance)
         return _put(y_cur, p, c_p)
 
@@ -437,12 +401,12 @@ def product_provider(coord_provider: WitnessProvider,
                      budget: SearchBudget | None = None) -> WitnessProvider:
     """Witnesses for a ProductFunctor at packed (a, b): the staged product
     with coord_provider at every coordinate; the note is its trace."""
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, ProductTrace]:
         cat = fun.dom
         coords = [ProductCoordinate(part, x, y, coord_provider) for part, x, y
                   in zip(fun.parts, cat.values(a), cat.values(b))]
         c_vals, trace = product_witness(coords, r, budget=budget)
-        return cat.pack(c_vals), {"product": trace.doc()}
+        return cat.pack(c_vals), trace
 
     return WitnessProvider(fn, coord_provider.provenance)
 
@@ -491,11 +455,11 @@ class CrossRelation:
 
 
 @dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Trace):
     ok: bool
     checked: int
     partial: bool
-    violation: str = ""
+    violation: str | None = None
 
 
 def _sweep(pairs: Iterable, test: Callable[[Any], str],
@@ -588,7 +552,8 @@ def identity_modeling(cat: Category, a: Any, b: Any, c: Any) -> CrossRelation:
 
 
 @dataclass(frozen=True)
-class ModelingTrace:
+class ModelingTrace(Trace):
+    kind = "modeling"
     a: Any
     b: Any
     r: int
@@ -600,19 +565,7 @@ class ModelingTrace:
     welldefined: RelationCheck
     welldefined_via: str
     delta_provenance: str
-    note: dict
-
-    def doc(self) -> dict:
-        return {"kind": "modeling", "a": obj_doc(self.a), "b": obj_doc(self.b),
-                "r": self.r, "d1": obj_doc(self.d1), "d2": obj_doc(self.d2),
-                "d3": obj_doc(self.d3), "witness": obj_doc(self.c),
-                "compatibility_pairs": self.compatibility.checked,
-                "compatibility_partial": self.compatibility.partial,
-                "welldefined_via": self.welldefined_via,
-                "welldefined_pairs": self.welldefined.checked,
-                "welldefined_partial": self.welldefined.partial,
-                "delta_provenance": self.delta_provenance,
-                **({"note": self.note} if self.note else {})}
+    note: Trace | None
 
 
 def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
@@ -753,7 +706,7 @@ def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
     pigeonhole witnesses, transferred through the block modeling."""
     delta_witness = product_provider(pigeonhole_provider(), budget)
 
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, dict]:
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, ModelingTrace]:
         lam = b[1]
         _, delta_fun, d1, d2 = _hj_blocks(a[1], lam)
 
@@ -761,9 +714,8 @@ def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
             l_prime, rel = hj_modeling(a, lam, delta_fun.dom.values(d3))
             return ("L", l_prime), rel
 
-        c3, trace = modeling_transfer(rel_provider, delta_witness, fun,
-                                      delta_fun, d1, d2, a, b, r, budget=budget)
-        return c3, trace.doc()
+        return modeling_transfer(rel_provider, delta_witness, fun, delta_fun,
+                                 d1, d2, a, b, r, budget=budget)
 
     return WitnessProvider(fn, CONSTRUCTED)
 

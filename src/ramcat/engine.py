@@ -427,7 +427,8 @@ def ramsey_degree(cat: Category, a: Any, b: Any, r: int, pool: Iterable[Any], *,
     """
     _refuse_run(r, jobs)    # an empty hom(a, b) returns before any check
     hom_ab = budgeted_hom(cat, a, b, budget)
-    pool = tuple(pool)
+    if iter(pool) is pool:      # one pass per cap k: keep a one-shot iterator
+        pool = tuple(pool)
     if not hom_ab:
         return DegreeResult(degree=0, witness=b, r=r, trail=(), result=None)
     trail: list[tuple[int, Any, bool]] = []

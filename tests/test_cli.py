@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import fields
 import re
 import subprocess
 import sys
@@ -13,8 +14,8 @@ import ramcat
 from ramcat import (Claim, ProductCategory, SearchBudget, SubsetCategory,
                     dump_certificate, load_certificate, replay_verify)
 from ramcat.categories import TreeCategory, WordCategory
-from ramcat.certificates import document_digest
-from ramcat.cli import main
+from ramcat.certificates import Trace, document_digest
+from ramcat.cli import _THEOREMS, budget_from, build_parser, main
 from ramcat.core import canon_hex
 
 
@@ -260,7 +261,7 @@ def test_construct_product(capsys, tmp_path):
     assert "pass [sampled(seed=1729)]" in out
     doc = load_certificate(cert)
     assert doc["theorem"] == "product"
-    assert doc["trace"]["stages"][0]["m"] == 6
+    assert doc["trace"]["stages"][0]["m_exponent"] == 6
 
 
 def test_construct_modeling(capsys):
@@ -282,6 +283,60 @@ def test_construct_fouche(capsys):
     assert code == 0
     assert "constructed witness: (6, 0, 0, 0, 0, 0, 0)" in out
     assert "pass [exhaustive]" in out
+
+
+def _rendered_fields(record, doc):
+    """doc holds exactly record's non-empty fields by name, plus kind where
+    the class sets one, and so, recursively, does each nested record."""
+    shown = {f.name: getattr(record, f.name) for f in fields(record)}
+    shown = {k: v for k, v in shown.items() if v is not None and v != {}}
+    assert set(doc) == set(shown) | ({"kind"} if record.kind else set())
+    for name, value in shown.items():
+        pairs = (zip(value, doc[name]) if isinstance(value, tuple)
+                 else [(value, doc[name])])
+        for item, rendered in pairs:
+            if isinstance(item, Trace):
+                _rendered_fields(item, rendered)
+
+
+def _dicts(value):
+    if isinstance(value, dict):
+        yield value
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _dicts(item)
+
+
+@pytest.mark.parametrize("theorem", sorted(_THEOREMS))
+def test_trace_records_render_their_fields(capsys, tmp_path, theorem):
+    argv = ["construct", "--theorem", theorem, "--r", "2"]
+    cert = tmp_path / "t.json"
+    code, _, _ = run(capsys, *argv, "--out", str(cert))
+    assert code == 0
+    trace = load_certificate(cert)["trace"]
+    args = build_parser().parse_args(argv)
+    record = _THEOREMS[theorem](args, budget_from(args))[2]
+    if record is None:
+        assert trace is None
+        return
+    _rendered_fields(record, trace)
+    # a stage's number is its position; a product's colors are r**m_exponent
+    stale = {"index", "stage", "coordinate", "colors", "base_colors"}
+    assert not any(stale & set(d) for d in _dicts(trace))
+
+
+def test_word_trace_lists_its_stages_outer_to_inner(capsys, tmp_path):
+    cert = tmp_path / "compose.json"
+    code, _, _ = run(capsys, "construct", "--theorem", "compose",
+                     "--length", "3", "--r", "2", "--out", str(cert))
+    assert code == 0
+    stages = load_certificate(cert)["trace"]["stages"]
+    assert [st["a"] for st in stages] == [1, 0, 0]
+    # each outer stage lifts the witness of the stage inside it
+    assert ([st.get("lifted_from") for st in stages]
+            == [st["witness"] for st in stages[1:]] + [None])
+    assert stages[0]["witness"] == 6
 
 
 def test_modeling_relation_sweep_refuses_before_building(capsys, monkeypatch):
@@ -475,6 +530,14 @@ def test_degree_search(capsys):
     assert "degree 1 witness 6 (pool attempts: 7)" in out
 
 
+def test_degree_search_reads_its_pool_lazily(capsys):
+    # a pool too long for len() is read only up to its witness
+    code, out, _ = run(capsys, "degree", "--a", "2", "--b", "3", "--r", "2",
+                       "--pool", "0..10000000000000000000")
+    assert code == 0
+    assert "degree 1 witness 6 (pool attempts: 7)" in out
+
+
 def test_degree_search_needs_pool(capsys):
     code, _, err = run(capsys, "degree", "--a", "1", "--b", "2", "--r", "2")
     assert code == 64 and "needs --pool" in err
@@ -620,10 +683,11 @@ _DROP = object()
     ("auto", "verification", 3, "missing field 'verification.verdict'"),
     ("auto", "functor", {"kind": "step-boundary"},
      "missing field 'orientation'"),
-    ("sampled", "budget.seed", "1729", "'budget.seed' must be int, not str")],
+    ("sampled", "budget.seed", "1729", "'budget.seed' must be int, not str"),
+    ("auto", "schema_version", 1, "unsupported schema_version 1")],
     ids=["no-a", "str-r", "bool-r", "list-category", "no-max-colorings",
          "int-verification", "step-boundary-without-orientation",
-         "str-seed"])
+         "str-seed", "schema-1"])
 def test_replay_refuses_malformed_certificates(capsys, tmp_path, mode, path,
                                                value, named):
     cert = tmp_path / "p.json"
@@ -791,38 +855,38 @@ _R = ("--category", "R", "--r", "2")
 CERTIFICATE_DIGESTS = {
     ("verify", "p", *_R, "--functor", "dR,dR", "--a", "2", "--b", "3",
      "--c", "6"):
-        (0, "7b94f9f36ae0f56f3adf804a43fd7147636bdf8901aa119a996d01e9fad224f6"),
+        (0, "c0b8d0ddd35bd6d11ca9ce199acc82375328cb4861da57dadccafa16ef354b56"),
     ("verify", "p", *_R, "--functor", "dR,dR", "--a", "2", "--b", "3",
      "--c", "5"):
-        (1, "c76f092b825a82cf5bfe1bf92db715865008341d4db7a4bffd4b1356a563464c"),
+        (1, "dd224867d785e15c0f03460b167a2f10b213e32286228627c667d1068dfefa57"),
     ("verify", "p", *_R, "--functor", "dR", "--a", "2", "--b", "3",
      "--c", "4", "--mode", "sampled", "--samples", "100"):
-        (0, "029483a718ca1eeef11852c54f3b0505119ec92f9c631ac069a07033ec98829e"),
+        (0, "2c2bb6d75e0f200551e4ccb3fca40c5380768b5c6b6534e4974a24e2c798b2b3"),
     ("verify", "p", "--category", "trees", "--functor", "dT", "--a", "1,0",
      "--b", "2,0,0", "--c", "3,0,0,0", "--r", "2"):
-        (0, "2735440a340783bc022fa831512136eec6d5dcb2e4769fce7a999102cd055ef4"),
+        (0, "b79412425557fc6d1d030743292b3d56630413cf4efc11ba5e798b86947e65b9"),
     ("verify", "fp", *_R, "--functor", "dR", "--a", "1", "--b", "2",
      "--c", "6"):
-        (0, "12d07bca05396e5ed175d17e80cd95ad2b49663b3371412ad95e5dd502775654"),
+        (0, "5f2c8ea5c3ef91a6bb1f6d65da99cbcd5cebd864fefe21e04963557ac2298a9a"),
     ("verify", "fp", *_R, "--functor", "dR", "--a", "2", "--b", "3",
      "--c", "5"):
-        (0, "e932ec4f4a1c9e43af8d9fc6fe6fb58b040a6efb46bbcac381c1860bff089eca"),
+        (0, "c506d7cc0b4fb2f3911d2a9eed5ac9591b4d884b1eee02139dac703914a52ce1"),
     ("construct", "--theorem", "fp2p", "--r", "2"):
-        (0, "daf15efea2ac32c998719c839ff4e724de921cd91fa6a8d9b31951a35dcf6cca"),
+        (0, "4645e74df26cc3089d898393b73d4d8c966b2e7ded3cd5d9d79a993b9914bbb3"),
     ("construct", "--theorem", "r-fp", "--r", "2"):
-        (0, "fe0dda78a0d866d06add05f506298f27ef7ec62b6f24cd20188072c6ed52c2dc"),
+        (0, "18742337cd488645d050d574080308cf271917fab873ae1aaff79950b7ccb219"),
     ("construct", "--theorem", "p-pigeonhole", "--r", "2"):
-        (0, "d2be207cadcbd8698f700fb6b471dddb98f4257c86d382a309a93e8e0630e25e"),
+        (0, "423c41ca1ccf61b0af04311e57464c3c918ba795c924936b07e41e7b704872f6"),
     ("construct", "--theorem", "compose", "--r", "2"):
-        (0, "eae6190eeff7745822d99e0eff96c7cd0f14509156d563cfa82f9f9d26b2f8b7"),
+        (0, "8ea2057e87c33704d95976a040d2c4d8d2eca2f18d87c3ebef6a87677fa733e6"),
     ("construct", "--theorem", "product", "--r", "2"):
-        (0, "6fa09a4b07e192bac2ba17a27843a1e1ef5048fad6281cf4cc0f93e59793c338"),
+        (0, "b7f8226abb9811430dfba347ec29894b16531dba7573ff4590fbd47283a99f3c"),
     ("construct", "--theorem", "modeling", "--r", "2"):
-        (0, "5dfb3f26446b57c246cc9c387b698b7cd3a4e2839abacdcb371a21f15f7b40f1"),
+        (0, "b5c8c48be49a76eb4064bdafe8e103e7b6e7db481fdbef42fcd27597680e2b69"),
     ("construct", "--theorem", "hj", "--r", "2"):
-        (0, "5e1c0e241973800d20ac7598bf4a3a98717ec4c14a1b4164f26ef79b18fe0dd2"),
+        (0, "93181edb31ed23a134bcb14b216dc6d3e0a2537c4d622828fdea71206514785f"),
     ("construct", "--theorem", "fouche", "--r", "2"):
-        (0, "76fefd15725e1a3078d422cc1afaa9374717264e0c109f1faeabeae188ca4924"),
+        (0, "20c446c78c6f4ff345370dc6cbcde0d3f0587c8a87aad29681ebd7cfcb304e99"),
 }
 
 

@@ -46,7 +46,7 @@ def test_pigeonhole_provider_constructs_verified_witnesses():
     assert prov.provenance == CONSTRUCTED
     dp = step_boundary("definition")
     c, note = prov(dp, (2, 1), (3, 2), 2)
-    assert c == (6, 2) and note == {}
+    assert c == (6, 2) and note is None
     res = check_p_witness(dp, (2, 1), (3, 2), c, 2)
     assert res.ok and res.exhaustive
     with pytest.raises(ValueError):
@@ -144,11 +144,11 @@ def test_providers_carry_provenance():
     assert wit.provenance == CONSTRUCTED
     c, note = wit(DR, 1, 2, 2)
     assert c == 6
-    assert note == fp_to_p_construct(DR, 1, 2, 2, r_fp_oracle())[1].doc()
-    assert note["selection"] == "oracle-defined"
+    assert note == fp_to_p_construct(DR, 1, 2, 2, r_fp_oracle())[1]
+    assert note.selection == "oracle-defined"
     sp = search_provider(lambda a, b, r: range(0, 8))
     assert sp.provenance == SEARCHED
-    assert sp(DR, 2, 3, 2) == (4, {})
+    assert sp(DR, 2, 3, 2) == (4, None)
     empty = search_provider(lambda a, b, r: range(0, 3))
     with pytest.raises(ConstructionError, match="pool exhausted"):
         empty(DR, 2, 3, 2)
@@ -210,7 +210,7 @@ def test_product_provider_packs_the_staged_product():
     c, note = prov(fun, pack((1, 1)), pack((2, 2)), 2)
     assert c == pack((130, 6))
     _, trace = product_ramsey_numbers((1, 1), (2, 2), 2)
-    assert note == {"product": trace.doc()}
+    assert note == trace
 
 
 def test_product_validations_and_budget():
@@ -381,7 +381,7 @@ def test_hj_witness_small_dimension():
     st = trace.stages[0]
     assert st.a == ("V", (1, 2)) and st.b == ("L", 1)
     assert st.witness == ("L", 6)
-    assert st.note["welldefined_via"] == "zeta-identity"
+    assert st.note.welldefined_via == "zeta-identity"
     with pytest.raises(ValueError):
         hj_witness(0, 1, 2)
 

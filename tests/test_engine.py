@@ -398,9 +398,9 @@ def test_auto_search_fail_keeps_the_least_failing_index():
 
 @pytest.mark.parametrize("b, c, r, digest", [
     (4, 17, 2,
-     "576d7ccd01d347a5c8fe2edfead5245d86d781353aa084bca2ff9310897617f0"),
+     "844a990a915eda4d762db0c93569ae7dfa8d53355847cf0d39c5572e86762161"),
     (3, 16, 3,
-     "225933991789da0b71f832784f8fc4718aff05cbb19c4b8f39668896b94439fd"),
+     "4fc25b8db4f87818d98c8f9812b4b6b2aed62badb32b37268a3d7406894f2820"),
 ])
 def test_auto_falls_back_to_exactly_the_sampled_check(b, c, r, digest):
     # R(4,4) = 18 and R(3,3,3) = 17: false claims the search cannot settle
