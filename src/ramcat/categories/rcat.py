@@ -55,6 +55,24 @@ class SubsetCategory(Category):
         return [tuple(map(rank, combinations(y, a)))
                 for y in combinations(range(1, c + 1), b)]
 
+    def moves(self, a: Any, c: Any
+              ) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:
+        """The cyclic shift x -> x+1 mod c and, when c is a power of two, the
+        translations of GF(2)^k (labels 1..c read as 0..c-1), each lifted to
+        a permutation of the a-subsets of [c]."""
+        subsets = list(combinations(range(1, c + 1), a))
+        rank = {x: i for i, x in enumerate(subsets)}
+
+        def lift(point):
+            return tuple(rank[tuple(sorted(map(point, x)))] for x in subsets)
+
+        groups = [("shift", (lift(lambda x: x % c + 1),))]
+        if c > 1 and c & (c - 1) == 0:
+            groups.append(("xor", tuple(
+                lift(lambda x, bit=1 << k: ((x - 1) ^ bit) + 1)
+                for k in range(c.bit_length() - 1))))
+        return tuple(groups)
+
     def spec(self) -> dict:
         return {"kind": "subset"}
 

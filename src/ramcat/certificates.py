@@ -161,11 +161,11 @@ def budget_doc(budget: SearchBudget | None = None, mode: str = "auto",
 
 def verification_doc(res: PCheckResult) -> dict:
     out = {"verdict": "pass" if res.ok else "fail",
-           "mode": "exhaustive" if res.exhaustive else "sampled",
+           "mode": res.mode,
            "probabilistic": res.probabilistic,
            "cells": res.cells, "arrows": res.arrows, "checked": res.checked}
     optional = {"total": res.total, "samples": res.samples, "seed": res.seed,
-                "nodes": res.nodes}
+                "nodes": res.nodes, "group": res.group}
     out.update((k, v) for k, v in optional.items() if v is not None)
     if res.counterexample is not None:
         cex = res.counterexample

@@ -131,7 +131,8 @@ def _engine_kw(args) -> dict:
 
 
 def _report(res) -> str:
-    mode = "exhaustive" if res.exhaustive else f"sampled(seed={res.seed})"
+    mode = {"orbit": f"orbit({res.group})", "exhaustive": "exhaustive",
+            "sampled": f"sampled(seed={res.seed})"}[res.mode]
     verdict = "pass" if res.ok else "FAIL"
     count = (f"colorings_checked={res.checked}" if res.nodes is None
              else f"nodes={res.nodes}")

@@ -224,6 +224,10 @@ class Category(ABC):
     mixed-radix index sums over their factors' tables, which are built and
     validated before `action` returns.  Subsets override it in closed form,
     composing nothing, unless a subclass overrides their `compose`.
+    `moves(a, c)` names groups of permutations of the hom(a, c) indices, each
+    a tuple of generators, where the engine's falsifier looks for colorings
+    constant on their orbits; none by default.  A verdict never rests on a
+    move being a symmetry: every coloring found is re-checked in full.
     """
 
     name: str = "category"
@@ -257,6 +261,10 @@ class Category(ABC):
                                  f"hom({a!r}, {c!r}) for g={g!r}, "
                                  f"f={hom_ab[row.index(-1)]!r}")
         return rows
+
+    def moves(self, a: Any, c: Any
+              ) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:
+        return ()
 
     def objects(self, count: int) -> tuple[Any, ...]:
         return tuple(islice(self.iter_objects(), count))

@@ -22,10 +22,16 @@ count exceeds the coloring budget, which also bounds the search tree.
 
 Auto mode takes the first route that applies: (1) that search, when r**n is
 within max_colorings; (2) the same search capped at SEARCH_MAX_NODES nodes,
-when there are at most SEARCH_MAX_CHECKS checks; (3) sampling.  A verdict of
-route 2 is exhaustive (a proof, or the least failing index) and reports the
-nodes it visited as `checked`, never r**n.  When route 2 runs out of nodes,
-route 3 samples the checks it compiled, so nothing is composed twice.  Both
+when there are at most SEARCH_MAX_CHECKS checks; (3) when route 2 runs out
+of nodes and n <= COUNTEREXAMPLE_INLINE_CAP, the orbit falsifier: for each
+group of the category's moves in turn, the search over the colorings
+constant on the group's orbits, capped at ORBIT_MAX_NODES nodes; (4)
+sampling.  A verdict of route 2 is exhaustive (a proof, or the least failing
+index) and reports the nodes it visited as `checked`, never r**n.  Route 3
+only refutes: a coloring it finds is re-checked against every check and
+reported as a fail of kind "orbit" with its cells, its group and the nodes of
+that group's search; an orbit space that passes proves nothing.  Routes 3 and
+4 read the checks that route 2 compiled, so nothing is composed twice.  The
 caps are module constants, not budget fields: a certificate records only
 max_colorings and max_hom_size, and a replay must take the route its write
 took.
@@ -72,6 +78,9 @@ COUNTEREXAMPLE_INLINE_CAP = 4096
 # checks, and samples when the search would visit more than this many nodes
 SEARCH_MAX_CHECKS = 10_000
 SEARCH_MAX_NODES = 1_000
+# then, before sampling, it searches each of the category's move groups for
+# a failing orbit-constant coloring, giving up past this many nodes a group
+ORBIT_MAX_NODES = 10_000
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -105,7 +114,9 @@ class Coloring:
 
     r: int
     size: int
-    kind: str  # "index" (exhaustive) or "sample"
+    # "index" (exhaustive), "sample", or "orbit" (auto's falsifier; index is
+    # over the move group's orbits, and the cells are always stored)
+    kind: str
     index: int
     seed: int | None = None
     cells: tuple[int, ...] | None = None
@@ -133,10 +144,17 @@ class PCheckResult:
     seed: int | None = None
     counterexample: Coloring | None = None
     nodes: int | None = None    # set by a node-capped search (auto route 2)
+    group: str | None = None    # the move group whose orbits refuted c
 
     @property
     def probabilistic(self) -> bool:
         return self.ok and not self.exhaustive
+
+    @property
+    def mode(self) -> str:
+        """The route of the verdict: "orbit", "exhaustive" or "sampled"."""
+        return ("orbit" if self.group else "exhaustive" if self.exhaustive
+                else "sampled")
 
 
 @dataclass(frozen=True)
@@ -241,6 +259,52 @@ def _lex_search(r: int, n: int, checks: list[Check], cap: int,
     return None, nodes
 
 
+def _orbit_search(r: int, n: int, checks: list[Check], cap: int,
+                  gens: tuple[tuple[int, ...], ...]
+                  ) -> tuple[int, tuple[int, ...], int] | None:
+    """(orbit coloring index, its cells, nodes) for the least failing
+    coloring constant on the orbits of gens, or None when the orbit space
+    passes or the search would visit more than ORBIT_MAX_NODES nodes.
+
+    The orbits are numbered by their least cell, the orbit of cell 0 the most
+    significant digit, and _lex_search runs over each check's orbit image.  A
+    coloring constant on the orbits fails a check exactly when it fails the
+    check's image, and the lifted cells are re-checked against every check,
+    so the verdict needs nothing from gens: they need not be symmetries.
+    """
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for perm in gens:
+        if sorted(perm) != list(range(n)):
+            raise ValueError(f"a move is not a permutation of {n} cells")
+        for x, y in enumerate(perm):
+            x, y = sorted((find(x), find(y)))
+            root[y] = x                 # the least cell stays the root
+    least = sorted({find(x) for x in range(n)})
+    m = len(least)
+    digit = dict(zip(least, range(m - 1, -1, -1)))
+    orbit = [digit[find(x)] for x in range(n)]
+    images = set()
+    for groups in checks:
+        kept = {tuple(sorted(ids)) for ids in
+                ({orbit[p] for p in grp} for grp in groups) if len(ids) > cap}
+        images.add(tuple(sorted(kept)))
+    found = _lex_search(r, m, sorted(images), cap, ORBIT_MAX_NODES)
+    if found is None or found[0] is None:
+        return None
+    index, nodes = found
+    cells = tuple((index // r ** orbit[j]) % r for j in range(n))
+    if _passes(list(cells), checks, cap):
+        raise AssertionError(f"orbit coloring {index} passes a check that "
+                             f"its orbit image fails")
+    return index, cells, nodes
+
+
 def _scan_range(seed: int, r: int, n: int, source: Source, cap: int,
                 lo: int, hi: int) -> int | None:
     """First failing sample in [lo, hi), or None; cells are drawn as read.
@@ -325,6 +389,12 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
         found = _lex_search(r, n, compiled, cap, SEARCH_MAX_NODES)
         if found is not None:
             return result(found[0], nodes=found[1])
+        if n <= COUNTEREXAMPLE_INLINE_CAP:
+            for group, gens in cat.moves(a, c):
+                hit = _orbit_search(r, n, compiled, cap, gens)
+                if hit is not None:
+                    return result(hit[0], cells=hit[1], nodes=hit[2],
+                                  group=group)
         source = partial(tuple, compiled)   # no caller composes again
     return result(_first_sampled_failure(seed, r, n, source, cap, samples,
                                          jobs), samples=samples, seed=seed)
@@ -332,22 +402,26 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
 
 def _result(r: int, n: int, arrows: int, hit: int | None, *,
             total: int | None = None, nodes: int | None = None,
-            samples: int | None = None, seed: int | None = None
+            samples: int | None = None, seed: int | None = None,
+            group: str | None = None, cells: tuple[int, ...] | None = None
             ) -> PCheckResult:
     """The verdict of one route: a scan of all `total` colorings, a search
-    of `nodes` nodes, or `samples` samples under `seed`."""
+    of `nodes` nodes, the orbit search under `group` that found `cells` in
+    `nodes` nodes, or `samples` samples under `seed`."""
     cex = None
     if hit is not None:
-        cex = Coloring(r=r, size=n, kind="index" if samples is None else
-                       "sample", index=hit, seed=seed)
+        kind = "orbit" if group else "index" if samples is None else "sample"
+        cex = Coloring(r=r, size=n, kind=kind, index=hit, seed=seed,
+                       cells=cells)
         if n <= COUNTEREXAMPLE_INLINE_CAP:
             cex = replace(cex, cells=tuple(cex.cell(j) for j in range(n)))
     checked = (nodes if nodes is not None else
                hit + 1 if hit is not None else total or samples)
-    return PCheckResult(ok=hit is None, exhaustive=samples is None, r=r,
+    return PCheckResult(ok=hit is None,
+                        exhaustive=samples is None and group is None, r=r,
                         cells=n, arrows=arrows, checked=checked, total=total,
                         samples=samples, seed=seed, counterexample=cex,
-                        nodes=nodes)
+                        nodes=nodes, group=group)
 
 
 def check_p_witness(delta: Functor, a: Any, b: Any, c: Any, r: int,

@@ -61,14 +61,18 @@ def rectangle_free_exists(q: int, r: int) -> bool:
     return extend([], 0)
 
 
+def brute_refutes(checks, colors, cap: int = 1) -> bool:
+    """Does the coloring, cell j colored colors[j], let no check keep every
+    group within cap colors?  A check is a tuple of groups of cells."""
+    return not any(all(len({colors[p] for p in grp}) <= cap for grp in groups)
+                   for groups in checks)
+
+
 def brute_first_failure(r: int, n: int, checks, cap: int) -> int | None:
     """Least index idx < r**n whose coloring, cell j colored
-    (idx // r**j) % r, lets no check keep every group within cap colors;
-    None when there is none.  A check is a tuple of groups of cells."""
+    (idx // r**j) % r, refutes the checks; None when there is none."""
     for idx in range(r ** n):
-        colors = [(idx // r ** j) % r for j in range(n)]
-        if not any(all(len({colors[p] for p in grp}) <= cap for grp in groups)
-                   for groups in checks):
+        if brute_refutes(checks, [(idx // r ** j) % r for j in range(n)], cap):
             return idx
     return None
 
@@ -76,12 +80,11 @@ def brute_first_failure(r: int, n: int, checks, cap: int) -> int | None:
 def brute_first_sampled_failure(seed: int, r: int, n: int, checks, cap: int,
                                 samples: int) -> int | None:
     """Least sample idx < samples whose coloring, cell j colored
-    prf_color(seed, idx, j, r), lets no check keep every group within cap
-    colors; None when there is none."""
+    prf_color(seed, idx, j, r), refutes the checks; None when there is
+    none."""
     for idx in range(samples):
-        colors = [prf_color(seed, idx, j, r) for j in range(n)]
-        if not any(all(len({colors[p] for p in grp}) <= cap for grp in groups)
-                   for groups in checks):
+        if brute_refutes(checks, [prf_color(seed, idx, j, r)
+                                  for j in range(n)], cap):
             return idx
     return None
 

@@ -592,6 +592,31 @@ def test_replay_explicit_seed_and_samples_override(capsys, tmp_path):
     assert "sampled(seed=1729)" in out and "colorings_checked=10000" in out
 
 
+@pytest.mark.parametrize("b, c, r, line", [
+    ("4", "17", "2", "FAIL [orbit(shift)] cells=136 arrows=2380 nodes=20"),
+    ("3", "16", "3", "FAIL [orbit(xor)] cells=120 arrows=560 nodes=1206"),
+], ids=["R(4,4)=18", "R(3,3,3)=17"])
+def test_verify_refutes_false_witnesses_by_orbit_search(capsys, tmp_path, b,
+                                                        c, r, line):
+    argv = ("verify", "p", "--category", "R", "--functor", "dR,dR", "--a",
+            "2", "--b", b, "--c", c, "--r", r)
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, *argv, "--jobs", jobs,
+                           "--out", str(tmp_path / f"{jobs}.json"))
+        assert code == 1 and out.startswith(line + "\ncounterexample: ")
+    cert = tmp_path / "1.json"
+    assert cert.read_bytes() == (tmp_path / "2.json").read_bytes()
+    code, out, _ = run(capsys, "replay", str(cert), "--jobs", "2")
+    assert code == 1 and "MISMATCH" not in out
+    assert out.startswith("stored verdict fail, replay verdict fail\n" + line)
+    # the replay at two jobs rebuilds the certificate byte for byte
+    doc = load_certificate(cert)
+    rep = replay_verify(doc, jobs=2)
+    again = Claim.from_doc(doc).certificate(rep.result)
+    dump_certificate(again, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == cert.read_bytes()
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_refuses_a_sampled_run_without_samples(capsys, samples):
     # (2,4,17) has 2**136 colorings, so auto mode samples

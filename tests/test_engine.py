@@ -3,6 +3,7 @@
 import os
 
 import pytest
+from brute import brute_p_checks, brute_refutes
 
 from ramcat import engine
 from ramcat import (DEFAULT_SEED, BudgetExceeded, Category, Coloring,
@@ -129,8 +130,8 @@ def test_exhaustive_respects_coloring_budget():
     res = check_p_witness(DR, 2, 3, 6, 2, mode="auto", budget=tight,
                           samples=50)
     assert res.ok and res.exhaustive and res.checked == res.nodes == 27
-    # and samples where that search runs out of nodes
-    res = check_p_witness(DD, 2, 4, 17, 2, mode="auto", samples=50)
+    # and samples where that search runs out of nodes (R(4,4) = 18)
+    res = check_p_witness(DD, 2, 4, 18, 2, mode="auto", samples=50)
     assert res.ok and not res.exhaustive and res.checked == 50
 
 
@@ -397,13 +398,14 @@ def test_auto_search_fail_keeps_the_least_failing_index():
 
 
 @pytest.mark.parametrize("b, c, r, digest", [
-    (4, 17, 2,
-     "844a990a915eda4d762db0c93569ae7dfa8d53355847cf0d39c5572e86762161"),
-    (3, 16, 3,
-     "4fc25b8db4f87818d98c8f9812b4b6b2aed62badb32b37268a3d7406894f2820"),
-])
+    (4, 18, 2,
+     "5e9c8a6978a28fd1032cf4cffaf297b368658d67ba427b15ba027ba5af708886"),
+    (3, 17, 3,
+     "726064f00c37d7a14cf8cfd8a3011a6d3a6f28c68b01d8a70254760e5be9d44e"),
+], ids=["4-18-2", "3-17-3"])
 def test_auto_falls_back_to_exactly_the_sampled_check(b, c, r, digest):
-    # R(4,4) = 18 and R(3,3,3) = 17: false claims the search cannot settle
+    # R(4,4) = 18 and R(3,3,3) = 17: true claims that the search cannot
+    # settle and that no move refutes
     kw = dict(seed=DEFAULT_SEED, samples=1000)
     sampled = check_p_witness(DD, 2, b, c, r, mode="sampled", **kw)
     runs = [check_p_witness(DD, 2, b, c, r, jobs=jobs, **kw) for jobs in (1, 2)]
@@ -432,9 +434,9 @@ def test_auto_fallback_builds_action_rows_once_in_the_parent(monkeypatch):
 
     monkeypatch.setattr(SubsetCategory, "action", counted)
     monkeypatch.setattr(engine, "ProcessPoolExecutor", counted_pool)
-    res = check_p_witness(DD, 2, 4, 17, 2, samples=200, jobs=2)
+    res = check_p_witness(DD, 2, 4, 18, 2, samples=200, jobs=2)
     assert res.ok and not res.exhaustive and res.checked == 200
-    assert calls == [(2, 4, 17)] and pools == [2]
+    assert calls == [(2, 4, 18)] and pools == [2]
 
 
 def test_auto_past_the_check_gate_samples_lazily(monkeypatch):
@@ -449,6 +451,94 @@ def test_auto_past_the_check_gate_samples_lazily(monkeypatch):
     assert res.arrows == pcat.hom_size(b, c) > engine.SEARCH_MAX_CHECKS
     assert res.ok and not res.exhaustive and res.nodes is None
     assert 0 < len(pulled) <= res.arrows // 8
+
+
+# ---------------------------------------------------------------------------
+# auto's falsifier: colorings constant on the orbits of the category's moves
+
+
+@pytest.mark.parametrize("b, c, r, group, nodes, index", [
+    (4, 17, 2, "shift", 20, 46),        # the Paley graph on 17 is circulant
+    (3, 16, 3, "xor", 1206, 638277),    # a Cayley 3-coloring of Z_2^4
+], ids=["R(4,4)=18", "R(3,3,3)=17"])
+def test_auto_refutes_false_witnesses_by_orbit_search(b, c, r, group, nodes,
+                                                      index):
+    res, again = (check_p_witness(DD, 2, b, c, r, jobs=jobs) for jobs in (1, 2))
+    assert again == res
+    assert not res.ok and not res.exhaustive and not res.probabilistic
+    assert (res.group, res.nodes, res.checked) == (group, nodes, nodes)
+    assert res.total is None and res.samples is None and res.seed is None
+    cex = res.counterexample
+    assert (cex.kind, cex.index, cex.size) == ("orbit", index, res.cells)
+    assert brute_refutes(brute_p_checks(DD, 2, b, c), cex.cells)
+    doc = p_certificate(DD, 2, b, c, r, res)
+    ver = doc["verification"]
+    assert (ver["mode"], ver["group"], ver["nodes"]) == ("orbit", group, nodes)
+    assert ver["counterexample"]["cells"] == list(cex.cells)
+    rep = replay_verify(doc, jobs=2)
+    assert rep.match and rep.result == res and not rep.upgraded
+    assert (dump_certificate(p_certificate(DD, 2, b, c, r, rep.result))
+            == dump_certificate(doc))
+
+
+@pytest.mark.parametrize("budget", [None, SearchBudget(max_colorings=10)])
+def test_decided_fails_keep_the_least_failing_index(budget):
+    # a scan and the node-capped search both settle (2,3,5) first
+    res = check_p_witness(DD, 2, 3, 5, 2, budget=budget)
+    assert not res.ok and res.exhaustive and res.group is None
+    assert (res.counterexample.kind, res.counterexample.index) == ("index", 220)
+
+
+class _ShiftOnly(SubsetCategory):
+    def moves(self, a, c):
+        return super().moves(a, c)[:1]
+
+
+def test_an_orbit_space_that_passes_proves_nothing(monkeypatch):
+    # no shift-constant coloring refutes (2,3,16) r=3, and past its node cap
+    # the xor search gives up: either way auto samples as before
+    kw = dict(samples=100)
+    sampled = check_p_witness(DD, 2, 3, 16, 3, mode="sampled", **kw)
+    shift = compose_word([subset_boundary(_ShiftOnly())] * 2)
+    assert check_p_witness(shift, 2, 3, 16, 3, **kw) == sampled
+    monkeypatch.setattr(engine, "ORBIT_MAX_NODES", 1205)
+    assert check_p_witness(DD, 2, 3, 16, 3, **kw) == sampled
+    monkeypatch.setattr(engine, "ORBIT_MAX_NODES", 1206)
+    assert check_p_witness(DD, 2, 3, 16, 3, **kw).group == "xor"
+    assert sampled.ok and sampled.probabilistic and sampled.group is None
+
+
+def test_the_falsifier_runs_only_on_inlined_colorings(monkeypatch):
+    kw = dict(samples=50)
+    sampled = check_p_witness(DD, 2, 4, 17, 2, mode="sampled", **kw)
+    monkeypatch.setattr(engine, "COUNTEREXAMPLE_INLINE_CAP", 135)
+    assert check_p_witness(DD, 2, 4, 17, 2, **kw) == sampled
+
+
+class _NotAPermutation(SubsetCategory):
+    def moves(self, a, c):
+        return (("collapse", ((0,) * self.hom_size(a, c),)),)
+
+
+def test_a_move_that_is_not_a_permutation_is_refused():
+    dd = compose_word([subset_boundary(_NotAPermutation())] * 2)
+    with pytest.raises(ValueError, match="not a permutation of 136 cells"):
+        check_p_witness(dd, 2, 4, 17, 2, samples=1)
+
+
+def test_subset_moves_are_the_lifted_point_maps():
+    cat = subset_category()
+    hom = cat.hom(2, 8)
+    moves = dict(cat.moves(2, 8))
+    assert sorted(moves) == ["shift", "xor"] and len(moves["xor"]) == 3
+    assert [hom[i].data for i in moves["shift"][0][:3]] == [
+        (2, 3), (2, 4), (2, 5)]
+    # the labels 1..8 read as 0..7 in GF(2)^3: xor 1 swaps 1, 2 and 3, 4
+    assert [hom[i].data for i in moves["xor"][0][:3]] == [
+        (1, 2), (2, 4), (2, 3)]
+    assert [name for name, _ in cat.moves(2, 6)] == ["shift"]
+    pcat = ProductCategory((cat, cat))      # products offer no moves yet
+    assert pcat.moves(pcat.pack((1, 1)), pcat.pack((2, 2))) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ from functools import partial
 
 import pytest
 from brute import (brute_first_failure, brute_first_sampled_failure,
-                   brute_p_checks)
+                   brute_p_checks, brute_refutes)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramcat import (canon_bytes, canon_parse, check_p_witness, compose_word,
-                    fiber, functor_image, prf_color, ramsey_degree,
+from ramcat import (SearchBudget, SubsetCategory, canon_bytes, canon_parse,
+                    check_p_witness, compose_word, engine, fiber,
+                    functor_image, prf_color, ramsey_degree,
                     degree_upper_bound, subset_boundary, subset_category)
 from ramcat.certificates import canonical_json
 from ramcat.core import Category
@@ -186,6 +187,71 @@ def test_sampled_check_matches_a_scan_of_every_check(jobs, delta, a, up, out,
         cex = res.counterexample
         assert (cex.kind, cex.index, cex.seed) == ("sample", hit, seed)
         assert cex.cells == tuple(prf_color(seed, hit, j, r) for j in range(n))
+
+
+class _Moved(SubsetCategory):
+    """Subsets whose moves are the given groups of hom(a, c) permutations,
+    symmetries or not, whatever a and c are."""
+
+    def __init__(self, groups):
+        self.groups = groups
+
+    def moves(self, a, c):
+        return self.groups
+
+
+def _falsified(delta, a, b, c, r):
+    """The auto verdict when the node-capped search gives up at once, so the
+    falsifier runs on any claim past a one-coloring budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "SEARCH_MAX_NODES", 0)
+        return check_p_witness(delta, a, b, c, r, samples=5,
+                               budget=SearchBudget(max_colorings=1))
+
+
+def _move_groups(n: int):
+    perm = st.permutations(range(n)).map(tuple)
+    return st.lists(st.lists(perm, max_size=3).map(tuple), max_size=3).map(
+        lambda groups: tuple((f"g{i}", gens) for i, gens in enumerate(groups)))
+
+
+@st.composite
+def moved_claims(draw):
+    """(twice, a, b, c, r, groups): dR or dR∘dR at a small (a, b, c), with up
+    to three groups of arbitrary permutations of hom(a, c)."""
+    a = draw(st.integers(min_value=1, max_value=2))
+    b = a + draw(st.integers(min_value=0, max_value=2))
+    c = b + draw(st.integers(min_value=0, max_value=3))
+    groups = draw(_move_groups(CAT.hom_size(a, c)))
+    return (draw(st.booleans()), a, b, c,
+            draw(st.integers(min_value=1, max_value=3)), groups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moved_claims())
+@example((True, 2, 3, 5, 2, (("shift", CAT.moves(2, 5)[0][1]),)))
+def test_orbit_verdicts_are_refuted_by_brute_force(claim):
+    twice, a, b, c, r, groups = claim
+    delta = subset_boundary(_Moved(groups))
+    if twice:
+        delta = compose_word([delta, delta])
+    res = _falsified(delta, a, b, c, r)
+    if res.group is not None:
+        assert res.group in dict(groups)
+        assert not res.ok and not res.exhaustive and not res.probabilistic
+        assert res.counterexample.kind == "orbit"
+        assert brute_refutes(brute_p_checks(delta, a, b, c),
+                             res.counterexample.cells)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_move_groups(CAT.hom_size(2, 6)))
+@example((("shift", CAT.moves(2, 6)[0][1]),))
+def test_the_falsifier_never_fails_a_true_claim(groups):
+    # R(3,3) = 6: dR∘dR at (2,3,6) r=2 holds whatever the moves are
+    dr = subset_boundary(_Moved(groups))
+    res = _falsified(compose_word([dr, dr]), 2, 3, 6, 2)
+    assert res.ok and res.group is None
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32),
