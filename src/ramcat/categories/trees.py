@@ -9,6 +9,20 @@ children of v injectively and order-preservingly into the children of the
 image of v.  Morphisms exist only between trees of equal height.  Payloads are
 tuples giving the T preorder index of each S node.
 
+Hom-sets are counted and enumerated over subtree pairs.  `Shape.kids` lists
+each root child's subtree with its preorder offset, and two module memos,
+keyed by `(subtree, subtree)`, hold the embedding count (`_count`) and the
+sorted payloads (`_payloads`) of every pair met, across calls and across
+trees: a child's payloads are read from its subtree pair and shifted by the
+child's offset.  Like the shape cache, each memo clears itself when full:
+`_COUNTS` past `_MAX_SHAPES` entries, `_PAYLOADS` past `_MAX_SHAPES`
+payloads in all (an empty list counts as one), and a hom-set larger than
+that is never kept.
+
+`table` ranks composite payloads in one dict over hom(a, c)'s payloads and
+builds no `Morph`; a subclass that overrides `compose` gets the generic
+`Category.table`, which composes every entry through the override.
+
 The truncation functor removes the deepest level of any tree with at least
 two levels and fixes the single-node tree; morphisms are restricted and
 reindexed.
@@ -17,7 +31,7 @@ reindexed.
 from __future__ import annotations
 
 from itertools import combinations, count
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from ..core import Category, EncodingError, Functor, Morph
 
@@ -58,6 +72,7 @@ class Shape(NamedTuple):
     kept: tuple[int, ...]        # preorder indices above the deepest level
     renumber: tuple[int, ...]    # each kept node's index in the truncation
     truncation: tuple
+    kids: tuple[tuple[tuple, int], ...]  # (subtree, offset) per root child
 
 
 _SHAPES: dict[tuple, Shape] = {}
@@ -80,8 +95,67 @@ def shape(t: tuple) -> Shape:
     if len(_SHAPES) >= _MAX_SHAPES:
         _SHAPES.clear()
     levels = tuple(depth.count(d) for d in range(h + 1))
+    roots = children[0]
+    kids = tuple((t[i:j], i) for i, j in zip(roots, roots[1:] + [len(t)]))
     out = _SHAPES[t] = Shape(tuple(map(tuple, children)), tuple(depth), h,
-                             levels, kept, tuple(renumber), trunc)
+                             levels, kept, tuple(renumber), trunc, kids)
+    return out
+
+
+_COUNTS: dict[tuple[tuple, tuple], int] = {}
+_PAYLOADS: dict[tuple[tuple, tuple], list[tuple[int, ...]]] = {}
+_held_payloads = 0      # payloads in _PAYLOADS, an empty list counted as one
+
+
+def _count(s: tuple, t: tuple) -> int:
+    """The number of embeddings of subtree s into subtree t, root to root."""
+    try:
+        return _COUNTS[s, t]
+    except KeyError:
+        pass
+    targets = shape(t).kids
+    # row[j]: ways to embed s's children so far among t's first j children
+    row = [1] * (len(targets) + 1)
+    for u, _ in shape(s).kids:
+        new = [0]
+        for j, (x, _) in enumerate(targets, 1):
+            new.append(new[j - 1] + row[j - 1] * _count(u, x))
+        row = new
+    if len(_COUNTS) >= _MAX_SHAPES:
+        _COUNTS.clear()
+    out = _COUNTS[s, t] = row[-1]
+    return out
+
+
+def _payloads(s: tuple, t: tuple) -> list[tuple[int, ...]]:
+    """The embeddings of subtree s into subtree t as sorted payloads: the t
+    index of each s node in preorder.  The list is shared; do not mutate."""
+    global _held_payloads
+    out = _PAYLOADS.get((s, t))
+    if out is not None:
+        return out
+    sources, targets = shape(s).kids, shape(t).kids
+    out = []
+    if len(sources) <= len(targets):
+        # moved[k][j]: child k's embeddings into target child j, reindexed
+        moved = [[[tuple([i + at for i in p]) for p in _payloads(u, x)]
+                  for x, at in targets] for u, _ in sources]
+        for js in combinations(range(len(targets)), len(sources)):
+            partials = [(0,)]
+            for row, j in zip(moved, js):
+                partials = [p + q for p in partials for q in row[j]]
+                if not partials:
+                    break
+            out.extend(partials)
+        # equal-length int payloads: tuple order is canonical order
+        out.sort()
+    weight = len(out) or 1          # so empty lists are bounded too
+    if _held_payloads + weight > _MAX_SHAPES:
+        _PAYLOADS.clear()
+        _held_payloads = 0
+    if weight <= _MAX_SHAPES:
+        _PAYLOADS[s, t] = out
+        _held_payloads += weight
     return out
 
 
@@ -161,54 +235,17 @@ class TreeCategory(Category):
             yield from _ordered_trees(n)
 
     def hom(self, a: Any, b: Any) -> tuple[Morph, ...]:
-        sa, sb = shape(a), shape(b)
-        if not _may_embed(sa, sb):
+        if not _may_embed(shape(a), shape(b)):
             return ()
-        cha, chb = sa.children, sb.children
-        memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-        def maps(v: int, w: int) -> list[tuple[int, ...]]:
-            # the images of v's subtree, a preorder range of a, with v at w
-            out = memo.get((v, w))
-            if out is not None:
-                return out
-            kids, out = cha[v], []
-            for targets in combinations(chb[w], len(kids)):
-                partials = [(w,)]
-                for u, x in zip(kids, targets):
-                    sub = maps(u, x)
-                    partials = [p + m for p in partials for m in sub]
-                    if not partials:
-                        break
-                out.extend(partials)
-            memo[v, w] = out
-            return out
-
-        # equal-length int payloads: tuple order is canonical order
-        return tuple([Morph(a, b, p) for p in sorted(maps(0, 0))])
+        return tuple([Morph(a, b, p) for p in _payloads(a, b)])
 
     def hom_size(self, a: Any, b: Any) -> int:
-        sa, sb = shape(a), shape(b)
-        if not _may_embed(sa, sb):
+        if not _may_embed(shape(a), shape(b)):
             return 0
-        cha, chb = sa.children, sb.children
-        memo: dict[tuple[int, int], int] = {}
+        return _count(a, b)
 
-        def embeddings(v: int, w: int) -> int:
-            # row[j]: ways to embed v's children so far among w's first j
-            out = memo.get((v, w))
-            if out is not None:
-                return out
-            row = [1] * (len(chb[w]) + 1)
-            for u in cha[v]:
-                new = [0]
-                for j, x in enumerate(chb[w], 1):
-                    new.append(new[j - 1] + row[j - 1] * embeddings(u, x))
-                row = new
-            out = memo[v, w] = row[-1]
-            return out
-
-        return embeddings(0, 0)
+    def grade(self, a: Any) -> int:
+        return shape(a).height
 
     def identity(self, a: Any) -> Morph:
         shape(a)
@@ -218,6 +255,15 @@ class TreeCategory(Category):
         if f.cod != g.dom:
             raise ValueError("non-composable tree embeddings")
         return Morph(f.dom, g.cod, tuple(g.data[j] for j in f.data))
+
+    def table(self, hab: Sequence[Morph], hbc: Sequence[Morph],
+              hac: Sequence[Morph]) -> list[tuple[int, ...]]:
+        if type(self).compose is not TreeCategory.compose:
+            return super().table(hab, hbc, hac)
+        pos = {f.data: i for i, f in enumerate(hac)}.get
+        sources = [f.data for f in hab]
+        return [tuple([pos(tuple([gd[j] for j in fd]), -1) for fd in sources])
+                for gd in [g.data for g in hbc]]
 
     def spec(self) -> dict:
         return {"kind": "trees"}

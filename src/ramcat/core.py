@@ -202,15 +202,6 @@ def sort_morphs(morphs: Iterable[Morph]) -> tuple[Morph, ...]:
     return tuple(sorted(morphs, key=Morph.key))
 
 
-def _table(cat: Category, hab: Sequence[Morph], hbc: Sequence[Morph],
-           hac: Sequence[Morph]) -> list[tuple[int, ...]]:
-    """One row per g in hbc: the hac index of g∘f for each f in hab, or -1
-    where the composite is not in hac."""
-    pos = {f: i for i, f in enumerate(hac)}.get
-    compose = cat.compose
-    return [tuple([pos(compose(g, f), -1) for f in hab]) for g in hbc]
-
-
 class Category(ABC):
     """Finite-hom category handle.
 
@@ -219,11 +210,18 @@ class Category(ABC):
     gives one row per g in hom(b, c), in order: the hom(a, c) indices of g∘f
     over hom(a, b).  Every row is composed and validated before `action`
     returns, so a composite outside hom(a, c) raises ValueError even in a row
-    that no caller reads.  The rows come from `_table`, the builder that
-    `check_category_laws` reads too.  Products override it with a stream of
-    mixed-radix index sums over their factors' tables, which are built and
-    validated before `action` returns.  Subsets override it in closed form,
-    composing nothing, unless a subclass overrides their `compose`.
+    that no caller reads.  The rows come from `table(hab, hbc, hac)`, the
+    builder that `check_category_laws` reads too: one row per g in hbc, the
+    hac index of g∘f for each f in hab, or -1 where the composite is not in
+    hac.  By default it composes every entry; trees override it by ranking
+    composite payloads, composing nothing, unless a subclass overrides their
+    `compose`.  Products override `action` with a stream of mixed-radix index
+    sums over their factors' tables, which are built and validated before
+    `action` returns.  Subsets override `action` in closed form, composing
+    nothing, unless a subclass overrides their `compose`.  `grade(a)` is None
+    by default; a category whose hom(a, b) is empty whenever the grades of a
+    and b differ may return a hashable grade (trees: the height), and the law
+    sweeps then size hom-sets only within a grade.
     `moves(a, c)` names groups of permutations of the hom(a, c) indices, each
     a tuple of generators, where the engine's falsifier looks for colorings
     constant on their orbits; none by default.  A verdict never rests on a
@@ -252,9 +250,18 @@ class Category(ABC):
     def hom_size(self, a: Any, b: Any) -> int:
         return len(self.hom(a, b))
 
+    def grade(self, a: Any) -> Any:
+        return None
+
+    def table(self, hab: Sequence[Morph], hbc: Sequence[Morph],
+              hac: Sequence[Morph]) -> list[tuple[int, ...]]:
+        pos = {f: i for i, f in enumerate(hac)}.get
+        compose = self.compose
+        return [tuple([pos(compose(g, f), -1) for f in hab]) for g in hbc]
+
     def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
         hom_ab, hom_bc = self.hom(a, b), self.hom(b, c)
-        rows = _table(self, hom_ab, hom_bc, self.hom(a, c))
+        rows = self.table(hom_ab, hom_bc, self.hom(a, c))
         for g, row in zip(hom_bc, rows):
             if -1 in row:
                 raise ValueError(f"{self.name}: compose(g, f) is not in "
@@ -410,14 +417,17 @@ def _fragment(cat: Category, objects: Sequence[Any],
               budget: SearchBudget | None
               ) -> dict[Any, dict[Any, tuple[Morph, ...]]]:
     """rows[a][b] = hom(a, b) for each non-empty hom-set of the fragment, in
-    object order.  Each pair's hom_size is asked first, so a hom-set past the
-    budget's hom-size cap is refused before it is built and an empty one is
-    never built."""
+    object order.  Only pairs of one grade are tried, and each pair's
+    hom_size is asked first, so a hom-set past the budget's hom-size cap is
+    refused before it is built and an empty one is never built."""
     cap = (budget or SearchBudget()).max_hom_size
+    graded: dict[Any, list[Any]] = {}
+    for b in objects:
+        graded.setdefault(cat.grade(b), []).append(b)
     rows: dict[Any, dict[Any, tuple[Morph, ...]]] = {}
     for a in objects:
         row = rows[a] = {}
-        for b in objects:
+        for b in graded[cat.grade(a)]:
             size = cat.hom_size(a, b)
             if size > cap:
                 raise _hom_refusal(size, cap, a, b)
@@ -431,7 +441,7 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
     """Identity, associativity and closure over the given object fragment.
 
     Closure and associativity read composites as hom-set indices from one
-    `_table` per object triple, the builder `Category.action` reads too;
+    `cat.table` per object triple, the builder `Category.action` reads too;
     an associativity law whose indices are -1 on either side is decided by
     composing the arrows themselves.
     """
@@ -441,7 +451,7 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
     ids = {a: cat.identity(a) for a in objects}
     compose = cat.compose
     # one table per triple with non-empty hom(a, b) and hom(b, c)
-    tables = {(a, b, c): _table(cat, hab, hbc, rows[a].get(c, ()))
+    tables = {(a, b, c): cat.table(hab, hbc, rows[a].get(c, ()))
               for a in objects for b, hab in rows[a].items()
               for c, hbc in rows[b].items()}
 

@@ -42,7 +42,9 @@ splitmix64(key + (j+1)*GOLDEN) % r (see prf_color).  A scan hashes the seed
 once and each sample once, and draws a cell when a check first reads it.  A
 sampled pass is probabilistic evidence only and is flagged as such.  A sampled
 failure is a genuine disproof: the reported coloring is explicit and every
-candidate arrow was checked against it.
+candidate arrow was checked against it.  samples < 1 is refused by sampled
+mode before any hom-set is built, and by auto mode only when the run is left
+to sample.
 
 jobs splits sampled scans only, into contiguous chunks scanned in parallel;
 the reported failure is the minimum failing sample, so results and
@@ -354,6 +356,11 @@ def _refuse_run(r: int, jobs: int) -> None:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
+def _refuse_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
            select: Callable, *, mode: str = "auto",
            budget: SearchBudget | None = None, seed: int = DEFAULT_SEED,
@@ -376,8 +383,8 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
         raise BudgetExceeded("colorings", total, budget.max_colorings,
                              power=(r, n))
     exhaustive = mode != "sampled" and total <= budget.max_colorings
-    if samples < 1 and not exhaustive:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    if mode == "sampled":
+        _refuse_samples(samples)
     groups, admissible = select(cat.hom(a, b))
     arrows = cat.hom_size(b, c) if admissible is None else len(admissible)
     source = partial(_checks, cat, a, b, c, groups, admissible)
@@ -396,6 +403,7 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
                     return result(hit[0], cells=hit[1], nodes=hit[2],
                                   group=group)
         source = partial(tuple, compiled)   # no caller composes again
+    _refuse_samples(samples)    # auto refuses only a run that must sample
     return result(_first_sampled_failure(seed, r, n, source, cap, samples,
                                          jobs), samples=samples, seed=seed)
 

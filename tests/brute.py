@@ -148,6 +148,53 @@ def brute_category_laws(cat, objects) -> LawReport:
     return LawReport(not found, checked, tuple(found[:20]))
 
 
+def _parents(t: tuple) -> list[int]:
+    """Each preorder node's parent (-1 at the root) of a child-count tuple."""
+    parents, open_ = [], []          # open_: [node, children still to come]
+    for i, c in enumerate(t):
+        parents.append(open_[-1][0] if open_ else -1)
+        if open_:
+            open_[-1][1] -= 1
+        open_.append([i, c])
+        while open_ and open_[-1][1] == 0:
+            open_.pop()
+    return parents
+
+
+def _height(parents: list[int]) -> int:
+    depth = [0] * len(parents)
+    for i, p in enumerate(parents):
+        if p >= 0:
+            depth[i] = depth[p] + 1
+    return max(depth)
+
+
+def brute_tree_embeddings(s: tuple, t: tuple) -> list[tuple[int, ...]]:
+    """Every embedding of tree s into tree t, as the t index of each s node,
+    found by trying, node by node in preorder, every t node as the image:
+    root to root, each node to a child of its parent's image, later siblings
+    to later nodes, no two nodes to one.  Trees of unequal height have none.
+    """
+    ps, pt = _parents(s), _parents(t)
+    if _height(ps) != _height(pt):
+        return []
+    found = []
+
+    def extend(image: list[int]) -> None:
+        i = len(image)
+        if i == len(s):
+            found.append(tuple(image))
+            return
+        earlier = [image[j] for j in range(1, i) if ps[j] == ps[i]]
+        for w in range(len(t)):
+            if (pt[w] == image[ps[i]] and w not in image
+                    and all(v < w for v in earlier)):
+                extend(image + [w])
+
+    extend([0])
+    return found
+
+
 def brute_minimal_grid(r: int, *, cap: int = 6) -> int | None:
     """Least q <= cap forcing a monochromatic rectangle in every r-coloring."""
     for q in range(2, cap + 1):

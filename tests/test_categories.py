@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import product, takewhile
 
 import pytest
+from brute import brute_tree_embeddings
 
 from ramcat import (EncodingError, IdentityFunctor, LiftError, Morph,
                     check_category_laws, check_frank_at, check_functor_laws,
@@ -292,6 +293,101 @@ def test_tree_hom_size_counts_without_enumerating():
         for b in objs:
             assert cat.hom_size(a, b) == len(cat.hom(a, b)), (a, b)
     assert cat.hom_size((3, 0, 0, 0), star(100)) == 161_700  # C(100, 3)
+
+
+TREES_TO_6 = tree_category().objects(65)     # every tree with at most 6 nodes
+
+
+def _brute_agrees(cat, a, b):
+    want = brute_tree_embeddings(a, b)
+    hom = cat.hom(a, b)
+    assert [f.data for f in hom] == sorted(want), (a, b)
+    assert hom == sort_morphs(hom), (a, b)      # canonical order
+    assert all(f.dom == a and f.cod == b for f in hom), (a, b)
+    assert cat.hom_size(a, b) == len(want), (a, b)
+
+
+def test_tree_hom_matches_the_brute_embeddings():
+    cat = tree_category()
+    for a in TREES_TO_6:
+        for b in TREES_TO_6:
+            _brute_agrees(cat, a, b)
+    for k in range(9):
+        _brute_agrees(cat, (3, 0, 0, 0), star(k))
+    assert cat.hom_size((3, 0, 0, 0), star(8)) == 56    # C(8, 3)
+
+
+def test_tree_hom_is_empty_across_heights():
+    cat = tree_category()
+    trees = cat.objects(197)                    # every tree with at most 7 nodes
+    assert len(trees[-1]) == 7 and len(cat.objects(198)[-1]) == 8
+    for a in trees:
+        assert cat.grade(a) == height(a)
+        for b in trees:
+            if height(a) != height(b):
+                assert cat.hom_size(a, b) == 0, (a, b)
+
+
+def test_tree_memos_are_bounded(monkeypatch):
+    monkeypatch.setattr(trees_module, "_SHAPES", {})
+    monkeypatch.setattr(trees_module, "_COUNTS", {})
+    monkeypatch.setattr(trees_module, "_PAYLOADS", {})
+    monkeypatch.setattr(trees_module, "_held_payloads", 0)
+    monkeypatch.setattr(trees_module, "_MAX_SHAPES", 6)
+    cat = tree_category()
+    hosts = TREES_TO_6[::3] + (star(5), (2, 2, 0, 0, 2, 0, 0))
+    sizes = []
+    for a in TREES_TO_6[:23]:               # every tree with at most 5 nodes
+        for b in hosts:
+            _brute_agrees(cat, a, b)
+            held = sum(len(p) or 1 for p in trees_module._PAYLOADS.values())
+            assert held == trees_module._held_payloads <= 6
+            assert len(trees_module._COUNTS) <= 6
+            sizes.append((len(trees_module._COUNTS), held))
+    # both memos filled up and were cleared; results after a clear still match
+    for seen in zip(*sizes):
+        assert any(x > y for x, y in zip(seen, seen[1:]))
+    # hom((2, 0, 0), star(5)) has 10 payloads, more than the memo may hold
+    assert ((2, 0, 0), star(5)) not in trees_module._PAYLOADS
+
+
+def test_tree_table_ranks_payloads_as_the_generic_table_composes():
+    cat = tree_category()
+    homs = {(a, b): cat.hom(a, b) for a in TREES_TO_6 for b in TREES_TO_6}
+    triples = 0
+    for a, b, c in product(TREES_TO_6, repeat=3):
+        hab, hbc = homs[a, b], homs[b, c]
+        if hab and hbc:
+            triples += 1
+            hac = homs[a, c]
+            assert cat.table(hab, hbc, hac) == Category.table(cat, hab, hbc,
+                                                              hac)
+    assert triples == 557
+    a, b, c = (2, 0, 0), (3, 0, 0, 0), star(27)
+    hab, hbc, hac = cat.hom(a, b), cat.hom(b, c), cat.hom(a, c)
+    assert (len(hab), len(hbc), len(hac)) == (3, 2_925, 351)
+    rows = cat.table(hab, hbc, hac)
+    assert rows == Category.table(cat, hab, hbc, hac) == list(cat.action(a, b, c))
+    # a composite outside the given hom-set is -1 in both
+    assert cat.table(hab, hbc, hac[1:]) == Category.table(cat, hab, hbc,
+                                                          hac[1:])
+
+
+def test_tree_table_composes_through_an_overridden_compose():
+    calls = []
+
+    class Counted(TreeCategory):
+        def compose(self, g, f):
+            calls.append(1)
+            return super().compose(g, f)
+
+    cat, stock = Counted(), tree_category()
+    a, b, c = (2, 0, 0), (3, 0, 0, 0), star(6)
+    hab, hbc, hac = cat.hom(a, b), cat.hom(b, c), cat.hom(a, c)
+    assert cat.table(hab, hbc, hac) == stock.table(hab, hbc, hac)
+    assert len(calls) == len(hab) * len(hbc) == 3 * 20
+    assert list(cat.action(a, b, c)) == list(stock.action(a, b, c))
+    assert len(calls) == 2 * 3 * 20
 
 
 @pytest.mark.parametrize("orientation", ["definition", "mirror"])

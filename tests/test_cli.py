@@ -619,12 +619,31 @@ def test_verify_refutes_false_witnesses_by_orbit_search(capsys, tmp_path, b,
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_refuses_a_sampled_run_without_samples(capsys, samples):
-    # (2,4,17) has 2**136 colorings, so auto mode samples
     code, out, err = run(capsys, "verify", "p", "--category", "R",
                          "--functor", "dR,dR", "--a", "2", "--b", "4",
-                         "--c", "17", "--r", "2", "--samples", samples)
+                         "--c", "17", "--r", "2", "--mode", "sampled",
+                         "--samples", samples)
     assert code == 64 and not out
     assert f"samples must be at least 1, got {samples}" in err
+
+
+@pytest.mark.parametrize("b, c, code, line", [
+    # the node-capped search proves it
+    ("3", "7", 0, "pass [exhaustive] cells=21 arrows=35 nodes=325"),
+    # the orbit search refutes it
+    ("4", "17", 1, "FAIL [orbit(shift)] cells=136 arrows=2380 nodes=20"),
+    # neither decides it, so the run must sample
+    ("4", "18", 64, None)])
+def test_auto_refuses_no_samples_only_when_it_must_sample(capsys, b, c, code,
+                                                          line):
+    got, out, err = run(capsys, "verify", "p", "--category", "R",
+                        "--functor", "dR,dR", "--a", "2", "--b", b,
+                        "--c", c, "--r", "2", "--samples", "0")
+    assert got == code
+    if line is None:
+        assert not out and "samples must be at least 1, got 0" in err
+    else:
+        assert out.splitlines()[0] == line and not err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

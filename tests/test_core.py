@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from collections import Counter
 
 import pytest
 from brute import brute_category_laws
@@ -14,9 +15,10 @@ from ramcat import (BudgetExceeded, EncodingError, IdentityFunctor, LiftError,
                     compose_word, frank_pair, sort_morphs, subset_boundary,
                     subset_category)
 from ramcat.categories import (ORIENTATIONS, ProductCategory, StepCategory,
-                               SubsetCategory, tree_category, tree_truncation,
-                               word_category)
-from ramcat.core import ComposedFunctor, Functor, FrankResult, LawReport
+                               SubsetCategory, TreeCategory, tree_category,
+                               tree_truncation, word_category)
+from ramcat.core import (ComposedFunctor, Functor, FrankResult, LawReport,
+                         _fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +377,19 @@ def test_category_laws_match_the_literal_sweep(cat, objs):
     assert check_category_laws(cat, objs) == brute_category_laws(cat, objs)
 
 
+class _OwnCompose(TreeCategory):
+    """Trees with an overridden compose, so tables compose every entry."""
+
+    def compose(self, g, f):
+        return super().compose(g, f)
+
+
 @pytest.mark.parametrize("cat, objs, calls", [
     (subset_category(), list(range(7)), 1347),
-    (tree_category(), tree_category().objects(23), 377)], ids=["R", "trees"])
+    (_OwnCompose(), tree_category().objects(23), 377),
+    # the stock tree table composes nothing: 2 identity composites per arrow
+    (tree_category(), tree_category().objects(23), 2 * 84)],
+    ids=["R", "trees", "trees-stock"])
 def test_category_laws_compose_each_table_entry_once(monkeypatch, cat, objs,
                                                      calls):
     # 2 identity composites per arrow, then one per entry of one table per
@@ -388,6 +400,50 @@ def test_category_laws_compose_each_table_entry_once(monkeypatch, cat, objs,
                         lambda self, g, f: seen.append(1) or compose(self, g, f))
     assert check_category_laws(cat, objs).ok
     assert len(seen) == calls
+
+
+def _graded_fragments():
+    yield pytest.param(tree_category(), tree_category().objects(65),
+                       id="trees<=6")
+    yield pytest.param(subset_category(), list(range(6)), id="R")
+    for orientation in ORIENTATIONS:
+        cat = StepCategory(orientation)
+        yield pytest.param(cat, cat.objects(20), id=f"P:{orientation}")
+    hj = word_category(0)
+    yield pytest.param(hj, list(hj.v_objects()) + [("L", l) for l in range(4)],
+                       id="HJ:0")
+    rr = ProductCategory((subset_category(), subset_category()))
+    yield pytest.param(rr, [rr.pack(v) for v in ((0, 0), (1, 1), (1, 2),
+                                                 (2, 2), (2, 3), (3, 3))],
+                       id="RxR")
+
+
+@pytest.mark.parametrize("cat, objs", _graded_fragments())
+def test_graded_fragment_matches_the_all_pairs_walk(cat, objs):
+    literal = [(a, [(b, cat.hom(a, b)) for b in objs if cat.hom_size(a, b)])
+               for a in objs]
+    assert [(a, list(row.items())) for a, row in
+            _fragment(cat, objs, None).items()] == literal
+
+
+def test_law_sweeps_size_hom_sets_only_within_a_grade(monkeypatch):
+    sized = []
+    hom_size = TreeCategory.hom_size
+    monkeypatch.setattr(TreeCategory, "hom_size",
+                        lambda self, a, b: sized.append((a, b))
+                        or hom_size(self, a, b))
+    cat = tree_category()
+    trees = cat.objects(65)
+    heights = Counter(map(cat.grade, trees))
+    assert sorted(heights.items()) == [(0, 1), (1, 5), (2, 26), (3, 24),
+                                       (4, 8), (5, 1)]
+    for sweep, subject in ((check_category_laws, cat),
+                           (check_functor_laws, tree_truncation(cat))):
+        sized.clear()
+        assert sweep(subject, trees).ok
+        assert all(cat.grade(a) == cat.grade(b) for a, b in sized)
+        # one call per pair of one grade: 1,343 of the 4,225 pairs
+        assert len(sized) == len(set(sized)) == 1_343
 
 
 def test_law_sweeps_refuse_a_large_hom_before_building_it(monkeypatch):

@@ -242,7 +242,7 @@ def test_functor_image_refuses_before_building(monkeypatch):
 
 @pytest.mark.parametrize("kw, message", [
     (dict(mode="sampled", samples=0), "samples must be at least 1, got 0"),
-    (dict(mode="auto", samples=-5), "samples must be at least 1, got -5"),
+    (dict(mode="sampled", samples=-5), "samples must be at least 1, got -5"),
     (dict(jobs=0), "jobs must be at least 1, got 0"),
     (dict(mode="exhaustive", jobs=-1), "jobs must be at least 1, got -1")])
 def test_empty_sample_or_job_counts_are_refused_before_any_hom(monkeypatch,
@@ -262,6 +262,15 @@ def test_sample_count_is_only_checked_when_sampling():
         assert res.ok and res.exhaustive and res.checked == 2 ** 15
     with pytest.raises(BudgetExceeded):
         check_p_witness(DD, 2, 4, 17, 2, mode="exhaustive", samples=0)
+    # past the coloring budget, auto refuses only a run left to sample: the
+    # search proves (2,3,7), the orbit search refutes (2,4,17), and neither
+    # decides (2,4,18)
+    res = check_p_witness(DD, 2, 3, 7, 2, samples=0)
+    assert res.ok and res.exhaustive and res.nodes == 325
+    res = check_p_witness(DD, 2, 4, 17, 2, samples=-5)
+    assert not res.ok and res.mode == "orbit" and res.nodes == 20
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        check_p_witness(DD, 2, 4, 18, 2, samples=0)
 
 
 def test_jobs_split_gives_identical_results():
