@@ -341,7 +341,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                         "independent of N")
     p.add_argument("--max-colorings", type=int, default=None)
     p.add_argument("--max-hom-size", type=int, default=None)
-    p.add_argument("--out", default=None, help="write the certificate here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,8 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("replay", help="re-verify a stored certificate")
     pr.add_argument("cert")
     _add_engine_flags(pr)
-    # no --mode, --seed or --samples: replay under the certificate's own
+    # --mode, --seed and --samples default to the certificate's own
     pr.set_defaults(fn=cmd_replay, mode=None, seed=None, samples=None)
+    for p in (pv, pc):          # the two commands that write a certificate
+        p.add_argument("--out", default=None, help="write the certificate here")
     return parser
 
 

@@ -637,8 +637,8 @@ def _hj_blocks(vals: tuple, l: int) -> tuple[int, ProductFunctor, Any, Any]:
     return k1, delta, pack((d_coord,) * l), pack(((3, 2),) * l)
 
 
-def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
-                k0: int | None = None) -> tuple[int, CrossRelation]:
+def hj_modeling(v: Any, l: int, c_values: Sequence[tuple]
+                ) -> tuple[int, CrossRelation]:
     """Model word substitutions at (v, l) inside a product of step categories.
 
     Coordinate i of the product contributes a block of length m_i; the block
@@ -649,10 +649,6 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
     if v[0] != "V":
         raise ValueError(f"not a window object: {v!r}")
     vals = v[1]
-    if k0 is None:
-        k0 = len(vals) - 1
-    if len(vals) != k0 + 1:
-        raise ValueError("window length disagrees with k0")
     if l < 1:
         raise ValueError("need at least one input position")
     ms = []
@@ -668,7 +664,7 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple], *,
     letters = sorted(set(vals))
     rank = {letter: i + 1 for i, letter in enumerate(letters)}
     l_prime = sum(ms)
-    wcat = word_category(k0)
+    wcat = word_category(len(vals) - 1)
     d3 = delta.dom.pack(tuple((m, 2) for m in ms))
     c2 = ("L", l)
     c3 = ("L", l_prime)

@@ -524,7 +524,7 @@ def check_functor_laws(fun: Functor, objects: Sequence[Any],
         for b, hab, fab in rows[a]:
             key = (fa, fun.obj(b))
             if key not in cod_homs:
-                cod_homs[key] = set(fun.cod.hom(*key))
+                cod_homs[key] = set(budgeted_hom(fun.cod, *key, budget))
             target = cod_homs[key]
             for f, ff in zip(hab, fab):
                 checked += 1
@@ -550,7 +550,8 @@ class FrankResult:
 def check_frank_at(fun: Functor, a: Any, b_prime: Any,
                    budget: SearchBudget | None = None) -> FrankResult:
     """Verify the surjectivity lift of `fun` at source a and target object
-    b_prime; hom(a, b) past the budget's hom-size cap is refused unbuilt."""
+    b_prime; hom(a, b) or hom(obj(a), b_prime) past the budget's hom-size cap
+    is refused unbuilt."""
     try:
         b = fun.frank_lift(a, b_prime)
     except LiftError as exc:
@@ -558,7 +559,7 @@ def check_frank_at(fun: Functor, a: Any, b_prime: Any,
     if fun.obj(b) != b_prime:
         return FrankResult("fail", b, f"obj({b!r}) != {b_prime!r}")
     image = {fun.morph(f) for f in budgeted_hom(fun.dom, a, b, budget)}
-    target = set(fun.cod.hom(fun.obj(a), b_prime))
+    target = set(budgeted_hom(fun.cod, fun.obj(a), b_prime, budget))
     if image != target:
         return FrankResult("fail", b, "image of hom differs from target hom")
     return FrankResult("pass", b)

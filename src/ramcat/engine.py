@@ -1,14 +1,15 @@
 """Coloring search engine for partition conditions over finite hom sets.
 
-Every check has one shape.  The cells are the arrows of hom(a, c) in
+Every claim has one shape.  The cells are the arrows of hom(a, c) in
 canonical order; g in hom(b, c) carries f in hom(a, b) to the cell g∘f.  A
-check picks groups of hom(a, b), the admissible g, and a color cap; c passes
+claim picks groups of hom(a, b), the admissible g, and a color cap; c passes
 when every r-coloring has an admissible g carrying each group onto at most
 cap colors.  Partition: the delta-fibers, every g, cap 1.  Fiber: the fiber
 of f_prime, the g with delta(g)∘e == g_prime∘e on s, cap 1.  Degree: all of
-hom(a, b), every g, cap k.  The cells come from the category's action table
-(per g in hom(b, c), the hom(a, c) index of g∘f for each f in hom(a, b)), so
-no check composes arrows; a product sums its factors' indices in mixed radix.
+hom(a, b), every g, cap k.  A check is one admissible row of the category's
+action table (per g, the hom(a, c) index of g∘f for each f in hom(a, b)),
+read through the groups that all checks share, so no check composes arrows; a
+product sums its factors' indices in mixed radix.
 _check alone states a run (mode, budget, seed, samples, jobs) and its
 defaults, and every public check forwards its **run there.  It refuses r < 1
 before any hom-set is sized, so an empty hom(b, c) fails rather than passes.
@@ -31,7 +32,7 @@ index) and reports the nodes it visited as `checked`, never r**n.  Route 3
 only refutes: a coloring it finds is re-checked against every check and
 reported as a fail of kind "orbit" with its cells, its group and the nodes of
 that group's search; an orbit space that passes proves nothing.  Routes 3 and
-4 read the checks that route 2 compiled, so nothing is composed twice.  The
+4 read the rows that route 2 listed, so no row is taken twice.  The
 caps are module constants, not budget fields: a certificate records only
 max_colorings and max_hom_size, and a replay must take the route its write
 took.
@@ -51,13 +52,13 @@ the reported failure is the minimum failing sample, so results and
 certificates are identical for any job count.  Search runs in-process,
 whatever jobs is.
 
-Every check comes from one source: a picklable callable that yields one
-check per admissible row of the action table.  The search lists it once, and
-a sampled scan after a search reads that list.  Any other sampled scan,
-in-process or in a pool worker, calls the source afresh and compiles checks
-on demand: a sample that fails every check built so far pulls as many again
-(a product streams its rows), so a true witness, rescued early by each
-sample, never builds most of its checks; a failing sample reads them all.
+Every check comes from one source: a picklable callable that yields the
+admissible rows of the action table.  The search lists it once, and a sampled
+scan after a search reads that list.  Any other sampled scan, in-process or in
+a pool worker, calls the source afresh and takes rows on demand: a sample that
+fails every row taken so far takes as many again (a product streams its
+rows), so a true witness, rescued early by each sample, never builds most of
+its rows; a failing sample reads them all.
 jobs > 1 pickles the source, so there the category must pickle.
 """
 
@@ -68,7 +69,7 @@ from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import islice, product
 from multiprocessing import get_context
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import (BudgetExceeded, Category, Functor, Morph, SearchBudget,
                    budgeted_hom, require_hom_budget, sort_morphs)
@@ -189,20 +190,21 @@ def functor_image(delta: Functor, a: Any, b: Any,
         delta.morph(f) for f in budgeted_hom(delta.dom, a, b, budget)))
 
 
-# A check is what one admissible g makes of the chosen groups of hom(a, b):
-# each group carried through g to cells of hom(a, c).  It passes a coloring
-# when every group shows at most the scan's cap of colors.
-Check = tuple[tuple[int, ...], ...]
+# A check is the action row of one admissible g (row[i]: the cell g∘f of the
+# i-th f in hom(a, b)), read through groups of hom(a, b) indices it shares.
+Check = tuple[int, ...]
 Source = Callable[[], Iterable[Check]]      # each call starts a fresh stream
 
 
-def _passes(cell: list[int], checks: list[Check], cap: int, draw=None) -> bool:
+def _passes(cell: list[int], checks: list[Check],
+            groups: Sequence[Sequence[int]], cap: int, draw=None) -> bool:
     """Does some check keep every group within cap colors?  cell[j] is a
     color, or -1 for a cell not drawn yet: draw(j) colors it on first read."""
-    for groups in checks:
+    for row in checks:
         for grp in groups:
             seen = []
-            for p in grp:
+            for i in grp:
+                p = row[i]
                 v = cell[p]
                 if v < 0:
                     v = cell[p] = draw(p)
@@ -218,12 +220,8 @@ def _passes(cell: list[int], checks: list[Check], cap: int, draw=None) -> bool:
     return False
 
 
-def _search(r: int, n: int, checks: list[Check], cap: int) -> int | None:
-    """Least failing coloring index of all r**n, or None when all pass."""
-    return _lex_search(r, n, checks, cap, None)[0]
-
-
-def _lex_search(r: int, n: int, checks: list[Check], cap: int,
+def _lex_search(r: int, n: int, checks: list[Check],
+                groups: Sequence[Sequence[int]], cap: int,
                 limit: int | None) -> tuple[int | None, int] | None:
     """(least failing coloring index or None when all pass, nodes visited),
     or None when the search would visit more than limit nodes.
@@ -235,11 +233,12 @@ def _lex_search(r: int, n: int, checks: list[Check], cap: int,
     beyond those used above it; _passes sees only which cells share a color,
     so no least failure is lost.
     """
+    reads = {i for grp in groups for i in grp}
+    if checks and not reads:
+        return None, 0              # no group reads a cell: every check passes
     by_low: list[list[Check]] = [[] for _ in range(n)]
-    for groups in checks:
-        if not any(groups):
-            return None, 0          # a check with no cells passes everything
-        by_low[min(p for grp in groups for p in grp)].append(groups)
+    for row in checks:
+        by_low[min(row[i] for i in reads)].append(row)
     cell = [-1] * n
     used = [0] * (n + 1)            # used[j]: colors among cells j..n-1
     j, nodes = n - 1, 0
@@ -253,7 +252,7 @@ def _lex_search(r: int, n: int, checks: list[Check], cap: int,
             nodes += 1
             cell[j] = v
             used[j] = max(used[j + 1], v + 1)
-            if not (by_low[j] and _passes(cell, by_low[j], cap)):
+            if not (by_low[j] and _passes(cell, by_low[j], groups, cap)):
                 j -= 1              # no check passes yet: go deeper
         else:
             cell[j] = -1            # colors at j exhausted: back up
@@ -261,7 +260,8 @@ def _lex_search(r: int, n: int, checks: list[Check], cap: int,
     return None, nodes
 
 
-def _orbit_search(r: int, n: int, checks: list[Check], cap: int,
+def _orbit_search(r: int, n: int, checks: list[Check],
+                  groups: Sequence[Sequence[int]], cap: int,
                   gens: tuple[tuple[int, ...], ...]
                   ) -> tuple[int, tuple[int, ...], int] | None:
     """(orbit coloring index, its cells, nodes) for the least failing
@@ -269,7 +269,7 @@ def _orbit_search(r: int, n: int, checks: list[Check], cap: int,
     passes or the search would visit more than ORBIT_MAX_NODES nodes.
 
     The orbits are numbered by their least cell, the orbit of cell 0 the most
-    significant digit, and _lex_search runs over each check's orbit image.  A
+    significant digit, and _lex_search runs over each row's orbit image.  A
     coloring constant on the orbits fails a check exactly when it fails the
     check's image, and the lifted cells are re-checked against every check,
     so the verdict needs nothing from gens: they need not be symmetries.
@@ -291,24 +291,21 @@ def _orbit_search(r: int, n: int, checks: list[Check], cap: int,
     m = len(least)
     digit = dict(zip(least, range(m - 1, -1, -1)))
     orbit = [digit[find(x)] for x in range(n)]
-    images = set()
-    for groups in checks:
-        kept = {tuple(sorted(ids)) for ids in
-                ({orbit[p] for p in grp} for grp in groups) if len(ids) > cap}
-        images.add(tuple(sorted(kept)))
-    found = _lex_search(r, m, sorted(images), cap, ORBIT_MAX_NODES)
+    images = sorted({tuple(orbit[p] for p in row) for row in checks})
+    found = _lex_search(r, m, images, groups, cap, ORBIT_MAX_NODES)
     if found is None or found[0] is None:
         return None
     index, nodes = found
     cells = tuple((index // r ** orbit[j]) % r for j in range(n))
-    if _passes(list(cells), checks, cap):
+    if _passes(list(cells), checks, groups, cap):
         raise AssertionError(f"orbit coloring {index} passes a check that "
                              f"its orbit image fails")
     return index, cells, nodes
 
 
-def _scan_range(seed: int, r: int, n: int, source: Source, cap: int,
-                lo: int, hi: int) -> int | None:
+def _scan_range(seed: int, r: int, n: int, source: Source,
+                groups: Sequence[Sequence[int]], cap: int, lo: int,
+                hi: int) -> int | None:
     """First failing sample in [lo, hi), or None; cells are drawn as read.
 
     Checks are taken from a fresh source() as needed: a sample that no check
@@ -319,7 +316,7 @@ def _scan_range(seed: int, r: int, n: int, source: Source, cap: int,
     for idx in range(lo, hi):
         draw = partial(_draw, _sample_key(hashed, idx), r)
         cell, todo = [-1] * n, checks
-        while not _passes(cell, todo, cap, draw):
+        while not _passes(cell, todo, groups, cap, draw):
             todo = list(islice(source, len(checks) or 1))
             if not todo:
                 return idx
@@ -328,11 +325,12 @@ def _scan_range(seed: int, r: int, n: int, source: Source, cap: int,
 
 
 def _first_sampled_failure(seed: int, r: int, n: int, source: Source,
-                           cap: int, samples: int, jobs: int) -> int | None:
+                           groups: Sequence[Sequence[int]], cap: int,
+                           samples: int, jobs: int) -> int | None:
     """Least failing sample of [0, samples), or None."""
     if jobs <= 1 or samples <= 1:
-        return _scan_range(seed, r, n, source, cap, 0, samples)
-    scan = partial(_scan_range, seed, r, n, source, cap)
+        return _scan_range(seed, r, n, source, groups, cap, 0, samples)
+    scan = partial(_scan_range, seed, r, n, source, groups, cap)
     jobs = min(jobs, samples)
     cuts = [samples * i // jobs for i in range(jobs + 1)]
     with ProcessPoolExecutor(max_workers=jobs,
@@ -341,12 +339,12 @@ def _first_sampled_failure(seed: int, r: int, n: int, source: Source,
     return min(hits, default=None)
 
 
-def _checks(cat: Category, a: Any, b: Any, c: Any, groups, admissible
+def _checks(cat: Category, a: Any, b: Any, c: Any, admissible
             ) -> Iterator[Check]:
-    """One check per admissible row of the action table."""
+    """The admissible rows of the action table."""
     for j, row in enumerate(cat.action(a, b, c)):
         if admissible is None or j in admissible:
-            yield tuple(tuple(row[i] for i in grp) for grp in groups)
+            yield row
 
 
 def _refuse_run(r: int, jobs: int) -> None:
@@ -387,25 +385,27 @@ def _check(cat: Category, a: Any, b: Any, c: Any, r: int, cap: int,
         _refuse_samples(samples)
     groups, admissible = select(cat.hom(a, b))
     arrows = cat.hom_size(b, c) if admissible is None else len(admissible)
-    source = partial(_checks, cat, a, b, c, groups, admissible)
+    source = partial(_checks, cat, a, b, c, admissible)
     result = partial(_result, r, n, arrows)
     if exhaustive:
-        return result(_search(r, n, list(source()), cap), total=total)
+        return result(_lex_search(r, n, list(source()), groups, cap, None)[0],
+                      total=total)
     if mode == "auto" and arrows <= SEARCH_MAX_CHECKS:
-        compiled = list(source())
-        found = _lex_search(r, n, compiled, cap, SEARCH_MAX_NODES)
+        rows = list(source())
+        found = _lex_search(r, n, rows, groups, cap, SEARCH_MAX_NODES)
         if found is not None:
             return result(found[0], nodes=found[1])
         if n <= COUNTEREXAMPLE_INLINE_CAP:
             for group, gens in cat.moves(a, c):
-                hit = _orbit_search(r, n, compiled, cap, gens)
+                hit = _orbit_search(r, n, rows, groups, cap, gens)
                 if hit is not None:
                     return result(hit[0], cells=hit[1], nodes=hit[2],
                                   group=group)
-        source = partial(tuple, compiled)   # no caller composes again
+        source = partial(tuple, rows)       # no caller lists them again
     _refuse_samples(samples)    # auto refuses only a run that must sample
-    return result(_first_sampled_failure(seed, r, n, source, cap, samples,
-                                         jobs), samples=samples, seed=seed)
+    return result(_first_sampled_failure(seed, r, n, source, groups, cap,
+                                         samples, jobs),
+                  samples=samples, seed=seed)
 
 
 def _result(r: int, n: int, arrows: int, hit: int | None, *,

@@ -148,6 +148,40 @@ def brute_category_laws(cat, objects) -> LawReport:
     return LawReport(not found, checked, tuple(found[:20]))
 
 
+def brute_functor_laws(fun, objects) -> LawReport:
+    """The functor-law sweep by mapping arrows alone: over every pair (a, b)
+    of the fragment with hom(a, b) non-empty, each image in hom(F a, F b),
+    then F(g∘f) == F g∘F f for every composable f, g, in the order and with
+    the messages of `check_functor_laws`, keeping the first 20 messages."""
+    dom, cod, morph = fun.dom, fun.cod, fun.morph
+    homs = {(a, b): dom.hom(a, b) for a in objects for b in objects}
+    found, checked = [], 0
+    for a in objects:
+        fa = fun.obj(a)
+        if not cod.is_object(fa):
+            found.append(f"obj({a!r}) = {fa!r} is not a codomain object")
+            continue
+        if morph(dom.identity(a)) != cod.identity(fa):
+            found.append(f"identity at {a!r} not preserved")
+        for b in objects:
+            if not homs[a, b]:
+                continue
+            target = cod.hom(fa, fun.obj(b))
+            for f in homs[a, b]:
+                checked += 1
+                if morph(f) not in target:
+                    found.append(f"morph({f!r}) outside hom of images")
+            for c in objects:
+                for f in homs[a, b]:
+                    for g in homs[b, c]:
+                        checked += 1
+                        if (morph(dom.compose(g, f))
+                                != cod.compose(morph(g), morph(f))):
+                            found.append(f"composition not preserved at "
+                                         f"({g!r},{f!r})")
+    return LawReport(not found, checked, tuple(found[:20]))
+
+
 def _parents(t: tuple) -> list[int]:
     """Each preorder node's parent (-1 at the root) of a child-count tuple."""
     parents, open_ = [], []          # open_: [node, children still to come]

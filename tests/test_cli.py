@@ -592,6 +592,20 @@ def test_replay_explicit_seed_and_samples_override(capsys, tmp_path):
     assert "sampled(seed=1729)" in out and "colorings_checked=10000" in out
 
 
+def test_out_is_refused_where_no_certificate_is_written(capsys, tmp_path):
+    cert = tmp_path / "c.json"
+    code, _, _ = run(capsys, "verify", "p", "--category", "R", "--functor",
+                     "dR", "--a", "2", "--b", "3", "--c", "4", "--r", "2",
+                     "--out", str(cert))
+    assert code == 0 and cert.exists()
+    for argv in (("degree", "--a", "2", "--b", "3", "--r", "2", "--pool",
+                  "0..7"), ("replay", str(cert))):
+        target = tmp_path / f"{argv[0]}.json"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 64 and not out and "--out" in err
+        assert not target.exists()
+
+
 @pytest.mark.parametrize("b, c, r, line", [
     ("4", "17", "2", "FAIL [orbit(shift)] cells=136 arrows=2380 nodes=20"),
     ("3", "16", "3", "FAIL [orbit(xor)] cells=120 arrows=560 nodes=1206"),

@@ -5,7 +5,7 @@ import pickle
 from collections import Counter
 
 import pytest
-from brute import brute_category_laws
+from brute import brute_category_laws, brute_functor_laws
 
 import ramcat
 from ramcat import (BudgetExceeded, EncodingError, IdentityFunctor, LiftError,
@@ -14,8 +14,9 @@ from ramcat import (BudgetExceeded, EncodingError, IdentityFunctor, LiftError,
                     check_functor_laws, check_frank_at, compose_functors,
                     compose_word, frank_pair, sort_morphs, subset_boundary,
                     subset_category)
-from ramcat.categories import (ORIENTATIONS, ProductCategory, StepCategory,
-                               SubsetCategory, TreeCategory, tree_category,
+from ramcat.categories import (ORIENTATIONS, ProductCategory, ProductFunctor,
+                               StepBoundary, StepCategory, SubsetCategory,
+                               TreeCategory, WordBoundary, star, tree_category,
                                tree_truncation, word_category)
 from ramcat.core import (ComposedFunctor, Functor, FrankResult, LawReport,
                          _fragment)
@@ -377,6 +378,33 @@ def test_category_laws_match_the_literal_sweep(cat, objs):
     assert check_category_laws(cat, objs) == brute_category_laws(cat, objs)
 
 
+def _functor_fragments():
+    yield pytest.param(subset_boundary(), list(range(6)), id="R")
+    for orientation in ORIENTATIONS:
+        cat = StepCategory(orientation)
+        objs = [(k, t) for k in (1, 2, 3) for t in (0, 1)
+                if cat.is_object((k, t))]
+        yield pytest.param(StepBoundary(cat),
+                           objs + [(l, 2) for l in range(1, 6)],
+                           id=f"P:{orientation}")
+    hj = word_category(0)
+    yield pytest.param(WordBoundary(hj), list(hj.v_objects())
+                       + [("L", l) for l in range(4)], id="HJ:0")
+    yield pytest.param(tree_truncation(), tree_category().objects(23),
+                       id="trees<=5")
+    rr = ProductFunctor((subset_boundary(), subset_boundary()))
+    yield pytest.param(rr, [rr.dom.pack(v) for v in ((0, 0), (1, 1), (1, 2),
+                                                     (2, 2), (2, 3), (3, 3))],
+                       id="RxR")
+    yield pytest.param(_BrokenImage(subset_category()), [0, 1, 2, 3],
+                       id="broken-image")
+
+
+@pytest.mark.parametrize("fun, objs", _functor_fragments())
+def test_functor_laws_match_the_literal_sweep(fun, objs):
+    assert check_functor_laws(fun, objs) == brute_functor_laws(fun, objs)
+
+
 class _OwnCompose(TreeCategory):
     """Trees with an overridden compose, so tables compose every entry."""
 
@@ -437,13 +465,19 @@ def test_law_sweeps_size_hom_sets_only_within_a_grade(monkeypatch):
     heights = Counter(map(cat.grade, trees))
     assert sorted(heights.items()) == [(0, 1), (1, 5), (2, 26), (3, 24),
                                        (4, 8), (5, 1)]
+    calls = []
     for sweep, subject in ((check_category_laws, cat),
                            (check_functor_laws, tree_truncation(cat))):
         sized.clear()
         assert sweep(subject, trees).ok
         assert all(cat.grade(a) == cat.grade(b) for a, b in sized)
-        # one call per pair of one grade: 1,343 of the 4,225 pairs
-        assert len(sized) == len(set(sized)) == 1_343
+        calls.append(list(sized))
+    laws, functor = calls
+    # one call per pair of one grade: 1,343 of the 4,225 pairs; the functor
+    # sweep also sizes each of its 55 codomain hom(F a, F b) once before
+    # building it, and every such key is a domain pair too
+    assert len(laws) == len(set(laws)) == 1_343
+    assert len(functor) == 1_343 + 55 and set(functor) == set(laws)
 
 
 def test_law_sweeps_refuse_a_large_hom_before_building_it(monkeypatch):
@@ -459,6 +493,53 @@ def test_law_sweeps_refuse_a_large_hom_before_building_it(monkeypatch):
             sweep(subject, [3, 60], budget=budget)
         assert str(exc.value) == "hom-set size: need 34220, cap 100 at hom(3, 60)"
     assert (3, 60) not in built
+
+
+def test_functor_laws_refuse_a_large_codomain_hom_before_building_it(
+        monkeypatch):
+    built = []
+    hom = TreeCategory.hom
+    monkeypatch.setattr(TreeCategory, "hom",
+                        lambda self, a, b: built.append((a, b)) or hom(self, a, b))
+    # a root over 100 children, the first two with one leaf child each: one
+    # arrow from a, whose truncation hom((2, 0, 0), star(100)) has 4,950
+    a, b = (2, 1, 0, 1, 0), (100, 1, 0, 1, 0) + (0,) * 98
+    trunc = tree_truncation()
+    assert trunc.dom.hom_size(a, b) == 1
+    with pytest.raises(BudgetExceeded) as exc:
+        check_functor_laws(trunc, [a, b],
+                           budget=SearchBudget(max_hom_size=1000))
+    assert exc.value.needed == 4_950
+    assert ((2, 0, 0), star(100)) not in built
+
+
+class _LiftToThree(Functor):
+    """Subsets that send every n >= 3 to 100, lifted to 3."""
+
+    def __init__(self):
+        super().__init__(subset_category(), subset_category())
+
+    def obj(self, a):
+        return 100 if a >= 3 else a
+
+    def morph(self, f):
+        return Morph(self.obj(f.dom), self.obj(f.cod), f.data)
+
+    def frank_lift(self, a, b_prime):
+        return 3
+
+
+def test_frank_check_refuses_a_large_target_hom_before_building_it(
+        monkeypatch):
+    built = []
+    hom = SubsetCategory.hom
+    monkeypatch.setattr(SubsetCategory, "hom",
+                        lambda self, a, b: built.append((a, b)) or hom(self, a, b))
+    with pytest.raises(BudgetExceeded) as exc:
+        check_frank_at(_LiftToThree(), 2, 100,
+                       budget=SearchBudget(max_hom_size=10))
+    assert str(exc.value) == "hom-set size: need 4950, cap 10 at hom(2, 100)"
+    assert built == [(2, 3)]
 
 
 def test_the_run_budget_is_defined_once_in_core():

@@ -14,7 +14,7 @@ from ramcat import (SearchBudget, SubsetCategory, canon_bytes, canon_parse,
                     degree_upper_bound, subset_boundary, subset_category)
 from ramcat.certificates import canonical_json
 from ramcat.core import Category
-from ramcat.engine import _first_sampled_failure, _lex_search, _search
+from ramcat.engine import _first_sampled_failure, _lex_search
 
 DR = subset_boundary()
 DD = compose_word([DR, DR])
@@ -91,38 +91,58 @@ def test_degree_never_exceeds_the_trivial_ceiling(a, extra, r):
         assert bound >= 1
 
 
+def _cells(rows, groups):
+    """The oracles' checks: each row's groups carried to cells."""
+    return [tuple(tuple(row[i] for i in grp) for grp in groups)
+            for row in rows]
+
+
+def _rows_and_groups(draw, n: int, min_group: int):
+    """Action rows of up to four cells < n (none when n = 0, so rows are
+    then empty), and groups of their positions, shared by every row."""
+    width = draw(st.integers(min_value=0, max_value=4 if n else 0))
+    cell = st.integers(min_value=0, max_value=max(n - 1, 0))
+    rows = st.lists(st.lists(cell, min_size=width, max_size=width).map(tuple),
+                    max_size=5)
+    group = (st.lists(st.integers(min_value=0, max_value=width - 1),
+                      min_size=min_group, max_size=4).map(tuple) if width
+             else st.just(()))
+    return draw(rows), draw(st.lists(group, max_size=3).map(tuple))
+
+
 @st.composite
 def search_instances(draw):
-    """r, n, cap and a list of checks, each a tuple of groups of cells < n;
-    groups and checks may be empty."""
+    """r, n, cap, action rows into n cells and their shared groups; groups,
+    rows and their widths may be empty."""
     r = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.integers(min_value=0, max_value=8))
     cap = draw(st.integers(min_value=0, max_value=2))
-    group = st.lists(st.integers(min_value=0, max_value=n - 1),
-                     max_size=4).map(tuple) if n else st.just(())
-    checks = st.lists(st.lists(group, max_size=3).map(tuple), max_size=5)
-    return r, n, cap, draw(checks)
+    return (r, n, cap) + _rows_and_groups(draw, n, 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(search_instances())
-@example((2, 0, 1, []))
-@example((2, 0, 0, [()]))
-@example((3, 4, 1, []))
-@example((2, 4, 0, [((0, 1), ()), ()]))
-@example((3, 5, 1, [((), (4, 2)), ((1, 3), (0, 4))]))
+@example((2, 0, 1, [], ()))
+@example((2, 0, 0, [()], ()))
+@example((3, 4, 1, [], ()))
+# a check reading no cell passes everything; one reading a cell under cap 0
+# fails everything
+@example((2, 4, 0, [(0, 1), (2, 3)], ((), ())))
+@example((2, 4, 0, [(0, 1)], ((0, 1), ())))
+# the first check's empty group, under cap 1, is the one-color group (4, 4)
+@example((3, 5, 1, [(4, 4, 4, 2), (1, 3, 0, 4)], ((0, 1), (2, 3))))
 def test_search_finds_the_least_failing_index(inst):
-    r, n, cap, checks = inst
-    assert _search(r, n, checks, cap) == brute_first_failure(r, n, checks, cap)
+    r, n, cap, rows, groups = inst
+    assert (_lex_search(r, n, rows, groups, cap, None)[0]
+            == brute_first_failure(r, n, _cells(rows, groups), cap))
 
 
 @settings(max_examples=200, deadline=None)
 @given(search_instances(), st.integers(min_value=0, max_value=60))
 def test_node_capped_search_finishes_or_gives_up(inst, limit):
-    r, n, cap, checks = inst
-    full = _lex_search(r, n, checks, cap, None)
-    assert full[0] == _search(r, n, checks, cap)
-    assert _lex_search(r, n, checks, cap, limit) == (
+    r, n, cap, rows, groups = inst
+    full = _lex_search(r, n, rows, groups, cap, None)
+    assert _lex_search(r, n, rows, groups, cap, limit) == (
         full if full[1] <= limit else None)
 
 
@@ -136,15 +156,14 @@ def test_subset_action_is_the_composed_table(a, b, c):
 
 @st.composite
 def sampled_instances(draw):
-    """(seed, r, n, checks, samples): n cells in groups of up to four, so a
-    check under cap 1 or 2 fails often enough to matter."""
+    """(seed, r, n, rows, groups, samples): rows into n cells and non-empty
+    groups of up to four of their positions, so a check under cap 1 or 2
+    fails often enough to matter."""
     seed = draw(st.integers(min_value=0, max_value=2 ** 64))
     r = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=10))
-    group = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1,
-                     max_size=4).map(tuple)
-    checks = st.lists(st.lists(group, max_size=3).map(tuple), max_size=4)
-    return seed, r, n, draw(checks), draw(st.integers(min_value=1,
+    rows, groups = _rows_and_groups(draw, n, 1)
+    return seed, r, n, rows, groups, draw(st.integers(min_value=1,
                                                       max_value=40))
 
 
@@ -152,13 +171,15 @@ def sampled_instances(draw):
 @pytest.mark.parametrize("cap", [1, 2])
 @settings(max_examples=40, deadline=None)
 @given(sampled_instances())
-@example((1729, 2, 3, [], 5))
-@example((0, 3, 4, [((0, 1, 2, 3),)], 30))
+@example((1729, 2, 3, [], (), 5))
+@example((0, 3, 4, [(0, 1, 2, 3)], ((0, 1, 2, 3),), 30))
 def test_sampled_scan_finds_the_least_failing_sample(cap, jobs, inst):
-    seed, r, n, checks, samples = inst
-    source = partial(iter, checks)
-    assert (_first_sampled_failure(seed, r, n, source, cap, samples, jobs)
-            == brute_first_sampled_failure(seed, r, n, checks, cap, samples))
+    seed, r, n, rows, groups, samples = inst
+    source = partial(iter, rows)
+    assert (_first_sampled_failure(seed, r, n, source, groups, cap, samples,
+                                   jobs)
+            == brute_first_sampled_failure(seed, r, n, _cells(rows, groups),
+                                           cap, samples))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
