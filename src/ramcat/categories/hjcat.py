@@ -119,22 +119,18 @@ class WordCategory(Category):
         l = a[1]
         return Morph(a, a, ("G", tuple(range(1, l + 1))))
 
-    def compose(self, g: Morph, f: Morph) -> Morph:
-        if f.cod != g.dom:
-            raise ValueError("non-composable word morphisms")
+    def compose_data(self, g: Morph, f: Morph) -> Any:
         if f.data == _IDV:
-            return g
+            return g.data
         if g.data == _IDV:
-            return f
+            return f.data
         ftag, fvals = f.data
         gtag, gvals = g.data
         if ftag == "F":  # v -> l1 then l1 -> l2
             v = f.dom
-            out = tuple(self.window_value(v, t) if t <= 0 else fvals[t - 1]
-                        for t in gvals)
-            return Morph(f.dom, g.cod, ("F", out))
-        out = tuple(t if t <= 0 else fvals[t - 1] for t in gvals)
-        return Morph(f.dom, g.cod, ("G", out))
+            return ("F", tuple(self.window_value(v, t) if t <= 0
+                               else fvals[t - 1] for t in gvals))
+        return ("G", tuple(t if t <= 0 else fvals[t - 1] for t in gvals))
 
     def spec(self) -> dict:
         return {"kind": "word", "k0": self.k0}

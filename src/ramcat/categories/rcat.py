@@ -6,11 +6,11 @@ elements of [n].  Composition pushes the smaller subset through the increasing
 enumeration of the larger one.  The boundary functor drops the top element of
 the image and the top point of the target.
 
-`action` needs no `compose` call: g∘f over hom(a, b) in canonical order is
+`action` composes nothing: g∘f over hom(a, b) in canonical order is
 `combinations(y, a)` for g's image y, each an increasing a-subset of [c] and
 so an arrow of hom(a, c), ranked by a lookup.  A subclass that overrides
-`compose` gets the generic `Category.action`, which composes and validates
-every row through the override.
+`compose_data` gets the generic `Category.action`, which composes and
+validates every row through the override.
 """
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ class SubsetCategory(Category):
     def identity(self, a: Any) -> Morph:
         return Morph(a, a, tuple(range(1, a + 1)))
 
-    def compose(self, g: Morph, f: Morph) -> Morph:
-        if f.cod != g.dom:
-            raise ValueError("non-composable subset morphisms")
+    def compose_data(self, g: Morph, f: Morph) -> Any:
         y = g.data  # increasing enumeration of g's image inside [g.cod]
-        return Morph(f.dom, g.cod, tuple(y[i - 1] for i in f.data))
+        return tuple(y[i - 1] for i in f.data)
 
     def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
-        if type(self).compose is not SubsetCategory.compose:
+        if type(self).compose_data is not SubsetCategory.compose_data:
             return super().action(a, b, c)
         rank = {x: i for i, x in
                 enumerate(combinations(range(1, c + 1), a))}.__getitem__

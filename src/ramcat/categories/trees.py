@@ -19,10 +19,6 @@ child's offset.  Like the shape cache, each memo clears itself when full:
 payloads in all (an empty list counts as one), and a hom-set larger than
 that is never kept.
 
-`table` ranks composite payloads in one dict over hom(a, c)'s payloads and
-builds no `Morph`; a subclass that overrides `compose` gets the generic
-`Category.table`, which composes every entry through the override.
-
 The truncation functor removes the deepest level of any tree with at least
 two levels and fixes the single-node tree; morphisms are restricted and
 reindexed.
@@ -31,7 +27,7 @@ reindexed.
 from __future__ import annotations
 
 from itertools import combinations, count
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple
 
 from ..core import Category, EncodingError, Functor, Morph
 
@@ -251,19 +247,9 @@ class TreeCategory(Category):
         shape(a)
         return Morph(a, a, tuple(range(len(a))))
 
-    def compose(self, g: Morph, f: Morph) -> Morph:
-        if f.cod != g.dom:
-            raise ValueError("non-composable tree embeddings")
-        return Morph(f.dom, g.cod, tuple(g.data[j] for j in f.data))
-
-    def table(self, hab: Sequence[Morph], hbc: Sequence[Morph],
-              hac: Sequence[Morph]) -> list[tuple[int, ...]]:
-        if type(self).compose is not TreeCategory.compose:
-            return super().table(hab, hbc, hac)
-        pos = {f.data: i for i, f in enumerate(hac)}.get
-        sources = [f.data for f in hab]
-        return [tuple([pos(tuple([gd[j] for j in fd]), -1) for fd in sources])
-                for gd in [g.data for g in hbc]]
+    def compose_data(self, g: Morph, f: Morph) -> Any:
+        gd = g.data
+        return tuple([gd[j] for j in f.data])
 
     def spec(self) -> dict:
         return {"kind": "trees"}

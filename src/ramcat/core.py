@@ -206,19 +206,20 @@ class Category(ABC):
     """Finite-hom category handle.
 
     `hom` returns the full hom-set in canonical order; `hom_size` may count it
-    without building it.  `compose(g, f)` is "f then g".  `action(a, b, c)`
-    gives one row per g in hom(b, c), in order: the hom(a, c) indices of g∘f
-    over hom(a, b).  Every row is composed and validated before `action`
-    returns, so a composite outside hom(a, c) raises ValueError even in a row
-    that no caller reads.  The rows come from `table(hab, hbc, hac)`, the
-    builder that `check_category_laws` reads too: one row per g in hbc, the
-    hac index of g∘f for each f in hab, or -1 where the composite is not in
-    hac.  By default it composes every entry; trees override it by ranking
-    composite payloads, composing nothing, unless a subclass overrides their
-    `compose`.  Products override `action` with a stream of mixed-radix index
-    sums over their factors' tables, which are built and validated before
-    `action` returns.  Subsets override `action` in closed form, composing
-    nothing, unless a subclass overrides their `compose`.  `grade(a)` is None
+    without building it.  A category writes `compose_data(g, f)`, the payload
+    of g∘f ("f then g"); `compose(g, f)` refuses a non-composable pair and
+    adds the endpoints, dom f and cod g.  `action(a, b, c)` gives one row per
+    g in hom(b, c), in order: the hom(a, c) indices of g∘f over hom(a, b).
+    Every row is composed and validated before `action` returns, so a
+    composite outside hom(a, c) raises ValueError even in a row that no
+    caller reads.  The rows come from `table(hab, hbc, hac)`, the builder
+    that `check_category_laws` reads too: one row per g in hbc, the hac index
+    of g∘f for each f in hab, or -1 where the composite is not in hac.  It
+    ranks composite payloads, which are unique within one hom-set, and
+    builds no `Morph`.  Products override `action` with a stream of
+    mixed-radix index sums over their factors' tables, which are built and
+    validated before `action` returns.  Subsets override `action` in closed
+    form, unless a subclass overrides their `compose_data`.  `grade(a)` is None
     by default; a category whose hom(a, b) is empty whenever the grades of a
     and b differ may return a hashable grade (trees: the height), and the law
     sweeps then size hom-sets only within a grade.
@@ -245,7 +246,14 @@ class Category(ABC):
     def identity(self, a: Any) -> Morph: ...
 
     @abstractmethod
-    def compose(self, g: Morph, f: Morph) -> Morph: ...
+    def compose_data(self, g: Morph, f: Morph) -> Any:
+        """The payload of g∘f, for composable f and g."""
+
+    def compose(self, g: Morph, f: Morph) -> Morph:
+        if f.cod != g.dom:
+            raise ValueError(f"{self.name}: non-composable morphisms, cod f "
+                             f"{_shown(f.cod)} != dom g {_shown(g.dom)}")
+        return Morph(f.dom, g.cod, self.compose_data(g, f))
 
     def hom_size(self, a: Any, b: Any) -> int:
         return len(self.hom(a, b))
@@ -255,9 +263,9 @@ class Category(ABC):
 
     def table(self, hab: Sequence[Morph], hbc: Sequence[Morph],
               hac: Sequence[Morph]) -> list[tuple[int, ...]]:
-        pos = {f: i for i, f in enumerate(hac)}.get
-        compose = self.compose
-        return [tuple([pos(compose(g, f), -1) for f in hab]) for g in hbc]
+        pos = {h.data: i for i, h in enumerate(hac)}.get
+        compose_data = self.compose_data
+        return [tuple([pos(compose_data(g, f), -1) for f in hab]) for g in hbc]
 
     def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
         hom_ab, hom_bc = self.hom(a, b), self.hom(b, c)

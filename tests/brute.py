@@ -105,6 +105,15 @@ def brute_p_checks(delta, a, b, c) -> list:
             for g in cat.hom(b, c)]
 
 
+def brute_table(cat, hab, hbc, hac) -> list[tuple[int, ...]]:
+    """The action table by composing arrows alone: one row per g in hbc, the
+    hac index of the composite `Morph` g∘f for each f in hab, or -1 where
+    that arrow is not in hac."""
+    index = {h: i for i, h in enumerate(hac)}
+    return [tuple(index.get(cat.compose(g, f), -1) for f in hab)
+            for g in hbc]
+
+
 def brute_category_laws(cat, objects) -> LawReport:
     """The category-law sweep by composing arrows alone: identity, closure
     and associativity over the non-empty hom-sets of the fragment, in the

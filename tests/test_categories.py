@@ -5,7 +5,7 @@ from collections import Counter
 from itertools import product, takewhile
 
 import pytest
-from brute import brute_tree_embeddings
+from brute import brute_table, brute_tree_embeddings
 
 from ramcat import (EncodingError, IdentityFunctor, LiftError, Morph,
                     check_category_laws, check_frank_at, check_functor_laws,
@@ -360,26 +360,87 @@ def test_tree_table_ranks_payloads_as_the_generic_table_composes():
         if hab and hbc:
             triples += 1
             hac = homs[a, c]
-            assert cat.table(hab, hbc, hac) == Category.table(cat, hab, hbc,
-                                                              hac)
+            assert cat.table(hab, hbc, hac) == brute_table(cat, hab, hbc, hac)
     assert triples == 557
     a, b, c = (2, 0, 0), (3, 0, 0, 0), star(27)
     hab, hbc, hac = cat.hom(a, b), cat.hom(b, c), cat.hom(a, c)
     assert (len(hab), len(hbc), len(hac)) == (3, 2_925, 351)
     rows = cat.table(hab, hbc, hac)
-    assert rows == Category.table(cat, hab, hbc, hac) == list(cat.action(a, b, c))
+    assert rows == brute_table(cat, hab, hbc, hac) == list(cat.action(a, b, c))
     # a composite outside the given hom-set is -1 in both
-    assert cat.table(hab, hbc, hac[1:]) == Category.table(cat, hab, hbc,
-                                                          hac[1:])
+    assert cat.table(hab, hbc, hac[1:]) == brute_table(cat, hab, hbc, hac[1:])
+
+
+def _table_fragments():
+    yield pytest.param(subset_category(), list(range(6)), id="R")
+    for orientation in ("definition", "mirror"):
+        cat = StepCategory(orientation)
+        yield pytest.param(cat, cat.objects(12), id=f"P:{orientation}")
+    for k0 in (0, 1):
+        hj = word_category(k0)
+        yield pytest.param(hj, list(hj.v_objects())
+                           + [("L", l) for l in range(4)], id=f"HJ:{k0}")
+    rp = ProductCategory((subset_category(), StepCategory()))
+    yield pytest.param(rp, [rp.pack((x, y)) for x in range(4)
+                            for y in ((2, 0), (2, 1), (2, 2), (4, 2))],
+                       id="RxP")
+    hr = ProductCategory((word_category(1), subset_category()))
+    yield pytest.param(hr, [hr.pack((x, y))
+                            for x in (("V", (1, 2)), ("L", 0), ("L", 1),
+                                      ("L", 2))
+                            for y in (1, 2, 3)], id="HJ:1xR")
+
+
+@pytest.mark.parametrize("cat, objs", _table_fragments())
+def test_table_matches_the_literal_table(cat, objs):
+    # every triple with hom(a, b) and hom(b, c) non-empty, and hom(a, c)
+    # short of its first arrow, so that some composites fall outside
+    homs = {(a, b): cat.hom(a, b) for a in objs for b in objs}
+    triples = 0
+    for a, b, c in product(objs, repeat=3):
+        hab, hbc, hac = homs[a, b], homs[b, c], homs[a, c]
+        if hab and hbc:
+            triples += 1
+            for given in (hac, hac[1:]):
+                assert cat.table(hab, hbc, given) == \
+                    brute_table(cat, hab, hbc, given), (a, b, c)
+    assert triples > len(objs)
+
+
+def _composition_fragments():
+    yield from _table_fragments()
+    yield pytest.param(tree_category(), TREES_TO_6[:23], id="trees<=5")
+
+
+@pytest.mark.parametrize("cat, objs", _composition_fragments())
+def test_compose_refuses_non_composable_pairs_and_types_composites(cat, objs):
+    homs = {(a, b): cat.hom(a, b) for a in objs for b in objs}
+    for a, b, c in product(objs, repeat=3):
+        for f in homs[a, b]:
+            for g in homs[b, c]:
+                h = cat.compose(g, f)
+                assert (h.dom, h.cod) == (a, c)
+    # one arrow per non-empty hom-set, tried against every other such arrow
+    firsts = [hom[0] for hom in homs.values() if hom]
+    refused = 0
+    for f in firsts:
+        for g in firsts:
+            if f.cod != g.dom:
+                refused += 1
+                with pytest.raises(ValueError) as exc:
+                    cat.compose(g, f)
+                assert str(exc.value).startswith(f"{cat.name}: "
+                                                 "non-composable")
+    assert refused > len(objs)
 
 
 def test_tree_table_composes_through_an_overridden_compose():
     calls = []
 
     class Counted(TreeCategory):
-        def compose(self, g, f):
+        def compose_data(self, g, f):
             calls.append(1)
-            return super().compose(g, f)
+            return super().compose_data(g, f)
 
     cat, stock = Counted(), tree_category()
     a, b, c = (2, 0, 0), (3, 0, 0, 0), star(6)
@@ -561,20 +622,21 @@ def test_subset_action_matches_generic_action(a, b, c):
 
 def test_subset_action_composes_only_through_an_override(monkeypatch):
     calls = []
-    real = SubsetCategory.compose
+    real = SubsetCategory.compose_data
 
     def counted(self, g, f):
         calls.append(1)
         return real(self, g, f)
 
-    # the class's own compose, wrapped as a tracer wraps it, stays closed form
-    monkeypatch.setattr(SubsetCategory, "compose", counted)
+    # the class's own compose_data, wrapped in place as a tracer wraps a
+    # method, stays closed form
+    monkeypatch.setattr(SubsetCategory, "compose_data", counted)
     rows = subset_category().action(2, 3, 27)
     assert len(rows) == 2925 and calls == []
 
     class Overriding(SubsetCategory):
-        def compose(self, g, f):
-            return super().compose(g, f)
+        def compose_data(self, g, f):
+            return super().compose_data(g, f)
 
     assert Overriding().action(2, 3, 27) == rows
     assert len(calls) == 2925 * 3
