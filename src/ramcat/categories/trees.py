@@ -26,7 +26,7 @@ reindexed.
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import count
 from typing import Any, Iterator, NamedTuple
 
 from ..core import Category, EncodingError, Functor, Morph
@@ -132,17 +132,18 @@ def _payloads(s: tuple, t: tuple) -> list[tuple[int, ...]]:
         return out
     sources, targets = shape(s).kids, shape(t).kids
     out = []
-    if len(sources) <= len(targets):
+    spare = len(targets) - len(sources)     # target children left unused
+    if spare >= 0:
         # moved[k][j]: child k's embeddings into target child j, reindexed
         moved = [[[tuple([i + at for i in p]) for p in _payloads(u, x)]
                   for x, at in targets] for u, _ in sources]
-        for js in combinations(range(len(targets)), len(sources)):
-            partials = [(0,)]
-            for row, j in zip(moved, js):
-                partials = [p + q for p in partials for q in row[j]]
-                if not partials:
-                    break
-            out.extend(partials)
+        # frontier: (payload of s's first k children, next free target
+        # child), so each prefix is built once and shared by its extensions
+        frontier = [((0,), 0)]
+        for k, row in enumerate(moved):
+            frontier = [(p + q, j + 1) for p, free in frontier
+                        for j in range(free, spare + k + 1) for q in row[j]]
+        out = [p for p, _ in frontier]
         # equal-length int payloads: tuple order is canonical order
         out.sort()
     weight = len(out) or 1          # so empty lists are bounded too

@@ -117,17 +117,22 @@ def build_functor(spec: dict) -> Functor:
 
 
 def hom_fingerprint(fun: Functor, a: Any, c: Any) -> str:
-    """Hash of the enumeration the verification verdict depends on."""
+    """Hash of the enumeration the verification verdict depends on.
+
+    Every arrow of hom(a, c) is (a, c, data), so its encoding `f.encode()`
+    is one constant head, the (dom, cod, data) triple's tuple header and
+    the endpoints' bytes, then its payload's bytes; the head is encoded once.
+    """
     cat = fun.dom
     h = hashlib.sha256()
     h.update(canonical_json(cat.spec()).encode())
     h.update(canonical_json(fun.spec()).encode())
     h.update(cat.encoding_version.encode())
     h.update(fun.encoding_version.encode())
-    h.update(canon_bytes(a))
-    h.update(canon_bytes(c))
-    for f in cat.hom(a, c):
-        h.update(f.encode())
+    ends = canon_bytes(a) + canon_bytes(c)
+    h.update(ends)
+    head = b"T" + (3).to_bytes(4, "big") + ends
+    h.update(b"".join([head + canon_bytes(f.data) for f in cat.hom(a, c)]))
     return h.hexdigest()
 
 

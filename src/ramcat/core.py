@@ -23,6 +23,9 @@ from itertools import islice
 from typing import Any, Iterable, Iterator, Sequence
 
 _INT_OFFSET = 1 << 63  # shift signed values so byte order matches numeric order
+# parsing refuses tuples nested deeper than this, well before the interpreter's
+# recursion limit; payloads and objects nest a few levels
+_MAX_DEPTH = 64
 
 
 class EncodingError(ValueError):
@@ -35,6 +38,16 @@ class LiftError(ValueError):
 
 def canon_bytes(value: Any) -> bytes:
     """Canonical injective encoding of nested ints/strs/tuples."""
+    if type(value) is tuple:
+        # most payloads are flat tuples of ints, encoded here in one pass; a
+        # bool, str, tuple or out-of-range item takes the general path below
+        try:
+            parts = [b"I" + (x + _INT_OFFSET).to_bytes(8, "big")
+                     for x in value if type(x) is int]
+        except OverflowError:
+            parts = []
+        if len(parts) == len(value):
+            return b"T" + len(parts).to_bytes(4, "big") + b"".join(parts)
     if isinstance(value, bool):
         raise EncodingError("booleans are not encodable payload values")
     if isinstance(value, int):
@@ -71,7 +84,7 @@ def canon_unhex(text: str) -> Any:
     return canon_parse(raw)
 
 
-def _parse_at(raw: bytes, at: int) -> tuple[Any, int]:
+def _parse_at(raw: bytes, at: int, depth: int = 0) -> tuple[Any, int]:
     if at >= len(raw):
         raise EncodingError(f"truncated encoding at offset {at}")
     tag = raw[at:at + 1]
@@ -96,11 +109,14 @@ def _parse_at(raw: bytes, at: int) -> tuple[Any, int]:
         header = at + 5
         if len(raw) < header:
             raise EncodingError(f"truncated tuple header at offset {at}")
+        if depth == _MAX_DEPTH:
+            raise EncodingError(f"tuples nested deeper than {_MAX_DEPTH} "
+                                f"at offset {at}")
         size = int.from_bytes(raw[at + 1:header], "big")
         items = []
         cursor = header
         for _ in range(size):
-            item, cursor = _parse_at(raw, cursor)
+            item, cursor = _parse_at(raw, cursor, depth + 1)
             items.append(item)
         return tuple(items), cursor
     raise EncodingError(f"unknown tag {tag!r} at offset {at}")

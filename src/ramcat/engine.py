@@ -237,8 +237,12 @@ def _lex_search(r: int, n: int, checks: list[Check],
     if checks and not reads:
         return None, 0              # no group reads a cell: every check passes
     by_low: list[list[Check]] = [[] for _ in range(n)]
-    for row in checks:
-        by_low[min(row[i] for i in reads)].append(row)
+    if checks and len(reads) == len(checks[0]):
+        for row in checks:          # the groups read every index of a row
+            by_low[min(row)].append(row)
+    else:
+        for row in checks:
+            by_low[min(map(row.__getitem__, reads))].append(row)
     cell = [-1] * n
     used = [0] * (n + 1)            # used[j]: colors among cells j..n-1
     j, nodes = n - 1, 0

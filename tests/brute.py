@@ -7,10 +7,13 @@ or redoes a library sweep the literal way.
 
 from __future__ import annotations
 
+import hashlib
 from itertools import product as iproduct
 
-from ramcat import SearchBudget, check_p_witness, prf_color, subset_boundary
-from ramcat.core import LawReport
+from ramcat import (EncodingError, SearchBudget, check_p_witness, prf_color,
+                    subset_boundary)
+from ramcat.certificates import canonical_json
+from ramcat.core import LawReport, _shown
 
 
 def brute_minimal_single(k: int, p: int, r: int, *, cap: int = 12,
@@ -281,3 +284,39 @@ def brute_minimal_hj_dimension(alphabet: int, r: int, *, cap: int = 3,
         if forced:
             return m
     return None
+
+
+def brute_canon_bytes(value) -> bytes:
+    """The canonical encoding, recursively, one value at a time: "I" and the
+    int plus 2**63 in 8 big-endian bytes, "S" and the utf-8 length in 4
+    bytes then the bytes, "T" and the item count in 4 bytes then each item."""
+    if isinstance(value, bool):
+        raise EncodingError("booleans are not encodable payload values")
+    if isinstance(value, int):
+        shifted = value + (1 << 63)
+        if not 0 <= shifted < (1 << 64):
+            raise EncodingError(f"integer out of encodable range: {_shown(value)}")
+        return b"I" + shifted.to_bytes(8, "big")
+    if isinstance(value, str):
+        raw = value.encode("utf-8")
+        return b"S" + len(raw).to_bytes(4, "big") + raw
+    if isinstance(value, tuple):
+        parts = [brute_canon_bytes(item) for item in value]
+        return b"T" + len(parts).to_bytes(4, "big") + b"".join(parts)
+    raise EncodingError(f"unencodable value of type {type(value).__name__}")
+
+
+def brute_fingerprint(fun, a, c) -> str:
+    """The hom fingerprint the literal way: the specs and encoding versions,
+    a and c, then each arrow of hom(a, c) as its whole (dom, cod, data)
+    encoding, the bytes of `f.encode()`, one hash update per arrow."""
+    cat = fun.dom
+    h = hashlib.sha256()
+    for text in (canonical_json(cat.spec()), canonical_json(fun.spec()),
+                 cat.encoding_version, fun.encoding_version):
+        h.update(text.encode())
+    h.update(brute_canon_bytes(a))
+    h.update(brute_canon_bytes(c))
+    for f in cat.hom(a, c):
+        h.update(brute_canon_bytes((f.dom, f.cod, f.data)))
+    return h.hexdigest()

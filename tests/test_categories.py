@@ -315,6 +315,17 @@ def test_tree_hom_matches_the_brute_embeddings():
     for k in range(9):
         _brute_agrees(cat, (3, 0, 0, 0), star(k))
     assert cat.hom_size((3, 0, 0, 0), star(8)) == 56    # C(8, 3)
+    # the Fouché hom-sets: wide stars, one node deep
+    _brute_agrees(cat, (3, 0, 0, 0), star(27))
+    _brute_agrees(cat, (2, 0, 0), star(27))
+    assert cat.hom_size((3, 0, 0, 0), star(27)) == 2925  # C(27, 3)
+    # three levels: four children, two grandchildren each, two leaves each
+    wide = grow(star(4), {i: 2 for i in range(1, 5)})
+    wide = grow(wide, {i: 2 for i, kids in enumerate(wide) if kids == 0})
+    deep = (2, 1, 1, 0, 2, 1, 0, 1, 0)
+    assert (height(wide), height(deep), len(wide)) == (3, 3, 29)
+    _brute_agrees(cat, deep, wide)
+    assert cat.hom_size(deep, wide) == 96
 
 
 def test_tree_hom_is_empty_across_heights():

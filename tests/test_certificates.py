@@ -4,16 +4,20 @@ import json
 from dataclasses import replace
 
 import pytest
+from brute import brute_fingerprint
 
 from ramcat import (Claim, FpInstance, Morph, SearchBudget, compose_word,
                     check_fp_witness, check_p_witness, dump_certificate,
                     fp_certificate, load_certificate, p_certificate,
-                    parse_certificate, replay_verify, subset_boundary)
+                    parse_certificate, product_functor, replay_verify, star,
+                    step_boundary, subset_boundary, tree_truncation,
+                    word_boundary)
+from ramcat.categories import ORIENTATIONS
 from ramcat.categories.rcat import SubsetBoundary, SubsetCategory
 from ramcat.certificates import (CertificateError, StaleCertificateError,
                                  budget_doc, build_category, build_functor,
-                                 canonical_json, document_digest, morph_hex,
-                                 morph_unhex)
+                                 canonical_json, document_digest,
+                                 hom_fingerprint, morph_hex, morph_unhex)
 
 DR = subset_boundary()
 
@@ -187,6 +191,41 @@ def test_replay_budget_override():
     with pytest.raises(BudgetExceeded):
         replay_verify(doc, mode="exhaustive",
                       budget=SearchBudget(max_colorings=3))
+
+
+# ---------------------------------------------------------------------------
+# the fingerprint
+
+
+_RR = product_functor(DR, DR)
+_RP = product_functor(DR, step_boundary())
+_HJR = product_functor(word_boundary(1), DR)
+
+
+@pytest.mark.parametrize("fun, a, c, arrows", [
+    (DR, 2, 6, 15),
+    (DR, 0, 0, 1),
+    *((step_boundary(o), a, c, n) for o in ORIENTATIONS
+      for a, c, n in (((2, 1), (6, 2), 5), ((3, 2), (6, 2), 10),
+                      ((2, 0), (5, 2), 7))),
+    (word_boundary(0), ("V", (1,)), ("L", 3), 1),
+    (word_boundary(0), ("L", 1), ("L", 3), 7),
+    (word_boundary(1), ("V", (1, 2)), ("L", 3), 8),
+    (word_boundary(1), ("V", (2, 1)), ("L", 2), 4),
+    (word_boundary(1), ("L", 1), ("L", 2), 5),
+    (word_boundary(1), ("V", (1, 2)), ("V", (2, 1)), 0),
+    (tree_truncation(), (2, 0, 0), star(27), 351),
+    (tree_truncation(), (1, 1, 0), (2, 1, 0, 1, 0), 2),
+    (tree_truncation(), (1, 0), (1, 1, 0), 0),
+    (_RR, _RR.dom.pack((1, 2)), _RR.dom.pack((3, 4)), 18),
+    (_RP, _RP.dom.pack((1, (2, 1))), _RP.dom.pack((3, (5, 2))), 12),
+    (_HJR, _HJR.dom.pack((("V", (1, 2)), 1)), _HJR.dom.pack((("L", 2), 3)),
+     12),
+    (compose_word([DR, DR]), 2, 6, 15)],
+    ids=lambda v: v.name if hasattr(v, "name") else None)
+def test_fingerprint_matches_the_literal_hash(fun, a, c, arrows):
+    assert fun.dom.hom_size(a, c) == arrows
+    assert hom_fingerprint(fun, a, c) == brute_fingerprint(fun, a, c)
 
 
 # ---------------------------------------------------------------------------

@@ -796,6 +796,24 @@ def test_replay_refuses_a_morphism_that_does_not_decode(capsys, tmp_path,
                           f"{named}")
 
 
+def test_replay_refuses_deeply_nested_inputs(capsys, tmp_path):
+    cert = tmp_path / "p.json"
+    code, _, _ = run(capsys, "verify", "p", "--category", "R",
+                     "--functor", "dR", "--a", "2", "--b", "3", "--c", "4",
+                     "--r", "2", "--out", str(cert))
+    assert code == 0
+    # a crafted a: 5,000 one-item tuples around an int, far past the
+    # interpreter's recursion limit; only the digest is redone
+    doc = json.loads(cert.read_text())
+    doc["inputs"]["a"] = "5400000001" * 5000 + canon_hex(2)
+    doc["digest"] = document_digest(doc)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "replay", str(cert))
+    assert code == 1 and not out
+    assert err == ("bad certificate: field 'inputs.a' does not decode: "
+                   "tuples nested deeper than 64 at offset 320\n")
+
+
 def test_verify_refuses_a_selection_that_does_not_decode(capsys):
     # verify shares the morphism decoder with replay, but --s is a usage error
     code, out, err = run(capsys, "verify", "fp", "--category", "R",

@@ -86,6 +86,20 @@ def test_canon_parse_rejects_malformed():
         canon_parse(b"")
 
 
+def test_canon_parse_refuses_deep_nesting():
+    def nested(depth):
+        return b"T\x00\x00\x00\x01" * depth + canon_bytes(2)
+
+    value = 2
+    for _ in range(64):
+        value = (value,)
+    assert canon_parse(nested(64)) == value
+    for depth in (65, 5000):
+        with pytest.raises(EncodingError,
+                           match="tuples nested deeper than 64 at offset 320"):
+            canon_parse(nested(depth))
+
+
 def test_int_encoding_preserves_order():
     samples = [-2 ** 63, -500, -1, 0, 1, 7, 10, 2 ** 40, 2 ** 63 - 1]
     encoded = [canon_bytes(v) for v in samples]

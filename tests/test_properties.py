@@ -3,13 +3,13 @@
 from functools import partial
 
 import pytest
-from brute import (brute_first_failure, brute_first_sampled_failure,
-                   brute_p_checks, brute_refutes)
+from brute import (brute_canon_bytes, brute_first_failure,
+                   brute_first_sampled_failure, brute_p_checks, brute_refutes)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramcat import (SearchBudget, SubsetCategory, canon_bytes, canon_parse,
-                    check_p_witness, compose_word, engine, fiber,
+from ramcat import (EncodingError, SearchBudget, SubsetCategory, canon_bytes,
+                    canon_parse, check_p_witness, compose_word, engine, fiber,
                     functor_image, prf_color, ramsey_degree,
                     degree_upper_bound, subset_boundary, subset_category)
 from ramcat.certificates import canonical_json
@@ -31,6 +31,36 @@ values = st.recursive(scalars,
 @given(values)
 def test_canon_round_trip(value):
     assert canon_parse(canon_bytes(value)) == value
+
+
+@given(values)
+@example(())
+@example((-(2 ** 63), 2 ** 63 - 1))
+@example(((), (-(2 ** 63),), ("", 2 ** 63 - 1)))
+def test_canon_bytes_matches_the_recursive_encoder(value):
+    assert canon_bytes(value) == brute_canon_bytes(value)
+
+
+in_range = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
+refused = st.one_of(st.booleans(), st.integers(min_value=2 ** 63),
+                    st.integers(max_value=-(2 ** 63) - 1))
+
+
+@given(st.lists(in_range, max_size=4), refused, st.lists(in_range, max_size=4))
+@example([], 2 ** 63, [])
+@example([1], -(2 ** 63) - 1, [2])
+@example([], True, [2 ** 63])
+def test_flat_tuples_are_refused_as_the_recursive_encoder_refuses(
+        before, bad, after):
+    value = (*before, bad, *after)
+    with pytest.raises(EncodingError) as want:
+        brute_canon_bytes(value)
+    with pytest.raises(EncodingError) as got:
+        canon_bytes(value)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(
+        ("booleans are not encodable payload values",
+         "integer out of encodable range: "))
 
 
 @given(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
