@@ -164,14 +164,18 @@ def _settle(args, claim: Claim, shown: Any = None, trace: Trace | None = None,
 
 
 def cmd_verify(args) -> int:
+    if args.kind == "p" and {args.s, args.f_prime, args.g_prime} != {None}:
+        raise CliError("verify p takes no --s, --f-prime or --g-prime")
+    if (args.f_prime is None) != (args.g_prime is None):
+        raise CliError("verify fp takes --f-prime and --g-prime together")
     cat, tokens, parse = category_handle(args.category)
     fun = compose_word(functor_word(tokens, args.functor))
     a, b, c = parse(args.a), parse(args.b), parse(args.c)
     if args.kind == "p":
         return _settle(args, Claim(fun, a, b, c, args.r))
     s = (tuple(morph_unhex(x) for x in args.s.split(","))
-         if args.s else functor_image(fun, a, b, budget_from(args)))
-    if args.f_prime and args.g_prime:
+         if args.s is not None else functor_image(fun, a, b, budget_from(args)))
+    if args.f_prime is not None:
         f_prime, g_prime = morph_unhex(args.f_prime), morph_unhex(args.g_prime)
     elif args.category.partition(":")[0] == "R" and args.functor == "dR":
         # canonical subset picks, with g' retargeted at the user's c

@@ -14,6 +14,8 @@ the command line by ``construct --max-color-bits``) is refused with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from math import prod
 from typing import Any, Callable, Iterable, Sequence
 
 from .categories.pcat import step_boundary
@@ -117,17 +119,17 @@ def r_fp_witness(inst: FpInstance,
     return m, f_prime, subset_g_prime(delta, l, m)
 
 
-def tree_fp_witness(inst: FpInstance,
-                    product_ramsey: Callable[[tuple, tuple, int], tuple],
-                    delta: TreeTruncation | None = None) -> tuple[Any, Morph, Morph]:
+def tree_fp_witness(inst: FpInstance, delta: TreeTruncation | None = None,
+                    *, budget: SearchBudget | None = None
+                    ) -> tuple[Any, Morph, Morph]:
     """Fiber-condition witness over trees.
 
     Keeps the truncation of T and regrows its deepest level: under the
     f'-image of every truncated S-leaf with children, a fan sized by the
-    product Ramsey numbers for the child counts; under every other deepest
-    node, a fan matching its child count in T (so embeddings of T restricting
-    to the identity survive).  f' is the first element of s in canonical
-    order; g' is the identity on truncated T.
+    product Ramsey numbers for the child counts, built under the budget; under
+    every other deepest node, a fan matching its child count in T (so
+    embeddings of T restricting to the identity survive).  f' is the first
+    element of s in canonical order; g' is the identity on truncated T.
     """
     delta = delta or tree_truncation()
     s_tree, t_tree, s, r = inst.a, inst.b, inst.s, inst.r
@@ -152,7 +154,7 @@ def tree_fp_witness(inst: FpInstance,
     fans = {w: t_tree[old] for w, old in enumerate(sh_t.kept)
             if sh_t.depth[old] == h - 1}
     if v_nodes:
-        qvec = product_ramsey(kvec, pvec, r)
+        qvec, _ = product_ramsey_numbers(kvec, pvec, r, budget=budget)
         for w, q, pp in zip(targets, qvec, pvec):
             if q < pp:
                 raise ConstructionError(
@@ -231,8 +233,7 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
 
 
 def r_fp_oracle(delta: SubsetBoundary | None = None) -> Callable[[FpInstance], tuple]:
-    delta = delta or subset_boundary()
-    return lambda inst: r_fp_witness(inst, delta)
+    return partial(r_fp_witness, delta=delta or subset_boundary())
 
 
 def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
@@ -309,14 +310,6 @@ def word_witness(word: Sequence[Functor], a: Any, b: Any, r: int,
 
 
 @dataclass(frozen=True)
-class ProductCoordinate:
-    delta: Functor
-    a: Any
-    b: Any
-    provider: WitnessProvider
-
-
-@dataclass(frozen=True)
 class ProductStage(Trace):
     """One coordinate's stage, built at r**m_exponent colors."""
 
@@ -344,71 +337,63 @@ def _put(values: tuple, p: int, x: Any) -> tuple:
     return values[:p] + (x,) + values[p + 1:]
 
 
-def product_witness(coords: Sequence[ProductCoordinate], r: int, *,
+def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
+                    provider: WitnessProvider, *,
                     budget: SearchBudget | None = None
-                    ) -> tuple[tuple, ProductTrace]:
-    """Coordinate-staged witness for the product of the coordinate functors.
+                    ) -> tuple[Any, ProductTrace]:
+    """Coordinate-staged witness for fun at full-support (a, b), with provider
+    at every coordinate; c comes back packed.
 
     Coordinates are handled in ascending index order; the stage for
     coordinate p sees the other coordinates' current hom-sizes as the color
-    blow-up exponent M and asks its provider for a witness at r**M colors.
+    blow-up exponent M and asks the provider for a witness at r**M colors.
     Stage color counts beyond the budget's max_color_bits bits are refused.
     """
-    if not coords:
-        raise ValueError("a product needs at least one coordinate")
+    cat, parts = fun.dom, fun.parts
+    k = len(parts)
+    a_vals, b_vals = cat.values(a), cat.values(b)
+    if not len(a_vals) == len(b_vals) == k:
+        raise ValueError("one object per factor required")
     if r < 1:
         raise ValueError("need at least one color")
-    k = len(coords)
     max_bits = (budget or SearchBudget()).max_color_bits
-    stages: dict[int, ProductStage] = {}
+    stages: list[ProductStage] = []     # coordinates k-1 down to 0
 
     def go(p: int, x_vals: tuple, y_vals: tuple) -> tuple:
-        coord = coords[p]
+        delta = parts[p]
         if p == k - 1:
             y_cur = y_vals
         else:
-            d_vals = go(p + 1, _put(x_vals, p, coord.delta.obj(x_vals[p])),
-                        _put(y_vals, p, coord.delta.obj(y_vals[p])))
+            d_vals = go(p + 1, _put(x_vals, p, delta.obj(x_vals[p])),
+                        _put(y_vals, p, delta.obj(y_vals[p])))
             y_cur = _put(d_vals, p, _stage(
                 f"coordinate {p} lift",
-                lambda: coord.delta.frank_lift(y_vals[p], d_vals[p])))
-        m_exp = 1
-        for i in range(k):
-            if i == p:
-                continue
-            cat = coords[i].delta.cod if i < p else coords[i].delta.dom
-            m_exp *= cat.hom_size(x_vals[i], y_cur[i])
+                lambda: delta.frank_lift(y_vals[p], d_vals[p])))
+        # the other coordinates' hom-sizes, pushed below p and current above
+        m_exp = prod((parts[i].cod if i < p else parts[i].dom).hom_size(
+            x_vals[i], y_cur[i]) for i in range(k) if i != p)
         bits = m_exp * max(1, r.bit_length())
         if bits > max_bits:
             # refusal, not failure: the blow-up r**M is representable but useless
             raise BudgetExceeded(f"coordinate {p} color bits", bits, max_bits)
         big_r = r ** m_exp
         c_p = _stage(f"coordinate {p} provider",
-                     lambda: coord.provider(coord.delta, x_vals[p], y_cur[p],
-                                            big_r)[0])
-        stages[p] = ProductStage(x_vals[p], y_cur[p], m_exp, c_p,
-                                 coord.provider.provenance)
+                     lambda: provider(delta, x_vals[p], y_cur[p], big_r)[0])
+        stages.append(ProductStage(x_vals[p], y_cur[p], m_exp, c_p,
+                                   provider.provenance))
         return _put(y_cur, p, c_p)
 
-    a_vals = tuple(c.a for c in coords)
-    b_vals = tuple(c.b for c in coords)
     c_vals = go(0, a_vals, b_vals)
-    ordered = tuple(stages[p] for p in range(k))
-    return c_vals, ProductTrace(r, a_vals, b_vals, c_vals, ordered)
+    return cat.pack(c_vals), ProductTrace(r, a_vals, b_vals, c_vals,
+                                          tuple(reversed(stages)))
 
 
 def product_provider(coord_provider: WitnessProvider,
                      budget: SearchBudget | None = None) -> WitnessProvider:
     """Witnesses for a ProductFunctor at packed (a, b): the staged product
     with coord_provider at every coordinate; the note is its trace."""
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, ProductTrace]:
-        cat = fun.dom
-        coords = [ProductCoordinate(part, x, y, coord_provider) for part, x, y
-                  in zip(fun.parts, cat.values(a), cat.values(b))]
-        c_vals, trace = product_witness(coords, r, budget=budget)
-        return cat.pack(c_vals), trace
-
-    return WitnessProvider(fn, coord_provider.provenance)
+    return WitnessProvider(partial(product_witness, provider=coord_provider,
+                                   budget=budget), coord_provider.provenance)
 
 
 def product_ramsey_numbers(kvec: Sequence[int], pvec: Sequence[int], r: int, *,
@@ -421,10 +406,11 @@ def product_ramsey_numbers(kvec: Sequence[int], pvec: Sequence[int], r: int, *,
     for kk, pp in zip(kvec, pvec):
         if not 0 <= kk <= pp:
             raise ValueError(f"need 0 <= k <= p per coordinate, got {(kk, pp)}")
-    provider = fp_provider(r_fp_oracle, budget=budget)
-    coords = [ProductCoordinate(subset_boundary(), kk, pp, provider)
-              for kk, pp in zip(kvec, pvec)]
-    return product_witness(coords, r, budget=budget)
+    fun = ProductFunctor((subset_boundary(),) * len(kvec))
+    _, trace = product_witness(fun, fun.dom.pack(kvec), fun.dom.pack(pvec), r,
+                               fp_provider(r_fp_oracle, budget=budget),
+                               budget=budget)
+    return trace.c_values, trace
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +554,17 @@ class ModelingTrace(Trace):
     note: Trace | None
 
 
-def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
+def _relation(rel_provider: Callable[[Any], CrossRelation],
+              d1: Any, d2: Any, d3: Any) -> CrossRelation:
+    """The relation for d3, refused unless it sits at (d1, d2, d3)."""
+    rel = _stage("relation provider", lambda: rel_provider(d3))
+    if (rel.d1, rel.d2, rel.d3) != (d1, d2, d3):
+        raise ConstructionError(f"relation triple disagrees with "
+                                f"(d1, d2, d3) = {(d1, d2, d3)!r}")
+    return rel
+
+
+def modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
                       delta_witness: WitnessProvider, gamma: Functor,
                       delta: Functor, d1: Any, d2: Any, a: Any, b: Any, r: int,
                       *, budget: SearchBudget | None = None
@@ -582,11 +578,10 @@ def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
     if r < 1:
         raise ValueError("need at least one color")
     d3, note = _stage("delta witness", lambda: delta_witness(delta, d1, d2, r))
-    c3, rel = _stage("relation provider", lambda: rel_provider(d3))
-    if (rel.c1, rel.c2, rel.c3) != (a, b, c3):
-        raise ConstructionError("relation triple disagrees with (a, b, c)")
-    if (rel.d1, rel.d2, rel.d3) != (d1, d2, d3):
-        raise ConstructionError("relation triple disagrees with (d1, d2, d3)")
+    rel = _relation(rel_provider, d1, d2, d3)
+    if (rel.c1, rel.c2) != (a, b):
+        raise ConstructionError(f"relation pair disagrees with "
+                                f"(a, b) = {(a, b)!r}")
     compat = check_modeling_compatibility(rel, gamma, delta, budget=budget)
     if not compat.ok:
         raise ConstructionError(f"modeling {compat.violation}")
@@ -598,11 +593,11 @@ def modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
         via = "equal-composite-scan"
     if not wd.ok:
         raise ConstructionError(f"modeling {wd.violation}")
-    return c3, ModelingTrace(a, b, r, d1, d2, d3, c3, compat, wd, via,
-                             delta_witness.provenance, note)
+    return rel.c3, ModelingTrace(a, b, r, d1, d2, d3, rel.c3, compat, wd, via,
+                                 delta_witness.provenance, note)
 
 
-def r_modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]],
+def r_modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
                         degree_provider: Callable[[Any, Any, int], tuple[Any, int]],
                         d1: Any, d2: Any, r: int, *,
                         budget: SearchBudget | None = None
@@ -610,17 +605,17 @@ def r_modeling_transfer(rel_provider: Callable[[Any], tuple[Any, CrossRelation]]
     """Degree-bound transfer: only zeta data is needed, no functors.
 
     degree_provider returns (d3, k) with d3 forcing at most k colors over
-    copies of d2; the relation's zeta identity then caps the transferred
-    degree at k with witness c3 = rel.c3.
+    copies of d2; the relation for d3, which must sit at (d1, d2, d3), then
+    caps the transferred degree at k with witness rel.c3 by its zeta identity.
     """
     d3, k = _stage("degree provider", lambda: degree_provider(d1, d2, r))
-    c3, rel = _stage("relation provider", lambda: rel_provider(d3))
+    rel = _relation(rel_provider, d1, d2, d3)
     if rel.zeta is None:
         raise ConstructionError("degree transfer needs zeta data")
     check = check_cross_zeta(rel, budget=budget)
     if not check.ok:
         raise ConstructionError(check.violation)
-    return c3, k, check
+    return rel.c3, k, check
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +701,9 @@ def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
         lam = b[1]
         _, delta_fun, d1, d2 = _hj_blocks(a[1], lam)
 
-        def rel_provider(d3: Any) -> tuple[Any, CrossRelation]:
-            l_prime, rel = hj_modeling(a, lam, delta_fun.dom.values(d3))
-            return ("L", l_prime), rel
-
-        return modeling_transfer(rel_provider, delta_witness, fun, delta_fun,
-                                 d1, d2, a, b, r, budget=budget)
+        return modeling_transfer(
+            lambda d3: hj_modeling(a, lam, delta_fun.dom.values(d3))[1],
+            delta_witness, fun, delta_fun, d1, d2, a, b, r, budget=budget)
 
     return WitnessProvider(fn, CONSTRUCTED)
 
@@ -750,11 +742,8 @@ def fouche_witness(s_tree: tuple, t_tree: tuple, r: int, *,
     if height(s_tree) != height(t_tree) or height(s_tree) == 0:
         return t_tree, None
 
-    def product_ramsey(kvec: tuple, pvec: tuple, rr: int) -> tuple:
-        return product_ramsey_numbers(kvec, pvec, rr, budget=budget)[0]
-
     def oracle_for(trunc: Functor) -> Callable[[FpInstance], tuple]:
-        return lambda inst: tree_fp_witness(inst, product_ramsey, trunc)
+        return lambda inst: tree_fp_witness(inst, trunc, budget=budget)
 
     word = [tree_truncation()] * height(s_tree)
     return word_witness(word, s_tree, t_tree, r,

@@ -23,8 +23,8 @@ from itertools import islice
 from typing import Any, Iterable, Iterator, Sequence
 
 _INT_OFFSET = 1 << 63  # shift signed values so byte order matches numeric order
-# parsing refuses tuples nested deeper than this, well before the interpreter's
-# recursion limit; payloads and objects nest a few levels
+# encoding and parsing refuse tuples nested deeper than this, well before the
+# interpreter's recursion limit; payloads and objects nest a few levels
 _MAX_DEPTH = 64
 
 
@@ -38,7 +38,11 @@ class LiftError(ValueError):
 
 def canon_bytes(value: Any) -> bytes:
     """Canonical injective encoding of nested ints/strs/tuples."""
-    if type(value) is tuple:
+    return _encode(value, 0)
+
+
+def _encode(value: Any, depth: int) -> bytes:
+    if type(value) is tuple and depth < _MAX_DEPTH:
         # most payloads are flat tuples of ints, encoded here in one pass; a
         # bool, str, tuple or out-of-range item takes the general path below
         try:
@@ -59,7 +63,9 @@ def canon_bytes(value: Any) -> bytes:
         raw = value.encode("utf-8")
         return b"S" + len(raw).to_bytes(4, "big") + raw
     if isinstance(value, tuple):
-        parts = [canon_bytes(item) for item in value]
+        if depth == _MAX_DEPTH:
+            raise EncodingError(f"tuples nested deeper than {_MAX_DEPTH}")
+        parts = [_encode(item, depth + 1) for item in value]
         return b"T" + len(parts).to_bytes(4, "big") + b"".join(parts)
     raise EncodingError(f"unencodable value of type {type(value).__name__}")
 

@@ -138,6 +138,35 @@ def test_verify_fp_retargets_g_prime_over_trivial_homs(capsys, a, b, c):
     assert code == 0 and out.startswith("pass [exhaustive]")
 
 
+# Morph(1, 2, (2,)): a real arrow of hom(1, 2), though not in the image of dR
+_F_HEX = canon_hex((1, 2, (2,)))
+
+
+_P_TAKES_NO = "verify p takes no --s, --f-prime or --g-prime"
+_FP_PAIRS = "verify fp takes --f-prime and --g-prime together"
+
+
+@pytest.mark.parametrize("kind, flags, named", [
+    ("p", ("--s", _F_HEX), _P_TAKES_NO),
+    ("p", ("--f-prime", _F_HEX), _P_TAKES_NO),
+    ("p", ("--g-prime", "zz"), _P_TAKES_NO),
+    ("p", ("--f-prime", _F_HEX, "--g-prime", "zz"), _P_TAKES_NO),
+    ("fp", ("--f-prime", _F_HEX), _FP_PAIRS),
+    ("fp", ("--g-prime", _F_HEX), _FP_PAIRS)],
+    ids=["p-s", "p-f-prime", "p-g-prime", "p-both", "fp-f-prime-alone",
+         "fp-g-prime-alone"])
+def test_verify_refuses_flags_it_would_drop(capsys, monkeypatch, kind, flags,
+                                            named):
+    forbid_hom(monkeypatch, SubsetCategory)
+    # sizing a hom-set fails as building one does: the refusal comes first
+    monkeypatch.setattr(SubsetCategory, "hom_size", SubsetCategory.hom)
+    code, out, err = run(capsys, "verify", kind, "--category", "R",
+                         "--functor", "dR", "--a", "1", "--b", "2",
+                         "--c", "6", "--r", "2", *flags)
+    assert code == 64 and not out
+    assert err.startswith(f"usage error: {named}\n")
+
+
 def test_verify_non_objects_are_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "p", "--category", "P",
                        "--functor", "dP", "--a", "2:1", "--b", "9:9",

@@ -10,7 +10,8 @@ from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
                     check_cross_zeta, check_modeling_compatibility,
                     check_p_witness, fouche_witness,
                     fp_to_p_construct, fp_provider, hj_modeling, hj_witness,
-                    identity_modeling, p_pigeonhole_witness,
+                    identity_modeling, modeling_transfer,
+                    p_pigeonhole_witness,
                     product_ramsey_numbers, r_fp_witness, star,
                     subset_boundary, subset_category, tree_fp_witness,
                     tree_truncation, word_boundary, word_witness)
@@ -18,7 +19,7 @@ from ramcat import constructions as constructions_module
 from ramcat.categories import (ProductCategory, ProductFunctor, SubsetCategory,
                                step_boundary, structure)
 from ramcat.categories import trees as trees_module
-from ramcat.constructions import (CONSTRUCTED, SEARCHED, ProductCoordinate,
+from ramcat.constructions import (CONSTRUCTED, SEARCHED,
                                   pigeonhole_provider, product_provider,
                                   product_witness, r_fp_oracle,
                                   r_modeling_transfer, search_provider)
@@ -224,11 +225,16 @@ def test_product_validations_and_budget():
         product_ramsey_numbers((1, 1), (2, 2), 2,
                                budget=SearchBudget(max_color_bits=3))
     assert "color bits" in exc.value.quantity
-    with pytest.raises(ValueError):
-        product_witness([], 2)
-    coord = ProductCoordinate(DR, 1, 2, fp_provider(r_fp_oracle))
-    with pytest.raises(ValueError):
-        product_witness([coord], 0)
+    fun = ProductFunctor((DR, DR))
+    pack = fun.dom.pack
+    prov = fp_provider(r_fp_oracle)
+    with pytest.raises(ValueError, match="need at least one color"):
+        product_witness(fun, pack((1, 1)), pack((2, 2)), 0, prov)
+    # a partly supported object, as pack refuses it
+    for a, b in ((((0, 1),), pack((2, 2))), (pack((1, 1)), ((1, 2),)),
+                 (pack((1, 1)), ())):
+        with pytest.raises(ValueError, match="one object per factor required"):
+            product_witness(fun, a, b, 2, prov)
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +319,61 @@ def test_relation_sweeps_compose_only_the_pairs_they_check(monkeypatch):
 def test_degree_transfer_needs_zeta():
     cat = subset_category()
     provider = lambda d1, d2, r: (6, 1)
-    good = lambda d3: (d3, identity_modeling(cat, 1, 2, d3))
+    good = lambda d3: identity_modeling(cat, 1, 2, d3)
     c3, k, chk = r_modeling_transfer(good, provider, 1, 2, 2)
     assert c3 == 6 and k == 1 and chk.ok
-    bare = lambda d3: (d3, CrossRelation(1, 2, d3, 1, 2, d3, cat, cat,
-                                         phi=lambda f, g: f,
-                                         psi=lambda g: g, zeta=None))
+    bare = lambda d3: CrossRelation(1, 2, d3, 1, 2, d3, cat, cat,
+                                    phi=lambda f, g: f,
+                                    psi=lambda g: g, zeta=None)
     with pytest.raises(ConstructionError, match="zeta"):
         r_modeling_transfer(bare, provider, 1, 2, 2)
 
 
 def test_degree_transfer_sweeps_under_the_budget():
     cat = subset_category()
-    good = lambda d3: (d3, identity_modeling(cat, 1, 2, d3))
+    good = lambda d3: identity_modeling(cat, 1, 2, d3)
     _, _, chk = r_modeling_transfer(good, lambda d1, d2, r: (6, 1), 1, 2, 2,
                                     budget=SearchBudget(max_pairs=1))
     # 2 x 15 pairs in hom(1, 2) x hom(2, 6); one is tested
     assert chk.ok and chk.partial and chk.checked == 1
+
+
+def _fixed_witness(d3):
+    return WitnessProvider(lambda fun, a, b, r: (d3, None), CONSTRUCTED)
+
+
+def test_transfers_read_c3_from_the_relation():
+    cat = subset_category()
+    rel = CrossRelation(1, 2, 7, 1, 2, 6, cat, cat, phi=lambda f, g: f,
+                        psi=lambda g: Morph(2, 7, g.data),
+                        zeta=lambda h: Morph(1, 7, h.data),
+                        phi_depends_on_g=False)
+    c3, k, chk = r_modeling_transfer(lambda d3: rel, lambda d1, d2, r: (6, 1),
+                                     1, 2, 2)
+    assert (c3, k, chk.ok) == (7, 1, True)
+    c, trace = modeling_transfer(lambda d3: rel, _fixed_witness(6), DR, DR,
+                                 1, 2, 1, 2, 2)
+    assert c == trace.c == 7 and trace.d3 == 6
+
+
+def test_transfers_refuse_a_relation_at_other_objects():
+    cat = subset_category()
+    # the relation was built at d3 = 9, but the provider witnessed d3 = 6
+    at_nine = lambda d3: identity_modeling(cat, 1, 2, 9)
+    with pytest.raises(ConstructionError) as exc:
+        r_modeling_transfer(at_nine, lambda d1, d2, r: (6, 1), 1, 2, 2)
+    assert str(exc.value) == \
+        "relation triple disagrees with (d1, d2, d3) = (1, 2, 6)"
+    with pytest.raises(ConstructionError) as exc:
+        modeling_transfer(at_nine, _fixed_witness(6), DR, DR, 1, 2, 1, 2, 2)
+    assert str(exc.value) == \
+        "relation triple disagrees with (d1, d2, d3) = (1, 2, 6)"
+    good = lambda d3: identity_modeling(cat, 1, 2, d3)
+    with pytest.raises(ConstructionError) as exc:
+        modeling_transfer(good, _fixed_witness(6), DR, DR, 1, 2, 1, 3, 2)
+    assert str(exc.value) == "relation pair disagrees with (a, b) = (1, 3)"
+    c, _ = modeling_transfer(good, _fixed_witness(6), DR, DR, 1, 2, 1, 2, 2)
+    assert c == 6
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +434,21 @@ def test_hj_witness_small_dimension():
 
 def test_tree_oracle_regrows_deepest_level():
     trunc = tree_truncation()
-
-    def pr(kvec, pvec, rr):
-        return product_ramsey_numbers(kvec, pvec, rr)[0]
-
     inst = FpInstance((1, 0), (2, 0, 0), (Morph((0,), (0,), (0,)),), 2)
-    c, f_prime, g_prime = tree_fp_witness(inst, pr, trunc)
+    c, f_prime, g_prime = tree_fp_witness(inst, trunc)
     assert c == star(6)
     assert f_prime == Morph((0,), (0,), (0,))
     assert g_prime == Morph((0,), (0,), (0,))
+
+
+def test_tree_oracle_builds_its_fans_under_the_budget():
+    inst = FpInstance((1, 0), (2, 0, 0), (Morph((0,), (0,), (0,)),), 2)
+    # one coordinate at 2 colors needs 2 bits
+    with pytest.raises(BudgetExceeded) as exc:
+        tree_fp_witness(inst, budget=SearchBudget(max_color_bits=1))
+    assert str(exc.value) == "coordinate 0 color bits: need 2, cap 1"
+    c, _, _ = tree_fp_witness(inst, budget=SearchBudget(max_color_bits=2))
+    assert c == star(6)
 
 
 def test_fouche_single_stage():

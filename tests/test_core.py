@@ -18,8 +18,8 @@ from ramcat.categories import (ORIENTATIONS, ProductCategory, ProductFunctor,
                                StepBoundary, StepCategory, SubsetCategory,
                                TreeCategory, WordBoundary, star, tree_category,
                                tree_truncation, word_category)
-from ramcat.core import (ComposedFunctor, Functor, FrankResult, LawReport,
-                         _fragment)
+from ramcat.core import (Category, ComposedFunctor, Functor, FrankResult,
+                         LawReport, _fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +90,26 @@ def test_canon_parse_refuses_deep_nesting():
     def nested(depth):
         return b"T\x00\x00\x00\x01" * depth + canon_bytes(2)
 
-    value = 2
-    for _ in range(64):
-        value = (value,)
+    def wrapped(depth, inner=2):
+        for _ in range(depth):
+            inner = (inner,)
+        return inner
+
+    value = wrapped(64)
     assert canon_parse(nested(64)) == value
+    # the encoder stops at the same depth
+    assert canon_bytes(value) == nested(64)
+    assert canon_parse(canon_bytes(wrapped(63, (2, 3)))) == wrapped(63, (2, 3))
     for depth in (65, 5000):
         with pytest.raises(EncodingError,
                            match="tuples nested deeper than 64 at offset 320"):
             canon_parse(nested(depth))
+        # depth levels of tuples, the innermost of ints only or not
+        for value in (wrapped(depth), wrapped(depth - 1, (2, 3)),
+                      wrapped(depth - 1, ("x", 2))):
+            with pytest.raises(EncodingError,
+                               match="^tuples nested deeper than 64$"):
+                canon_bytes(value)
 
 
 def test_int_encoding_preserves_order():
@@ -347,6 +359,85 @@ def test_law_reports_are_pinned():
     assert check_category_laws(tcat, trees) == LawReport(True, 715, ())
     assert check_functor_laws(tree_truncation(tcat), trees) == \
         LawReport(True, 293, ())
+
+
+class _OneObject(Category):
+    """The object "x" with the given hom("x", "x") and identity, neither of
+    them checked; g∘f is f when g's payload is "e", else g."""
+
+    def __init__(self, arrows, identity):
+        self.arrows, self.ident = arrows, identity
+
+    def is_object(self, a):
+        return a == "x"
+
+    def iter_objects(self):
+        yield "x"
+
+    def hom(self, a, b):
+        return self.arrows if a == b == "x" else ()
+
+    def identity(self, a):
+        return self.ident
+
+    def compose_data(self, g, f):
+        return f.data if g.data == "e" else g.data
+
+
+# the monoid {e, t} with t∘t = t, on one object
+_MONOID = _OneObject((Morph("x", "x", "e"), Morph("x", "x", "t")),
+                     Morph("x", "x", "e"))
+
+
+class _ToMonoid(Functor):
+    """Subsets to the monoid: every object to "x", each arrow f to the
+    payload send(f); the lift keeps the source object."""
+
+    def __init__(self, send):
+        super().__init__(subset_category(), _MONOID)
+        self.send = send
+
+    def obj(self, a):
+        return "x"
+
+    def morph(self, f):
+        return Morph("x", "x", self.send(f))
+
+    def frank_lift(self, a, b_prime):
+        return a
+
+
+def test_category_law_reports_name_bad_identities_and_stray_arrows():
+    assert check_category_laws(_MONOID, ["x"]) == LawReport(True, 14, ())
+    # hom("x", "x") is empty, so only the identity's endpoints are read
+    rep = check_category_laws(_OneObject((), Morph("x", "y", ())), ["x"])
+    assert rep == LawReport(False, 0, ("identity at 'x' has wrong endpoints",))
+    # compose refuses a stray arrow next to a true identity, so the stray
+    # composes only with an identity as stray as itself
+    stray = Morph("y", "y", ())
+    rep = check_category_laws(_OneObject((stray,), stray), ["x"])
+    assert rep == LawReport(False, 3, (
+        "identity at 'x' has wrong endpoints",
+        "hom('x','x') contains stray Morph(dom='y', cod='y', data=())"))
+
+
+def test_functor_law_reports_name_each_broken_law():
+    cat = subset_category()
+    assert check_functor_laws(_Shift(cat, -1), [0]) == LawReport(
+        False, 0, ("obj(0) = -1 is not a codomain object",))
+    # t∘t = t, so sending everything to t preserves composition only
+    assert check_functor_laws(_ToMonoid(lambda f: "t"), [0]) == LawReport(
+        False, 2, ("identity at 0 not preserved",))
+    # u is no arrow of the monoid, though u∘e = e∘u = u keeps composition
+    off_hom = _ToMonoid(lambda f: "e" if f.dom == f.cod else "u")
+    assert check_functor_laws(off_hom, [0, 1]) == LawReport(False, 7, (
+        "morph(Morph(dom=0, cod=1, data=())) outside hom of images",))
+
+
+def test_frank_check_fails_when_the_image_misses_the_target():
+    # obj(0) == "x", but hom(0, 0) reaches only e of hom("x", "x") = {e, t}
+    assert check_frank_at(_ToMonoid(lambda f: "e"), 0, "x") == FrankResult(
+        "fail", 0, "image of hom differs from target hom")
 
 
 def test_reassigned_composites_are_pinned():
