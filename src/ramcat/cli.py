@@ -282,9 +282,8 @@ def cmd_degree(args) -> int:
     pool = _parse_pool(args.pool) if args.pool else None
     kw = _engine_kw(args)
     if args.bound:
-        # by default the category's own boundary functor
-        deltas = functor_word(tokens, args.delta or next(iter(tokens)))
-        rep = check_degree_bound(tuple(deltas), a, b, args.r, pool,
+        # the category's one boundary functor
+        rep = check_degree_bound(tuple(tokens.values()), a, b, args.r, pool,
                                  word_cap=args.word_cap, jobs=args.jobs, **kw)
         print(f"image-size bound {rep.bound} via word {rep.word} "
               f"(trivial bound {rep.trivial})")
@@ -398,9 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--pool", default=None, help="lo..hi candidate range")
     pd.add_argument("--bound", action="store_true",
                     help="compute the image-size upper bound as well")
-    pd.add_argument("--delta", default=None,
-                    help="bound mode: comma-separated functor tokens "
-                         "(default: the category's boundary token)")
     pd.add_argument("--word-cap", type=int, default=3)
     _add_engine_flags(pd)
     pd.set_defaults(fn=cmd_degree)

@@ -24,8 +24,9 @@ from .categories.rcat import SubsetBoundary, subset_boundary
 from .categories.trees import TreeTruncation, grow, height, shape, tree_truncation
 from .categories.hjcat import standard_window, word_boundary, word_category
 from .certificates import Trace
-from .core import (BudgetExceeded, Category, Functor, Morph, SearchBudget,
-                   budgeted_hom, require_hom_budget, sort_morphs)
+from .core import (BudgetExceeded, Category, Functor, IdentityFunctor, Morph,
+                   SearchBudget, budgeted_hom, require_hom_budget,
+                   sort_morphs)
 from .engine import FpInstance, functor_image, search_p_witness
 
 CONSTRUCTED = "constructed-by-theorem"
@@ -332,11 +333,6 @@ class ProductTrace(Trace):
     stages: tuple[ProductStage, ...]
 
 
-def _put(values: tuple, p: int, x: Any) -> tuple:
-    """values with position p replaced by x."""
-    return values[:p] + (x,) + values[p + 1:]
-
-
 def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
                     provider: WitnessProvider, *,
                     budget: SearchBudget | None = None
@@ -344,10 +340,11 @@ def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
     """Coordinate-staged witness for fun at full-support (a, b), with provider
     at every coordinate; c comes back packed.
 
-    Coordinates are handled in ascending index order; the stage for
-    coordinate p sees the other coordinates' current hom-sizes as the color
-    blow-up exponent M and asks the provider for a witness at r**M colors.
-    Stage color counts beyond the budget's max_color_bits bits are refused.
+    fun is the word of its coordinate functors, entry p applying parts[p] at
+    coordinate p and identities elsewhere, so this is one word_witness with
+    coordinate 0 outermost.  Stage p sees the other coordinates' hom-sizes
+    as the color blow-up exponent M, asks the provider for a witness at r**M
+    colors, and refuses past the budget's max_color_bits bits.
     """
     cat, parts = fun.dom, fun.parts
     k = len(parts)
@@ -357,35 +354,31 @@ def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
     if r < 1:
         raise ValueError("need at least one color")
     max_bits = (budget or SearchBudget()).max_color_bits
-    stages: list[ProductStage] = []     # coordinates k-1 down to 0
+    word = [ProductFunctor(tuple(
+        q if i == p else IdentityFunctor(q.cod if i < p else q.dom)
+        for i, q in enumerate(parts))) for p in range(k)]
 
-    def go(p: int, x_vals: tuple, y_vals: tuple) -> tuple:
-        delta = parts[p]
-        if p == k - 1:
-            y_cur = y_vals
-        else:
-            d_vals = go(p + 1, _put(x_vals, p, delta.obj(x_vals[p])),
-                        _put(y_vals, p, delta.obj(y_vals[p])))
-            y_cur = _put(d_vals, p, _stage(
-                f"coordinate {p} lift",
-                lambda: delta.frank_lift(y_vals[p], d_vals[p])))
-        # the other coordinates' hom-sizes, pushed below p and current above
-        m_exp = prod((parts[i].cod if i < p else parts[i].dom).hom_size(
-            x_vals[i], y_cur[i]) for i in range(k) if i != p)
+    def fn(gamma: ProductFunctor, x: Any, y: Any, r: int
+           ) -> tuple[Any, ProductStage]:
+        p, dom = word.index(gamma), gamma.dom     # functors equal by identity
+        x_vals, y_vals = dom.values(x), dom.values(y)
+        m_exp = prod(dom.factors[i].hom_size(x_vals[i], y_vals[i])
+                     for i in range(k) if i != p)
         bits = m_exp * max(1, r.bit_length())
         if bits > max_bits:
             # refusal, not failure: the blow-up r**M is representable but useless
             raise BudgetExceeded(f"coordinate {p} color bits", bits, max_bits)
         big_r = r ** m_exp
         c_p = _stage(f"coordinate {p} provider",
-                     lambda: provider(delta, x_vals[p], y_cur[p], big_r)[0])
-        stages.append(ProductStage(x_vals[p], y_cur[p], m_exp, c_p,
-                                   provider.provenance))
-        return _put(y_cur, p, c_p)
+                     lambda: provider(parts[p], x_vals[p], y_vals[p], big_r)[0])
+        return (dom.pack(y_vals[:p] + (c_p,) + y_vals[p + 1:]),
+                ProductStage(x_vals[p], y_vals[p], m_exp, c_p,
+                             provider.provenance))
 
-    c_vals = go(0, a_vals, b_vals)
-    return cat.pack(c_vals), ProductTrace(r, a_vals, b_vals, c_vals,
-                                          tuple(reversed(stages)))
+    c, trace = word_witness(word, a, b, r,
+                            WitnessProvider(fn, provider.provenance))
+    return c, ProductTrace(r, a_vals, b_vals, cat.values(c),
+                           tuple(stage.note for stage in trace.stages))
 
 
 def product_provider(coord_provider: WitnessProvider,
@@ -632,14 +625,13 @@ def _hj_blocks(vals: tuple, l: int) -> tuple[int, ProductFunctor, Any, Any]:
     return k1, delta, pack((d_coord,) * l), pack(((3, 2),) * l)
 
 
-def hj_modeling(v: Any, l: int, c_values: Sequence[tuple]
-                ) -> tuple[int, CrossRelation]:
+def hj_modeling(v: Any, l: int, c_values: Sequence[tuple]) -> CrossRelation:
     """Model word substitutions at (v, l) inside a product of step categories.
 
     Coordinate i of the product contributes a block of length m_i; the block
     reads the step value: its variable segment copies input letter i, the
     left segment pins the top alphabet letter, the right segment the letter
-    below it.  Returns the concatenated dimension and the relation.
+    below it.  The relation's c3 is ("L", m) for the concatenated dimension m.
     """
     if v[0] != "V":
         raise ValueError(f"not a window object: {v!r}")
@@ -658,11 +650,10 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple]
     k1, delta, d1, d2 = _hj_blocks(vals, l)
     letters = sorted(set(vals))
     rank = {letter: i + 1 for i, letter in enumerate(letters)}
-    l_prime = sum(ms)
     wcat = word_category(len(vals) - 1)
     d3 = delta.dom.pack(tuple((m, 2) for m in ms))
     c2 = ("L", l)
-    c3 = ("L", l_prime)
+    c3 = ("L", sum(ms))
     mid_cap = max(1, k1 - 1)
     u_top = wcat.letter_position(v, letters[-1])
     u_low = wcat.letter_position(v, letters[max(0, k1 - 2)])  # rank max(1, k1-1)
@@ -687,9 +678,8 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple]
                 out.append(letters[t - 1])
         return Morph(v, c3, ("F", tuple(out)))
 
-    rel = CrossRelation(v, c2, c3, d1, d2, d3, wcat, delta.dom,
-                        phi=phi, psi=psi, zeta=zeta, phi_depends_on_g=False)
-    return l_prime, rel
+    return CrossRelation(v, c2, c3, d1, d2, d3, wcat, delta.dom,
+                         phi=phi, psi=psi, zeta=zeta, phi_depends_on_g=False)
 
 
 def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
@@ -702,7 +692,7 @@ def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
         _, delta_fun, d1, d2 = _hj_blocks(a[1], lam)
 
         return modeling_transfer(
-            lambda d3: hj_modeling(a, lam, delta_fun.dom.values(d3))[1],
+            lambda d3: hj_modeling(a, lam, delta_fun.dom.values(d3)),
             delta_witness, fun, delta_fun, d1, d2, a, b, r, budget=budget)
 
     return WitnessProvider(fn, CONSTRUCTED)

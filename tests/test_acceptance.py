@@ -309,8 +309,8 @@ def test_criterion_8_property_suite():
         # concatenation identity linking zeta to the window letters
         v = ("V", (1, 2))
         for l, blocks in ((1, ((3, 2),)), (2, ((3, 2), (4, 2)))):
-            l_prime, rel = hj_modeling(v, l, blocks)
-            assert l_prime == sum(m for m, _ in blocks)
+            rel = hj_modeling(v, l, blocks)
+            assert rel.c3[1] == sum(m for m, _ in blocks)
             assert check_cross_zeta(rel).ok
             assert check_cross_welldefined(rel).ok
             dfun = ProductFunctor(tuple(step_boundary("definition")
@@ -322,7 +322,7 @@ def test_criterion_8_property_suite():
             out = rel.zeta(Morph(rel.d1, rel.d3, payload))
             letters = [x for i, (m, _) in enumerate(blocks)
                        for x in [min(i + 1, 2)] * m]
-            assert out == Morph(v, ("L", l_prime), ("F", tuple(letters)))
+            assert out == Morph(v, ("L", rel.c3[1]), ("F", tuple(letters)))
 
     _criterion(8, "closure, partitions, monotonicity, jobs, modeling", 300,
                body)

@@ -138,6 +138,24 @@ def test_verify_fp_retargets_g_prime_over_trivial_homs(capsys, a, b, c):
     assert code == 0 and out.startswith("pass [exhaustive]")
 
 
+def test_verify_fp_explicit_picks_match_the_canonical_ones(capsys, tmp_path):
+    # the hexes are the canonical subset picks at (1, 2, 6), r = 2
+    argv = ("verify", "fp", "--category", "R", "--functor", "dR", "--a", "1",
+            "--b", "2", "--c", "6", "--r", "2")
+    auto, explicit = tmp_path / "auto.json", tmp_path / "explicit.json"
+    code, _, _ = run(capsys, *argv, "--out", str(auto))
+    assert code == 0
+    code, out, _ = run(
+        capsys, *argv, "--f-prime",
+        "54000000034980000000000000004980000000000000015400000000",
+        "--g-prime", "54000000034980000000000000014980000000000000055400000001"
+        "498000000000000001", "--out", str(explicit))
+    assert code == 0
+    assert out == ("pass [exhaustive] cells=6 arrows=15 colorings_checked=64\n"
+                   f"certificate written to {explicit}\n")
+    assert explicit.read_bytes() == auto.read_bytes()
+
+
 # Morph(1, 2, (2,)): a real arrow of hom(1, 2), though not in the image of dR
 _F_HEX = canon_hex((1, 2, (2,)))
 
@@ -503,10 +521,11 @@ def test_degree_bound_starved_pool_is_inconsistent(capsys):
     assert code == 1 and "consistency check failed" in err
 
 
-def test_degree_bound_unknown_delta_token(capsys):
+def test_degree_takes_no_delta_flag(capsys):
+    # each category offers one boundary functor, which --bound always uses
     code, _, err = run(capsys, "degree", "--a", "1", "--b", "2", "--r", "2",
-                       "--bound", "--delta", "dX")
-    assert code == 64 and "unknown functor token 'dX'" in err
+                       "--bound", "--delta", "dR")
+    assert code == 64 and "unrecognized arguments: --delta dR" in err
 
 
 def test_degree_bound_defaults_to_the_category_boundary(capsys):
@@ -567,6 +586,12 @@ def test_degree_search_reads_its_pool_lazily(capsys):
     assert "degree 1 witness 6 (pool attempts: 7)" in out
 
 
+def test_degree_search_without_a_forcing_pool_object(capsys):
+    code, out, _ = run(capsys, "degree", "--a", "2", "--b", "3", "--r", "2",
+                       "--pool", "0..2")
+    assert (code, out) == (1, "no pool object forces any color cap\n")
+
+
 def test_degree_search_needs_pool(capsys):
     code, _, err = run(capsys, "degree", "--a", "1", "--b", "2", "--r", "2")
     assert code == 64 and "needs --pool" in err
@@ -603,6 +628,22 @@ def test_replay_failing_certificate(capsys, tmp_path):
     assert code == 1
     assert "stored verdict fail, replay verdict fail" in out
     assert "MISMATCH" not in out
+
+
+def test_replay_mismatch(capsys, tmp_path):
+    # 300 samples find a failing coloring at sample 289; 100 do not
+    cert = tmp_path / "s.json"
+    code, _, _ = run(capsys, "verify", "p", "--category", "R",
+                     "--functor", "dR,dR", "--a", "2", "--b", "3",
+                     "--c", "5", "--r", "2", "--mode", "sampled",
+                     "--samples", "300", "--out", str(cert))
+    assert code == 1
+    code, out, _ = run(capsys, "replay", str(cert), "--samples", "100")
+    assert code == 1
+    assert out.splitlines() == [
+        "stored verdict fail, replay verdict pass",
+        "pass [sampled(seed=1729)] cells=10 arrows=10 colorings_checked=100",
+        "MISMATCH: certificate verdict not reproduced"]
 
 
 def test_replay_explicit_seed_and_samples_override(capsys, tmp_path):

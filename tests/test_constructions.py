@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
-                    FpInstance, SearchBudget, WitnessProvider,
+from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, LiftError,
+                    Morph, FpInstance, SearchBudget, WitnessProvider,
                     check_cross_welldefined,
                     check_cross_zeta, check_modeling_compatibility,
                     check_p_witness, fouche_witness,
@@ -16,8 +16,8 @@ from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, Morph,
                     subset_boundary, subset_category, tree_fp_witness,
                     tree_truncation, word_boundary, word_witness)
 from ramcat import constructions as constructions_module
-from ramcat.categories import (ProductCategory, ProductFunctor, SubsetCategory,
-                               step_boundary, structure)
+from ramcat.categories import (ProductCategory, ProductFunctor, SubsetBoundary,
+                               SubsetCategory, step_boundary, structure)
 from ramcat.categories import trees as trees_module
 from ramcat.constructions import (CONSTRUCTED, SEARCHED,
                                   pigeonhole_provider, product_provider,
@@ -237,6 +237,34 @@ def test_product_validations_and_budget():
             product_witness(fun, a, b, 2, prov)
 
 
+class _Liftless(SubsetBoundary):
+    """The subset boundary with its lift oracle taken away."""
+
+    def frank_lift(self, a, b_prime):
+        raise LiftError(f"no lift over {b_prime!r}")
+
+
+def test_stage_failures_name_their_stage():
+    def refuse(fun, a, b, r):
+        raise ValueError(f"no witness at {(a, b, r)!r}")
+
+    one = ProductFunctor((DR,))
+    with pytest.raises(ConstructionError) as exc:
+        product_witness(one, one.dom.pack((1,)), one.dom.pack((2,)), 2,
+                        WitnessProvider(refuse, CONSTRUCTED))
+    assert str(exc.value) == "coordinate 0 provider: no witness at (1, 2, 2)"
+    # a product lifts between its coordinate stages as a word lifts between
+    # its stages: the inner stage's witness 1 has no lift through _Liftless
+    two = ProductFunctor((_Liftless(), DR))
+    with pytest.raises(ConstructionError) as exc:
+        product_witness(two, two.dom.pack((1, 1)), two.dom.pack((2, 2)), 2,
+                        fp_provider(r_fp_oracle))
+    assert str(exc.value) == "lift between stages: no lift over 1"
+    with pytest.raises(ConstructionError) as exc:
+        word_witness([_Liftless(), DR], 1, 2, 2, fp_provider(r_fp_oracle))
+    assert str(exc.value) == "lift between stages: no lift over 1"
+
+
 # ---------------------------------------------------------------------------
 # brute-force minima
 
@@ -308,7 +336,7 @@ def test_relation_sweeps_compose_only_the_pairs_they_check(monkeypatch):
         return compose(self, g, f)
 
     monkeypatch.setattr(ProductCategory, "compose", counted)
-    _, rel = hj_modeling(("V", (1, 2)), 2, ((12, 2), (12, 2)))
+    rel = hj_modeling(("V", (1, 2)), 2, ((12, 2), (12, 2)))
     for check in (check_cross_zeta, check_cross_welldefined):
         calls.clear()
         chk = check(rel, budget=SearchBudget(max_pairs=1))
@@ -382,8 +410,8 @@ def test_transfers_refuse_a_relation_at_other_objects():
 
 def test_hj_modeling_frozen_shape():
     v = ("V", (1, 2))
-    l_prime, rel = hj_modeling(v, 2, ((3, 2), (4, 2)))
-    assert l_prime == 7
+    rel = hj_modeling(v, 2, ((3, 2), (4, 2)))
+    assert rel.c3[1] == 7
     assert rel.d3 == ((0, (3, 2)), (1, (4, 2)))
     zeta = check_cross_zeta(rel)
     assert zeta.ok and zeta.checked == 12 and not zeta.partial
@@ -397,8 +425,8 @@ def test_hj_modeling_frozen_shape():
 
 def test_hj_modeling_zeta_concatenates_blocks():
     v = ("V", (1, 2))
-    l_prime, rel = hj_modeling(v, 1, ((3, 2),))
-    assert l_prime == 3
+    rel = hj_modeling(v, 1, ((3, 2),))
+    assert rel.c3[1] == 3
     h = Morph(rel.d3, rel.d3, ((1, 2, 2),))
     out = rel.zeta(Morph(rel.d1, rel.d3, h.data))
     assert out == Morph(v, ("L", 3), ("F", (1, 2, 2)))

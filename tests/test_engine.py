@@ -602,6 +602,16 @@ def test_brute_degree_over_small_pool():
     assert deg.result is not None and deg.result.ok
 
 
+def test_degree_reads_a_one_shot_pool_like_its_range():
+    # each cap k reads the pool again, so a one-shot iterator is kept: at
+    # (1, 2) no object of 0..2 forces one color, and cap 2 rereads the pool
+    for a, b, pool, degree, witness in ((2, 3, range(0, 8), 1, 6),
+                                        (1, 2, range(0, 3), 2, 2)):
+        deg = ramsey_degree(subset_category(), a, b, 2, pool)
+        assert (deg.degree, deg.witness) == (degree, witness)
+        assert ramsey_degree(subset_category(), a, b, 2, iter(pool)) == deg
+
+
 def test_degree_zero_when_hom_is_empty():
     deg = ramsey_degree(subset_category(), 3, 2, 2, range(0, 5))
     assert deg.degree == 0 and deg.witness == 2
