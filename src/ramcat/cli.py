@@ -20,7 +20,7 @@ from typing import Any, Callable
 from .categories.hjcat import WordBoundary, WordCategory, standard_window
 from .categories.pcat import ORIENTATIONS, StepBoundary, StepCategory
 from .categories.product import product_functor
-from .categories.rcat import subset_boundary, subset_category
+from .categories.rcat import SubsetBoundary, subset_boundary, subset_category
 from .categories.trees import height, tree_category, tree_truncation
 from .core import Category, Functor, IdentityFunctor, compose_word
 from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, FpInstance,
@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
          if args.s is not None else functor_image(fun, a, b, budget_from(args)))
     if args.f_prime is not None:
         f_prime, g_prime = morph_unhex(args.f_prime), morph_unhex(args.g_prime)
-    elif args.category.partition(":")[0] == "R" and args.functor == "dR":
+    elif isinstance(fun, SubsetBoundary):
         # canonical subset picks, with g' retargeted at the user's c
         _, f_prime, _ = r_fp_witness(FpInstance(a=a, b=b, s=s, r=args.r))
         g_prime = subset_g_prime(fun, b, c)
@@ -224,11 +224,11 @@ def _theorem_compose(args, budget: SearchBudget) -> Built:
 
 
 def _theorem_product(args, budget: SearchBudget) -> Built:
-    pairs = [pair.split(":") for pair in args.coords.split(",")]
     try:
-        kvec = tuple(int(p[0]) for p in pairs)
-        pvec = tuple(int(p[1]) for p in pairs)
-    except (IndexError, ValueError) as exc:
+        # unpacking refuses a pair with more or fewer than two fields
+        kvec, pvec = zip(*((int(k), int(p)) for k, p in
+                           (pair.split(":") for pair in args.coords.split(","))))
+    except ValueError as exc:
         raise CliError(f"--coords reads k:p pairs, got {args.coords!r}") from exc
     qvec, trace = product_ramsey_numbers(kvec, pvec, args.r, budget=budget)
     fun = product_functor(*[subset_boundary() for _ in kvec])
@@ -273,7 +273,10 @@ def _parse_pool(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise CliError(f"--pool reads lo..hi, got {text!r}")
-    return range(int(lo), int(hi) + 1)
+    lo, hi = int(lo), int(hi)
+    if lo > hi:
+        raise CliError(f"--pool lo..hi needs lo <= hi, got {text!r}")
+    return range(lo, hi + 1)
 
 
 def cmd_degree(args) -> int:
@@ -282,8 +285,8 @@ def cmd_degree(args) -> int:
     pool = _parse_pool(args.pool) if args.pool else None
     kw = _engine_kw(args)
     if args.bound:
-        # the category's one boundary functor
-        rep = check_degree_bound(tuple(tokens.values()), a, b, args.r, pool,
+        delta, = tokens.values()        # the category's one boundary functor
+        rep = check_degree_bound(delta, a, b, args.r, pool,
                                  word_cap=args.word_cap, jobs=args.jobs, **kw)
         print(f"image-size bound {rep.bound} via word {rep.word} "
               f"(trivial bound {rep.trivial})")

@@ -337,8 +337,8 @@ def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
                     provider: WitnessProvider, *,
                     budget: SearchBudget | None = None
                     ) -> tuple[Any, ProductTrace]:
-    """Coordinate-staged witness for fun at full-support (a, b), with provider
-    at every coordinate; c comes back packed.
+    """Coordinate-staged witness for fun at objects (a, b), with provider at
+    every coordinate; c comes back packed.
 
     fun is the word of its coordinate functors, entry p applying parts[p] at
     coordinate p and identities elsewhere, so this is one word_witness with
@@ -348,9 +348,9 @@ def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
     """
     cat, parts = fun.dom, fun.parts
     k = len(parts)
-    a_vals, b_vals = cat.values(a), cat.values(b)
-    if not len(a_vals) == len(b_vals) == k:
+    if not (cat.is_object(a) and cat.is_object(b)):
         raise ValueError("one object per factor required")
+    a_vals, b_vals = cat.values(a), cat.values(b)
     if r < 1:
         raise ValueError("need at least one color")
     max_bits = (budget or SearchBudget()).max_color_bits

@@ -67,7 +67,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-from itertools import islice, product
+from itertools import islice
 from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -538,20 +538,20 @@ class DegreeBoundReport:
     degree: DegreeResult | None
 
 
-def check_degree_bound(deltas: tuple[Functor, ...], a: Any, b: Any, r: int,
+def check_degree_bound(delta: Functor, a: Any, b: Any, r: int,
                        pool: Iterable[Any] | None, *, word_cap: int = 3,
                        budget: SearchBudget | None = None,
                        **run) -> DegreeBoundReport:
-    """Image-size degree bound over composition words, checked against brute force.
+    """Image-size degree bound over powers of delta, checked against brute force.
 
     For functors fulfilling the partition condition the image size of hom(a, b)
-    under any composition word bounds the Ramsey degree; when a pool is given
-    the brute-forced degree is computed and the bound is asserted against it.
+    under any power of the functor bounds the Ramsey degree; when a pool is
+    given the brute-forced degree is computed and the bound is asserted
+    against it.
     """
     _refuse_run(r, run.get("jobs", 1))    # r is read only through a pool
-    cat = deltas[0].dom
-    bound, word = degree_upper_bound(a, b, tuple(deltas), word_cap,
-                                     budget=budget)
+    cat = delta.dom
+    bound, word = degree_upper_bound(a, b, delta, word_cap, budget=budget)
     trivial = cat.hom_size(a, b)
     deg = None
     if pool is not None:
@@ -565,25 +565,23 @@ def check_degree_bound(deltas: tuple[Functor, ...], a: Any, b: Any, r: int,
     return DegreeBoundReport(bound=bound, word=word, trivial=trivial, degree=deg)
 
 
-def degree_upper_bound(a: Any, b: Any, deltas: tuple[Functor, ...],
-                       word_cap: int = 3, *, budget: SearchBudget | None = None
+def degree_upper_bound(a: Any, b: Any, delta: Functor, word_cap: int = 3, *,
+                       budget: SearchBudget | None = None
                        ) -> tuple[int, tuple[int, ...]]:
-    """Smallest image size of hom(a, b) over composition words of endofunctors.
+    """Smallest image size of hom(a, b) under the powers of an endofunctor.
 
-    Scans words of length 1..word_cap over the given functors (applied left to
-    right) plus the empty word, whose image size is |hom(a, b)| itself.
-    Returns the bound and the indices of the best word; hom(a, b) past the
-    budget's hom-size cap is refused before it is built.
+    Applies delta to the image of hom(a, b) up to word_cap times; the empty
+    word's image size is |hom(a, b)| itself.  Image sizes never grow from one
+    power to the next, so the word returned is the first power n that
+    reaches the smallest, written (0,) * n.  hom(a, b) past the budget's
+    hom-size cap is refused before it is built.
     """
-    if not deltas:
-        raise ValueError("need at least one functor")
-    cat = deltas[0].dom
-    hom_ab = budgeted_hom(cat, a, b, budget)
-    best, best_word = len(hom_ab), ()
-    for length in range(1, word_cap + 1):
-        for word in product(range(len(deltas)), repeat=length):
-            images = {reduce(lambda m, i: deltas[i].morph(m), word, f)
-                      for f in hom_ab}
-            if len(images) < best:
-                best, best_word = len(images), word
-    return best, best_word
+    if word_cap < 0:
+        raise ValueError(f"word_cap must be at least 0, got {word_cap}")
+    image = set(budgeted_hom(delta.dom, a, b, budget))
+    best, power = len(image), 0
+    for n in range(1, word_cap + 1):
+        image = {delta.morph(f) for f in image}
+        if len(image) < best:
+            best, power = len(image), n
+    return best, (0,) * power

@@ -289,9 +289,9 @@ def test_criterion_8_property_suite():
 
         # image bound at or under the trivial ceiling, degree at or under both
         for a, b in ((1, 2), (1, 3), (2, 3)):
-            bound, _ = degree_upper_bound(a, b, (DR,))
+            bound, _ = degree_upper_bound(a, b, DR)
             assert 1 <= bound <= RCAT.hom_size(a, b)
-        rep = check_degree_bound((DR,), 2, 3, 2, range(0, 8))
+        rep = check_degree_bound(DR, 2, 3, 2, range(0, 8))
         assert rep.degree.degree <= rep.bound <= rep.trivial
 
         # jobs never leak into certificates

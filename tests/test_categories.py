@@ -490,22 +490,26 @@ def test_product_pack_values_support():
     a = pcat.pack((1, 2))
     assert a == ((0, 1), (1, 2))
     assert pcat.values(a) == (1, 2)
-    assert pcat.support(a) == (0, 1)
     assert pcat.is_object(a)
-    assert pcat.is_object(((1, 4),))  # partial support is allowed
-    assert not pcat.is_object(((1, 4), (0, 2)))  # indices must increase
+    with pytest.raises(ValueError, match="one object per factor required"):
+        pcat.pack((1,))
+    # an object holds one object per factor, indexed by its position
+    for bad in (((1, 4),), ((0, 4),), ((1, 4), (0, 2)),
+                ((0, 1), (1, 2), (2, 3)), (), ((0, 1), (2, 2)),
+                ((0, 1), (1, -1)), ((0, 1), (1.0, 2)), ((0, 1), (1,)),
+                ((0, 1), [1, 2]), [(0, 1), (1, 2)], 3):
+        assert not pcat.is_object(bad), bad
 
 
 def test_product_hom_respects_support():
+    # every coordinate is read: one empty factor hom-set empties the product
     pcat = ProductCategory((subset_category(), subset_category()))
-    full = pcat.pack((1, 1))
-    partial = ((0, 1),)
-    assert pcat.hom(full, partial) == ()
-    assert pcat.hom_size(full, partial) == 0
-    other = pcat.pack((2, 3))
+    full, other = pcat.pack((1, 1)), pcat.pack((2, 3))
     assert pcat.hom_size(full, other) == 2 * 3
     assert len(pcat.hom(full, other)) == 6
-    assert pcat.hom_size(partial, ((0, 3),)) == 3
+    assert pcat.hom(other, full) == () and pcat.hom_size(other, full) == 0
+    assert pcat.hom(pcat.pack((1, 3)), pcat.pack((2, 2))) == ()
+    assert pcat.hom_size(pcat.pack((1, 3)), pcat.pack((2, 2))) == 0
 
 
 def test_product_compose_and_identity():
@@ -599,27 +603,33 @@ def test_single_category_hom_is_canonical_and_counted(cat, objs):
             assert len(hom) == cat.hom_size(a, b), (cat.name, a, b)
 
 
-def test_product_action_matches_generic_action():
+def test_product_action_matches_generic_action(monkeypatch):
     rpr = ProductCategory((subset_category(), StepCategory(),
                            subset_category()))
     a, b, c = (rpr.pack((1, (2, 1), 0)), rpr.pack((2, (3, 2), 1)),
                rpr.pack((3, (5, 2), 2)))
     cases = {
-        "equal supports": (a, b, c),
-        "equal partial supports": (((1, (2, 1)),), ((1, (3, 2)),),
-                                   ((1, (4, 2)),)),
-        "unequal supports": (((0, 1), (1, (2, 1))), b, c),
+        "nonempty": (a, b, c),
         "empty factor hom(a, b)": (a, rpr.pack((0, (3, 2), 1)), c),
         "empty factor hom(b, c)": (a, b, rpr.pack((1, (5, 2), 2))),
     }
+    expected = {name: list(Category.action(rpr, *objs))
+                for name, objs in cases.items()}
+    # the product streams mixed-radix sums of its factors' tables and never
+    # composes through the generic path itself; a factor still may
+    generic, callers = Category.action, []
+
+    def recorded(self, x, y, z):
+        callers.append(self)
+        return generic(self, x, y, z)
+
+    monkeypatch.setattr(Category, "action", recorded)
     for name, (x, y, z) in cases.items():
         rows = list(rpr.action(x, y, z))
-        assert rows == list(Category.action(rpr, x, y, z)), name
+        assert rows == expected[name], name
         assert len(rows) == rpr.hom_size(y, z), name
+    assert rpr not in callers and rpr.factors[1] in callers
     assert len(list(rpr.action(a, b, c))[0]) == 2 * 2 * 1
-    # unequal supports take the generic path, which returns every row
-    # composed and validated; equal supports stream mixed-radix sums
-    assert isinstance(rpr.action(*cases["unequal supports"]), list)
     assert not isinstance(rpr.action(a, b, c), list)
 
 
@@ -657,7 +667,7 @@ def test_product_iter_objects_streams_full_support():
     pcat = ProductCategory((subset_category(), subset_category()))
     first = pcat.objects(6)
     assert pcat.pack((0, 0)) in first
-    assert all(pcat.support(a) == (0, 1) for a in first)
+    assert all(pcat.is_object(a) for a in first)
     assert len(set(first)) == 6
 
 

@@ -156,6 +156,20 @@ def test_verify_fp_explicit_picks_match_the_canonical_ones(capsys, tmp_path):
     assert explicit.read_bytes() == auto.read_bytes()
 
 
+def test_verify_fp_picks_from_the_parsed_functor(capsys, tmp_path):
+    # the word is read as verify p reads it, blanks around a token included
+    argv = ("verify", "fp", "--category", "R", "--a", "1", "--b", "2",
+            "--c", "6", "--r", "2")
+    plain, padded = tmp_path / "plain.json", tmp_path / "padded.json"
+    assert run(capsys, *argv, "--functor", "dR", "--out", str(plain))[0] == 0
+    code, out, _ = run(capsys, *argv, "--functor", " dR", "--out", str(padded))
+    assert code == 0 and out.startswith("pass [exhaustive]")
+    assert padded.read_bytes() == plain.read_bytes()
+    # a longer word is not the subset boundary itself: no canonical picks
+    code, _, err = run(capsys, *argv, "--functor", "dR,dR")
+    assert code == 64 and "--f-prime" in err
+
+
 # Morph(1, 2, (2,)): a real arrow of hom(1, 2), though not in the image of dR
 _F_HEX = canon_hex((1, 2, (2,)))
 
@@ -497,10 +511,17 @@ def test_huge_hom_refusal_is_short(capsys, dim, power):
     assert len(line.encode()) < 200
 
 
-def test_construct_bad_coords(capsys):
-    code, _, err = run(capsys, "construct", "--theorem", "product",
-                       "--coords", "nope", "--r", "2")
-    assert code == 64 and "--coords reads k:p pairs" in err
+def test_construct_bad_coords(capsys, monkeypatch):
+    forbid_hom(monkeypatch, SubsetCategory)
+    # sizing a hom-set fails as building one does: the refusal comes first
+    monkeypatch.setattr(SubsetCategory, "hom_size", SubsetCategory.hom)
+    # a pair is read in full or refused: 1:2:9 is not read as 1:2
+    for coords in ("nope", "1:2:9,1:2", "1:2,1", "1:2,", ":"):
+        code, out, err = run(capsys, "construct", "--theorem", "product",
+                             "--coords", coords, "--r", "2")
+        assert code == 64 and not out
+        assert err.startswith(f"usage error: --coords reads k:p pairs, "
+                              f"got {coords!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +618,28 @@ def test_degree_search_needs_pool(capsys):
     assert code == 64 and "needs --pool" in err
 
 
-def test_degree_bad_pool_spec(capsys):
+def test_degree_bound_refuses_a_negative_word_cap(capsys, monkeypatch):
+    forbid_hom(monkeypatch, SubsetCategory)
+    monkeypatch.setattr(SubsetCategory, "hom_size", SubsetCategory.hom)
+    code, out, err = run(capsys, "degree", "--a", "1", "--b", "3", "--r", "2",
+                         "--bound", "--word-cap", "-1")
+    assert code == 64 and not out
+    assert "word_cap must be at least 0, got -1" in err
+
+
+def test_degree_bad_pool_spec(capsys, monkeypatch):
     code, _, err = run(capsys, "degree", "--a", "1", "--b", "2", "--r", "2",
                        "--pool", "5")
     assert code == 64 and "--pool reads lo..hi" in err
+    # an empty pool is refused before any hom-set is sized, not searched
+    forbid_hom(monkeypatch, SubsetCategory)
+    monkeypatch.setattr(SubsetCategory, "hom_size", SubsetCategory.hom)
+    for mode in ((), ("--bound",)):
+        code, out, err = run(capsys, "degree", "--a", "2", "--b", "3",
+                             "--r", "2", "--pool", "7..0", *mode)
+        assert code == 64 and not out
+        assert err.startswith("usage error: --pool lo..hi needs lo <= hi, "
+                              "got '7..0'\n")
 
 
 # ---------------------------------------------------------------------------

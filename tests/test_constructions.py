@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
-from ramcat import (BudgetExceeded, ConstructionError, CrossRelation, LiftError,
-                    Morph, FpInstance, SearchBudget, WitnessProvider,
-                    check_cross_welldefined,
+from ramcat import (BudgetExceeded, Category, ConstructionError, CrossRelation,
+                    Functor, LiftError, Morph, FpInstance, SearchBudget,
+                    WitnessProvider, check_category_laws, check_cross_welldefined,
+                    check_frank_at, check_functor_laws,
                     check_cross_zeta, check_modeling_compatibility,
                     check_p_witness, fouche_witness,
                     fp_to_p_construct, fp_provider, hj_modeling, hj_witness,
@@ -235,6 +236,78 @@ def test_product_validations_and_budget():
                  (pack((1, 1)), ())):
         with pytest.raises(ValueError, match="one object per factor required"):
             product_witness(fun, a, b, 2, prov)
+
+
+class _Signed(Category):
+    """Subset arrows, each paired with a sign in Z/2 that composition adds:
+    every hom-set has twice the arrows of the subset category's."""
+
+    name = "signed-subset"
+    base = SubsetCategory()
+
+    def is_object(self, a):
+        return self.base.is_object(a)
+
+    def iter_objects(self):
+        return self.base.iter_objects()
+
+    def hom(self, a, b):
+        return tuple(Morph(a, b, (sign, f.data)) for sign in (0, 1)
+                     for f in self.base.hom(a, b))
+
+    def identity(self, a):
+        return Morph(a, a, (0, self.base.identity(a).data))
+
+    def compose_data(self, g, f):
+        (s, y), (t, x) = g.data, f.data
+        return ((s + t) % 2, self.base.compose_data(Morph(g.dom, g.cod, y),
+                                                    Morph(f.dom, f.cod, x)))
+
+
+class _Unsign(Functor):
+    """Forgets the sign: identity on objects, from _Signed onto subsets."""
+
+    name = "unsign"
+
+    def __init__(self):
+        super().__init__(_Signed(), subset_category())
+
+    def obj(self, a):
+        return a
+
+    def morph(self, f):
+        return Morph(f.dom, f.cod, f.data[1])
+
+    def frank_lift(self, a, b_prime):
+        return b_prime
+
+
+def test_product_stages_size_hom_sets_in_their_own_categories():
+    # _Unsign is a frank functor between categories
+    objs = [0, 1, 2, 3]
+    assert check_category_laws(_Signed(), objs).ok
+    assert check_functor_laws(_Unsign(), objs).ok
+    assert all(check_frank_at(_Unsign(), a, b).status == "pass"
+               for a in objs for b in objs)
+    # stage p's category has parts[i].cod at coordinates i < p and
+    # parts[i].dom at i > p; _Signed doubles every subset hom-set, so each
+    # exponent shows which category sized it
+    fun = ProductFunctor((_Unsign(), _Unsign()))
+    calls = []
+
+    def stub(part, x, y, r):
+        # y itself: the exponents, not the witnesses, are under test
+        calls.append((x, y, r))
+        return y, None
+
+    pack = fun.dom.pack
+    c, trace = product_witness(fun, pack((1, 1)), pack((2, 3)), 2,
+                               WitnessProvider(stub, CONSTRUCTED))
+    # coordinate 1, staged first, sizes coordinate 0 in the codomain: C(2, 1);
+    # coordinate 0 sizes coordinate 1 in the domain: 2 * C(3, 1)
+    assert [stage.m_exponent for stage in trace.stages] == [6, 2]
+    assert calls == [(1, 3, 2 ** 2), (1, 2, 2 ** 6)]
+    assert c == pack((2, 3))
 
 
 class _Liftless(SubsetBoundary):

@@ -636,24 +636,40 @@ def test_degree_witness_checker_spread():
 
 
 def test_image_size_bound():
-    bound, word = degree_upper_bound(1, 3, [DR])
+    bound, word = degree_upper_bound(1, 3, DR)
     assert bound == 1 and word == (0,)
-    bound2, word2 = degree_upper_bound(2, 3, [DR])
+    bound2, word2 = degree_upper_bound(2, 3, DR)
     assert bound2 == 1 and word2 == (0, 0)
+    # |hom(2, 4)| = 6, then 3 under dR and 1 under dR∘dR; a longer cap
+    # repeats the minimum without lengthening the word
+    assert degree_upper_bound(2, 4, DR, 0) == (6, ())
+    assert degree_upper_bound(2, 4, DR, 1) == (3, (0,))
+    assert degree_upper_bound(2, 4, DR, 2) == (1, (0, 0))
+    assert degree_upper_bound(2, 4, DR, 5) == (1, (0, 0))
+
+
+def test_image_size_bound_refuses_a_negative_word_cap(monkeypatch):
+    # refused before hom(a, b) is sized or built
+    monkeypatch.setattr(SubsetCategory, "hom", None)
+    monkeypatch.setattr(SubsetCategory, "hom_size", None)
+    for call in (lambda: degree_upper_bound(1, 3, DR, -1),
+                 lambda: check_degree_bound(DR, 1, 3, 2, None, word_cap=-1)):
+        with pytest.raises(ValueError, match="word_cap must be at least 0"):
+            call()
 
 
 def test_degree_bound_report_good_pool():
-    rep = check_degree_bound((DR,), 1, 3, 2, range(0, 7))
+    rep = check_degree_bound(DR, 1, 3, 2, range(0, 7))
     assert rep.bound == 1 and rep.degree.degree == 1
     assert rep.degree.degree <= rep.bound <= rep.trivial
-    rep2 = check_degree_bound((DR,), 1, 3, 2, None)
+    rep2 = check_degree_bound(DR, 1, 3, 2, None)
     assert rep2.degree is None and rep2.bound == 1
 
 
 def test_degree_bound_flags_starved_pool():
     # the true witness for (2, 4) needs c = 18; a pool up to 7 cannot see it
     with pytest.raises(AssertionError, match="missing a witness"):
-        check_degree_bound((DR,), 2, 4, 2, range(0, 8))
+        check_degree_bound(DR, 2, 4, 2, range(0, 8))
 
 
 def test_degree_monotone_in_colors():

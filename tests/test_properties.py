@@ -115,7 +115,7 @@ def test_degree_never_exceeds_the_trivial_ceiling(a, extra, r):
     deg = ramsey_degree(CAT, a, b, r, range(0, 7), mode="exhaustive")
     if deg.degree is not None:
         assert deg.degree <= max(trivial, 1)
-    bound, _ = degree_upper_bound(a, b, (DR,))
+    bound, _ = degree_upper_bound(a, b, DR)
     assert bound <= trivial
     if trivial:
         assert bound >= 1
