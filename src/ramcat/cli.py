@@ -58,6 +58,8 @@ def category_handle(selector: str) -> tuple[Category, dict[str, Functor],
                                             Callable[[str], Any]]:
     """Resolve --category into (category, functor tokens, object parser)."""
     name, _, arg = selector.partition(":")
+    if name in ("R", "trees") and arg:
+        raise CliError(f"{name} takes no argument, got {selector!r}")
     if name == "R":
         cat = subset_category()
         return cat, {"dR": subset_boundary(cat)}, int

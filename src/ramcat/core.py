@@ -234,17 +234,21 @@ class Category(ABC):
     g in hom(b, c), in order: the hom(a, c) indices of g∘f over hom(a, b).
     Every row is composed and validated before `action` returns, so a
     composite outside hom(a, c) raises ValueError even in a row that no
-    caller reads.  The rows come from `table(hab, hbc, hac)`, the builder
-    that `check_category_laws` reads too: one row per g in hbc, the hac index
-    of g∘f for each f in hab, or -1 where the composite is not in hac.  It
-    ranks composite payloads, which are unique within one hom-set, and
-    builds no `Morph`.  Products override `action` with a stream of
-    mixed-radix index sums over their factors' tables, which are built and
-    validated before `action` returns.  Subsets override `action` in closed
-    form, unless a subclass overrides their `compose_data`.  `grade(a)` is None
-    by default; a category whose hom(a, b) is empty whenever the grades of a
-    and b differ may return a hashable grade (trees: the height), and the law
-    sweeps then size hom-sets only within a grade.
+    caller reads.  The rows come from `table(hab, hbc, hac)`: one row per g
+    in hbc, the hac index of g∘f for each f in hab, or -1 where the
+    composite is not in hac.  It ranks composite payloads, which are unique
+    within one hom-set, and builds no `Morph`.  Both law sweeps read the
+    same builder: `check_category_laws` builds one table per object triple
+    of its fragment and leaves the fragment in `_law_memo`, one per handle
+    and never pickled, where `check_functor_laws` reads it for a functor
+    out of this category and for an endofunctor's images too.  Products
+    override `action` with a stream of mixed-radix index sums over their
+    factors' tables, which are built and validated before `action` returns.
+    Subsets override `action` in closed form, unless a subclass overrides
+    their `compose_data`.  `grade(a)` is None by default; a category whose
+    hom(a, b) is empty whenever the grades of a and b differ may return a
+    hashable grade (trees: the height), and the law sweeps then size
+    hom-sets only within a grade.
     `moves(a, c)` names groups of permutations of the hom(a, c) indices, each
     a tuple of generators, where the engine's falsifier looks for colorings
     constant on their orbits; none by default.  A verdict never rests on a
@@ -253,6 +257,14 @@ class Category(ABC):
 
     name: str = "category"
     encoding_version: str = "1"
+    # (object tuple, fragment) of the last check_category_laws over this
+    # handle, for check_functor_laws
+    _law_memo: tuple[tuple[Any, ...], _Fragment] | None = None
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_law_memo", None)
+        return state
 
     @abstractmethod
     def is_object(self, a: Any) -> bool: ...
@@ -443,27 +455,45 @@ class _Violations:
         return LawReport(not self.found, checked, tuple(self.kept))
 
 
-def _fragment(cat: Category, objects: Sequence[Any],
-              budget: SearchBudget | None
-              ) -> dict[Any, dict[Any, tuple[Morph, ...]]]:
-    """rows[a][b] = hom(a, b) for each non-empty hom-set of the fragment, in
+class _Fragment:
+    """The law sweeps' view of `cat` over an object fragment.
+
+    rows[a][b] = hom(a, b) for each non-empty hom-set of the fragment, in
     object order.  Only pairs of one grade are tried, and each pair's
     hom_size is asked first, so a hom-set past the budget's hom-size cap is
-    refused before it is built and an empty one is never built."""
-    cap = (budget or SearchBudget()).max_hom_size
-    graded: dict[Any, list[Any]] = {}
-    for b in objects:
-        graded.setdefault(cat.grade(b), []).append(b)
-    rows: dict[Any, dict[Any, tuple[Morph, ...]]] = {}
-    for a in objects:
-        row = rows[a] = {}
-        for b in graded[cat.grade(a)]:
-            size = cat.hom_size(a, b)
-            if size > cap:
-                raise _hom_refusal(size, cap, a, b)
-            if size:
-                row[b] = cat.hom(a, b)
-    return rows
+    refused before it is built and an empty one is never built.
+    `table(a, b, c)` is `cat.table` over hom(a, b), hom(b, c) and hom(a, c),
+    the last empty unless it is in the fragment; it is built on first use
+    and kept in `tables`.
+    """
+
+    def __init__(self, cat: Category, objects: Sequence[Any],
+                 budget: SearchBudget | None):
+        cap = (budget or SearchBudget()).max_hom_size
+        graded: dict[Any, list[Any]] = {}
+        for b in objects:
+            graded.setdefault(cat.grade(b), []).append(b)
+        rows: dict[Any, dict[Any, tuple[Morph, ...]]] = {}
+        largest = 0
+        for a in objects:
+            row = rows[a] = {}
+            for b in graded[cat.grade(a)]:
+                size = cat.hom_size(a, b)
+                if size > cap:
+                    raise _hom_refusal(size, cap, a, b)
+                if size:
+                    row[b] = cat.hom(a, b)
+                    largest = max(largest, size)
+        self.cat, self.rows, self.largest = cat, rows, largest
+        self.tables: dict[tuple[Any, Any, Any], list[tuple[int, ...]]] = {}
+
+    def table(self, a: Any, b: Any, c: Any) -> list[tuple[int, ...]]:
+        found = self.tables.get((a, b, c))
+        if found is None:
+            rows = self.rows
+            found = self.tables[a, b, c] = self.cat.table(
+                rows[a][b], rows[b][c], rows[a].get(c, ()))
+        return found
 
 
 def check_category_laws(cat: Category, objects: Sequence[Any],
@@ -473,17 +503,22 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
     Closure and associativity read composites as hom-set indices from one
     `cat.table` per object triple, the builder `Category.action` reads too;
     an associativity law whose indices are -1 on either side is decided by
-    composing the arrows themselves.
+    composing the arrows themselves.  The fragment and its tables stay on
+    `cat`, in place of the last sweep's, for `check_functor_laws` to read.
     """
     bad = _Violations()
     checked = 0
-    rows = _fragment(cat, objects, budget)
+    cat._law_memo = None        # drop the last fragment before walking anew
+    frag = _Fragment(cat, objects, budget)
+    cat._law_memo = (tuple(objects), frag)
+    rows, tables = frag.rows, frag.tables
     ids = {a: cat.identity(a) for a in objects}
     compose = cat.compose
     # one table per triple with non-empty hom(a, b) and hom(b, c)
-    tables = {(a, b, c): cat.table(hab, hbc, rows[a].get(c, ()))
-              for a in objects for b, hab in rows[a].items()
-              for c, hbc in rows[b].items()}
+    for a in objects:
+        for b in rows[a]:
+            for c in rows[b]:
+                frag.table(a, b, c)
 
     for a in objects:
         ida = ids[a]
@@ -533,38 +568,126 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
     return bad.report(checked)
 
 
+def _law_fragment(cat: Category, objects: Sequence[Any],
+                  budget: SearchBudget | None) -> _Fragment:
+    """The fragment that the last category-law sweep over `cat` left, if it
+    was over these objects; else a fresh walk.  A hom-set of it past the
+    budget's cap is refused at the first such pair in walk order, where a
+    fresh walk would refuse, without building or sizing anything anew."""
+    memo = cat._law_memo
+    if memo is None or memo[0] != tuple(objects):
+        return _Fragment(cat, objects, budget)
+    frag, cap = memo[1], (budget or SearchBudget()).max_hom_size
+    if frag.largest > cap:
+        a, b, size = next((a, b, len(hab)) for a, row in frag.rows.items()
+                          for b, hab in row.items() if len(hab) > cap)
+        raise _hom_refusal(size, cap, a, b)
+    return frag
+
+
+def _image_ranks(hom: tuple[Morph, ...], pos: dict[Any, int], x: Any, y: Any,
+                 hab: tuple[Morph, ...], a: Any, b: Any,
+                 morph: Any) -> list[int]:
+    """For each f in hom(a, b), the index of morph(f) in hom = hom(x, y),
+    found through pos, the index of each payload in hom: -2 if the image is
+    not in hom, -1 if the index cannot stand for the arrows in the law
+    checks, as the image or f is stray."""
+    ranks = []
+    for f in hab:
+        ff = morph(f)
+        i = pos.get(ff.data, -1)
+        if i < 0 or hom[i] != ff:
+            # no arrow of hom at its payload's index; only a repeated
+            # payload could put it elsewhere
+            ranks.append(-1 if ff in hom else -2)
+        elif ff.dom != x or ff.cod != y or f.dom != a or f.cod != b:
+            ranks.append(-1)
+        else:
+            ranks.append(i)
+    return ranks
+
+
 def check_functor_laws(fun: Functor, objects: Sequence[Any],
                        budget: SearchBudget | None = None) -> LawReport:
+    """Identities and composites preserved, and each image of hom(a, b) in
+    hom(F a, F b), over the given object fragment.
+
+    The domain fragment is the one `check_category_laws` left on `fun.dom`
+    for the same objects, tables and all (see `_law_fragment`), else a fresh
+    walk.  Each codomain hom(F a, F b) is sized before it is built, all of
+    them in sweep order before any law is read.  `morph` runs once per
+    domain arrow, and each image is kept as its index in hom(F a, F b) (see
+    `_image_ranks`).  F(g∘f) == F g∘F f is then an index comparison,
+    img_ac[T[g][f]] == codT[img_bc[g]][img_ab[f]], with T the domain table
+    of (a, b, c) and codT the codomain table of (F a, F b, F c): the
+    fragment's own when F is an endofunctor whose image triple lies in the
+    fragment, else one `cod.table` per image triple.
+    Where any of these indices is negative, the law is decided by composing
+    the arrows, as the literal sweep does.
+    """
     bad = _Violations()
     checked = 0
-    morph, compose, cod_compose = fun.morph, fun.dom.compose, fun.cod.compose
-    # rows[a]: (b, hom(a, b), its images) per non-empty domain hom(a, b)
-    rows = {a: [(b, hab, [morph(f) for f in hab]) for b, hab in row.items()]
-            for a, row in _fragment(fun.dom, objects, budget).items()}
-    cod_homs: dict[tuple[Any, Any], set[Morph]] = {}
-
+    dom, cod, morph = fun.dom, fun.cod, fun.morph
+    frag = _law_fragment(dom, objects, budget)
+    rows = frag.rows
+    fobj = {a: fun.obj(a) for a in objects}
+    mapped = {a for a in objects if cod.is_object(fobj[a])}
+    # targets[F a, F b]: each codomain hom-set and its payloads' indices;
+    # ranks[a, b]: the indices of the images of hom(a, b) in it
+    targets: dict[tuple[Any, Any], tuple[tuple[Morph, ...], dict]] = {}
+    ranks: dict[tuple[Any, Any], list[int]] = {}
     for a in objects:
-        fa = fun.obj(a)
-        if not fun.cod.is_object(fa):
+        if a not in mapped:
+            continue
+        for b, hab in rows[a].items():
+            key = (fobj[a], fobj[b])
+            if key not in targets:
+                hom = budgeted_hom(cod, *key, budget)
+                targets[key] = hom, {h.data: i for i, h in enumerate(hom)}
+            ranks[a, b] = _image_ranks(*targets[key], *key, hab, a, b, morph)
+    cod_tables: dict[tuple[Any, Any, Any], list[tuple[int, ...]]] = {}
+
+    def cod_table(x: Any, y: Any, z: Any) -> list[tuple[int, ...]]:
+        if cod is dom and y in rows.get(x, ()) and z in rows.get(y, ()):
+            return frag.table(x, y, z)
+        if (x, y, z) not in cod_tables:
+            cod_tables[x, y, z] = cod.table(targets[x, y][0], targets[y, z][0],
+                                            targets[x, z][0])
+        return cod_tables[x, y, z]
+
+    compose, cod_compose = dom.compose, cod.compose
+    for a in objects:
+        fa = fobj[a]
+        if a not in mapped:
             bad.add("obj({!r}) = {!r} is not a codomain object", a, fa)
             continue
-        ida = morph(fun.dom.identity(a))
-        if ida != fun.cod.identity(fa):
+        if morph(dom.identity(a)) != cod.identity(fa):
             bad.add("identity at {!r} not preserved", a)
-        for b, hab, fab in rows[a]:
-            key = (fa, fun.obj(b))
-            if key not in cod_homs:
-                cod_homs[key] = set(budgeted_hom(fun.cod, *key, budget))
-            target = cod_homs[key]
-            for f, ff in zip(hab, fab):
+        for b, hab in rows[a].items():
+            rab = ranks[a, b]
+            for f, rank in zip(hab, rab):
                 checked += 1
-                if ff not in target:
+                if rank == -2:
                     bad.add("morph({!r}) outside hom of images", f)
-            for _, hbc, fbc in rows[b]:
-                for f, ff in zip(hab, fab):
-                    for g, fg in zip(hbc, fbc):
-                        checked += 1
-                        if morph(compose(g, f)) != cod_compose(fg, ff):
+            for c, hbc in rows[b].items():
+                checked += len(hab) * len(hbc)
+                rbc = ranks[b, c]
+                # hom(a, c) outside the fragment: no composite has an index
+                table = codt = None
+                if c in rows[a]:
+                    table, rac = frag.table(a, b, c), ranks[a, c]
+                    codt = cod_table(fa, fobj[b], fobj[c])
+                for fi, f in enumerate(hab):
+                    i = rab[fi]
+                    for gi, g in enumerate(hbc):
+                        j = rbc[gi]
+                        k = -1 if codt is None else table[gi][fi]
+                        if i >= 0 and j >= 0 and k >= 0 and rac[k] >= 0:
+                            kept = rac[k] == codt[j][i]
+                        else:
+                            kept = (morph(compose(g, f))
+                                    == cod_compose(morph(g), morph(f)))
+                        if not kept:
                             bad.add("composition not preserved at ({!r},{!r})",
                                     g, f)
     return bad.report(checked)

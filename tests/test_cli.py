@@ -221,6 +221,20 @@ def test_unknown_category_is_usage_error(capsys):
     assert code == 64 and "usage error" in err
 
 
+@pytest.mark.parametrize("selector, functor, objs", [
+    ("R:9", "dR", ("1", "2", "6")),
+    ("trees:zz", "dT", ("1,0", "2,0,0", "6,0,0,0,0,0,0"))])
+def test_selector_arguments_a_category_does_not_read_are_refused(
+        capsys, selector, functor, objs):
+    a, b, c = objs
+    code, out, err = run(capsys, "verify", "p", "--category", selector,
+                         "--functor", functor, "--a", a, "--b", b,
+                         "--c", c, "--r", "2")
+    assert code == 64 and not out
+    assert err.startswith(f"usage error: {selector.partition(':')[0]} takes "
+                          f"no argument, got {selector!r}\n")
+
+
 def test_verify_needs_functor(capsys):
     code, _, err = run(capsys, "verify", "p", "--category", "R",
                        "--a", "1", "--b", "2", "--c", "3", "--r", "2")

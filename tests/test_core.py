@@ -19,7 +19,7 @@ from ramcat.categories import (ORIENTATIONS, ProductCategory, ProductFunctor,
                                TreeCategory, WordBoundary, star, tree_category,
                                tree_truncation, word_category)
 from ramcat.core import (Category, ComposedFunctor, Functor, FrankResult,
-                         LawReport, _fragment)
+                         LawReport, _Fragment)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +434,29 @@ def test_functor_law_reports_name_each_broken_law():
         "morph(Morph(dom=0, cod=1, data=())) outside hom of images",))
 
 
+class _Relabel(Functor):
+    """Between categories with the one object "x": each arrow to the arrow
+    of the codomain's hom("x", "x") with its payload."""
+
+    def obj(self, a):
+        return "x"
+
+    def morph(self, f):
+        return next(h for h in self.cod.hom("x", "x") if h.data == f.data)
+
+
+def test_functor_laws_compose_stray_arrows_as_the_literal_sweep_does():
+    # a stray t, from "z" to "x", in the codomain's or the domain's
+    # hom("x", "x"): its index there stands for no composite, and the
+    # literal sweep refuses to compose it after e
+    e = Morph("x", "x", "e")
+    stray = _OneObject((e, Morph("z", "x", "t")), e)
+    for fun in (_Relabel(_MONOID, stray), _Relabel(stray, _MONOID)):
+        for sweep in (check_functor_laws, brute_functor_laws):
+            with pytest.raises(ValueError, match="non-composable"):
+                sweep(fun, ["x"])
+
+
 def test_frank_check_fails_when_the_image_misses_the_target():
     # obj(0) == "x", but hom(0, 0) reaches only e of hom("x", "x") = {e, t}
     assert check_frank_at(_ToMonoid(lambda f: "e"), 0, "x") == FrankResult(
@@ -513,11 +536,67 @@ def _functor_fragments():
     yield pytest.param(hr, [hr.dom.pack(v) for v in _HJ1_BY_R], id="HJ:1xR")
     yield pytest.param(_BrokenImage(subset_category()), [0, 1, 2, 3],
                        id="broken-image")
+    yield from _perturbed_truncations()
+
+
+class _Perturbed(type(tree_truncation())):
+    """Tree truncation on its own handle, with the image of the first arrow
+    of hom((1, 1, 0), (2, 1, 0, 1, 0)) replaced by `send(images)`, where
+    `images` is the true truncation of that hom-set."""
+
+    def __init__(self, send):
+        super().__init__(tree_category())
+        first, second = self.dom.hom((1, 1, 0), (2, 1, 0, 1, 0))
+        self.first = first
+        self.image = send([super().morph(first), super().morph(second)])
+
+    def morph(self, f):
+        return self.image if f == self.first else super().morph(f)
+
+
+def _perturbed_truncations():
+    trees = tree_category().objects(23)
+    # the image of the other arrow, still in hom((1, 0), (2, 0, 0)): the one
+    # law it breaks, through (2, 1, 0, 0), fails as a hom-set index mismatch
+    yield pytest.param(_Perturbed(lambda images: images[1]), trees,
+                       id="trees<=5 swapped")
+    # a map with the image's endpoints that is no embedding, so outside the
+    # hom-set: every law reading its index is decided by composing
+    yield pytest.param(_Perturbed(lambda images: Morph(
+        images[0].dom, images[0].cod, (0, 0))), trees, id="trees<=5 off-hom")
 
 
 @pytest.mark.parametrize("fun, objs", _functor_fragments())
 def test_functor_laws_match_the_literal_sweep(fun, objs):
-    assert check_functor_laws(fun, objs) == brute_functor_laws(fun, objs)
+    # cold, on a fragment of its own; then warm, on the fragment and tables
+    # that the category sweep leaves on the same domain handle
+    want = brute_functor_laws(fun, objs)
+    assert fun.dom._law_memo is None
+    assert check_functor_laws(fun, objs) == want
+    check_category_laws(fun.dom, objs)
+    assert fun.dom._law_memo[0] == tuple(objs)
+    assert check_functor_laws(fun, objs) == want
+
+
+@pytest.mark.parametrize("fun, composes", [
+    (tree_truncation(), 0), *((p.values[0], n) for p, n in zip(
+        _perturbed_truncations(), (0, 6)))], ids=["trees<=5", "swapped",
+                                                   "off-hom"])
+def test_functor_sweep_composes_only_where_an_index_is_negative(
+        monkeypatch, fun, composes):
+    # warm: every law is an index comparison unless an image is outside its
+    # hom-set; the swapped image's violations come from indices alone, and
+    # the three laws that read the off-hom image compose twice each
+    trees = tree_category().objects(23)
+    want = brute_functor_laws(fun, trees)
+    assert want.ok == (fun.__class__ is not _Perturbed)
+    check_category_laws(fun.dom, trees)
+    seen = []
+    compose = Category.compose
+    monkeypatch.setattr(Category, "compose", lambda self, g, f:
+                        seen.append(1) or compose(self, g, f))
+    assert check_functor_laws(fun, trees) == want
+    assert len(seen) == composes
 
 
 @pytest.mark.parametrize("cat, objs, calls", [
@@ -557,7 +636,7 @@ def test_graded_fragment_matches_the_all_pairs_walk(cat, objs):
     literal = [(a, [(b, cat.hom(a, b)) for b in objs if cat.hom_size(a, b)])
                for a in objs]
     assert [(a, list(row.items())) for a, row in
-            _fragment(cat, objs, None).items()] == literal
+            _Fragment(cat, objs, None).rows.items()] == literal
 
 
 def test_law_sweeps_size_hom_sets_only_within_a_grade(monkeypatch):
@@ -572,18 +651,30 @@ def test_law_sweeps_size_hom_sets_only_within_a_grade(monkeypatch):
     assert sorted(heights.items()) == [(0, 1), (1, 5), (2, 26), (3, 24),
                                        (4, 8), (5, 1)]
     calls = []
-    for sweep, subject in ((check_category_laws, cat),
+    # the functor sweep on a handle of its own, the category sweep, then the
+    # functor sweep on the fragment that the category sweep left
+    for sweep, subject in ((check_functor_laws, tree_truncation()),
+                           (check_category_laws, cat),
                            (check_functor_laws, tree_truncation(cat))):
         sized.clear()
         assert sweep(subject, trees).ok
         assert all(cat.grade(a) == cat.grade(b) for a, b in sized)
         calls.append(list(sized))
-    laws, functor = calls
+    cold, laws, warm = calls
     # one call per pair of one grade: 1,343 of the 4,225 pairs; the functor
     # sweep also sizes each of its 55 codomain hom(F a, F b) once before
     # building it, and every such key is a domain pair too
     assert len(laws) == len(set(laws)) == 1_343
-    assert len(functor) == 1_343 + 55 and set(functor) == set(laws)
+    assert len(cold) == 1_343 + 55 and set(cold) == set(laws)
+    assert cold[1_343:] == warm and len(set(warm)) == 55
+
+
+def test_the_fragment_a_category_sweep_leaves_is_not_pickled():
+    cat = subset_category()
+    check_category_laws(cat, list(range(4)))
+    assert cat._law_memo[0] == (0, 1, 2, 3)
+    for clone in (pickle.loads(pickle.dumps(cat)), copy.deepcopy(cat)):
+        assert clone._law_memo is None and clone.hom(1, 3) == cat.hom(1, 3)
 
 
 def test_law_sweeps_refuse_a_large_hom_before_building_it(monkeypatch):
@@ -599,6 +690,18 @@ def test_law_sweeps_refuse_a_large_hom_before_building_it(monkeypatch):
             sweep(subject, [3, 60], budget=budget)
         assert str(exc.value) == "hom-set size: need 34220, cap 100 at hom(3, 60)"
     assert (3, 60) not in built
+    # warm: a category sweep under a generous cap leaves hom(3, 60) in the
+    # fragment on the handle, which the functor sweep under the small cap
+    # must not read; it walks afresh and refuses unbuilt
+    delta = subset_boundary()
+    assert check_category_laws(delta.dom, [3, 60],
+                               budget=SearchBudget(max_hom_size=50_000)).ok
+    assert (3, 60) in built
+    built.clear()
+    with pytest.raises(BudgetExceeded) as exc:
+        check_functor_laws(delta, [3, 60], budget=budget)
+    assert str(exc.value) == "hom-set size: need 34220, cap 100 at hom(3, 60)"
+    assert built == []
 
 
 def test_functor_laws_refuse_a_large_codomain_hom_before_building_it(
