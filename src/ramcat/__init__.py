@@ -30,8 +30,8 @@ from .constructions import (ConstructionError, CrossRelation, WitnessProvider,
                             fp_to_p_construct, fp_provider, hj_modeling,
                             hj_witness, identity_modeling, modeling_transfer,
                             p_pigeonhole_witness, product_ramsey_numbers,
-                            product_witness, r_fp_witness, tree_fp_witness,
-                            word_witness)
+                            product_ramsey_witness, product_witness,
+                            r_fp_witness, tree_fp_witness, word_witness)
 from .certificates import (CertificateError, Claim, StaleCertificateError,
                            dump_certificate, fp_certificate, load_certificate,
                            p_certificate, parse_certificate, replay_verify)

@@ -241,8 +241,8 @@ class TreeCategory(Category):
             return 0
         return _count(a, b)
 
-    def grade(self, a: Any) -> int:
-        return shape(a).height
+    def grade(self, a: Any) -> tuple[int, ...]:
+        return shape(a).levels
 
     def identity(self, a: Any) -> Morph:
         shape(a)

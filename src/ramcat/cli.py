@@ -19,7 +19,6 @@ from typing import Any, Callable
 
 from .categories.hjcat import WordBoundary, WordCategory, standard_window
 from .categories.pcat import ORIENTATIONS, StepBoundary, StepCategory
-from .categories.product import product_functor
 from .categories.rcat import SubsetBoundary, subset_boundary, subset_category
 from .categories.trees import height, tree_category, tree_truncation
 from .core import Category, Functor, IdentityFunctor, compose_word
@@ -31,7 +30,7 @@ from .certificates import (CertificateError, Claim, StaleCertificateError,
                            morph_unhex, replay_verify)
 from .constructions import (ConstructionError, fouche_witness, fp_provider,
                             fp_to_p_construct, hj_provider, hj_witness,
-                            p_pigeonhole_witness, product_ramsey_numbers,
+                            p_pigeonhole_witness, product_ramsey_witness,
                             r_fp_oracle, r_fp_witness, subset_g_prime,
                             word_witness)
 
@@ -232,10 +231,9 @@ def _theorem_product(args, budget: SearchBudget) -> Built:
                            (pair.split(":") for pair in args.coords.split(","))))
     except ValueError as exc:
         raise CliError(f"--coords reads k:p pairs, got {args.coords!r}") from exc
-    qvec, trace = product_ramsey_numbers(kvec, pvec, args.r, budget=budget)
-    fun = product_functor(*[subset_boundary() for _ in kvec])
-    pack = fun.dom.pack
-    return Claim(fun, pack(kvec), pack(pvec), pack(qvec), args.r), qvec, trace
+    fun, a, b, c, trace = product_ramsey_witness(kvec, pvec, args.r,
+                                                 budget=budget)
+    return Claim(fun, a, b, c, args.r), trace.c_values, trace
 
 
 def _theorem_modeling(args, budget: SearchBudget) -> Built:

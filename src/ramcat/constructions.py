@@ -389,20 +389,31 @@ def product_provider(coord_provider: WitnessProvider,
                                    budget=budget), coord_provider.provenance)
 
 
-def product_ramsey_numbers(kvec: Sequence[int], pvec: Sequence[int], r: int, *,
-                           budget: SearchBudget | None = None
-                           ) -> tuple[tuple, ProductTrace]:
-    """Grid Ramsey dimensions via the staged product of subset boundaries,
-    each coordinate built by the fp->p recursion under the budget."""
+def product_ramsey_witness(kvec: Sequence[int], pvec: Sequence[int], r: int,
+                           *, budget: SearchBudget | None = None
+                           ) -> tuple[ProductFunctor, Any, Any, Any,
+                                      ProductTrace]:
+    """The staged product of subset boundaries at packed a = kvec and
+    b = pvec, each coordinate built by the fp->p recursion under the budget:
+    (functor, a, b, packed c, trace)."""
     if len(kvec) != len(pvec) or not kvec:
         raise ValueError("need equally long, non-empty vectors")
     for kk, pp in zip(kvec, pvec):
         if not 0 <= kk <= pp:
             raise ValueError(f"need 0 <= k <= p per coordinate, got {(kk, pp)}")
     fun = ProductFunctor((subset_boundary(),) * len(kvec))
-    _, trace = product_witness(fun, fun.dom.pack(kvec), fun.dom.pack(pvec), r,
+    a, b = fun.dom.pack(kvec), fun.dom.pack(pvec)
+    c, trace = product_witness(fun, a, b, r,
                                fp_provider(r_fp_oracle, budget=budget),
                                budget=budget)
+    return fun, a, b, c, trace
+
+
+def product_ramsey_numbers(kvec: Sequence[int], pvec: Sequence[int], r: int, *,
+                           budget: SearchBudget | None = None
+                           ) -> tuple[tuple, ProductTrace]:
+    """Grid Ramsey dimensions: the values of `product_ramsey_witness`'s c."""
+    *_, trace = product_ramsey_witness(kvec, pvec, r, budget=budget)
     return trace.c_values, trace
 
 

@@ -20,6 +20,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import islice
+from operator import le
 from typing import Any, Iterable, Iterator, Sequence
 
 _INT_OFFSET = 1 << 63  # shift signed values so byte order matches numeric order
@@ -245,10 +246,11 @@ class Category(ABC):
     override `action` with a stream of mixed-radix index sums over their
     factors' tables, which are built and validated before `action` returns.
     Subsets override `action` in closed form, unless a subclass overrides
-    their `compose_data`.  `grade(a)` is None by default; a category whose
-    hom(a, b) is empty whenever the grades of a and b differ may return a
-    hashable grade (trees: the height), and the law sweeps then size
-    hom-sets only within a grade.
+    their `compose_data`.  `grade(a)` is a tuple of ints, `()` by default,
+    under one contract: hom(a, b) is empty unless grade(a) and grade(b) have
+    equal length and grade(a) <= grade(b) entry by entry (trees: the node
+    count at each depth).  The law sweeps size only the pairs whose grades
+    pass that test.
     `moves(a, c)` names groups of permutations of the hom(a, c) indices, each
     a tuple of generators, where the engine's falsifier looks for colorings
     constant on their orbits; none by default.  A verdict never rests on a
@@ -292,8 +294,8 @@ class Category(ABC):
     def hom_size(self, a: Any, b: Any) -> int:
         return len(self.hom(a, b))
 
-    def grade(self, a: Any) -> Any:
-        return None
+    def grade(self, a: Any) -> tuple[int, ...]:
+        return ()
 
     def table(self, hab: Sequence[Morph], hbc: Sequence[Morph],
               hac: Sequence[Morph]) -> list[tuple[int, ...]]:
@@ -459,9 +461,12 @@ class _Fragment:
     """The law sweeps' view of `cat` over an object fragment.
 
     rows[a][b] = hom(a, b) for each non-empty hom-set of the fragment, in
-    object order.  Only pairs of one grade are tried, and each pair's
-    hom_size is asked first, so a hom-set past the budget's hom-size cap is
-    refused before it is built and an empty one is never built.
+    object order.  Objects are grouped by `cat.grade`, each pair of grades is
+    tested once, and only the pairs whose grades pass are sized, each
+    hom_size before its hom-set, so a hom-set past the budget's hom-size cap
+    is refused before it is built and an empty one is never built.  The
+    skipped pairs are empty, so rows and the first refusal are those of the
+    walk over all pairs.
     `table(a, b, c)` is `cat.table` over hom(a, b), hom(b, c) and hom(a, c),
     the last empty unless it is in the fragment; it is built on first use
     and kept in `tables`.
@@ -470,14 +475,20 @@ class _Fragment:
     def __init__(self, cat: Category, objects: Sequence[Any],
                  budget: SearchBudget | None):
         cap = (budget or SearchBudget()).max_hom_size
-        graded: dict[Any, list[Any]] = {}
-        for b in objects:
-            graded.setdefault(cat.grade(b), []).append(b)
+        grades = [cat.grade(b) for b in objects]
+        at: dict[tuple[int, ...], list[int]] = {}    # object indices by grade
+        for i, g in enumerate(grades):
+            at.setdefault(g, []).append(i)
+        # targets[g]: the objects, in object order, whose grade g may map into
+        targets = {g: [objects[i] for i in sorted(
+            i for h, hi in at.items()
+            if len(h) == len(g) and all(map(le, g, h)) for i in hi)]
+            for g in at}
         rows: dict[Any, dict[Any, tuple[Morph, ...]]] = {}
         largest = 0
-        for a in objects:
+        for a, g in zip(objects, grades):
             row = rows[a] = {}
-            for b in graded[cat.grade(a)]:
+            for b in targets[g]:
                 size = cat.hom_size(a, b)
                 if size > cap:
                     raise _hom_refusal(size, cap, a, b)
@@ -503,8 +514,13 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
     Closure and associativity read composites as hom-set indices from one
     `cat.table` per object triple, the builder `Category.action` reads too;
     an associativity law whose indices are -1 on either side is decided by
-    composing the arrows themselves.  The fragment and its tables stay on
-    `cat`, in place of the last sweep's, for `check_functor_laws` to read.
+    composing the arrows themselves.  The identity laws read f∘id and id∘f
+    from the (a, a, b) and (a, b, b) tables at the identity's index in
+    hom(a, a) or hom(b, b); they compose the arrows only where that identity
+    is missing from its hom-set or has the wrong endpoints, where f is stray,
+    or where the index differs from f's.  The fragment and its tables stay
+    on `cat`, in place of the last sweep's, for `check_functor_laws` and
+    `check_frank_at` to read.
     """
     bad = _Violations()
     checked = 0
@@ -513,6 +529,13 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
     cat._law_memo = (tuple(objects), frag)
     rows, tables = frag.rows, frag.tables
     ids = {a: cat.identity(a) for a in objects}
+    # id_at[a]: the index of id_a in hom(a, a), or -1 if it is not there
+    # with the endpoints (a, a)
+    id_at = {}
+    for a, ida in ids.items():
+        haa = rows[a].get(a, ())
+        id_at[a] = (haa.index(ida) if ida.dom == a == ida.cod and ida in haa
+                    else -1)
     compose = cat.compose
     # one table per triple with non-empty hom(a, b) and hom(b, c)
     for a in objects:
@@ -521,18 +544,25 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
                 frag.table(a, b, c)
 
     for a in objects:
-        ida = ids[a]
+        ida, ia = ids[a], id_at[a]
         if ida.dom != a or ida.cod != a:
             bad.add("identity at {!r} has wrong endpoints", a)
         for b, hab in rows[a].items():
-            idb = ids[b]
-            for f in hab:
+            idb, ib = ids[b], id_at[b]
+            # f∘id_a at aab[fi][ia] and id_b∘f at abb[fi], as hom(a, b)
+            # indices; both tables exist when the identity is in its hom-set
+            aab = tables[a, a, b] if ia >= 0 else None
+            abb = tables[a, b, b][ib] if ib >= 0 else None
+            for fi, f in enumerate(hab):
                 checked += 1
-                if f.dom != a or f.cod != b:
+                stray = f.dom != a or f.cod != b
+                if stray:
                     bad.add("hom({!r},{!r}) contains stray {!r}", a, b, f)
-                if compose(f, ida) != f:
+                if ((stray or aab is None or aab[fi][ia] != fi)
+                        and compose(f, ida) != f):
                     bad.add("f∘id != f for {!r}", f)
-                if compose(idb, f) != f:
+                if ((stray or abb is None or abb[fi] != fi)
+                        and compose(idb, f) != f):
                     bad.add("id∘f != f for {!r}", f)
 
     for a in objects:
@@ -700,19 +730,37 @@ class FrankResult:
     detail: str = ""
 
 
+def _kept_hom(cat: Category, x: Any, y: Any,
+              budget: SearchBudget | None) -> tuple[Morph, ...]:
+    """`budgeted_hom(cat, x, y, budget)`, refusals and all, read from the
+    fragment that the last category-law sweep left on cat when that fragment
+    holds both objects; hom(x, y) is then neither sized nor built anew."""
+    rows = cat._law_memo[1].rows if cat._law_memo else {}
+    # an object is hashable; a non-object is refused by budgeted_hom
+    if (not rows or not (cat.is_object(x) and cat.is_object(y))
+            or x not in rows or y not in rows):
+        return budgeted_hom(cat, x, y, budget)
+    hom, cap = rows[x].get(y, ()), (budget or SearchBudget()).max_hom_size
+    if len(hom) > cap:
+        raise _hom_refusal(len(hom), cap, x, y)
+    return hom
+
+
 def check_frank_at(fun: Functor, a: Any, b_prime: Any,
                    budget: SearchBudget | None = None) -> FrankResult:
     """Verify the surjectivity lift of `fun` at source a and target object
     b_prime; hom(a, b) or hom(obj(a), b_prime) past the budget's hom-size cap
-    is refused unbuilt."""
+    is refused unbuilt.  Each hom-set is read from the fragment that
+    `check_category_laws` left on `fun.dom` or `fun.cod` when that fragment
+    holds both its objects, else sized and built (see `_kept_hom`)."""
     try:
         b = fun.frank_lift(a, b_prime)
     except LiftError as exc:
         return FrankResult("no-lift", None, str(exc))
     if fun.obj(b) != b_prime:
         return FrankResult("fail", b, f"obj({b!r}) != {b_prime!r}")
-    image = {fun.morph(f) for f in budgeted_hom(fun.dom, a, b, budget)}
-    target = set(budgeted_hom(fun.cod, fun.obj(a), b_prime, budget))
+    image = {fun.morph(f) for f in _kept_hom(fun.dom, a, b, budget)}
+    target = set(_kept_hom(fun.cod, fun.obj(a), b_prime, budget))
     if image != target:
         return FrankResult("fail", b, "image of hom differs from target hom")
     return FrankResult("pass", b)

@@ -333,8 +333,16 @@ def test_tree_hom_is_empty_across_heights():
     trees = cat.objects(197)                    # every tree with at most 7 nodes
     assert len(trees[-1]) == 7 and len(cat.objects(198)[-1]) == 8
     for a in trees:
-        assert cat.grade(a) == height(a)
+        ga = cat.grade(a)
+        # the node count at each depth
+        assert len(ga) == height(a) + 1 and sum(ga) == len(a)
         for b in trees:
+            gb = cat.grade(b)
+            # the grade contract: a non-empty hom needs equal-length grades,
+            # the source's at most the target's entry by entry
+            if cat.hom_size(a, b):
+                assert len(ga) == len(gb), (a, b)
+                assert all(x <= y for x, y in zip(ga, gb)), (a, b)
             if height(a) != height(b):
                 assert cat.hom_size(a, b) == 0, (a, b)
 

@@ -407,6 +407,92 @@ class _ToMonoid(Functor):
         return a
 
 
+class _Listed(Category):
+    """The objects "x" and "y" with the listed hom-sets and identities, none
+    of them checked; g∘f is f when g's payload is "e", "v" for t∘e (so e is
+    no right identity for t), else g."""
+
+    def __init__(self, homs, ids):
+        self.homs, self.ids = homs, ids
+
+    def is_object(self, a):
+        return a in ("x", "y")
+
+    def iter_objects(self):
+        yield from ("x", "y")
+
+    def hom(self, a, b):
+        return self.homs.get((a, b), ())
+
+    def identity(self, a):
+        return self.ids[a]
+
+    def compose_data(self, g, f):
+        if g.data == "e":
+            return f.data
+        return "v" if (g.data, f.data) == ("t", "e") else g.data
+
+
+def _arrows(dom, cod, *data):
+    return tuple(Morph(dom, cod, d) for d in data)
+
+
+def _identity_fallbacks():
+    """Fixtures whose identity laws the sweep must decide by composing:
+    (id, category, a violation its report must hold)."""
+    ex, zz = Morph("x", "x", "e"), Morph("z", "z", "e")
+    # hom("x", "x") holds e but not the identity i, and i∘f is i
+    yield ("missing identity", _Listed(
+        {("x", "x"): _arrows("x", "x", "e", "t"),
+         ("x", "y"): _arrows("x", "y", "t", "u"),
+         ("y", "y"): _arrows("y", "y", "e")},
+        {"x": Morph("x", "x", "i"), "y": Morph("y", "y", "e")}),
+        "id∘f != f for Morph(dom='x', cod='x', data='t')")
+    # the identity at "y" is the first arrow of hom("y", "y"), with the
+    # endpoints ("z", "z") like every arrow there, so all of them compose
+    yield ("identity with wrong endpoints", _Listed(
+        {("x", "x"): _arrows("x", "x", "e", "t"),
+         ("y", "y"): _arrows("z", "z", "e", "t")},
+        {"x": ex, "y": zz}), "identity at 'y' has wrong endpoints")
+    # a stray arrow composes only with an identity as stray as itself, so the
+    # arrows of hom("x", "y") end at "z", where the identity at "y" does
+    yield ("stray arrow", _Listed(
+        {("x", "x"): _arrows("x", "x", "e", "t"),
+         ("x", "y"): _arrows("x", "z", "t", "u"),
+         ("y", "y"): (zz,)},
+        {"x": ex, "y": zz}),
+        "hom('x','y') contains stray Morph(dom='x', cod='z', data='u')")
+
+
+@pytest.mark.parametrize("cat, violation", [
+    pytest.param(cat, violation, id=name)
+    for name, cat, violation in _identity_fallbacks()])
+def test_identity_laws_fall_back_to_composing(cat, violation):
+    # each fixture breaks what it names; its report equals the literal
+    # sweep's, order and all, in test_category_laws_match_the_literal_sweep
+    rep = check_category_laws(cat, ["x", "y"])
+    assert not rep.ok and violation in rep.violations
+
+
+@pytest.mark.parametrize("homs, ids", [
+    # the identity at "x" is in hom("x", "x"), with the endpoints ("z", "z")
+    ({("x", "x"): _arrows("z", "z", "e"), ("x", "y"): _arrows("x", "y", "u"),
+      ("y", "y"): _arrows("y", "y", "e")}, "zy"),
+    # a stray u from "w", and one to "w", each next to true identities
+    ({("x", "x"): _arrows("x", "x", "e"), ("x", "y"): _arrows("w", "y", "u"),
+      ("y", "y"): _arrows("y", "y", "e")}, "xy"),
+    ({("x", "x"): _arrows("x", "x", "e"), ("x", "y"): _arrows("x", "w", "u"),
+      ("y", "y"): _arrows("y", "y", "e")}, "xy")],
+    ids=["identity with wrong endpoints", "stray source", "stray target"])
+def test_identity_laws_compose_what_the_literal_sweep_composes(homs, ids):
+    # every table index says f∘id == f == id∘f, but the literal sweep
+    # composes a stray arrow or identity and is refused, and so is this one
+    cat = _Listed(homs, {a: Morph(o, o, "e") for a, o in zip("xy", ids)})
+    for sweep in (check_category_laws, brute_category_laws):
+        with pytest.raises(ValueError, match="non-composable"):
+            sweep(cat, ["x", "y"])
+
+
 def test_category_law_reports_name_bad_identities_and_stray_arrows():
     assert check_category_laws(_MONOID, ["x"]) == LawReport(True, 14, ())
     # hom("x", "x") is empty, so only the identity's endpoints are read
@@ -506,6 +592,8 @@ def _law_fragments():
     yield pytest.param(_BrokenCompose(), [1, 2, 3, 4], id="broken")
     yield pytest.param(_ScrambledCompose(), [2, 3, 4, 5], id="scrambled")
     yield pytest.param(_ReassignedCompose(), [1, 2, 3, 4, 5], id="reassigned")
+    for name, cat, _ in _identity_fallbacks():
+        yield pytest.param(cat, ["x", "y"], id=name)
 
 
 @pytest.mark.parametrize("cat, objs", _law_fragments())
@@ -600,13 +688,14 @@ def test_functor_sweep_composes_only_where_an_index_is_negative(
 
 
 @pytest.mark.parametrize("cat, objs, calls", [
-    (subset_category(), list(range(7)), 1347),
-    (tree_category(), tree_category().objects(23), 377)],
+    (subset_category(), list(range(7)), 1093),
+    (tree_category(), tree_category().objects(23), 209)],
     ids=["R", "trees"])
 def test_category_laws_compose_each_table_entry_once(monkeypatch, cat, objs,
                                                      calls):
-    # 2 identity composites per arrow, then one per entry of one table per
-    # object triple; the literal sweep makes 15,367 and 1,542
+    # one per entry of one table per object triple, and none for the
+    # identity laws, which read those tables; the literal sweep makes 15,367
+    # and 1,542
     seen = []
     compose_data = type(cat).compose_data
     monkeypatch.setattr(type(cat), "compose_data", lambda self, g, f:
@@ -647,9 +736,30 @@ def test_law_sweeps_size_hom_sets_only_within_a_grade(monkeypatch):
                         or hom_size(self, a, b))
     cat = tree_category()
     trees = cat.objects(65)
-    heights = Counter(map(cat.grade, trees))
+
+    def levels(t):
+        # the node count at each depth, read off the child-count tuple: a
+        # node's depth is the number of ancestors with children still due
+        depths, due = [], []
+        for kids in t:
+            depths.append(len(due))
+            if due:
+                due[-1] -= 1
+            due.append(kids)
+            while due and due[-1] == 0:
+                due.pop()
+        return tuple(depths.count(d) for d in range(max(depths) + 1))
+
+    heights = Counter(len(levels(t)) - 1 for t in trees)
     assert sorted(heights.items()) == [(0, 1), (1, 5), (2, 26), (3, 24),
                                        (4, 8), (5, 1)]
+
+    def fits(a, b):
+        la, lb = levels(a), levels(b)
+        return len(la) == len(lb) and all(x <= y for x, y in zip(la, lb))
+
+    passing = [(a, b) for a in trees for b in trees if fits(a, b)]
+    assert len(passing) == 430
     calls = []
     # the functor sweep on a handle of its own, the category sweep, then the
     # functor sweep on the fragment that the category sweep left
@@ -658,15 +768,16 @@ def test_law_sweeps_size_hom_sets_only_within_a_grade(monkeypatch):
                            (check_functor_laws, tree_truncation(cat))):
         sized.clear()
         assert sweep(subject, trees).ok
-        assert all(cat.grade(a) == cat.grade(b) for a, b in sized)
+        assert all(fits(a, b) for a, b in sized)
         calls.append(list(sized))
     cold, laws, warm = calls
-    # one call per pair of one grade: 1,343 of the 4,225 pairs; the functor
-    # sweep also sizes each of its 55 codomain hom(F a, F b) once before
-    # building it, and every such key is a domain pair too
-    assert len(laws) == len(set(laws)) == 1_343
-    assert len(cold) == 1_343 + 55 and set(cold) == set(laws)
-    assert cold[1_343:] == warm and len(set(warm)) == 55
+    # one call per pair whose level profiles may embed, in walk order: 430
+    # of the 4,225 pairs; the functor sweep also sizes each of its 55
+    # codomain hom(F a, F b) once before building it, and every such key is
+    # a domain pair too
+    assert laws == passing
+    assert len(cold) == 430 + 55 and set(cold) == set(laws)
+    assert cold[430:] == warm and len(set(warm)) == 55
 
 
 def test_the_fragment_a_category_sweep_leaves_is_not_pickled():
@@ -799,6 +910,61 @@ def test_frank_check_refuses_a_large_hom_before_building_it(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         check_frank_at(delta, 3, 40, budget=SearchBudget(max_hom_size=100))
     assert str(exc.value) == "hom-set size: need 10660, cap 100 at hom(3, 41)"
+
+
+def test_frank_check_reads_the_fragment_a_category_sweep_leaves(monkeypatch):
+    # trees<=5 and the nine lifts outside them, so every hom(a, lift) and
+    # every target hom(F a, b') lies in the fragment of the category sweep
+    fresh = tree_truncation()
+    trees = tree_category().objects(23)
+    pairs = [(a, fresh.obj(b)) for a in trees for b in trees]
+    want = [check_frank_at(fresh, a, b_prime) for a, b_prime in pairs]
+    lifts = [fresh.frank_lift(a, b_prime) for a, b_prime in pairs]
+    objs = list(dict.fromkeys(trees + tuple(lifts)))
+    assert len(objs) == 23 + 9
+    cat = tree_category()
+    assert check_category_laws(cat, objs).ok
+
+    def no_hom(self, a, b):
+        raise AssertionError(f"hom({a!r}, {b!r}) built past the fragment")
+
+    monkeypatch.setattr(TreeCategory, "hom", no_hom)
+    warm = tree_truncation(cat)
+    assert [check_frank_at(warm, a, b_prime) for a, b_prime in pairs] == want
+    assert {res.status for res in want} == {"pass"}
+
+
+def test_a_warm_frank_check_refuses_as_a_fresh_one():
+    budget = SearchBudget(max_hom_size=100)
+    message = "hom-set size: need 10660, cap 100 at hom(3, 41)"
+    # hom(3, 41) has C(41, 3) = 10,660 arrows: refused on a fresh handle,
+    # and read from the fragment, though kept there, on a warm one
+    for warm in (False, True):
+        delta = subset_boundary()
+        if warm:
+            check_category_laws(delta.dom, [3, 41])
+            assert len(delta.dom._law_memo[1].rows[3][41]) == 10_660
+        with pytest.raises(BudgetExceeded) as exc:
+            check_frank_at(delta, 3, 40, budget=budget)
+        assert str(exc.value) == message
+    # the target hom(2, 100) of _LiftToThree, kept on its codomain handle
+    fun = _LiftToThree()
+    check_category_laws(fun.cod, [2, 100])
+    with pytest.raises(BudgetExceeded) as exc:
+        check_frank_at(fun, 2, 100, budget=SearchBudget(max_hom_size=10))
+    assert str(exc.value) == "hom-set size: need 4950, cap 10 at hom(2, 100)"
+
+
+def test_a_warm_frank_check_still_refuses_a_non_object():
+    # a category sweep takes -1 into its fragment, with an empty row
+    delta = subset_boundary()
+    with pytest.raises(ValueError) as fresh:
+        check_frank_at(delta, -1, 2)
+    check_category_laws(delta.dom, [-1, 0, 1, 2, 3])
+    assert -1 in delta.dom._law_memo[1].rows
+    with pytest.raises(ValueError) as warm:
+        check_frank_at(delta, -1, 2)
+    assert str(warm.value) == str(fresh.value) == "-1 is not an object of subset"
 
 
 def test_frank_check_fails_on_wrong_lift():
