@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Iterator, NamedTuple
 
-from ..core import Category, EncodingError, Functor, Morph
+from ..core import Category, EncodingError, Functor, Morph, grade_fits
 
 
 def structure(t: tuple) -> tuple[list, list, list]:
@@ -209,13 +209,6 @@ def _tree_products(parts: tuple[int, ...]) -> Iterator[tuple]:
             yield head + tail
 
 
-def _may_embed(sa: Shape, sb: Shape) -> bool:
-    """Embeddings keep depth and are injective, so each level of the source
-    must fit in the same level of the target."""
-    return sa.height == sb.height and all(
-        x <= y for x, y in zip(sa.levels, sb.levels))
-
-
 class TreeCategory(Category):
     name = "trees"
     encoding_version = "1"
@@ -232,12 +225,12 @@ class TreeCategory(Category):
             yield from _ordered_trees(n)
 
     def hom(self, a: Any, b: Any) -> tuple[Morph, ...]:
-        if not _may_embed(shape(a), shape(b)):
+        if not grade_fits(shape(a).levels, shape(b).levels):
             return ()
         return tuple([Morph(a, b, p) for p in _payloads(a, b)])
 
     def hom_size(self, a: Any, b: Any) -> int:
-        if not _may_embed(shape(a), shape(b)):
+        if not grade_fits(shape(a).levels, shape(b).levels):
             return 0
         return _count(a, b)
 

@@ -27,10 +27,9 @@ from .certificates import Trace
 from .core import (BudgetExceeded, Category, Functor, IdentityFunctor, Morph,
                    SearchBudget, budgeted_hom, require_hom_budget,
                    sort_morphs)
-from .engine import FpInstance, functor_image, search_p_witness
+from .engine import FpInstance, functor_image
 
 CONSTRUCTED = "constructed-by-theorem"
-SEARCHED = "found-by-search"
 
 
 class ConstructionError(RuntimeError):
@@ -247,17 +246,6 @@ def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
                                  selection=selection, budget=budget)
 
     return WitnessProvider(fn, CONSTRUCTED)
-
-
-def search_provider(pool: Callable[[Any, Any, int], Iterable[Any]],
-                    **run) -> WitnessProvider:
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, None]:
-        found = search_p_witness(fun, a, b, r, pool(a, b, r), **run)
-        if found is None:
-            raise ConstructionError(f"search pool exhausted at {(a, b, r)!r}")
-        return found[0], None
-
-    return WitnessProvider(fn, SEARCHED)
 
 
 # ---------------------------------------------------------------------------

@@ -238,19 +238,17 @@ class Category(ABC):
     caller reads.  The rows come from `table(hab, hbc, hac)`: one row per g
     in hbc, the hac index of g∘f for each f in hab, or -1 where the
     composite is not in hac.  It ranks composite payloads, which are unique
-    within one hom-set, and builds no `Morph`.  Both law sweeps read the
-    same builder: `check_category_laws` builds one table per object triple
-    of its fragment and leaves the fragment in `_law_memo`, one per handle
-    and never pickled, where `check_functor_laws` reads it for a functor
-    out of this category and for an endofunctor's images too.  Products
-    override `action` with a stream of mixed-radix index sums over their
-    factors' tables, which are built and validated before `action` returns.
-    Subsets override `action` in closed form, unless a subclass overrides
-    their `compose_data`.  `grade(a)` is a tuple of ints, `()` by default,
-    under one contract: hom(a, b) is empty unless grade(a) and grade(b) have
-    equal length and grade(a) <= grade(b) entry by entry (trees: the node
-    count at each depth).  The law sweeps size only the pairs whose grades
-    pass that test.
+    within one hom-set, and builds no `Morph`.  The law sweeps read the same
+    builder through one hom store per handle (`_Kept`):
+    `check_category_laws` puts a fresh one on the handle, never pickled, and
+    `check_functor_laws` and `check_frank_at` read it when it is there.
+    Products override `action` with a stream of mixed-radix index sums over
+    their factors' tables, which are built and validated before `action`
+    returns.  Subsets override `action` in closed form, unless a subclass
+    overrides their `compose_data`.  `grade(a)` is a tuple of ints, `()` by
+    default, under one contract: hom(a, b) is empty unless
+    `grade_fits(grade(a), grade(b))` (trees: the node count at each depth).
+    The law sweeps size only the pairs whose grades fit.
     `moves(a, c)` names groups of permutations of the hom(a, c) indices, each
     a tuple of generators, where the engine's falsifier looks for colorings
     constant on their orbits; none by default.  A verdict never rests on a
@@ -259,13 +257,12 @@ class Category(ABC):
 
     name: str = "category"
     encoding_version: str = "1"
-    # (object tuple, fragment) of the last check_category_laws over this
-    # handle, for check_functor_laws
-    _law_memo: tuple[tuple[Any, ...], _Fragment] | None = None
+    # the hom store of the last check_category_laws over this handle
+    _kept: _Kept | None = None
 
     def __getstate__(self) -> dict:
         state = dict(vars(self))
-        state.pop("_law_memo", None)
+        state.pop("_kept", None)
         return state
 
     @abstractmethod
@@ -410,15 +407,25 @@ def compose_word(word: Sequence[Functor]) -> Functor:
     return acc
 
 
+def grade_fits(g: tuple[int, ...], h: tuple[int, ...]) -> bool:
+    """The grade test: hom(a, b) is empty unless grade_fits(grade(a),
+    grade(b)), i.e. equal length and g <= h entry by entry."""
+    return len(g) == len(h) and all(map(le, g, h))
+
+
+def _require_objects(cat: Category, *objects: Any) -> None:
+    for obj in objects:
+        if not cat.is_object(obj):
+            raise ValueError(f"{_shown(obj)} is not an object of {cat.name}")
+
+
 def require_hom_budget(cat: Category, budget: SearchBudget | None,
                        *pairs: tuple[Any, Any]) -> None:
     """Refuse before any hom(x, y) of the pairs is built: ValueError for a
     non-object, BudgetExceeded past the hom-size cap (None: the default)."""
     cap = (budget or SearchBudget()).max_hom_size
     for x, y in pairs:
-        for obj in (x, y):
-            if not cat.is_object(obj):
-                raise ValueError(f"{_shown(obj)} is not an object of {cat.name}")
+        _require_objects(cat, x, y)
         size = cat.hom_size(x, y)
         if size > cap:
             raise _hom_refusal(size, cap, x, y)
@@ -457,46 +464,35 @@ class _Violations:
         return LawReport(not self.found, checked, tuple(self.kept))
 
 
-class _Fragment:
-    """The law sweeps' view of `cat` over an object fragment.
+class _Kept:
+    """The hom-sets and composition tables of `cat` that the law sweeps and
+    frank checks have met; its callers refuse non-objects first.
 
-    rows[a][b] = hom(a, b) for each non-empty hom-set of the fragment, in
-    object order.  Objects are grouped by `cat.grade`, each pair of grades is
-    tested once, and only the pairs whose grades pass are sized, each
-    hom_size before its hom-set, so a hom-set past the budget's hom-size cap
-    is refused before it is built and an empty one is never built.  The
-    skipped pairs are empty, so rows and the first refusal are those of the
-    walk over all pairs.
-    `table(a, b, c)` is `cat.table` over hom(a, b), hom(b, c) and hom(a, c),
-    the last empty unless it is in the fragment; it is built on first use
-    and kept in `tables`.
+    rows[a][b] = hom(a, b), () if empty.  `hom(x, y, cap)` sizes a pair once,
+    when first met, refuses it past the cap before it is built, and builds it
+    only if it is non-empty; a pair already held is refused by its length,
+    as a fresh one would be.  `table(a, b, c)` is `cat.table` over hom(a, b),
+    hom(b, c) and hom(a, c), built once per triple; the first two must be
+    held, and hom(a, c) reads as empty unless it is, as a grade walk holds
+    every pair whose grades fit.
     """
 
-    def __init__(self, cat: Category, objects: Sequence[Any],
-                 budget: SearchBudget | None):
-        cap = (budget or SearchBudget()).max_hom_size
-        grades = [cat.grade(b) for b in objects]
-        at: dict[tuple[int, ...], list[int]] = {}    # object indices by grade
-        for i, g in enumerate(grades):
-            at.setdefault(g, []).append(i)
-        # targets[g]: the objects, in object order, whose grade g may map into
-        targets = {g: [objects[i] for i in sorted(
-            i for h, hi in at.items()
-            if len(h) == len(g) and all(map(le, g, h)) for i in hi)]
-            for g in at}
-        rows: dict[Any, dict[Any, tuple[Morph, ...]]] = {}
-        largest = 0
-        for a, g in zip(objects, grades):
-            row = rows[a] = {}
-            for b in targets[g]:
-                size = cat.hom_size(a, b)
-                if size > cap:
-                    raise _hom_refusal(size, cap, a, b)
-                if size:
-                    row[b] = cat.hom(a, b)
-                    largest = max(largest, size)
-        self.cat, self.rows, self.largest = cat, rows, largest
+    def __init__(self, cat: Category):
+        self.cat = cat
+        self.rows: dict[Any, dict[Any, tuple[Morph, ...]]] = {}
         self.tables: dict[tuple[Any, Any, Any], list[tuple[int, ...]]] = {}
+
+    def hom(self, x: Any, y: Any, cap: int) -> tuple[Morph, ...]:
+        row = self.rows.setdefault(x, {})
+        found = row.get(y)
+        if found is None:
+            size = self.cat.hom_size(x, y)
+            if size > cap:
+                raise _hom_refusal(size, cap, x, y)
+            found = row[y] = self.cat.hom(x, y) if size else ()
+        elif len(found) > cap:
+            raise _hom_refusal(len(found), cap, x, y)
+        return found
 
     def table(self, a: Any, b: Any, c: Any) -> list[tuple[int, ...]]:
         found = self.tables.get((a, b, c))
@@ -505,6 +501,46 @@ class _Fragment:
             found = self.tables[a, b, c] = self.cat.table(
                 rows[a][b], rows[b][c], rows[a].get(c, ()))
         return found
+
+
+def _stores(fun: Functor) -> tuple[_Kept, _Kept]:
+    """The stores of fun.dom and fun.cod: the one `check_category_laws` left
+    on each handle, else one for this call alone, shared when cod is dom."""
+    dom = fun.dom._kept or _Kept(fun.dom)
+    if fun.cod is fun.dom:
+        return dom, dom
+    return dom, fun.cod._kept or _Kept(fun.cod)
+
+
+def _fragment(kept: _Kept, objects: Sequence[Any], cap: int
+              ) -> dict[Any, dict[Any, tuple[Morph, ...]]]:
+    """rows[a][b] = hom(a, b) for each non-empty hom-set of the fragment, in
+    object order, read through `kept` under the hom-size cap.
+
+    A non-object is refused with ValueError before any pair is met.  Objects
+    are grouped by `cat.grade`, each pair of grades is tested once, and only
+    the pairs whose grades fit are met, in walk order.  The skipped pairs are
+    empty, so rows and the first refusal are those of the walk over all
+    pairs.
+    """
+    cat = kept.cat
+    _require_objects(cat, *objects)
+    grades = [cat.grade(b) for b in objects]
+    at: dict[tuple[int, ...], list[int]] = {}    # object indices by grade
+    for i, g in enumerate(grades):
+        at.setdefault(g, []).append(i)
+    # targets[g]: the objects, in object order, whose grade g may map into
+    targets = {g: [objects[i] for i in sorted(
+        i for h, hi in at.items() if grade_fits(g, h) for i in hi)]
+        for g in at}
+    rows: dict[Any, dict[Any, tuple[Morph, ...]]] = {}
+    for a, g in zip(objects, grades):
+        row = rows[a] = {}
+        for b in targets[g]:
+            hab = kept.hom(a, b, cap)
+            if hab:
+                row[b] = hab
+    return rows
 
 
 def check_category_laws(cat: Category, objects: Sequence[Any],
@@ -518,16 +554,15 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
     from the (a, a, b) and (a, b, b) tables at the identity's index in
     hom(a, a) or hom(b, b); they compose the arrows only where that identity
     is missing from its hom-set or has the wrong endpoints, where f is stray,
-    or where the index differs from f's.  The fragment and its tables stay
-    on `cat`, in place of the last sweep's, for `check_functor_laws` and
-    `check_frank_at` to read.
+    or where the index differs from f's.  The hom-sets and tables are read
+    through a fresh store (`_Kept`), which stays on `cat` in place of the
+    last sweep's, for `check_functor_laws` and `check_frank_at` to read.
     """
     bad = _Violations()
     checked = 0
-    cat._law_memo = None        # drop the last fragment before walking anew
-    frag = _Fragment(cat, objects, budget)
-    cat._law_memo = (tuple(objects), frag)
-    rows, tables = frag.rows, frag.tables
+    kept = cat._kept = _Kept(cat)
+    rows = _fragment(kept, objects, (budget or SearchBudget()).max_hom_size)
+    tables = kept.tables
     ids = {a: cat.identity(a) for a in objects}
     # id_at[a]: the index of id_a in hom(a, a), or -1 if it is not there
     # with the endpoints (a, a)
@@ -541,7 +576,7 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
     for a in objects:
         for b in rows[a]:
             for c in rows[b]:
-                frag.table(a, b, c)
+                kept.table(a, b, c)
 
     for a in objects:
         ida, ia = ids[a], id_at[a]
@@ -598,23 +633,6 @@ def check_category_laws(cat: Category, objects: Sequence[Any],
     return bad.report(checked)
 
 
-def _law_fragment(cat: Category, objects: Sequence[Any],
-                  budget: SearchBudget | None) -> _Fragment:
-    """The fragment that the last category-law sweep over `cat` left, if it
-    was over these objects; else a fresh walk.  A hom-set of it past the
-    budget's cap is refused at the first such pair in walk order, where a
-    fresh walk would refuse, without building or sizing anything anew."""
-    memo = cat._law_memo
-    if memo is None or memo[0] != tuple(objects):
-        return _Fragment(cat, objects, budget)
-    frag, cap = memo[1], (budget or SearchBudget()).max_hom_size
-    if frag.largest > cap:
-        a, b, size = next((a, b, len(hab)) for a, row in frag.rows.items()
-                          for b, hab in row.items() if len(hab) > cap)
-        raise _hom_refusal(size, cap, a, b)
-    return frag
-
-
 def _image_ranks(hom: tuple[Morph, ...], pos: dict[Any, int], x: Any, y: Any,
                  hab: tuple[Morph, ...], a: Any, b: Any,
                  morph: Any) -> list[int]:
@@ -642,24 +660,23 @@ def check_functor_laws(fun: Functor, objects: Sequence[Any],
     """Identities and composites preserved, and each image of hom(a, b) in
     hom(F a, F b), over the given object fragment.
 
-    The domain fragment is the one `check_category_laws` left on `fun.dom`
-    for the same objects, tables and all (see `_law_fragment`), else a fresh
-    walk.  Each codomain hom(F a, F b) is sized before it is built, all of
-    them in sweep order before any law is read.  `morph` runs once per
-    domain arrow, and each image is kept as its index in hom(F a, F b) (see
-    `_image_ranks`).  F(g∘f) == F g∘F f is then an index comparison,
+    Hom-sets and tables are read through the stores of `fun.dom` and
+    `fun.cod` (see `_stores`): the domain fragment is walked as the category
+    sweep walks it, and each codomain hom(F a, F b) is met in sweep order
+    before any law is read.  `morph` runs once per domain arrow, and each
+    image is kept as its index in hom(F a, F b) (see `_image_ranks`).
+    F(g∘f) == F g∘F f is then an index comparison,
     img_ac[T[g][f]] == codT[img_bc[g]][img_ab[f]], with T the domain table
-    of (a, b, c) and codT the codomain table of (F a, F b, F c): the
-    fragment's own when F is an endofunctor whose image triple lies in the
-    fragment, else one `cod.table` per image triple.
-    Where any of these indices is negative, the law is decided by composing
-    the arrows, as the literal sweep does.
+    of (a, b, c) and codT the codomain table of (F a, F b, F c).  Where any
+    of these indices is negative, the law is decided by composing the
+    arrows, as the literal sweep does.
     """
     bad = _Violations()
     checked = 0
     dom, cod, morph = fun.dom, fun.cod, fun.morph
-    frag = _law_fragment(dom, objects, budget)
-    rows = frag.rows
+    dom_kept, cod_kept = _stores(fun)
+    cap = (budget or SearchBudget()).max_hom_size
+    rows = _fragment(dom_kept, objects, cap)
     fobj = {a: fun.obj(a) for a in objects}
     mapped = {a for a in objects if cod.is_object(fobj[a])}
     # targets[F a, F b]: each codomain hom-set and its payloads' indices;
@@ -672,18 +689,10 @@ def check_functor_laws(fun: Functor, objects: Sequence[Any],
         for b, hab in rows[a].items():
             key = (fobj[a], fobj[b])
             if key not in targets:
-                hom = budgeted_hom(cod, *key, budget)
+                _require_objects(cod, *key)
+                hom = cod_kept.hom(*key, cap)
                 targets[key] = hom, {h.data: i for i, h in enumerate(hom)}
             ranks[a, b] = _image_ranks(*targets[key], *key, hab, a, b, morph)
-    cod_tables: dict[tuple[Any, Any, Any], list[tuple[int, ...]]] = {}
-
-    def cod_table(x: Any, y: Any, z: Any) -> list[tuple[int, ...]]:
-        if cod is dom and y in rows.get(x, ()) and z in rows.get(y, ()):
-            return frag.table(x, y, z)
-        if (x, y, z) not in cod_tables:
-            cod_tables[x, y, z] = cod.table(targets[x, y][0], targets[y, z][0],
-                                            targets[x, z][0])
-        return cod_tables[x, y, z]
 
     compose, cod_compose = dom.compose, cod.compose
     for a in objects:
@@ -705,19 +714,19 @@ def check_functor_laws(fun: Functor, objects: Sequence[Any],
                 # hom(a, c) outside the fragment: no composite has an index
                 table = codt = None
                 if c in rows[a]:
-                    table, rac = frag.table(a, b, c), ranks[a, c]
-                    codt = cod_table(fa, fobj[b], fobj[c])
+                    table, rac = dom_kept.table(a, b, c), ranks[a, c]
+                    codt = cod_kept.table(fa, fobj[b], fobj[c])
                 for fi, f in enumerate(hab):
                     i = rab[fi]
                     for gi, g in enumerate(hbc):
                         j = rbc[gi]
                         k = -1 if codt is None else table[gi][fi]
                         if i >= 0 and j >= 0 and k >= 0 and rac[k] >= 0:
-                            kept = rac[k] == codt[j][i]
+                            preserved = rac[k] == codt[j][i]
                         else:
-                            kept = (morph(compose(g, f))
-                                    == cod_compose(morph(g), morph(f)))
-                        if not kept:
+                            preserved = (morph(compose(g, f))
+                                         == cod_compose(morph(g), morph(f)))
+                        if not preserved:
                             bad.add("composition not preserved at ({!r},{!r})",
                                     g, f)
     return bad.report(checked)
@@ -730,38 +739,27 @@ class FrankResult:
     detail: str = ""
 
 
-def _kept_hom(cat: Category, x: Any, y: Any,
-              budget: SearchBudget | None) -> tuple[Morph, ...]:
-    """`budgeted_hom(cat, x, y, budget)`, refusals and all, read from the
-    fragment that the last category-law sweep left on cat when that fragment
-    holds both objects; hom(x, y) is then neither sized nor built anew."""
-    rows = cat._law_memo[1].rows if cat._law_memo else {}
-    # an object is hashable; a non-object is refused by budgeted_hom
-    if (not rows or not (cat.is_object(x) and cat.is_object(y))
-            or x not in rows or y not in rows):
-        return budgeted_hom(cat, x, y, budget)
-    hom, cap = rows[x].get(y, ()), (budget or SearchBudget()).max_hom_size
-    if len(hom) > cap:
-        raise _hom_refusal(len(hom), cap, x, y)
-    return hom
-
-
 def check_frank_at(fun: Functor, a: Any, b_prime: Any,
                    budget: SearchBudget | None = None) -> FrankResult:
     """Verify the surjectivity lift of `fun` at source a and target object
-    b_prime; hom(a, b) or hom(obj(a), b_prime) past the budget's hom-size cap
-    is refused unbuilt.  Each hom-set is read from the fragment that
-    `check_category_laws` left on `fun.dom` or `fun.cod` when that fragment
-    holds both its objects, else sized and built (see `_kept_hom`)."""
+    b_prime; a non-object is refused with ValueError, and hom(a, b) or
+    hom(obj(a), b_prime) past the budget's hom-size cap is refused unbuilt.
+    Both hom-sets are read through the stores of `fun.dom` and `fun.cod`
+    (see `_stores`), so one that `check_category_laws` left is neither sized
+    nor built anew."""
     try:
         b = fun.frank_lift(a, b_prime)
     except LiftError as exc:
         return FrankResult("no-lift", None, str(exc))
     if fun.obj(b) != b_prime:
         return FrankResult("fail", b, f"obj({b!r}) != {b_prime!r}")
-    image = {fun.morph(f) for f in _kept_hom(fun.dom, a, b, budget)}
-    target = set(_kept_hom(fun.cod, fun.obj(a), b_prime, budget))
-    if image != target:
+    cap = (budget or SearchBudget()).max_hom_size
+    dom_kept, cod_kept = _stores(fun)
+    _require_objects(fun.dom, a, b)
+    image = {fun.morph(f) for f in dom_kept.hom(a, b, cap)}
+    fa = fun.obj(a)
+    _require_objects(fun.cod, fa, b_prime)
+    if image != set(cod_kept.hom(fa, b_prime, cap)):
         return FrankResult("fail", b, "image of hom differs from target hom")
     return FrankResult("pass", b)
 

@@ -20,10 +20,9 @@ from ramcat import constructions as constructions_module
 from ramcat.categories import (ProductCategory, ProductFunctor, SubsetBoundary,
                                SubsetCategory, step_boundary, structure)
 from ramcat.categories import trees as trees_module
-from ramcat.constructions import (CONSTRUCTED, SEARCHED,
-                                  pigeonhole_provider, product_provider,
-                                  product_witness, r_fp_oracle,
-                                  r_modeling_transfer, search_provider)
+from ramcat.constructions import (CONSTRUCTED, pigeonhole_provider,
+                                  product_provider, product_witness,
+                                  r_fp_oracle, r_modeling_transfer)
 from brute import (brute_minimal_grid, brute_minimal_hj_dimension,
                    brute_minimal_single, rectangle_free_exists)
 
@@ -148,12 +147,6 @@ def test_providers_carry_provenance():
     assert c == 6
     assert note == fp_to_p_construct(DR, 1, 2, 2, r_fp_oracle())[1]
     assert note.selection == "oracle-defined"
-    sp = search_provider(lambda a, b, r: range(0, 8))
-    assert sp.provenance == SEARCHED
-    assert sp(DR, 2, 3, 2) == (4, None)
-    empty = search_provider(lambda a, b, r: range(0, 3))
-    with pytest.raises(ConstructionError, match="pool exhausted"):
-        empty(DR, 2, 3, 2)
 
 
 # ---------------------------------------------------------------------------
