@@ -6,7 +6,10 @@ values.  A morphism's payload is the tuple of factor payloads in factor
 order.  Hom sets are cartesian products of the factor hom sets in
 `itertools.product` order, which is canonical since `canon_bytes` is
 self-delimiting; `action` relies on it to sum the factors' action table
-indices in mixed radix.  A functor acts coordinate by coordinate.
+indices in mixed radix.  It builds and keeps every factor's table but the
+first when it is called, and streams the first factor's rows as the
+product's own rows are read, so a caller that reads a few rows builds a few
+of the first factor's.  A functor acts coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -71,16 +74,24 @@ class ProductCategory(Category):
 
     def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
         # the index of a product arrow of hom(a, c) is the sum of its factor
-        # indices, each scaled by the size of the later factors' hom(x, z)
-        tables, stride = [], 1
-        for cat, (_, x), (_, y), (_, z) in reversed(
-                tuple(zip(self.factors, a, b, c))):
-            tables.insert(0, [[stride * j for j in row]
-                              for row in cat.action(x, y, z)])
+        # indices, each scaled by the size of the later factors' hom(x, z);
+        # every factor after the first is built, scaled and kept, since each
+        # of its rows is read once per row of the factors before it
+        first, *triples = [(cat, x, y, z) for cat, (_, x), (_, y), (_, z)
+                           in zip(self.factors, a, b, c)]
+        rest, stride = [], 1
+        for cat, x, y, z in reversed(triples):
+            rest.insert(0, [[stride * j for j in row]
+                            for row in cat.action(x, y, z)])
             stride *= cat.hom_size(x, z)
-        # rows are summed as they are read, so a caller that stops early
-        # never builds the rest
-        return (tuple(map(sum, product(*rows))) for rows in product(*tables))
+        cat, x, y, z = first
+        # called here, so a factor that validates its table does so before
+        # any row is read; the first factor's rows are read, and scaled, as
+        # the product's rows are
+        return (tuple(map(sum, product(head, *rows)))
+                for head in ([stride * j for j in row]
+                             for row in cat.action(x, y, z))
+                for rows in product(*rest))
 
     def identity(self, a: Any) -> Morph:
         return Morph(a, a, tuple(cat.identity(x).data

@@ -8,14 +8,16 @@ the image and the top point of the target.
 
 `action` composes nothing: g∘f over hom(a, b) in canonical order is
 `combinations(y, a)` for g's image y, each an increasing a-subset of [c] and
-so an arrow of hom(a, c), ranked by a lookup.  A subclass that overrides
-`compose_data` gets the generic `Category.action`, which composes and
-validates every row through the override.
+so an arrow of hom(a, c), ranked by a lookup.  No row can leave hom(a, c), so
+none is validated, and the rows are a lazy stream, built as they are read
+and readable once.  A subclass that overrides `compose_data` gets the generic
+`Category.action`, which composes and validates every row through the
+override before it returns them as a list.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import combinations, count, repeat
 from typing import Any, Iterable, Iterator
 
 from ..core import Category, Functor, Morph, binomial
@@ -50,8 +52,9 @@ class SubsetCategory(Category):
             return super().action(a, b, c)
         rank = {x: i for i, x in
                 enumerate(combinations(range(1, c + 1), a))}.__getitem__
-        return [tuple(map(rank, combinations(y, a)))
-                for y in combinations(range(1, c + 1), b)]
+        # tuple(map(rank, combinations(y, a))) per image y, streamed
+        return map(tuple, map(map, repeat(rank), map(
+            combinations, combinations(range(1, c + 1), b), repeat(a))))
 
     def moves(self, a: Any, c: Any
               ) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:

@@ -19,6 +19,12 @@ child's offset.  Like the shape cache, each memo clears itself when full:
 payloads in all (an empty list counts as one), and a hom-set larger than
 that is never kept.
 
+`action` composes in closed form: for each f in hom(a, b), `itemgetter(*f)`
+picks g∘f out of every payload g of hom(b, c), and one dict over hom(a, c)'s
+payloads ranks the composites, so a table makes no Python call per entry.
+The rows are validated with the default's refusal.  A subclass that
+overrides `compose_data` gets the generic `Category.action`.
+
 The truncation functor removes the deepest level of any tree with at least
 two levels and fixes the single-node tree; morphisms are restricted and
 reindexed.
@@ -26,8 +32,9 @@ reindexed.
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Any, Iterator, NamedTuple
+from itertools import count, repeat
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from ..core import Category, EncodingError, Functor, Morph, grade_fits
 
@@ -156,6 +163,13 @@ def _payloads(s: tuple, t: tuple) -> list[tuple[int, ...]]:
     return out
 
 
+def _hom_payloads(s: tuple, t: tuple) -> list[tuple[int, ...]]:
+    """The payloads of hom(s, t), sorted: none unless the levels fit."""
+    if not grade_fits(shape(s).levels, shape(t).levels):
+        return []
+    return _payloads(s, t)
+
+
 def height(t: tuple) -> int:
     return shape(t).height
 
@@ -225,9 +239,7 @@ class TreeCategory(Category):
             yield from _ordered_trees(n)
 
     def hom(self, a: Any, b: Any) -> tuple[Morph, ...]:
-        if not grade_fits(shape(a).levels, shape(b).levels):
-            return ()
-        return tuple([Morph(a, b, p) for p in _payloads(a, b)])
+        return tuple([Morph(a, b, p) for p in _hom_payloads(a, b)])
 
     def hom_size(self, a: Any, b: Any) -> int:
         if not grade_fits(shape(a).levels, shape(b).levels):
@@ -244,6 +256,19 @@ class TreeCategory(Category):
     def compose_data(self, g: Morph, f: Morph) -> Any:
         gd = g.data
         return tuple([gd[j] for j in f.data])
+
+    def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
+        if type(self).compose_data is not TreeCategory.compose_data:
+            return super().action(a, b, c)
+        hab, hbc = _hom_payloads(a, b), _hom_payloads(b, c)
+        if not hab:
+            return [()] * len(hbc)
+        # itemgetter(*f) picks g∘f out of each g; for a one-node a it picks a
+        # bare int, so the hom(a, c) payloads are keyed to match
+        hac = _hom_payloads(a, c)
+        pos = dict(zip(hac if len(a) > 1 else [p for p, in hac], count())).get
+        columns = [map(pos, map(itemgetter(*f), hbc), repeat(-1)) for f in hab]
+        return self._checked_rows(a, b, c, list(zip(*columns)))
 
     def spec(self) -> dict:
         return {"kind": "trees"}

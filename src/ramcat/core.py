@@ -233,22 +233,27 @@ class Category(ABC):
     of g∘f ("f then g"); `compose(g, f)` refuses a non-composable pair and
     adds the endpoints, dom f and cod g.  `action(a, b, c)` gives one row per
     g in hom(b, c), in order: the hom(a, c) indices of g∘f over hom(a, b).
-    Every row is composed and validated before `action` returns, so a
-    composite outside hom(a, c) raises ValueError even in a row that no
-    caller reads.  The rows come from `table(hab, hbc, hac)`: one row per g
-    in hbc, the hac index of g∘f for each f in hab, or -1 where the
-    composite is not in hac.  It ranks composite payloads, which are unique
-    within one hom-set, and builds no `Morph`.  The law sweeps read the same
-    builder through one hom store per handle (`_Kept`):
-    `check_category_laws` puts a fresh one on the handle, never pickled, and
-    `check_functor_laws` and `check_frank_at` read it when it is there.
-    Products override `action` with a stream of mixed-radix index sums over
-    their factors' tables, which are built and validated before `action`
-    returns.  Subsets override `action` in closed form, unless a subclass
-    overrides their `compose_data`.  `grade(a)` is a tuple of ints, `()` by
-    default, under one contract: hom(a, b) is empty unless
-    `grade_fits(grade(a), grade(b))` (trees: the node count at each depth).
-    The law sweeps size only the pairs whose grades fit.
+    By default every row is composed and validated before `action`
+    returns, so a composite outside hom(a, c) raises ValueError even in a
+    row that no caller reads; `_checked_rows` holds that one refusal.  The
+    rows come from `table(hab, hbc, hac)`: one row per g in hbc, the hac
+    index of g∘f for each f in hab, or -1 where the composite is not in
+    hac.  It ranks composite payloads, which are unique within one
+    hom-set, and builds no `Morph`.  The law sweeps read the same builder
+    through one hom store per handle (`_Kept`): `check_category_laws` puts
+    a fresh one on the handle, never pickled, and `check_functor_laws` and
+    `check_frank_at` read it when it is there.  Subsets and trees override
+    `action` in closed form, unless a subclass overrides their
+    `compose_data`: subsets return a lazy stream that reads once, since no
+    row can leave hom(a, c), and trees a validated list.  Products override
+    `action` with a stream of mixed-radix index sums over their factors'
+    tables.  Each factor's `action` is called before the product's
+    returns, so a factor on the default has validated its table by then;
+    every factor's rows but the first are kept whole, and the first
+    factor's rows are read only as the product's are.  `grade(a)` is a
+    tuple of ints, `()` by default, under one contract: hom(a, b) is empty
+    unless `grade_fits(grade(a), grade(b))` (trees: the node count at each
+    depth).  The law sweeps size only the pairs whose grades fit.
     `moves(a, c)` names groups of permutations of the hom(a, c) indices, each
     a tuple of generators, where the engine's falsifier looks for colorings
     constant on their orbits; none by default.  A verdict never rests on a
@@ -301,13 +306,19 @@ class Category(ABC):
         return [tuple([pos(compose_data(g, f), -1) for f in hab]) for g in hbc]
 
     def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
-        hom_ab, hom_bc = self.hom(a, b), self.hom(b, c)
-        rows = self.table(hom_ab, hom_bc, self.hom(a, c))
-        for g, row in zip(hom_bc, rows):
+        return self._checked_rows(a, b, c, self.table(
+            self.hom(a, b), self.hom(b, c), self.hom(a, c)))
+
+    def _checked_rows(self, a: Any, b: Any, c: Any,
+                      rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """rows, if every entry is a hom(a, c) index; else the ValueError
+        that names the first g in hom(b, c) and f in hom(a, b) whose
+        composite is not in hom(a, c)."""
+        for j, row in enumerate(rows):
             if -1 in row:
+                g, f = self.hom(b, c)[j], self.hom(a, b)[row.index(-1)]
                 raise ValueError(f"{self.name}: compose(g, f) is not in "
-                                 f"hom({a!r}, {c!r}) for g={g!r}, "
-                                 f"f={hom_ab[row.index(-1)]!r}")
+                                 f"hom({a!r}, {c!r}) for g={g!r}, f={f!r}")
         return rows
 
     def moves(self, a: Any, c: Any

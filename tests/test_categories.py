@@ -9,7 +9,7 @@ from brute import brute_table, brute_tree_embeddings
 
 from ramcat import (EncodingError, IdentityFunctor, LiftError, Morph,
                     check_category_laws, check_frank_at, check_functor_laws,
-                    compose_word)
+                    compose_word, fouche_witness)
 from ramcat.core import Category, sort_morphs
 from ramcat.categories import trees as trees_module
 from ramcat.categories import (ProductCategory, ProductFunctor, StepBoundary,
@@ -470,6 +470,72 @@ def test_tree_table_composes_through_an_overridden_compose():
     assert len(calls) == 2 * 3 * 20
 
 
+@pytest.mark.parametrize("s, t", [((1, 0), (2, 0, 0)),
+                                  ((2, 0, 0), (3, 0, 0, 0))])
+def test_tree_action_matches_generic_action_on_fouche_claims(s, t):
+    # the construct workload's Fouché claims, into their witnesses
+    cat = tree_category()
+    v, _ = fouche_witness(s, t, 2)
+    rows = list(cat.action(s, t, v))
+    assert rows == Category.action(cat, s, t, v)
+    assert len(rows) == cat.hom_size(t, v)
+
+
+def test_tree_action_matches_generic_action_on_small_trees():
+    cat = tree_category()
+    trees = TREES_TO_6[:23]                 # every tree with at most 5 nodes
+    for a, b, c in product(trees, repeat=3):
+        assert list(cat.action(a, b, c)) == Category.action(cat, a, b, c), \
+            (a, b, c)
+    # among them: an empty hom(a, b), an empty hom(b, c), and one-node
+    # payloads, where itemgetter picks a bare int
+    assert list(cat.action((2, 0, 0), (1, 0), (3, 0, 0, 0))) == [()] * 3
+    assert list(cat.action((1, 0), (3, 0, 0, 0), (2, 0, 0))) == []
+    assert list(cat.action((0,), (0,), (0,))) == [(0,)]
+
+
+def test_tree_action_names_a_composite_outside_the_hom(monkeypatch):
+    # hom(a, c) short of its first arrow: the closed form refuses with the
+    # default action's message, naming g and f
+    a, b, c = (1, 0), (2, 0, 0), (3, 0, 0, 0)
+    listed = trees_module._hom_payloads
+    monkeypatch.setattr(trees_module, "_hom_payloads", lambda s, t: (
+        listed(s, t)[1:] if (s, t) == (a, c) else listed(s, t)))
+    cat = tree_category()
+    with pytest.raises(ValueError) as exc:
+        cat.action(a, b, c)
+    with pytest.raises(ValueError) as generic:
+        Category.action(cat, a, b, c)
+    assert str(exc.value) == str(generic.value)
+    assert str(exc.value) == (
+        "trees: compose(g, f) is not in hom((1, 0), (3, 0, 0, 0)) for "
+        "g=Morph(dom=(2, 0, 0), cod=(3, 0, 0, 0), data=(0, 1, 2)), "
+        "f=Morph(dom=(1, 0), cod=(2, 0, 0), data=(0, 1))")
+
+
+def test_tree_action_composes_only_through_an_override(monkeypatch):
+    calls = []
+    real = TreeCategory.compose_data
+
+    def counted(self, g, f):
+        calls.append(1)
+        return real(self, g, f)
+
+    # the class's own compose_data, wrapped in place as a tracer wraps a
+    # method, stays closed form
+    monkeypatch.setattr(TreeCategory, "compose_data", counted)
+    a, b, c = (2, 0, 0), (3, 0, 0, 0), star(27)
+    rows = list(tree_category().action(a, b, c))
+    assert len(rows) == 2925 and calls == []
+
+    class Overriding(TreeCategory):
+        def compose_data(self, g, f):
+            return super().compose_data(g, f)
+
+    assert list(Overriding().action(a, b, c)) == rows
+    assert len(calls) == 2925 * 3
+
+
 @pytest.mark.parametrize("orientation", ["definition", "mirror"])
 def test_step_hom_size_counts_without_enumerating(orientation):
     cat = StepCategory(orientation)
@@ -641,12 +707,36 @@ def test_product_action_matches_generic_action(monkeypatch):
     assert not isinstance(rpr.action(a, b, c), list)
 
 
+def test_product_reads_its_first_factor_lazily_and_the_rest_once(
+        monkeypatch):
+    # a subset factor's rows are a stream that reads once, so the product
+    # keeps every factor after the first whole and reads the first as needed
+    rrr = ProductCategory((subset_category(),) * 3)
+    a, b, c = (rrr.pack(v) for v in ((1, 1, 1), (2, 2, 2), (4, 3, 4)))
+    expected = Category.action(rrr, a, b, c)
+    calls, pulled = [], []
+    real = SubsetCategory.action
+
+    def counted(self, x, y, z):
+        calls.append((x, y, z))
+        return (pulled.append(z) or row for row in real(self, x, y, z))
+
+    monkeypatch.setattr(SubsetCategory, "action", counted)
+    rows = rrr.action(a, b, c)
+    assert calls == [(1, 2, 4), (1, 2, 3), (1, 2, 4)]
+    assert pulled == [4] * 6 + [3] * 3         # the later factors, whole
+    assert next(rows) == expected[0]
+    assert len(pulled) == 6 + 3 + 1            # one row of the first factor
+    assert [expected[0]] + list(rows) == expected
+    assert len(expected) == 6 * 3 * 6 and len(pulled) == 6 + 3 + 6
+
+
 @pytest.mark.parametrize("a, b, c", [
     (0, 0, 0), (0, 3, 0), (1, 0, 0), (0, 2, 5), (2, 2, 5), (2, 5, 5),
     (3, 2, 5), (2, 6, 4), (1, 3, 6), (2, 3, 27), (2, 4, 17), (2, 3, 16)])
 def test_subset_action_matches_generic_action(a, b, c):
     cat = subset_category()
-    assert cat.action(a, b, c) == Category.action(cat, a, b, c)
+    assert list(cat.action(a, b, c)) == Category.action(cat, a, b, c)
 
 
 def test_subset_action_composes_only_through_an_override(monkeypatch):
@@ -660,14 +750,14 @@ def test_subset_action_composes_only_through_an_override(monkeypatch):
     # the class's own compose_data, wrapped in place as a tracer wraps a
     # method, stays closed form
     monkeypatch.setattr(SubsetCategory, "compose_data", counted)
-    rows = subset_category().action(2, 3, 27)
+    rows = list(subset_category().action(2, 3, 27))
     assert len(rows) == 2925 and calls == []
 
     class Overriding(SubsetCategory):
         def compose_data(self, g, f):
             return super().compose_data(g, f)
 
-    assert Overriding().action(2, 3, 27) == rows
+    assert list(Overriding().action(2, 3, 27)) == rows
     assert len(calls) == 2925 * 3
 
 

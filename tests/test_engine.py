@@ -1,6 +1,7 @@
 """Collapse checking: exhaustive sweeps, sampling, budgets, degrees."""
 
 import os
+from collections import Counter
 
 import pytest
 from brute import brute_p_checks, brute_refutes
@@ -11,8 +12,9 @@ from ramcat import (DEFAULT_SEED, BudgetExceeded, Category, Coloring,
                     check_degree_bound, check_degree_witness, check_fp_witness,
                     check_p_witness, compose_word, degree_upper_bound,
                     dump_certificate, fiber, functor_image, p_certificate,
-                    prf_color, ramsey_degree, replay_verify, search_p_witness,
-                    SubsetCategory, subset_boundary, subset_category)
+                    prf_color, product_ramsey_numbers, ramsey_degree,
+                    replay_verify, search_p_witness, SubsetCategory,
+                    subset_boundary, subset_category)
 from ramcat.categories import (TreeCategory, product_functor, standard_window,
                                star, tree_truncation, word_boundary)
 from ramcat.categories.pcat import StepBoundary, StepCategory
@@ -347,11 +349,18 @@ def test_validation_covers_rows_a_sampled_pass_never_reads(jobs):
     broken = subset_boundary(_LateBrokenCompose())
     with pytest.raises(ValueError, match=r"not in hom\(2, 6\)"):
         check_p_witness(broken, 2, 3, 6, 2, **kw)
-    # a product validates its factor tables before it streams any row
-    pcat = ProductCategory((subset_category(), _LateBrokenCompose()))
-    a, b, c = (pcat.pack(v) for v in ((1, 2), (1, 3), (1, 6)))
-    with pytest.raises(ValueError, match=r"not in hom\(2, 6\)"):
-        pcat.action(a, b, c)
+    # a product validates its factor tables before it streams any row, in
+    # either position: the first factor's rows are read lazily, but a
+    # generic factor validates its table when its action is called
+    for factors, values in (
+            ((subset_category(), _LateBrokenCompose()),
+             ((1, 2), (1, 3), (1, 6))),
+            ((_LateBrokenCompose(), subset_category()),
+             ((2, 1), (3, 1), (6, 1)))):
+        pcat = ProductCategory(factors)
+        a, b, c = (pcat.pack(v) for v in values)
+        with pytest.raises(ValueError, match=r"not in hom\(2, 6\)"):
+            pcat.action(a, b, c)
 
 
 def test_sampled_pass_pulls_few_product_rows(monkeypatch):
@@ -375,6 +384,32 @@ def test_sampled_pass_pulls_few_product_rows(monkeypatch):
     assert res == expected and res.ok and calls == [(a, b, c)]
     assert res.arrows == pcat.hom_size(b, c) == 784
     assert 0 < len(pulled) <= res.arrows // 8
+
+
+def test_product_claim_pulls_few_rows_of_its_first_factor(monkeypatch):
+    # the construct workload's product claim, R(1, 2, 130) x R(1, 2, 6)
+    q, _ = product_ramsey_numbers((1, 1), (2, 2), 2)
+    assert q == (130, 6)
+    fun = product_functor(DR, DR)
+    pcat = fun.dom
+    a, b, c = (pcat.pack(v) for v in ((1, 1), (2, 2), q))
+    kw = dict(samples=20, jobs=1)
+    expected = check_p_witness(fun, a, b, c, 2, **kw)
+    pulled = Counter()              # rows read, by the factor's target
+    real = SubsetCategory.action
+
+    def counted(self, x, y, z):
+        return (pulled.update((z,)) or row for row in real(self, x, y, z))
+
+    monkeypatch.setattr(SubsetCategory, "action", counted)
+    res = check_p_witness(fun, a, b, c, 2, **kw)
+    assert res == expected and res.ok and not res.exhaustive
+    assert res.arrows == 8_385 * 15
+    # the second factor is built whole, once; the first is read only as
+    # far as the sampled pass reads the product's rows, far short of its
+    # C(130, 2) = 8,385
+    assert pulled[6] == 15
+    assert 0 < pulled[130] <= 8_385 // 100
 
 
 # ---------------------------------------------------------------------------
