@@ -10,7 +10,7 @@ trace, the verification record, and two hashes:
   digest       -- over the whole document minus the digest itself; any edit
                   is detected before replay starts.
 
-The trace is a Trace record rendered field by field (schema version 2);
+The trace is a Trace record, rendered fact by fact (schema version 2);
 version 1 documents, whose traces were written by hand, are refused.
 
 Budgets serialized into certificates never include the job count, so replays
@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, ClassVar
+from types import SimpleNamespace
+from typing import Any, Callable
 
 from .categories.hjcat import WordBoundary, WordCategory
 from .categories.pcat import StepBoundary, StepCategory
@@ -180,20 +181,19 @@ def verification_doc(res: PCheckResult) -> dict:
     return out
 
 
-class Trace:
-    """A construction record: a frozen dataclass whose doc() is its fields
-    by name, with kind first when the class sets one.  Fields holding None
-    or {} are left out, so an optional fact needs no new schema version."""
+class Trace(SimpleNamespace):
+    """A construction record: its facts by keyword, fixed once built.  doc()
+    is the facts by name; facts holding None or {} are left out, so an
+    optional fact needs no new schema version."""
 
-    kind: ClassVar[str | None] = None
+    def __setattr__(self, name: str, *_: Any) -> None:
+        raise AttributeError(f"trace records are immutable: {name!r}")
+
+    __delattr__ = __setattr__
 
     def doc(self) -> dict:
-        out = {"kind": self.kind} if self.kind else {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and value != {}:
-                out[f.name] = _trace_json(value)
-        return out
+        return {name: _trace_json(value) for name, value in vars(self).items()
+                if value is not None and value != {}}
 
 
 def _trace_json(value: Any) -> Any:

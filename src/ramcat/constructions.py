@@ -3,7 +3,9 @@
 Each builder returns a witness object together with a trace recording every
 oracle call, intermediate object and selected morphism.  Builders never verify
 their own output; the engine does that separately, and the certificates module
-renders trace + verdict: every trace record here is a certificates.Trace.
+renders trace + verdict.  Every trace record is one certificates.Trace, built
+here with its facts by keyword; a top-level record's kind fact names its
+construction ("fp-to-p", "word", "product" or "modeling").
 
 Color blow-ups (R = r**M) use exact integers; a stage whose color count would
 exceed the run budget's ``max_color_bits`` (a ``SearchBudget`` field, set on
@@ -27,7 +29,7 @@ from .certificates import Trace
 from .core import (BudgetExceeded, Category, Functor, IdentityFunctor, Morph,
                    SearchBudget, budgeted_hom, require_hom_budget,
                    sort_morphs)
-from .engine import FpInstance, functor_image
+from .engine import FpInstance, functor_image, require_colors
 
 CONSTRUCTED = "constructed-by-theorem"
 
@@ -110,8 +112,7 @@ def r_fp_witness(inst: FpInstance,
     k, l, s, r = inst.a, inst.b, inst.s, inst.r
     if not s:
         raise ValueError("the arrow selection s must be non-empty")
-    if r < 1:
-        raise ValueError("need at least one color")
+    require_colors(r)
     if delta.dom.hom_size(k, l) <= 1:
         return l, sort_morphs(s)[0], subset_g_prime(delta, l, l)
     m = (r + 1) * l
@@ -167,37 +168,11 @@ def tree_fp_witness(inst: FpInstance, delta: TreeTruncation | None = None,
 # the fiber-condition -> partition-condition recursion
 
 
-@dataclass(frozen=True)
-class FpStage(Trace):
-    c_prev: Any
-    s: tuple[Morph, ...]
-    picked: Morph
-    origin: Morph
-    g: Morph
-    c_next: Any
-
-
-@dataclass(frozen=True)
-class FpToPTrace(Trace):
-    kind = "fp-to-p"
-    a: Any
-    b: Any
-    r: int
-    c: Any
-    selection: str
-    stages: tuple[FpStage, ...]
-
-    @property
-    def n(self) -> int:
-        """The size of the image of hom(a, b): one stage per element."""
-        return len(self.stages)
-
-
 def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
                       oracle: Callable[[FpInstance], tuple[Any, Morph, Morph]],
                       *, selection: str = "oracle-defined",
                       budget: SearchBudget | None = None
-                      ) -> tuple[Any, FpToPTrace]:
+                      ) -> tuple[Any, Trace]:
     """Iterate a fiber-condition oracle once per image element of hom(a, b).
 
     Stage k hands the oracle the pushed copies of the still-unhandled image
@@ -208,13 +183,12 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
     Each stage witness c is refused past the budget's hom-size cap on hom(a, c)
     before the next oracle call or its return: stage objects grow geometrically.
     """
-    if r < 1:
-        raise ValueError("need at least one color")
+    require_colors(r)
     image = functor_image(delta, a, b, budget)
     # each unhandled image element, in image order, and its pushed copy
     pushed = {e: e for e in image}
     c_cur = b
-    stages: list[FpStage] = []
+    stages: list[Trace] = []
     for k in range(1, len(image) + 1):
         s_k = sort_morphs(pushed.values())
         inst = FpInstance(a=a, b=c_cur, s=s_k, r=r)
@@ -227,9 +201,11 @@ def fp_to_p_construct(delta: Functor, a: Any, b: Any, r: int,
         require_hom_budget(delta.dom, budget, (a, c_next))
         del pushed[origin]
         pushed = {e: delta.cod.compose(g, p) for e, p in pushed.items()}
-        stages.append(FpStage(c_cur, s_k, picked, origin, g, c_next))
+        stages.append(Trace(c_prev=c_cur, s=s_k, picked=picked, origin=origin,
+                            g=g, c_next=c_next))
         c_cur = c_next
-    return c_cur, FpToPTrace(a, b, r, c_cur, selection, tuple(stages))
+    return c_cur, Trace(kind="fp-to-p", a=a, b=b, r=r, c=c_cur,
+                        selection=selection, stages=tuple(stages))
 
 
 def r_fp_oracle(delta: SubsetBoundary | None = None) -> Callable[[FpInstance], tuple]:
@@ -241,7 +217,7 @@ def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
                 budget: SearchBudget | None = None) -> WitnessProvider:
     """Witnesses built by the fp->p recursion with oracle_for(fun), under the
     budget's hom-size cap; the note is the recursion's trace."""
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, FpToPTrace]:
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, Trace]:
         return fp_to_p_construct(fun, a, b, r, oracle_for(fun),
                                  selection=selection, budget=budget)
 
@@ -252,79 +228,38 @@ def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
 # composition of witnesses along a functor word
 
 
-@dataclass(frozen=True)
-class WordStage(Trace):
-    a: Any
-    b: Any
-    witness: Any
-    lifted_from: Any | None
-    note: Trace | None
-
-
-@dataclass(frozen=True)
-class WordTrace(Trace):
-    """Stages outer to inner: stages[0] applies word[0]."""
-
-    kind = "word"
-    stages: tuple[WordStage, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.stages)
-
-
 def word_witness(word: Sequence[Functor], a: Any, b: Any, r: int,
-                 provider: WitnessProvider) -> tuple[Any, WordTrace]:
+                 provider: WitnessProvider) -> tuple[Any, Trace]:
     """Chain single-functor witnesses along a composition word.
 
     word[0] is applied first.  The provider is called once per stage with the
     stage's own functor and the pair actually in play there: inner stages see
     pushed objects, and each outer stage sees the lift c' of the witness d
     below it, which turns witnessing at (a, c') into witnessing the composite.
+    The trace's stages run outer to inner: stages[0] applies word[0].
     """
     if not word:
         raise ValueError("empty words need no construction; b itself works")
     if len(word) == 1:
         c, note = provider(word[0], a, b, r)
-        return c, WordTrace((WordStage(a, b, c, None, note),))
+        return c, Trace(kind="word", stages=(Trace(
+            a=a, b=b, witness=c, lifted_from=None, note=note),))
     gamma = word[0]
     d, inner = word_witness(word[1:], gamma.obj(a), gamma.obj(b), r, provider)
     c_prime = _stage("lift between stages", lambda: gamma.frank_lift(b, d))
     c, note = provider(gamma, a, c_prime, r)
-    return c, WordTrace((WordStage(a, c_prime, c, d, note),) + inner.stages)
+    return c, Trace(kind="word", stages=(Trace(
+        a=a, b=c_prime, witness=c, lifted_from=d, note=note),) + inner.stages)
 
 
 # ---------------------------------------------------------------------------
 # products
 
 
-@dataclass(frozen=True)
-class ProductStage(Trace):
-    """One coordinate's stage, built at r**m_exponent colors."""
-
-    a: Any
-    b: Any
-    m_exponent: int
-    witness: Any
-    provenance: str
-
-
-@dataclass(frozen=True)
-class ProductTrace(Trace):
-    """Stages in coordinate order."""
-
-    kind = "product"
-    r: int
-    a_values: tuple
-    b_values: tuple
-    c_values: tuple
-    stages: tuple[ProductStage, ...]
-
-
 def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
                     provider: WitnessProvider, *,
                     budget: SearchBudget | None = None
-                    ) -> tuple[Any, ProductTrace]:
+                    ) -> tuple[Any, Trace]:
     """Coordinate-staged witness for fun at objects (a, b), with provider at
     every coordinate; c comes back packed.
 
@@ -332,22 +267,22 @@ def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
     coordinate p and identities elsewhere, so this is one word_witness with
     coordinate 0 outermost.  Stage p sees the other coordinates' hom-sizes
     as the color blow-up exponent M, asks the provider for a witness at r**M
-    colors, and refuses past the budget's max_color_bits bits.
+    colors, and refuses past the budget's max_color_bits bits.  The trace's
+    stages are in coordinate order, each with its exponent as m_exponent.
     """
     cat, parts = fun.dom, fun.parts
     k = len(parts)
     if not (cat.is_object(a) and cat.is_object(b)):
         raise ValueError("one object per factor required")
     a_vals, b_vals = cat.values(a), cat.values(b)
-    if r < 1:
-        raise ValueError("need at least one color")
+    require_colors(r)
     max_bits = (budget or SearchBudget()).max_color_bits
     word = [ProductFunctor(tuple(
         q if i == p else IdentityFunctor(q.cod if i < p else q.dom)
         for i, q in enumerate(parts))) for p in range(k)]
 
     def fn(gamma: ProductFunctor, x: Any, y: Any, r: int
-           ) -> tuple[Any, ProductStage]:
+           ) -> tuple[Any, Trace]:
         p, dom = word.index(gamma), gamma.dom     # functors equal by identity
         x_vals, y_vals = dom.values(x), dom.values(y)
         m_exp = prod(dom.factors[i].hom_size(x_vals[i], y_vals[i])
@@ -360,13 +295,14 @@ def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
         c_p = _stage(f"coordinate {p} provider",
                      lambda: provider(parts[p], x_vals[p], y_vals[p], big_r)[0])
         return (dom.pack(y_vals[:p] + (c_p,) + y_vals[p + 1:]),
-                ProductStage(x_vals[p], y_vals[p], m_exp, c_p,
-                             provider.provenance))
+                Trace(a=x_vals[p], b=y_vals[p], m_exponent=m_exp, witness=c_p,
+                      provenance=provider.provenance))
 
     c, trace = word_witness(word, a, b, r,
                             WitnessProvider(fn, provider.provenance))
-    return c, ProductTrace(r, a_vals, b_vals, cat.values(c),
-                           tuple(stage.note for stage in trace.stages))
+    return c, Trace(kind="product", r=r, a_values=a_vals, b_values=b_vals,
+                    c_values=cat.values(c),
+                    stages=tuple(stage.note for stage in trace.stages))
 
 
 def product_provider(coord_provider: WitnessProvider,
@@ -379,8 +315,7 @@ def product_provider(coord_provider: WitnessProvider,
 
 def product_ramsey_witness(kvec: Sequence[int], pvec: Sequence[int], r: int,
                            *, budget: SearchBudget | None = None
-                           ) -> tuple[ProductFunctor, Any, Any, Any,
-                                      ProductTrace]:
+                           ) -> tuple[ProductFunctor, Any, Any, Any, Trace]:
     """The staged product of subset boundaries at packed a = kvec and
     b = pvec, each coordinate built by the fp->p recursion under the budget:
     (functor, a, b, packed c, trace)."""
@@ -399,7 +334,7 @@ def product_ramsey_witness(kvec: Sequence[int], pvec: Sequence[int], r: int,
 
 def product_ramsey_numbers(kvec: Sequence[int], pvec: Sequence[int], r: int, *,
                            budget: SearchBudget | None = None
-                           ) -> tuple[tuple, ProductTrace]:
+                           ) -> tuple[tuple, Trace]:
     """Grid Ramsey dimensions: the values of `product_ramsey_witness`'s c."""
     *_, trace = product_ramsey_witness(kvec, pvec, r, budget=budget)
     return trace.c_values, trace
@@ -432,29 +367,24 @@ class CrossRelation:
     phi_depends_on_g: bool = True
 
 
-@dataclass(frozen=True)
-class RelationCheck(Trace):
-    ok: bool
-    checked: int
-    partial: bool
-    violation: str | None = None
-
-
 def _sweep(pairs: Iterable, test: Callable[[Any], str],
-           budget: SearchBudget | None) -> RelationCheck:
+           budget: SearchBudget | None) -> Trace:
     """Test pairs until a violation or the budget's max_pairs tests; one more
     pair marks the check partial, at the cost of drawing it from the lazy
-    pairs only."""
+    pairs only.  The check's facts: ok, checked, partial and violation,
+    None unless a pair failed."""
     max_pairs = (budget or SearchBudget()).max_pairs
     checked = 0
     for pair in pairs:
         if checked >= max_pairs:
-            return RelationCheck(True, checked, partial=True)
+            return Trace(ok=True, checked=checked, partial=True,
+                         violation=None)
         checked += 1
         violation = test(pair)
         if violation:
-            return RelationCheck(False, checked, False, violation)
-    return RelationCheck(True, checked, partial=False)
+            return Trace(ok=False, checked=checked, partial=False,
+                         violation=violation)
+    return Trace(ok=True, checked=checked, partial=False, violation=None)
 
 
 def _g_f_pairs(rel: CrossRelation, budget: SearchBudget | None
@@ -468,7 +398,7 @@ def _g_f_pairs(rel: CrossRelation, budget: SearchBudget | None
 
 
 def check_cross_zeta(rel: CrossRelation, *,
-                     budget: SearchBudget | None = None) -> RelationCheck:
+                     budget: SearchBudget | None = None) -> Trace:
     """zeta(g.phi(f,g)) == psi(g).f over all in-cap (f, g) pairs."""
     if rel.zeta is None:
         raise ValueError("relation carries no zeta")
@@ -483,7 +413,7 @@ def check_cross_zeta(rel: CrossRelation, *,
 
 
 def check_cross_welldefined(rel: CrossRelation, *,
-                            budget: SearchBudget | None = None) -> RelationCheck:
+                            budget: SearchBudget | None = None) -> Trace:
     """g.phi(f,g) == g'.phi(f',g') implies psi(g).f == psi(g').f'."""
     seen: dict[Morph, Morph] = {}
 
@@ -502,7 +432,7 @@ def check_cross_welldefined(rel: CrossRelation, *,
 def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
                                  delta: Functor, *,
                                  budget: SearchBudget | None = None
-                                 ) -> RelationCheck:
+                                 ) -> Trace:
     """gamma f == gamma f' implies delta phi(f,g) == delta phi(f',g)."""
     gs = (budgeted_hom(rel.d_cat, rel.d2, rel.d3, budget)
           if rel.phi_depends_on_g else (None,))
@@ -529,23 +459,6 @@ def identity_modeling(cat: Category, a: Any, b: Any, c: Any) -> CrossRelation:
                          zeta=lambda h: h, phi_depends_on_g=False)
 
 
-@dataclass(frozen=True)
-class ModelingTrace(Trace):
-    kind = "modeling"
-    a: Any
-    b: Any
-    r: int
-    d1: Any
-    d2: Any
-    d3: Any
-    c: Any
-    compatibility: RelationCheck
-    welldefined: RelationCheck
-    welldefined_via: str
-    delta_provenance: str
-    note: Trace | None
-
-
 def _relation(rel_provider: Callable[[Any], CrossRelation],
               d1: Any, d2: Any, d3: Any) -> CrossRelation:
     """The relation for d3, refused unless it sits at (d1, d2, d3)."""
@@ -560,15 +473,14 @@ def modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
                       delta_witness: WitnessProvider, gamma: Functor,
                       delta: Functor, d1: Any, d2: Any, a: Any, b: Any, r: int,
                       *, budget: SearchBudget | None = None
-                      ) -> tuple[Any, ModelingTrace]:
+                      ) -> tuple[Any, Trace]:
     """Pull a witness for gamma at (a, b) across modeling data.
 
     d3 witnesses delta at (d1, d2), and the trace keeps its provider's note;
     the relation returned for d3 is checked for modeling compatibility and
     well-definedness (through zeta when available) before its c3 is accepted.
     """
-    if r < 1:
-        raise ValueError("need at least one color")
+    require_colors(r)
     d3, note = _stage("delta witness", lambda: delta_witness(delta, d1, d2, r))
     rel = _relation(rel_provider, d1, d2, d3)
     if (rel.c1, rel.c2) != (a, b):
@@ -585,15 +497,17 @@ def modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
         via = "equal-composite-scan"
     if not wd.ok:
         raise ConstructionError(f"modeling {wd.violation}")
-    return rel.c3, ModelingTrace(a, b, r, d1, d2, d3, rel.c3, compat, wd, via,
-                                 delta_witness.provenance, note)
+    return rel.c3, Trace(kind="modeling", a=a, b=b, r=r, d1=d1, d2=d2, d3=d3,
+                         c=rel.c3, compatibility=compat, welldefined=wd,
+                         welldefined_via=via,
+                         delta_provenance=delta_witness.provenance, note=note)
 
 
 def r_modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
                         degree_provider: Callable[[Any, Any, int], tuple[Any, int]],
                         d1: Any, d2: Any, r: int, *,
                         budget: SearchBudget | None = None
-                        ) -> tuple[Any, int, RelationCheck]:
+                        ) -> tuple[Any, int, Trace]:
     """Degree-bound transfer: only zeta data is needed, no functors.
 
     degree_provider returns (d3, k) with d3 forcing at most k colors over
@@ -686,7 +600,7 @@ def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
     pigeonhole witnesses, transferred through the block modeling."""
     delta_witness = product_provider(pigeonhole_provider(), budget)
 
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, ModelingTrace]:
+    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, Trace]:
         lam = b[1]
         _, delta_fun, d1, d2 = _hj_blocks(a[1], lam)
 
@@ -698,7 +612,7 @@ def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
 
 
 def hj_witness(k: int, l: int, r: int, *,
-               budget: SearchBudget | None = None) -> tuple[int, WordTrace]:
+               budget: SearchBudget | None = None) -> tuple[int, Trace]:
     """Dimension m for the combinatorial-line statement at window size k.
 
     Runs the boundary word of length k at (standard window, l) where each
@@ -719,15 +633,14 @@ def hj_witness(k: int, l: int, r: int, *,
 
 def fouche_witness(s_tree: tuple, t_tree: tuple, r: int, *,
                    budget: SearchBudget | None = None
-                   ) -> tuple[tuple, WordTrace | None]:
+                   ) -> tuple[tuple, Trace | None]:
     """Tree V making embeddings of S into T monochromatic inside V.
 
     Equal heights run the truncation word of length edge-height(S) with the
     fiber-condition recursion per stage (tree oracle backed by the product
     Ramsey numbers); height mismatches and single nodes return T directly.
     """
-    if r < 1:
-        raise ValueError("need at least one color")
+    require_colors(r)
     if height(s_tree) != height(t_tree) or height(s_tree) == 0:
         return t_tree, None
 

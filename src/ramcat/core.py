@@ -680,7 +680,10 @@ def check_functor_laws(fun: Functor, objects: Sequence[Any],
     img_ac[T[g][f]] == codT[img_bc[g]][img_ab[f]], with T the domain table
     of (a, b, c) and codT the codomain table of (F a, F b, F c).  Where any
     of these indices is negative, the law is decided by composing the
-    arrows, as the literal sweep does.
+    arrows, as the literal sweep does.  An object whose image is not a
+    codomain object is reported, and where F a or F b is not one,
+    hom(F a, F b) reads as empty, never sized or built, so each image of
+    hom(a, b) is reported outside it.
     """
     bad = _Violations()
     checked = 0
@@ -695,13 +698,11 @@ def check_functor_laws(fun: Functor, objects: Sequence[Any],
     targets: dict[tuple[Any, Any], tuple[tuple[Morph, ...], dict]] = {}
     ranks: dict[tuple[Any, Any], list[int]] = {}
     for a in objects:
-        if a not in mapped:
-            continue
         for b, hab in rows[a].items():
             key = (fobj[a], fobj[b])
             if key not in targets:
-                _require_objects(cod, *key)
-                hom = cod_kept.hom(*key, cap)
+                hom = (cod_kept.hom(*key, cap) if a in mapped and b in mapped
+                       else ())
                 targets[key] = hom, {h.data: i for i, h in enumerate(hom)}
             ranks[a, b] = _image_ranks(*targets[key], *key, hab, a, b, morph)
 
@@ -722,9 +723,10 @@ def check_functor_laws(fun: Functor, objects: Sequence[Any],
             for c, hbc in rows[b].items():
                 checked += len(hab) * len(hbc)
                 rbc = ranks[b, c]
-                # hom(a, c) outside the fragment: no composite has an index
+                # hom(a, c) outside the fragment, or F b or F c not an
+                # object: no composite has an index
                 table = codt = None
-                if c in rows[a]:
+                if c in rows[a] and b in mapped and c in mapped:
                     table, rac = dom_kept.table(a, b, c), ranks[a, c]
                     codt = cod_kept.table(fa, fobj[b], fobj[c])
                 for fi, f in enumerate(hab):

@@ -351,9 +351,14 @@ def _checks(cat: Category, a: Any, b: Any, c: Any, admissible
             yield row
 
 
-def _refuse_run(r: int, jobs: int) -> None:
+def require_colors(r: int) -> None:
+    """Refuse a run or construction with fewer than one color."""
     if r < 1:
         raise ValueError(f"need at least one color, got {r}")
+
+
+def _refuse_run(r: int, jobs: int) -> None:
+    require_colors(r)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 

@@ -121,7 +121,7 @@ def test_criterion_3_fiber_recursion_certificates():
         assert rep.match and rep.verdict == "pass" and rep.result.exhaustive
 
         c_big, trace = fp_to_p_construct(DR, 2, 3, 2, r_fp_oracle())
-        assert c_big == 27 and trace.n == 2
+        assert c_big == 27 and len(trace.stages) == 2
         res_b = check_p_witness(DR, 2, 3, 27, 2, mode="sampled",
                                 samples=10_000, jobs=4)
         assert res_b.ok and res_b.samples == 10_000

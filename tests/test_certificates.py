@@ -11,13 +11,15 @@ from ramcat import (Claim, FpInstance, Morph, SearchBudget, compose_word,
                     fp_certificate, load_certificate, p_certificate,
                     parse_certificate, product_functor, replay_verify, star,
                     step_boundary, subset_boundary, tree_truncation,
-                    word_boundary)
+                    word_boundary, word_witness)
 from ramcat.categories import ORIENTATIONS
 from ramcat.categories.rcat import SubsetBoundary, SubsetCategory
 from ramcat.certificates import (CertificateError, StaleCertificateError,
-                                 budget_doc, build_category, build_functor,
-                                 canonical_json, document_digest,
-                                 hom_fingerprint, morph_hex, morph_unhex)
+                                 Trace, budget_doc, build_category,
+                                 build_functor, canonical_json,
+                                 document_digest, hom_fingerprint, morph_hex,
+                                 morph_unhex)
+from ramcat.constructions import fp_provider, r_fp_oracle
 
 DR = subset_boundary()
 
@@ -103,6 +105,51 @@ def test_morph_hex_round_trip():
     for f in (Morph(0, 1, ()), Morph(2, 5, (2, 5)),
               Morph((2, 1), (4, 2), (1, 1, 2, 2))):
         assert morph_unhex(morph_hex(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# trace records
+
+
+def test_trace_records_are_immutable():
+    record = Trace(kind="word", stages=())
+    with pytest.raises(AttributeError):
+        record.stages = (Trace(a=1),)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        del record.kind
+    assert record == Trace(kind="word", stages=())
+
+
+def test_trace_records_compare_by_their_facts():
+    assert Trace(a=1, b=(2, 3)) == Trace(b=(2, 3), a=1)
+    assert Trace(a=1) != Trace(a=2)
+    assert Trace(kind="word", stages=()) != Trace(kind="product", stages=())
+    assert Trace(kind="word", stages=()) != Trace(stages=())
+
+
+def test_a_none_fact_reads_but_is_not_rendered():
+    # a one-functor word: its stage was lifted from nothing
+    _, trace = word_witness([DR], 1, 2, 2, fp_provider(r_fp_oracle))
+    stage, = trace.stages
+    assert stage.lifted_from is None
+    assert "lifted_from" not in stage.doc()
+    assert set(stage.doc()) == {"a", "b", "witness", "note"}
+    assert Trace(a=1, note={}).doc() == {"a": 1}
+
+
+def test_nested_records_render_through_doc():
+    _, trace = word_witness([DR], 1, 2, 2, fp_provider(r_fp_oracle))
+    stage, = trace.stages
+    note = stage.note
+    assert note.kind == "fp-to-p" and len(note.stages) == 1
+    assert trace.doc() == {"kind": "word", "stages": [stage.doc()]}
+    assert stage.doc()["note"] == note.doc()
+    assert note.doc()["stages"] == [note.stages[0].doc()]
+    g = note.stages[0].g
+    assert note.stages[0].doc()["g"] == {
+        "hex": morph_hex(g), "show": repr((g.dom, g.cod, g.data))}
 
 
 # ---------------------------------------------------------------------------

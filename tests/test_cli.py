@@ -2,7 +2,6 @@
 
 import json
 import os
-from dataclasses import fields
 import re
 import subprocess
 import sys
@@ -361,11 +360,11 @@ def test_construct_fouche(capsys):
 
 
 def _rendered_fields(record, doc):
-    """doc holds exactly record's non-empty fields by name, plus kind where
-    the class sets one, and so, recursively, does each nested record."""
-    shown = {f.name: getattr(record, f.name) for f in fields(record)}
-    shown = {k: v for k, v in shown.items() if v is not None and v != {}}
-    assert set(doc) == set(shown) | ({"kind"} if record.kind else set())
+    """doc holds exactly record's non-empty facts by name, kind among them
+    where the record has one, and so, recursively, does each nested record."""
+    shown = {k: v for k, v in vars(record).items()
+             if v is not None and v != {}}
+    assert set(doc) == set(shown)
     for name, value in shown.items():
         pairs = (zip(value, doc[name]) if isinstance(value, tuple)
                  else [(value, doc[name])])

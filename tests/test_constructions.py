@@ -78,7 +78,7 @@ def test_fiber_oracle_frozen_values():
 
 def test_fiber_recursion_small_pair():
     c, trace = fp_to_p_construct(DR, 1, 2, 2, r_fp_oracle())
-    assert c == 6 and trace.n == 1
+    assert c == 6 and len(trace.stages) == 1
     st = trace.stages[0]
     assert (st.c_prev, st.c_next) == (2, 6)
     assert st.g == Morph(1, 5, (1,))
@@ -88,7 +88,7 @@ def test_fiber_recursion_small_pair():
 
 def test_fiber_recursion_two_stages():
     c, trace = fp_to_p_construct(DR, 2, 3, 2, r_fp_oracle())
-    assert c == 27 and trace.n == 2
+    assert c == 27 and len(trace.stages) == 2
     assert [st.c_next for st in trace.stages] == [9, 27]
     assert trace.stages[0].picked == Morph(1, 2, (2,))
     assert trace.stages[1].g == Morph(8, 26, (1, 2, 3, 4, 5, 6, 7, 8))
@@ -99,7 +99,7 @@ def test_fiber_recursion_two_stages():
 
 def test_fiber_recursion_empty_hom():
     c, trace = fp_to_p_construct(DR, 2, 1, 2, r_fp_oracle())
-    assert c == 1 and trace.n == 0 and trace.stages == ()
+    assert c == 1 and len(trace.stages) == 0 and trace.stages == ()
 
 
 def test_fiber_recursion_checks_each_stage_before_its_oracle():
@@ -128,7 +128,7 @@ def test_fiber_recursion_pushes_each_copy_once(monkeypatch):
     monkeypatch.setattr(SubsetCategory, "compose", counting)
     c, trace = fp_to_p_construct(DR, 2, 4, 2, r_fp_oracle())
     # stage k advances the n - k unhandled copies by one composite each
-    n = trace.n
+    n = len(trace.stages)
     assert (c, n) == (108, 3) and len(calls) == n * (n - 1) // 2
 
 
@@ -165,7 +165,7 @@ def test_composition_witness_matches_word_recursion():
 
     c, wt = word_witness([DR, DR], 1, 2, 2,
                          WitnessProvider(record, CONSTRUCTED))
-    assert c == 6 and wt.length == 2
+    assert c == 6 and len(wt.stages) == 2
     assert seen == [(0, 1), (1, 2)]       # inner stage first
     outer, inner = wt.stages
     assert outer.b == 2 and outer.witness == 6 and outer.lifted_from == 1
@@ -513,7 +513,7 @@ def test_hj_modeling_validations():
 
 def test_hj_witness_small_dimension():
     m, trace = hj_witness(1, 1, 2)
-    assert m == 6 and trace.length == 1
+    assert m == 6 and len(trace.stages) == 1
     st = trace.stages[0]
     assert st.a == ("V", (1, 2)) and st.b == ("L", 1)
     assert st.witness == ("L", 6)
@@ -548,7 +548,7 @@ def test_tree_oracle_builds_its_fans_under_the_budget():
 def test_fouche_single_stage():
     v, trace = fouche_witness((1, 0), (2, 0, 0), 2)
     assert v == star(6)
-    assert trace is not None and trace.length == 1
+    assert trace is not None and len(trace.stages) == 1
     assert trace.stages[0].witness == star(6)
     res = check_p_witness(tree_truncation(), (1, 0), (2, 0, 0), v, 2)
     assert res.ok and res.exhaustive

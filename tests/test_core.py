@@ -982,6 +982,46 @@ def test_law_sweeps_refuse_a_non_object():
             sweep(subject, [-1, 2])
 
 
+class _DropAbove(Functor):
+    """Test stub on subsets: objects above 2 go to -1, no object; each arrow
+    keeps its payload between the images of its endpoints."""
+
+    def __init__(self, cat):
+        super().__init__(cat, cat)
+
+    def obj(self, a):
+        return a if a <= 2 else -1
+
+    def morph(self, f):
+        return Morph(self.obj(f.dom), self.obj(f.cod), f.data)
+
+
+@pytest.mark.parametrize("objs", [[1, 3], [3, 1]])
+def test_functor_sweep_reports_an_image_that_is_no_object(monkeypatch, objs):
+    # F 3 = -1: the images of hom(1, 3) lie in no hom-set, which the sweep
+    # neither sizes nor builds; it reports them as the literal sweep does,
+    # cold and warm.  Only these objects: past them, the literal sweep's
+    # result depends on what SubsetCategory.hom returns for a non-object
+    fun = _DropAbove(subset_category())
+    want = brute_functor_laws(fun, objs)
+    assert not want.ok and want.checked == 11
+    assert sorted(want.violations) == [
+        "morph(Morph(dom=1, cod=3, data=(1,))) outside hom of images",
+        "morph(Morph(dom=1, cod=3, data=(2,))) outside hom of images",
+        "morph(Morph(dom=1, cod=3, data=(3,))) outside hom of images",
+        "obj(3) = -1 is not a codomain object"]
+    met = []
+    for name in ("hom", "hom_size"):
+        method = getattr(SubsetCategory, name)
+        monkeypatch.setattr(SubsetCategory, name,
+                            lambda self, x, y, method=method:
+                            met.append((x, y)) or method(self, x, y))
+    assert check_functor_laws(fun, objs) == want
+    check_category_laws(fun.dom, objs)
+    assert check_functor_laws(fun, objs) == want
+    assert met and all(-1 not in pair for pair in met)
+
+
 def _benchmark_families():
     """The trees, R and P families of the benchmark's law workload, smaller:
     (category, functor, objects, frank sources and targets)."""
