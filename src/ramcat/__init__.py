@@ -24,7 +24,7 @@ from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, Coloring,
                      check_fp_witness, check_p_witness, degree_upper_bound,
                      fiber, functor_image, prf_color, ramsey_degree,
                      search_p_witness)
-from .constructions import (ConstructionError, CrossRelation, WitnessProvider,
+from .constructions import (ConstructionError, CrossRelation,
                             check_cross_welldefined, check_cross_zeta,
                             check_modeling_compatibility, fouche_witness,
                             fp_to_p_construct, fp_provider, hj_modeling,

@@ -258,8 +258,12 @@ class Claim:
     @classmethod
     def from_doc(cls, doc: dict) -> Claim:
         """The claim of a parsed certificate, rebuilt by the current code."""
-        fun = build_functor(_field(doc, "functor", dict))
-        if build_category(_field(doc, "category", dict)).spec() != fun.dom.spec():
+        try:
+            fun = build_functor(_field(doc, "functor", dict))
+            cat = build_category(_field(doc, "category", dict))
+        except RecursionError as exc:
+            raise CertificateError("specs nest too deeply to build") from exc
+        if cat.spec() != fun.dom.spec():
             raise CertificateError("category spec disagrees with the functor domain")
         current = {"category": fun.dom.encoding_version,
                    "functor": fun.encoding_version}
@@ -303,9 +307,12 @@ def dump_certificate(doc: dict, path: str | Path | None = None) -> str:
 def parse_certificate(text: str) -> dict:
     try:
         doc = json.loads(text)
+        digest = document_digest(doc) if isinstance(doc, dict) else None
     except json.JSONDecodeError as exc:
         raise CertificateError(
             f"not valid JSON at byte {exc.pos}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CertificateError("document nests too deeply to read") from exc
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
     version = doc.get("schema_version")
@@ -315,7 +322,7 @@ def parse_certificate(text: str) -> dict:
                   "inputs", "witness", "verification", "fingerprint", "digest"):
         if field not in doc:
             raise CertificateError(f"missing field {field!r}")
-    if document_digest(doc) != doc["digest"]:
+    if digest != doc["digest"]:
         raise CertificateError("digest mismatch: the document was modified")
     return doc
 
@@ -354,9 +361,9 @@ def replay_verify(doc: dict, *, mode: str | None = None,
              for key, value in budget_doc().items()}
     expected = _field(doc, "verification.verdict", str)
     sampled = _field(doc, "verification.mode", str) == "sampled"
-    run_budget = budget or SearchBudget(
-        max_colorings=saved["max_colorings"],
-        max_hom_size=min(saved["max_hom_size"], max_hom_size))
+    caps = (saved["max_colorings"], min(saved["max_hom_size"], max_hom_size))
+    stored = SearchBudget(*caps).require_nonnegative("budget.")
+    run_budget = budget or stored
     # refuse before fingerprinting hom(a, c)
     require_hom_budget(claim.fun.dom, run_budget, (claim.a, claim.c))
     if hom_fingerprint(claim.fun, claim.a, claim.c) != doc["fingerprint"]:

@@ -113,7 +113,8 @@ def functor_word(tokens: dict[str, Functor], text: str) -> list[Functor]:
 
 def budget_from(args) -> SearchBudget:
     """Caps from the flags, else from the environment, else the defaults;
-    only construct has the color-bit and pair flags."""
+    only construct has the color-bit and pair flags.  A negative cap is
+    refused here, where every command reads its budget before building."""
     def cap(flag: int | None, var: str, default: int) -> int:
         return flag if flag is not None else int(os.environ.get(var, default))
     return SearchBudget(
@@ -123,7 +124,8 @@ def budget_from(args) -> SearchBudget:
                          SearchBudget.max_hom_size),
         max_color_bits=getattr(args, "max_color_bits",
                                SearchBudget.max_color_bits),
-        max_pairs=getattr(args, "max_pairs", SearchBudget.max_pairs))
+        max_pairs=getattr(args, "max_pairs", SearchBudget.max_pairs)
+    ).require_nonnegative()
 
 
 def _engine_kw(args) -> dict:
@@ -397,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--a", required=True)
     pd.add_argument("--b", required=True)
     pd.add_argument("--r", type=int, required=True)
-    pd.add_argument("--pool", default=None, help="lo..hi candidate range")
+    pd.add_argument("--pool", default=None, help="lo..hi range of R objects")
     pd.add_argument("--bound", action="store_true",
                     help="compute the image-size upper bound as well")
     pd.add_argument("--word-cap", type=int, default=3)
@@ -419,6 +421,7 @@ _ERRORS = ((BudgetExceeded, "budget refusal", EXIT_BUDGET),
            (StaleCertificateError, "stale certificate", EXIT_FAIL),
            (CertificateError, "bad certificate", EXIT_FAIL),
            (ConstructionError, "construction failed", EXIT_FAIL),
+           (RecursionError, "input nested too deeply", EXIT_USAGE),
            (AssertionError, "consistency check failed", EXIT_FAIL),
            (OSError, "cannot read/write", EXIT_USAGE),
            (ValueError, "invalid inputs", EXIT_USAGE))

@@ -7,6 +7,11 @@ renders trace + verdict.  Every trace record is one certificates.Trace, built
 here with its facts by keyword; a top-level record's kind fact names its
 construction ("fp-to-p", "word", "product" or "modeling").
 
+A witness provider is a plain function fn(fun, a, b, r) -> (c, note): c
+witnesses fun at (a, b) with r colors, and note is the trace record of its
+construction, or None when there is nothing to record.  Every provider here
+builds by theorem, so product and modeling records state CONSTRUCTED.
+
 Color blow-ups (R = r**M) use exact integers; a stage whose color count would
 exceed the run budget's ``max_color_bits`` (a ``SearchBudget`` field, set on
 the command line by ``construct --max-color-bits``) is refused with
@@ -45,20 +50,6 @@ def _stage(label: str, thunk: Callable[[], Any]) -> Any:
         raise ConstructionError(f"{label}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class WitnessProvider:
-    """The one witness source: fn(fun, a, b, r) -> (c, note), where c
-    witnesses fun at (a, b) with r colors and note is the trace record of
-    its construction, or None when there is nothing to record; tagged with
-    its provenance."""
-
-    fn: Callable[[Functor, Any, Any, int], tuple[Any, Trace | None]]
-    provenance: str
-
-    def __call__(self, fun: Functor, a: Any, b: Any, r: int) -> tuple:
-        return self.fn(fun, a, b, r)
-
-
 # ---------------------------------------------------------------------------
 # pigeonhole witness for the step category
 
@@ -76,16 +67,13 @@ def p_pigeonhole_witness(k1: int, l: int, r: int) -> tuple[int, int]:
     return ((l - 1) * r + 2, 2)
 
 
-def pigeonhole_provider() -> WitnessProvider:
+def pigeonhole_provider(fun: Functor, a: Any, b: Any, r: int
+                        ) -> tuple[Any, None]:
     """Provider for the step boundary at ((k1,1), (l,2)) pairs."""
-
-    def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, None]:
-        l, tag = b
-        if tag != 2:
-            raise ValueError(f"pigeonhole target must be a (l, 2) object, got {b!r}")
-        return p_pigeonhole_witness(max(2, a[0]), l, r), None
-
-    return WitnessProvider(fn, CONSTRUCTED)
+    l, tag = b
+    if tag != 2:
+        raise ValueError(f"pigeonhole target must be a (l, 2) object, got {b!r}")
+    return p_pigeonhole_witness(max(2, a[0]), l, r), None
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +202,14 @@ def r_fp_oracle(delta: SubsetBoundary | None = None) -> Callable[[FpInstance], t
 
 def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
                 selection: str = "oracle-defined",
-                budget: SearchBudget | None = None) -> WitnessProvider:
+                budget: SearchBudget | None = None) -> Callable[..., tuple]:
     """Witnesses built by the fp->p recursion with oracle_for(fun), under the
     budget's hom-size cap; the note is the recursion's trace."""
     def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, Trace]:
         return fp_to_p_construct(fun, a, b, r, oracle_for(fun),
                                  selection=selection, budget=budget)
 
-    return WitnessProvider(fn, CONSTRUCTED)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +217,7 @@ def fp_provider(oracle_for: Callable[[Functor], Callable[[FpInstance], tuple]],
 
 
 def word_witness(word: Sequence[Functor], a: Any, b: Any, r: int,
-                 provider: WitnessProvider) -> tuple[Any, Trace]:
+                 provider: Callable[..., tuple]) -> tuple[Any, Trace]:
     """Chain single-functor witnesses along a composition word.
 
     word[0] is applied first.  The provider is called once per stage with the
@@ -257,7 +245,7 @@ def word_witness(word: Sequence[Functor], a: Any, b: Any, r: int,
 
 
 def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
-                    provider: WitnessProvider, *,
+                    provider: Callable[..., tuple], *,
                     budget: SearchBudget | None = None
                     ) -> tuple[Any, Trace]:
     """Coordinate-staged witness for fun at objects (a, b), with provider at
@@ -296,21 +284,12 @@ def product_witness(fun: ProductFunctor, a: Any, b: Any, r: int,
                      lambda: provider(parts[p], x_vals[p], y_vals[p], big_r)[0])
         return (dom.pack(y_vals[:p] + (c_p,) + y_vals[p + 1:]),
                 Trace(a=x_vals[p], b=y_vals[p], m_exponent=m_exp, witness=c_p,
-                      provenance=provider.provenance))
+                      provenance=CONSTRUCTED))
 
-    c, trace = word_witness(word, a, b, r,
-                            WitnessProvider(fn, provider.provenance))
+    c, trace = word_witness(word, a, b, r, fn)
     return c, Trace(kind="product", r=r, a_values=a_vals, b_values=b_vals,
                     c_values=cat.values(c),
                     stages=tuple(stage.note for stage in trace.stages))
-
-
-def product_provider(coord_provider: WitnessProvider,
-                     budget: SearchBudget | None = None) -> WitnessProvider:
-    """Witnesses for a ProductFunctor at packed (a, b): the staged product
-    with coord_provider at every coordinate; the note is its trace."""
-    return WitnessProvider(partial(product_witness, provider=coord_provider,
-                                   budget=budget), coord_provider.provenance)
 
 
 def product_ramsey_witness(kvec: Sequence[int], pvec: Sequence[int], r: int,
@@ -470,7 +449,7 @@ def _relation(rel_provider: Callable[[Any], CrossRelation],
 
 
 def modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
-                      delta_witness: WitnessProvider, gamma: Functor,
+                      delta_witness: Callable[..., tuple], gamma: Functor,
                       delta: Functor, d1: Any, d2: Any, a: Any, b: Any, r: int,
                       *, budget: SearchBudget | None = None
                       ) -> tuple[Any, Trace]:
@@ -500,7 +479,7 @@ def modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
     return rel.c3, Trace(kind="modeling", a=a, b=b, r=r, d1=d1, d2=d2, d3=d3,
                          c=rel.c3, compatibility=compat, welldefined=wd,
                          welldefined_via=via,
-                         delta_provenance=delta_witness.provenance, note=note)
+                         delta_provenance=CONSTRUCTED, note=note)
 
 
 def r_modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
@@ -595,10 +574,11 @@ def hj_modeling(v: Any, l: int, c_values: Sequence[tuple]) -> CrossRelation:
                          phi=phi, psi=psi, zeta=zeta, phi_depends_on_g=False)
 
 
-def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
+def hj_provider(budget: SearchBudget | None = None) -> Callable[..., tuple]:
     """Word-boundary witnesses at (window, ("L", l)): a staged product of
     pigeonhole witnesses, transferred through the block modeling."""
-    delta_witness = product_provider(pigeonhole_provider(), budget)
+    delta_witness = partial(product_witness, provider=pigeonhole_provider,
+                            budget=budget)
 
     def fn(fun: Functor, a: Any, b: Any, r: int) -> tuple[Any, Trace]:
         lam = b[1]
@@ -608,7 +588,7 @@ def hj_provider(budget: SearchBudget | None = None) -> WitnessProvider:
             lambda d3: hj_modeling(a, lam, delta_fun.dom.values(d3)),
             delta_witness, fun, delta_fun, d1, d2, a, b, r, budget=budget)
 
-    return WitnessProvider(fn, CONSTRUCTED)
+    return fn
 
 
 def hj_witness(k: int, l: int, r: int, *,

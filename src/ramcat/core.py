@@ -172,6 +172,15 @@ class SearchBudget:
     max_color_bits: int = 1_000_000
     max_pairs: int = 500_000
 
+    def require_nonnegative(self, prefix: str = "") -> SearchBudget:
+        """self, refusing the first negative cap by its prefixed name; only
+        input is checked, as each call that gets no budget builds one."""
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{prefix}{name} must be at least 0, "
+                                 f"got {value}")
+        return self
+
 
 class Morph:
     """A morphism with explicit domain and codomain object codes.

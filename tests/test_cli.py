@@ -1,5 +1,6 @@
 """End-to-end command-line behavior through main(argv)."""
 
+import hashlib
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import ramcat
 from ramcat import (Claim, ProductCategory, SearchBudget, SubsetCategory,
                     dump_certificate, load_certificate, replay_verify)
 from ramcat.categories import TreeCategory, WordCategory
-from ramcat.certificates import Trace, document_digest
+from ramcat.certificates import Trace, canonical_json, document_digest
 from ramcat.cli import _THEOREMS, budget_from, build_parser, main
 from ramcat.core import canon_hex
 
@@ -848,6 +849,86 @@ def test_replay_refuses_a_certificate_without_samples(capsys, tmp_path):
     code, out, err = run(capsys, "replay", str(cert))
     assert code == 64 and not out
     assert "samples must be at least 1, got 0" in err
+
+
+P_PIGEONHOLE = ("verify", "p", "--category", "P", "--functor", "dP",
+                "--a", "2:1", "--b", "3:2", "--c", "6:2", "--r", "2")
+PIGEONHOLE_THEOREM = ("construct", "--theorem", "p-pigeonhole", "--r", "2")
+
+
+@pytest.mark.parametrize("argv, flag, field", [
+    (P_PIGEONHOLE, "--max-colorings", "max_colorings"),
+    (P_PIGEONHOLE, "--max-hom-size", "max_hom_size"),
+    (PIGEONHOLE_THEOREM, "--max-color-bits", "max_color_bits"),
+    (PIGEONHOLE_THEOREM, "--max-pairs", "max_pairs"),
+    # no pool: the bound alone runs no check at all
+    (("degree", "--a", "1", "--b", "3", "--r", "2", "--bound"),
+     "--max-hom-size", "max_hom_size")],
+    ids=["colorings", "hom-size", "color-bits", "pairs", "degree-bound"])
+def test_runs_refuse_a_negative_cap(capsys, monkeypatch, argv, flag, field):
+    monkeypatch.setattr(Claim, "check", forbid_check)
+    forbid_hom(monkeypatch, SubsetCategory)
+    code, out, err = run(capsys, *argv, flag, "-1")
+    assert code == 64 and not out
+    assert f"invalid inputs: {field} must be at least 0, got -1" in err
+
+
+def test_runs_refuse_a_negative_cap_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setattr(Claim, "check", forbid_check)
+    monkeypatch.setenv("RAMCAT_MAX_COLORINGS", "-1")
+    code, out, err = run(capsys, *P_PIGEONHOLE)
+    assert code == 64 and not out
+    assert "invalid inputs: max_colorings must be at least 0, got -1" in err
+
+
+def test_replay_refuses_a_certificate_with_a_negative_cap(capsys, tmp_path):
+    cert = tmp_path / "p.json"
+    code, _, _ = run(capsys, *P_PIGEONHOLE, "--out", str(cert))
+    assert code == 0
+    doc = json.loads(cert.read_text())
+    doc["budget"]["max_colorings"] = -1
+    doc["digest"] = document_digest(doc)
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "replay", str(cert))
+    assert code == 64 and not out
+    assert "budget.max_colorings must be at least 0, got -1" in err
+
+
+def deep_certificate(tmp_path: Path, depth: int) -> Path:
+    """A digest-correct certificate whose functor spec nests compose depth
+    deep, written as text: json.dumps would recurse as deep."""
+    cert = tmp_path / "deep.json"
+    main(["verify", "p", "--category", "R", "--functor", "dR", "--a", "2",
+          "--b", "3", "--c", "4", "--r", "2", "--out", str(cert)])
+    doc = json.loads(cert.read_text())
+    doc["functor"] = "@"
+    spec = ('{"inner":' * depth + '{"kind":"subset-boundary"}'
+            + ',"kind":"compose","outer":{"kind":"subset-boundary"}}' * depth)
+    body = canonical_json({k: v for k, v in doc.items() if k != "digest"})
+    doc["digest"] = hashlib.sha256(
+        body.replace('"@"', spec).encode()).hexdigest()
+    cert.write_text(canonical_json(doc).replace('"@"', spec))
+    return cert
+
+
+@pytest.mark.parametrize("argv, want, label", [
+    (lambda tmp: ("verify", "p", "--category", "R",
+                  "--functor", ",".join(["dR"] * 1500),
+                  "--a", "1", "--b", "2", "--c", "3", "--r", "2"),
+     64, "input nested too deeply: "),
+    (lambda tmp: ("construct", "--theorem", "compose", "--k", "1", "--l", "2",
+                  "--length", "1500", "--r", "2"),
+     64, "input nested too deeply: "),
+    # the decoder refuses it on 3.10-3.12, building the functor on 3.13
+    (lambda tmp: ("replay", str(deep_certificate(tmp, 2000))),
+     1, "bad certificate: ")],
+    ids=["verify-word", "compose-length", "certificate"])
+def test_too_deep_input_ends_in_one_line(capsys, tmp_path, argv, want, label):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    code, out, err = run(capsys, *args)
+    assert code == want and not out
+    assert err.startswith(label) and err.count("\n") == 1, err
 
 
 _DROP = object()

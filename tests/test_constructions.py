@@ -6,7 +6,7 @@ import pytest
 
 from ramcat import (BudgetExceeded, Category, ConstructionError, CrossRelation,
                     Functor, LiftError, Morph, FpInstance, SearchBudget,
-                    WitnessProvider, check_category_laws, check_cross_welldefined,
+                    check_category_laws, check_cross_welldefined,
                     check_frank_at, check_functor_laws,
                     check_cross_zeta, check_modeling_compatibility,
                     check_p_witness, fouche_witness,
@@ -21,8 +21,8 @@ from ramcat.categories import (ProductCategory, ProductFunctor, SubsetBoundary,
                                SubsetCategory, step_boundary, structure)
 from ramcat.categories import trees as trees_module
 from ramcat.constructions import (CONSTRUCTED, pigeonhole_provider,
-                                  product_provider, product_witness,
-                                  r_fp_oracle, r_modeling_transfer)
+                                  product_witness, r_fp_oracle,
+                                  r_modeling_transfer)
 from brute import (brute_minimal_grid, brute_minimal_hj_dimension,
                    brute_minimal_single, rectangle_free_exists)
 
@@ -43,15 +43,13 @@ def test_pigeonhole_witness_values():
 
 
 def test_pigeonhole_provider_constructs_verified_witnesses():
-    prov = pigeonhole_provider()
-    assert prov.provenance == CONSTRUCTED
     dp = step_boundary("definition")
-    c, note = prov(dp, (2, 1), (3, 2), 2)
+    c, note = pigeonhole_provider(dp, (2, 1), (3, 2), 2)
     assert c == (6, 2) and note is None
     res = check_p_witness(dp, (2, 1), (3, 2), c, 2)
     assert res.ok and res.exhaustive
     with pytest.raises(ValueError):
-        prov(dp, (2, 1), (3, 1), 2)
+        pigeonhole_provider(dp, (2, 1), (3, 1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +138,8 @@ def test_fiber_recursion_rejects_wayward_oracle():
         fp_to_p_construct(DR, 1, 2, 2, liar)
 
 
-def test_providers_carry_provenance():
+def test_fp_provider_notes_the_recursion_trace():
     wit = fp_provider(r_fp_oracle)
-    assert wit.provenance == CONSTRUCTED
     c, note = wit(DR, 1, 2, 2)
     assert c == 6
     assert note == fp_to_p_construct(DR, 1, 2, 2, r_fp_oracle())[1]
@@ -163,8 +160,7 @@ def test_composition_witness_matches_word_recursion():
         c = fp_to_p_construct(fun, a, b, r, r_fp_oracle())[0]
         return c, {"at": [a, b]}
 
-    c, wt = word_witness([DR, DR], 1, 2, 2,
-                         WitnessProvider(record, CONSTRUCTED))
+    c, wt = word_witness([DR, DR], 1, 2, 2, record)
     assert c == 6 and len(wt.stages) == 2
     assert seen == [(0, 1), (1, 2)]       # inner stage first
     outer, inner = wt.stages
@@ -197,12 +193,11 @@ def test_product_two_coordinates_frozen():
     assert trace.b_values == (2, 2)
 
 
-def test_product_provider_packs_the_staged_product():
+def test_product_witness_packs_the_staged_product():
     fun = ProductFunctor((DR, DR))
     pack = fun.dom.pack
-    prov = product_provider(fp_provider(r_fp_oracle))
-    assert prov.provenance == CONSTRUCTED
-    c, note = prov(fun, pack((1, 1)), pack((2, 2)), 2)
+    c, note = product_witness(fun, pack((1, 1)), pack((2, 2)), 2,
+                              fp_provider(r_fp_oracle))
     assert c == pack((130, 6))
     _, trace = product_ramsey_numbers((1, 1), (2, 2), 2)
     assert note == trace
@@ -294,8 +289,7 @@ def test_product_stages_size_hom_sets_in_their_own_categories():
         return y, None
 
     pack = fun.dom.pack
-    c, trace = product_witness(fun, pack((1, 1)), pack((2, 3)), 2,
-                               WitnessProvider(stub, CONSTRUCTED))
+    c, trace = product_witness(fun, pack((1, 1)), pack((2, 3)), 2, stub)
     # coordinate 1, staged first, sizes coordinate 0 in the codomain: C(2, 1);
     # coordinate 0 sizes coordinate 1 in the domain: 2 * C(3, 1)
     assert [stage.m_exponent for stage in trace.stages] == [6, 2]
@@ -317,7 +311,7 @@ def test_stage_failures_name_their_stage():
     one = ProductFunctor((DR,))
     with pytest.raises(ConstructionError) as exc:
         product_witness(one, one.dom.pack((1,)), one.dom.pack((2,)), 2,
-                        WitnessProvider(refuse, CONSTRUCTED))
+                        refuse)
     assert str(exc.value) == "coordinate 0 provider: no witness at (1, 2, 2)"
     # a product lifts between its coordinate stages as a word lifts between
     # its stages: the inner stage's witness 1 has no lift through _Liftless
@@ -433,7 +427,7 @@ def test_degree_transfer_sweeps_under_the_budget():
 
 
 def _fixed_witness(d3):
-    return WitnessProvider(lambda fun, a, b, r: (d3, None), CONSTRUCTED)
+    return lambda fun, a, b, r: (d3, None)
 
 
 def test_transfers_read_c3_from_the_relation():

@@ -1,8 +1,12 @@
 """Canonical encoding, morphism plumbing, and the law/frankness checkers."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from brute import brute_category_laws, brute_functor_laws
@@ -1099,3 +1103,38 @@ def test_binomial():
     assert binomial(5, 0) == 1
     assert binomial(5, 6) == 0
     assert binomial(5, -1) == 0
+
+
+# ---------------------------------------------------------------------------
+# package lifetime
+
+
+REIMPORT = """
+import contextlib, gc, io, sys, weakref
+import ramcat
+from ramcat import certificates, core
+from ramcat.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["construct", "--theorem", "modeling", "--r", "2"])
+refs = [weakref.ref(core.Category), weakref.ref(core.SearchBudget),
+        weakref.ref(certificates.Trace)]
+del ramcat, certificates, core, main
+for name in [name for name in sys.modules if name.split(".")[0] == "ramcat"]:
+    del sys.modules[name]
+import ramcat
+gc.collect()
+print([ref() is None for ref in refs])
+"""
+
+
+def test_a_reimported_package_frees_the_old_one():
+    # a module-level cache that holds a class (a typing alias over Functor,
+    # say) keeps every dropped generation of the package alive
+    src = str(Path(ramcat.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", REIMPORT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True, True]\n"
