@@ -18,9 +18,8 @@ from .categories import (ProductCategory, ProductFunctor, StepBoundary,
                          subset_boundary, subset_category, tree_category,
                          tree_truncation, word_boundary, word_category)
 from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, Coloring,
-                     DegreeBoundReport, DegreeResult, FpInstance, PCheckResult,
-                     SearchBudget,
-                     check_degree_bound, check_degree_witness,
+                     DegreeResult, FpInstance, PCheckResult, SearchBudget,
+                     check_degree_witness,
                      check_fp_witness, check_p_witness, degree_upper_bound,
                      fiber, functor_image, prf_color, ramsey_degree,
                      search_p_witness)

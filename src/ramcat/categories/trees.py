@@ -97,11 +97,13 @@ def shape(t: tuple) -> Shape:
     trunc = tuple(0 if depth[i] == h - 1 else t[i] for i in kept) if h else t
     if len(_SHAPES) >= _MAX_SHAPES:
         _SHAPES.clear()
-    levels = tuple(depth.count(d) for d in range(h + 1))
+    levels = [0] * (h + 1)
+    for d in depth:
+        levels[d] += 1
     roots = children[0]
     kids = tuple((t[i:j], i) for i, j in zip(roots, roots[1:] + [len(t)]))
     out = _SHAPES[t] = Shape(tuple(map(tuple, children)), tuple(depth), h,
-                             levels, kept, tuple(renumber), trunc, kids)
+                             tuple(levels), kept, tuple(renumber), trunc, kids)
     return out
 
 

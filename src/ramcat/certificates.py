@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -304,9 +305,16 @@ def dump_certificate(doc: dict, path: str | Path | None = None) -> str:
     return text
 
 
+def _finite(text: str) -> float:
+    """A JSON number canonical JSON can hold: NaN, Infinity and 1e999 cannot."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise CertificateError(f"{text} is not a finite JSON number")
+
+
 def parse_certificate(text: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
         digest = document_digest(doc) if isinstance(doc, dict) else None
     except json.JSONDecodeError as exc:
         raise CertificateError(

@@ -23,8 +23,8 @@ from .categories.rcat import SubsetBoundary, subset_boundary, subset_category
 from .categories.trees import height, tree_category, tree_truncation
 from .core import Category, Functor, IdentityFunctor, compose_word
 from .engine import (DEFAULT_SAMPLES, DEFAULT_SEED, BudgetExceeded, FpInstance,
-                     SearchBudget, check_degree_bound, functor_image,
-                     ramsey_degree)
+                     SearchBudget, degree_upper_bound, functor_image,
+                     ramsey_degree, require_colors)
 from .certificates import (CertificateError, Claim, StaleCertificateError,
                            Trace, dump_certificate, load_certificate,
                            morph_unhex, replay_verify)
@@ -287,15 +287,14 @@ def cmd_degree(args) -> int:
     pool = _parse_pool(args.pool) if args.pool else None
     kw = _engine_kw(args)
     if args.bound:
+        require_colors(args.r)          # r is otherwise read only by a search
         delta, = tokens.values()        # the category's one boundary functor
-        rep = check_degree_bound(delta, a, b, args.r, pool,
-                                 word_cap=args.word_cap, jobs=args.jobs, **kw)
-        print(f"image-size bound {rep.bound} via word {rep.word} "
-              f"(trivial bound {rep.trivial})")
-        if rep.degree is not None:
-            print(f"brute-force degree {rep.degree.degree} "
-                  f"witness {rep.degree.witness!r}")
-        return EXIT_PASS
+        bound, word = degree_upper_bound(a, b, delta, args.word_cap,
+                                         budget=kw["budget"])
+        print(f"image-size bound {bound} via word {word} "
+              f"(trivial bound {cat.hom_size(a, b)})")
+        if pool is None:
+            return EXIT_PASS
     if pool is None:
         raise CliError("degree search needs --pool lo..hi")
     deg = ramsey_degree(cat, a, b, args.r, pool, jobs=args.jobs, **kw)
@@ -401,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--r", type=int, required=True)
     pd.add_argument("--pool", default=None, help="lo..hi range of R objects")
     pd.add_argument("--bound", action="store_true",
-                    help="compute the image-size upper bound as well")
+                    help="print the image-size bound before any pool search")
     pd.add_argument("--word-cap", type=int, default=3)
     _add_engine_flags(pd)
     pd.set_defaults(fn=cmd_degree)

@@ -535,41 +535,6 @@ def ramsey_degree(cat: Category, a: Any, b: Any, r: int, pool: Iterable[Any], *,
                         result=None)
 
 
-@dataclass(frozen=True)
-class DegreeBoundReport:
-    bound: int
-    word: tuple[int, ...]
-    trivial: int
-    degree: DegreeResult | None
-
-
-def check_degree_bound(delta: Functor, a: Any, b: Any, r: int,
-                       pool: Iterable[Any] | None, *, word_cap: int = 3,
-                       budget: SearchBudget | None = None,
-                       **run) -> DegreeBoundReport:
-    """Image-size degree bound over powers of delta, checked against brute force.
-
-    For functors fulfilling the partition condition the image size of hom(a, b)
-    under any power of the functor bounds the Ramsey degree; when a pool is
-    given the brute-forced degree is computed and the bound is asserted
-    against it.
-    """
-    _refuse_run(r, run.get("jobs", 1))    # r is read only through a pool
-    cat = delta.dom
-    bound, word = degree_upper_bound(a, b, delta, word_cap, budget=budget)
-    trivial = cat.hom_size(a, b)
-    deg = None
-    if pool is not None:
-        deg = ramsey_degree(cat, a, b, r, pool, budget=budget, **run)
-        # the image bound holds for the true degree; a pool lacking the
-        # witness object overshoots it, which this surfaces loudly
-        if deg.degree is not None and deg.degree > bound:
-            raise AssertionError(
-                f"brute degree {deg.degree} exceeds image bound {bound}; "
-                f"the pool is missing a witness object")
-    return DegreeBoundReport(bound=bound, word=word, trivial=trivial, degree=deg)
-
-
 def degree_upper_bound(a: Any, b: Any, delta: Functor, word_cap: int = 3, *,
                        budget: SearchBudget | None = None
                        ) -> tuple[int, tuple[int, ...]]:
@@ -578,15 +543,20 @@ def degree_upper_bound(a: Any, b: Any, delta: Functor, word_cap: int = 3, *,
     Applies delta to the image of hom(a, b) up to word_cap times; the empty
     word's image size is |hom(a, b)| itself.  Image sizes never grow from one
     power to the next, so the word returned is the first power n that
-    reaches the smallest, written (0,) * n.  hom(a, b) past the budget's
-    hom-size cap is refused before it is built.
+    reaches the smallest, written (0,) * n.  Once the image has at most one
+    arrow, or delta maps it onto itself, every later power gives the same
+    set, so the loop stops there.  hom(a, b) past the budget's hom-size cap
+    is refused before it is built.
     """
     if word_cap < 0:
         raise ValueError(f"word_cap must be at least 0, got {word_cap}")
     image = set(budgeted_hom(delta.dom, a, b, budget))
     best, power = len(image), 0
     for n in range(1, word_cap + 1):
-        image = {delta.morph(f) for f in image}
+        nxt = {delta.morph(f) for f in image} if len(image) > 1 else image
+        if nxt == image:
+            break
+        image = nxt
         if len(image) < best:
             best, power = len(image), n
     return best, (0,) * power

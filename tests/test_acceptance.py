@@ -15,7 +15,7 @@ import pytest
 
 from ramcat import (Morph, SearchBudget, binomial, check_category_laws,
                     check_cross_welldefined, check_cross_zeta,
-                    check_degree_bound, check_frank_at, check_functor_laws,
+                    check_frank_at, check_functor_laws,
                     check_modeling_compatibility, check_p_witness,
                     compose_word,
                     degree_upper_bound, dump_certificate, fiber, fouche_witness,
@@ -291,8 +291,9 @@ def test_criterion_8_property_suite():
         for a, b in ((1, 2), (1, 3), (2, 3)):
             bound, _ = degree_upper_bound(a, b, DR)
             assert 1 <= bound <= RCAT.hom_size(a, b)
-        rep = check_degree_bound(DR, 2, 3, 2, range(0, 8))
-        assert rep.degree.degree <= rep.bound <= rep.trivial
+        bound, _ = degree_upper_bound(2, 3, DR)
+        deg = ramsey_degree(RCAT, 2, 3, 2, range(0, 8))
+        assert deg.degree <= bound <= RCAT.hom_size(2, 3)
 
         # jobs never leak into certificates
         for c, expect in ((5, "fail"), (6, "pass")):

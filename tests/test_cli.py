@@ -2,15 +2,11 @@
 
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import ramcat
 from ramcat import (Claim, ProductCategory, SearchBudget, SubsetCategory,
                     dump_certificate, load_certificate, replay_verify)
 from ramcat.categories import TreeCategory, WordCategory
@@ -547,13 +543,20 @@ def test_degree_bound_report(capsys):
                        "--pool", "0..6", "--bound")
     assert code == 0
     assert "image-size bound 1 via word (0,) (trivial bound 3)" in out
-    assert "brute-force degree 1 witness 5" in out
+    assert "degree 1 witness 5 (pool attempts: 6)" in out
 
 
-def test_degree_bound_starved_pool_is_inconsistent(capsys):
-    code, _, err = run(capsys, "degree", "--a", "2", "--b", "4", "--r", "2",
-                       "--pool", "0..7", "--bound")
-    assert code == 1 and "consistency check failed" in err
+@pytest.mark.parametrize("a, b, pool", [("2", "3", "0..2"), ("2", "4", "0..7"),
+                                        ("1", "3", "0..6"), ("1", "3", "0..4")])
+def test_degree_bound_only_adds_its_line(capsys, a, b, pool):
+    # one degree path: --bound prints its line, then the pool search as is,
+    # also when the pool holds no witness at the bound or none at all
+    argv = ("degree", "--a", a, "--b", b, "--r", "2", "--pool", pool)
+    code, out, _ = run(capsys, *argv)
+    bound_code, bound_out, _ = run(capsys, *argv, "--bound")
+    line, _, rest = bound_out.partition("\n")
+    assert line.startswith("image-size bound ") and rest == out
+    assert bound_code == code
 
 
 def test_degree_takes_no_delta_flag(capsys):
@@ -581,19 +584,6 @@ def test_degree_search_non_object_is_usage_error(capsys):
     code, _, err = run(capsys, "degree", "--a", "-1", "--b", "2", "--r", "2",
                        "--pool", "0..3")
     assert code == 64 and "-1 is not an object" in err
-
-
-def test_degree_bound_check_survives_optimized_python():
-    src = str(Path(ramcat.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "ramcat.cli", "degree", "--a", "2",
-         "--b", "4", "--r", "2", "--pool", "0..7", "--bound"],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "consistency check failed" in proc.stderr
 
 
 @pytest.mark.parametrize("mode", [("--pool", "120..120"), ("--bound",)],
@@ -919,10 +909,14 @@ def deep_certificate(tmp_path: Path, depth: int) -> Path:
     (lambda tmp: ("construct", "--theorem", "compose", "--k", "1", "--l", "2",
                   "--length", "1500", "--r", "2"),
      64, "input nested too deeply: "),
+    (lambda tmp: ("verify", "p", "--category", "trees", "--functor", "dT",
+                  *(arg for flag in ("--a", "--b", "--c")
+                    for arg in (flag, "1," * 1500 + "0")), "--r", "2"),
+     64, "input nested too deeply: "),
     # the decoder refuses it on 3.10-3.12, building the functor on 3.13
     (lambda tmp: ("replay", str(deep_certificate(tmp, 2000))),
      1, "bad certificate: ")],
-    ids=["verify-word", "compose-length", "certificate"])
+    ids=["verify-word", "compose-length", "tree-path", "certificate"])
 def test_too_deep_input_ends_in_one_line(capsys, tmp_path, argv, want, label):
     args = argv(tmp_path)
     capsys.readouterr()
@@ -932,6 +926,7 @@ def test_too_deep_input_ends_in_one_line(capsys, tmp_path, argv, want, label):
 
 
 _DROP = object()
+_RAW = ("NaN", "Infinity")      # written as bare JSON text: "<NaN>" -> NaN
 
 
 @pytest.mark.parametrize("mode, path, value, named", [
@@ -945,10 +940,12 @@ _DROP = object()
     ("auto", "functor", {"kind": "step-boundary"},
      "missing field 'orientation'"),
     ("sampled", "budget.seed", "1729", "'budget.seed' must be int, not str"),
-    ("auto", "schema_version", 1, "unsupported schema_version 1")],
+    ("auto", "schema_version", 1, "unsupported schema_version 1"),
+    ("auto", "extra", "<NaN>", "NaN is not a finite JSON number"),
+    ("auto", "extra", "<Infinity>", "Infinity is not a finite JSON number")],
     ids=["no-a", "str-r", "bool-r", "list-category", "no-max-colorings",
          "int-verification", "step-boundary-without-orientation",
-         "str-seed", "schema-1"])
+         "str-seed", "schema-1", "nan", "infinity"])
 def test_replay_refuses_malformed_certificates(capsys, tmp_path, mode, path,
                                                value, named):
     cert = tmp_path / "p.json"
@@ -967,7 +964,10 @@ def test_replay_refuses_malformed_certificates(capsys, tmp_path, mode, path,
     else:
         holder[key] = value
     doc["digest"] = document_digest(doc)
-    cert.write_text(json.dumps(doc))
+    text = json.dumps(doc)
+    for raw in _RAW:
+        text = text.replace(f'"<{raw}>"', raw)
+    cert.write_text(text)
     code, out, err = run(capsys, "replay", str(cert))
     assert code == 1 and not out
     assert err.startswith("bad certificate: ") and named in err

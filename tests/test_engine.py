@@ -9,12 +9,12 @@ from brute import brute_p_checks, brute_refutes
 from ramcat import engine
 from ramcat import (DEFAULT_SEED, BudgetExceeded, Category, Coloring,
                     FpInstance, Morph, ProductCategory, SearchBudget,
-                    check_degree_bound, check_degree_witness, check_fp_witness,
+                    check_degree_witness, check_fp_witness,
                     check_p_witness, compose_word, degree_upper_bound,
                     dump_certificate, fiber, functor_image, p_certificate,
                     prf_color, product_ramsey_numbers, ramsey_degree,
-                    replay_verify, search_p_witness, SubsetCategory,
-                    subset_boundary, subset_category)
+                    replay_verify, search_p_witness, SubsetBoundary,
+                    SubsetCategory, subset_boundary, subset_category)
 from ramcat.categories import (TreeCategory, product_functor, standard_window,
                                star, tree_truncation, word_boundary)
 from ramcat.categories.pcat import StepBoundary, StepCategory
@@ -687,24 +687,26 @@ def test_image_size_bound_refuses_a_negative_word_cap(monkeypatch):
     # refused before hom(a, b) is sized or built
     monkeypatch.setattr(SubsetCategory, "hom", None)
     monkeypatch.setattr(SubsetCategory, "hom_size", None)
-    for call in (lambda: degree_upper_bound(1, 3, DR, -1),
-                 lambda: check_degree_bound(DR, 1, 3, 2, None, word_cap=-1)):
-        with pytest.raises(ValueError, match="word_cap must be at least 0"):
-            call()
+    with pytest.raises(ValueError, match="word_cap must be at least 0"):
+        degree_upper_bound(1, 3, DR, -1)
+
+
+def test_image_size_bound_stops_at_a_fixed_point(monkeypatch):
+    # after the first power the image is one arrow: later powers repeat it
+    calls = []
+    morph = SubsetBoundary.morph
+    monkeypatch.setattr(SubsetBoundary, "morph",
+                        lambda self, f: calls.append(f) or morph(self, f))
+    assert degree_upper_bound(1, 3, DR, 10**5) == (1, (0,))
+    assert len(calls) <= 10
 
 
 def test_degree_bound_report_good_pool():
-    rep = check_degree_bound(DR, 1, 3, 2, range(0, 7))
-    assert rep.bound == 1 and rep.degree.degree == 1
-    assert rep.degree.degree <= rep.bound <= rep.trivial
-    rep2 = check_degree_bound(DR, 1, 3, 2, None)
-    assert rep2.degree is None and rep2.bound == 1
-
-
-def test_degree_bound_flags_starved_pool():
-    # the true witness for (2, 4) needs c = 18; a pool up to 7 cannot see it
-    with pytest.raises(AssertionError, match="missing a witness"):
-        check_degree_bound(DR, 2, 4, 2, range(0, 8))
+    # with a witness at the bound in the pool: degree <= bound <= |hom(a, b)|
+    bound, word = degree_upper_bound(1, 3, DR)
+    deg = ramsey_degree(DR.dom, 1, 3, 2, range(0, 7))
+    assert bound == 1 and word == (0,) and deg.degree == 1
+    assert deg.degree <= bound <= DR.dom.hom_size(1, 3)
 
 
 def test_degree_monotone_in_colors():
