@@ -1,36 +1,7 @@
 """Concrete categories and their boundary functors."""
 
 from .hjcat import WordBoundary, WordCategory, standard_window, word_boundary, word_category
-from .pcat import ORIENTATIONS, StepBoundary, StepCategory, step_boundary, step_category
-from .product import ProductCategory, ProductFunctor, product_category, product_functor
+from .pcat import ORIENTATIONS, StepBoundary, StepCategory, step_boundary
+from .product import ProductCategory, ProductFunctor, product_functor
 from .rcat import SubsetBoundary, SubsetCategory, subset_boundary, subset_category
 from .trees import TreeCategory, TreeTruncation, grow, height, star, structure, tree_category, tree_truncation
-
-__all__ = [
-    "ORIENTATIONS",
-    "ProductCategory",
-    "ProductFunctor",
-    "StepBoundary",
-    "StepCategory",
-    "SubsetBoundary",
-    "SubsetCategory",
-    "TreeCategory",
-    "TreeTruncation",
-    "WordBoundary",
-    "WordCategory",
-    "grow",
-    "height",
-    "product_category",
-    "product_functor",
-    "standard_window",
-    "star",
-    "step_boundary",
-    "step_category",
-    "structure",
-    "subset_boundary",
-    "subset_category",
-    "tree_category",
-    "tree_truncation",
-    "word_boundary",
-    "word_category",
-]

@@ -156,9 +156,5 @@ class StepBoundary(Functor):
         return {"kind": "step-boundary", "orientation": self.dom.orientation}
 
 
-def step_category(orientation: str = "definition") -> StepCategory:
-    return StepCategory(orientation)
-
-
 def step_boundary(orientation: str = "definition") -> StepBoundary:
     return StepBoundary(StepCategory(orientation))

@@ -144,9 +144,5 @@ class ProductFunctor(Functor):
         return {"kind": "product", "factors": [p.spec() for p in self.parts]}
 
 
-def product_category(*factors: Category) -> ProductCategory:
-    return ProductCategory(tuple(factors))
-
-
 def product_functor(*parts: Functor) -> ProductFunctor:
     return ProductFunctor(tuple(parts))

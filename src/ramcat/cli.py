@@ -133,13 +133,18 @@ def _engine_kw(args) -> dict:
             "samples": args.samples}        # no jobs: certificates omit it
 
 
-def _report(res) -> str:
-    mode = {"orbit": f"orbit({res.group})", "exhaustive": "exhaustive",
+def _route(res) -> str:
+    """How a check reached its verdict, as its printed lines name it."""
+    return {"orbit": f"orbit({res.group})", "exhaustive": "exhaustive",
             "sampled": f"sampled(seed={res.seed})"}[res.mode]
+
+
+def _report(res) -> str:
     verdict = "pass" if res.ok else "FAIL"
     count = (f"colorings_checked={res.checked}" if res.nodes is None
              else f"nodes={res.nodes}")
-    line = f"{verdict} [{mode}] cells={res.cells} arrows={res.arrows} {count}"
+    line = (f"{verdict} [{_route(res)}] cells={res.cells} "
+            f"arrows={res.arrows} {count}")
     if res.counterexample is not None:
         cex = res.counterexample
         shown = list(cex.cells) if cex.cells is not None else "(not inlined)"
@@ -301,8 +306,11 @@ def cmd_degree(args) -> int:
     if deg.degree is None:
         print("no pool object forces any color cap")
         return EXIT_FAIL
+    # a witness that passed only on samples says so; a decided one does not
+    sampled = deg.result is not None and deg.result.mode == "sampled"
     print(f"degree {deg.degree} witness {deg.witness!r} "
-          f"(pool attempts: {len(deg.trail)})")
+          f"(pool attempts: {len(deg.trail)})"
+          + (f" [{_route(deg.result)}]" if sampled else ""))
     return EXIT_PASS
 
 

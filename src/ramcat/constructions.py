@@ -431,23 +431,6 @@ def check_modeling_compatibility(rel: CrossRelation, gamma: Functor,
     return _sweep(triples, test, budget)
 
 
-def identity_modeling(cat: Category, a: Any, b: Any, c: Any) -> CrossRelation:
-    """Self-modeling: phi forgets g, psi and zeta are identities."""
-    return CrossRelation(a, b, c, a, b, c, cat, cat,
-                         phi=lambda f, g: f, psi=lambda g: g,
-                         zeta=lambda h: h, phi_depends_on_g=False)
-
-
-def _relation(rel_provider: Callable[[Any], CrossRelation],
-              d1: Any, d2: Any, d3: Any) -> CrossRelation:
-    """The relation for d3, refused unless it sits at (d1, d2, d3)."""
-    rel = _stage("relation provider", lambda: rel_provider(d3))
-    if (rel.d1, rel.d2, rel.d3) != (d1, d2, d3):
-        raise ConstructionError(f"relation triple disagrees with "
-                                f"(d1, d2, d3) = {(d1, d2, d3)!r}")
-    return rel
-
-
 def modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
                       delta_witness: Callable[..., tuple], gamma: Functor,
                       delta: Functor, d1: Any, d2: Any, a: Any, b: Any, r: int,
@@ -456,12 +439,16 @@ def modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
     """Pull a witness for gamma at (a, b) across modeling data.
 
     d3 witnesses delta at (d1, d2), and the trace keeps its provider's note;
-    the relation returned for d3 is checked for modeling compatibility and
-    well-definedness (through zeta when available) before its c3 is accepted.
+    the relation returned for d3 is refused unless it sits at (d1, d2, d3)
+    and (a, b), then checked for modeling compatibility and well-definedness
+    (through zeta when available) before its c3 is accepted.
     """
     require_colors(r)
     d3, note = _stage("delta witness", lambda: delta_witness(delta, d1, d2, r))
-    rel = _relation(rel_provider, d1, d2, d3)
+    rel = _stage("relation provider", lambda: rel_provider(d3))
+    if (rel.d1, rel.d2, rel.d3) != (d1, d2, d3):
+        raise ConstructionError(f"relation triple disagrees with "
+                                f"(d1, d2, d3) = {(d1, d2, d3)!r}")
     if (rel.c1, rel.c2) != (a, b):
         raise ConstructionError(f"relation pair disagrees with "
                                 f"(a, b) = {(a, b)!r}")
@@ -480,27 +467,6 @@ def modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
                          c=rel.c3, compatibility=compat, welldefined=wd,
                          welldefined_via=via,
                          delta_provenance=CONSTRUCTED, note=note)
-
-
-def r_modeling_transfer(rel_provider: Callable[[Any], CrossRelation],
-                        degree_provider: Callable[[Any, Any, int], tuple[Any, int]],
-                        d1: Any, d2: Any, r: int, *,
-                        budget: SearchBudget | None = None
-                        ) -> tuple[Any, int, Trace]:
-    """Degree-bound transfer: only zeta data is needed, no functors.
-
-    degree_provider returns (d3, k) with d3 forcing at most k colors over
-    copies of d2; the relation for d3, which must sit at (d1, d2, d3), then
-    caps the transferred degree at k with witness rel.c3 by its zeta identity.
-    """
-    d3, k = _stage("degree provider", lambda: degree_provider(d1, d2, r))
-    rel = _relation(rel_provider, d1, d2, d3)
-    if rel.zeta is None:
-        raise ConstructionError("degree transfer needs zeta data")
-    check = check_cross_zeta(rel, budget=budget)
-    if not check.ok:
-        raise ConstructionError(check.violation)
-    return rel.c3, k, check
 
 
 # ---------------------------------------------------------------------------

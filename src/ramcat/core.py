@@ -413,10 +413,6 @@ class ComposedFunctor(Functor):
         return {"kind": "compose", "outer": self.outer.spec(), "inner": self.inner.spec()}
 
 
-def compose_functors(outer: Functor, inner: Functor) -> Functor:
-    return ComposedFunctor(outer, inner)
-
-
 def compose_word(word: Sequence[Functor]) -> Functor:
     """Composite of a word [f1, f2, ..., fn] meaning fn∘...∘f1 (f1 applied first)."""
     if not word:
@@ -784,17 +780,6 @@ def check_frank_at(fun: Functor, a: Any, b_prime: Any,
     if image != set(cod_kept.hom(fa, b_prime, cap)):
         return FrankResult("fail", b, "image of hom differs from target hom")
     return FrankResult("pass", b)
-
-
-def frank_pair(fun: Functor, d1: Any, d2: Any) -> tuple[Any, Any]:
-    """Preimages (c1, c2) of (d1, d2) with morph(hom(c1,c2)) == hom(d1,d2).
-
-    Chains the lift: any preimage c1 works, then c2 is lifted at source c1 so
-    the image condition lands exactly on hom(d1, d2).
-    """
-    c1 = fun.frank_lift(d1, d1)
-    c2 = fun.frank_lift(c1, d2)
-    return c1, c2
 
 
 def binomial(n: int, k: int) -> int:

@@ -177,11 +177,6 @@ class DegreeResult:
     result: PCheckResult | None
 
 
-def fiber(delta: Functor, a: Any, b: Any, target: Morph) -> tuple[Morph, ...]:
-    """Arrows of hom(a, b) that the functor sends to target."""
-    return tuple(f for f in delta.dom.hom(a, b) if delta.morph(f) == target)
-
-
 def functor_image(delta: Functor, a: Any, b: Any,
                   budget: SearchBudget | None = None) -> tuple[Morph, ...]:
     """Distinct images of hom(a, b) under the functor, canonically ordered;
@@ -496,16 +491,6 @@ def check_degree_witness(cat: Category, a: Any, b: Any, c: Any, r: int, k: int,
         raise ValueError("color cap must be nonnegative")
     return _check(cat, a, b, c, r, k,
                   lambda hom_ab: ((tuple(range(len(hom_ab))),), None), **run)
-
-
-def search_p_witness(delta: Functor, a: Any, b: Any, r: int,
-                     pool: Iterable[Any], **run) -> tuple[Any, PCheckResult] | None:
-    """First object in the pool that witnesses the partition condition."""
-    for c in pool:
-        res = check_p_witness(delta, a, b, c, r, **run)
-        if res.ok:
-            return c, res
-    return None
 
 
 def ramsey_degree(cat: Category, a: Any, b: Any, r: int, pool: Iterable[Any], *,

@@ -2,7 +2,8 @@
 
 Each computes a known Ramsey-type minimum by exhaustive search over tiny
 instances, independently of the theorem constructions it is compared with,
-or redoes a library sweep the literal way.
+or redoes a library sweep the literal way.  One fixture rides along:
+identity_modeling, the self-modeling relation the modeling tests start from.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import hashlib
 from itertools import product as iproduct
 
-from ramcat import (EncodingError, SearchBudget, check_p_witness, prf_color,
-                    subset_boundary)
+from ramcat import (CrossRelation, EncodingError, SearchBudget,
+                    check_p_witness, prf_color, subset_boundary)
 from ramcat.certificates import canonical_json
 from ramcat.core import LawReport, _shown
 
@@ -90,6 +91,11 @@ def brute_first_sampled_failure(seed: int, r: int, n: int, checks, cap: int,
                                   for j in range(n)], cap):
             return idx
     return None
+
+
+def fiber(delta, a, b, target) -> tuple:
+    """Arrows of hom(a, b) that the functor sends to target."""
+    return tuple(f for f in delta.dom.hom(a, b) if delta.morph(f) == target)
 
 
 def brute_p_checks(delta, a, b, c) -> list:
@@ -320,3 +326,10 @@ def brute_fingerprint(fun, a, c) -> str:
     for f in cat.hom(a, c):
         h.update(brute_canon_bytes((f.dom, f.cod, f.data)))
     return h.hexdigest()
+
+
+def identity_modeling(cat, a, b, c) -> CrossRelation:
+    """Self-modeling: phi forgets g, psi and zeta are identities."""
+    return CrossRelation(a, b, c, a, b, c, cat, cat,
+                         phi=lambda f, g: f, psi=lambda g: g,
+                         zeta=lambda h: h, phi_depends_on_g=False)

@@ -18,7 +18,7 @@ from ramcat import (Morph, SearchBudget, binomial, check_category_laws,
                     check_frank_at, check_functor_laws,
                     check_modeling_compatibility, check_p_witness,
                     compose_word,
-                    degree_upper_bound, dump_certificate, fiber, fouche_witness,
+                    degree_upper_bound, dump_certificate, fouche_witness,
                     fp_to_p_construct, functor_image, hj_modeling, hj_witness,
                     p_certificate, p_pigeonhole_witness, product_ramsey_numbers,
                     ramsey_degree, replay_verify, standard_window, star,
@@ -26,10 +26,10 @@ from ramcat import (Morph, SearchBudget, binomial, check_category_laws,
                     tree_truncation, word_boundary, word_category)
 from ramcat.categories import (ORIENTATIONS, ProductCategory, ProductFunctor,
                                StepBoundary, StepCategory, WordBoundary,
-                               height, step_boundary)
+                               step_boundary)
 from ramcat.constructions import r_fp_oracle
 from brute import (brute_minimal_grid, brute_minimal_hj_dimension,
-                   brute_minimal_single)
+                   brute_minimal_single, fiber)
 
 DR = subset_boundary()
 RCAT = subset_category()

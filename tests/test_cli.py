@@ -597,10 +597,18 @@ def test_degree_refuses_large_homs_before_building(capsys, monkeypatch, mode):
 
 
 def test_degree_search(capsys):
+    # a decided witness's line names no route
     code, out, _ = run(capsys, "degree", "--a", "2", "--b", "3", "--r", "2",
                        "--pool", "0..7")
-    assert code == 0
-    assert "degree 1 witness 6 (pool attempts: 7)" in out
+    assert (code, out) == (0, "degree 1 witness 6 (pool attempts: 7)\n")
+
+
+def test_degree_line_names_a_sampled_witness(capsys):
+    # R(3,3,3) = 17, so the pass at 9 rests on samples, and the line says so
+    code, out, _ = run(capsys, "degree", "--a", "2", "--b", "3", "--r", "3",
+                       "--pool", "0..16")
+    assert (code, out) == (
+        0, "degree 1 witness 9 (pool attempts: 10) [sampled(seed=1729)]\n")
 
 
 def test_degree_search_reads_its_pool_lazily(capsys):

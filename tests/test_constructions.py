@@ -11,7 +11,7 @@ from ramcat import (BudgetExceeded, Category, ConstructionError, CrossRelation,
                     check_cross_zeta, check_modeling_compatibility,
                     check_p_witness, fouche_witness,
                     fp_to_p_construct, fp_provider, hj_modeling, hj_witness,
-                    identity_modeling, modeling_transfer,
+                    modeling_transfer,
                     p_pigeonhole_witness,
                     product_ramsey_numbers, r_fp_witness, star,
                     subset_boundary, subset_category, tree_fp_witness,
@@ -21,10 +21,10 @@ from ramcat.categories import (ProductCategory, ProductFunctor, SubsetBoundary,
                                SubsetCategory, step_boundary, structure)
 from ramcat.categories import trees as trees_module
 from ramcat.constructions import (CONSTRUCTED, pigeonhole_provider,
-                                  product_witness, r_fp_oracle,
-                                  r_modeling_transfer)
+                                  product_witness, r_fp_oracle)
 from brute import (brute_minimal_grid, brute_minimal_hj_dimension,
-                   brute_minimal_single, rectangle_free_exists)
+                   brute_minimal_single, identity_modeling,
+                   rectangle_free_exists)
 
 DR = subset_boundary()
 
@@ -404,28 +404,6 @@ def test_relation_sweeps_compose_only_the_pairs_they_check(monkeypatch):
         assert len(calls) <= 1, check.__name__
 
 
-def test_degree_transfer_needs_zeta():
-    cat = subset_category()
-    provider = lambda d1, d2, r: (6, 1)
-    good = lambda d3: identity_modeling(cat, 1, 2, d3)
-    c3, k, chk = r_modeling_transfer(good, provider, 1, 2, 2)
-    assert c3 == 6 and k == 1 and chk.ok
-    bare = lambda d3: CrossRelation(1, 2, d3, 1, 2, d3, cat, cat,
-                                    phi=lambda f, g: f,
-                                    psi=lambda g: g, zeta=None)
-    with pytest.raises(ConstructionError, match="zeta"):
-        r_modeling_transfer(bare, provider, 1, 2, 2)
-
-
-def test_degree_transfer_sweeps_under_the_budget():
-    cat = subset_category()
-    good = lambda d3: identity_modeling(cat, 1, 2, d3)
-    _, _, chk = r_modeling_transfer(good, lambda d1, d2, r: (6, 1), 1, 2, 2,
-                                    budget=SearchBudget(max_pairs=1))
-    # 2 x 15 pairs in hom(1, 2) x hom(2, 6); one is tested
-    assert chk.ok and chk.partial and chk.checked == 1
-
-
 def _fixed_witness(d3):
     return lambda fun, a, b, r: (d3, None)
 
@@ -436,9 +414,6 @@ def test_transfers_read_c3_from_the_relation():
                         psi=lambda g: Morph(2, 7, g.data),
                         zeta=lambda h: Morph(1, 7, h.data),
                         phi_depends_on_g=False)
-    c3, k, chk = r_modeling_transfer(lambda d3: rel, lambda d1, d2, r: (6, 1),
-                                     1, 2, 2)
-    assert (c3, k, chk.ok) == (7, 1, True)
     c, trace = modeling_transfer(lambda d3: rel, _fixed_witness(6), DR, DR,
                                  1, 2, 1, 2, 2)
     assert c == trace.c == 7 and trace.d3 == 6
@@ -448,10 +423,6 @@ def test_transfers_refuse_a_relation_at_other_objects():
     cat = subset_category()
     # the relation was built at d3 = 9, but the provider witnessed d3 = 6
     at_nine = lambda d3: identity_modeling(cat, 1, 2, 9)
-    with pytest.raises(ConstructionError) as exc:
-        r_modeling_transfer(at_nine, lambda d1, d2, r: (6, 1), 1, 2, 2)
-    assert str(exc.value) == \
-        "relation triple disagrees with (d1, d2, d3) = (1, 2, 6)"
     with pytest.raises(ConstructionError) as exc:
         modeling_transfer(at_nine, _fixed_witness(6), DR, DR, 1, 2, 1, 2, 2)
     assert str(exc.value) == \

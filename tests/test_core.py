@@ -15,9 +15,8 @@ import ramcat
 from ramcat import (BudgetExceeded, EncodingError, IdentityFunctor, LiftError,
                     Morph, SearchBudget, binomial, canon_bytes, canon_hex,
                     canon_parse, canon_unhex, check_category_laws,
-                    check_functor_laws, check_frank_at, compose_functors,
-                    compose_word, frank_pair, sort_morphs, subset_boundary,
-                    subset_category)
+                    check_functor_laws, check_frank_at, compose_word,
+                    sort_morphs, subset_boundary, subset_category)
 from ramcat.categories import (ORIENTATIONS, ProductCategory, ProductFunctor,
                                StepBoundary, StepCategory, SubsetCategory,
                                TreeCategory, WordBoundary, star, tree_category,
@@ -209,7 +208,7 @@ def test_compose_word_applies_first_entry_first():
 
 def test_composed_functor_structure():
     delta = subset_boundary()
-    dd = compose_functors(delta, delta)
+    dd = ComposedFunctor(delta, delta)
     assert dd.obj(5) == 3
     assert dd.obj(1) == 0
     f = Morph(2, 5, (2, 5))
@@ -237,12 +236,12 @@ def test_composition_needs_one_category_not_one_name():
     assert _Lookalike.name == _Unregistered.name == delta.cod.name == "subset"
     for foreign in (_Lookalike(), _Unregistered()):
         with pytest.raises(ValueError, match="not composable"):
-            compose_functors(IdentityFunctor(foreign), delta)
+            ComposedFunctor(IdentityFunctor(foreign), delta)
         # a category always composes with its own handle
         ident = IdentityFunctor(foreign)
-        assert compose_functors(ident, ident).dom is foreign
+        assert ComposedFunctor(ident, ident).dom is foreign
     # two handles of one registered category compose
-    assert compose_functors(subset_boundary(), delta).obj(5) == 3
+    assert ComposedFunctor(subset_boundary(), delta).obj(5) == 3
 
 
 def test_default_frank_lift_raises():
@@ -1085,17 +1084,6 @@ def test_frank_check_reports_missing_lift():
     res = check_frank_at(_Clamp(cat, 3), 1, 2)
     assert res.status == "no-lift"
     assert isinstance(res, FrankResult)
-
-
-def test_frank_pair_lands_on_the_requested_hom():
-    from ramcat import functor_image
-    delta = subset_boundary()
-    c1, c2 = frank_pair(delta, 1, 2)
-    assert (c1, c2) == (2, 3)
-    assert delta.obj(c1) == 1 and delta.obj(c2) == 2
-    image = functor_image(delta, c1, c2)
-    target = delta.cod.hom(1, 2)
-    assert set(image) == set(target)
 
 
 def test_binomial():

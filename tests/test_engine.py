@@ -4,16 +4,16 @@ import os
 from collections import Counter
 
 import pytest
-from brute import brute_p_checks, brute_refutes
+from brute import brute_p_checks, brute_refutes, fiber
 
 from ramcat import engine
 from ramcat import (DEFAULT_SEED, BudgetExceeded, Category, Coloring,
                     FpInstance, Morph, ProductCategory, SearchBudget,
                     check_degree_witness, check_fp_witness,
                     check_p_witness, compose_word, degree_upper_bound,
-                    dump_certificate, fiber, functor_image, p_certificate,
+                    dump_certificate, functor_image, p_certificate,
                     prf_color, product_ramsey_numbers, ramsey_degree,
-                    replay_verify, search_p_witness, SubsetBoundary,
+                    replay_verify, SubsetBoundary,
                     SubsetCategory, subset_boundary, subset_category)
 from ramcat.categories import (TreeCategory, product_functor, standard_window,
                                star, tree_truncation, word_boundary)
@@ -32,10 +32,7 @@ def test_single_boundary_collapse_at_four():
     assert res.ok and res.exhaustive
     assert res.cells == 6 and res.arrows == 4
     assert res.total == 2 ** res.cells
-    found = search_p_witness(DR, 2, 3, 2, range(0, 8))
-    assert found is not None
-    c, inner = found
-    assert c == 4 and inner.ok
+    assert not any(check_p_witness(DR, 2, 3, c, 2).ok for c in range(4))
 
 
 def test_composite_boundary_fails_at_five():

@@ -4,12 +4,13 @@ from functools import partial
 
 import pytest
 from brute import (brute_canon_bytes, brute_first_failure,
-                   brute_first_sampled_failure, brute_p_checks, brute_refutes)
+                   brute_first_sampled_failure, brute_p_checks, brute_refutes,
+                   fiber)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramcat import (EncodingError, SearchBudget, SubsetCategory, canon_bytes,
-                    canon_parse, check_p_witness, compose_word, engine, fiber,
+                    canon_parse, check_p_witness, compose_word, engine,
                     functor_image, prf_color, ramsey_degree,
                     degree_upper_bound, subset_boundary, subset_category)
 from ramcat.certificates import canonical_json
