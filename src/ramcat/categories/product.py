@@ -5,11 +5,12 @@ in factor order, ((0, x0), ..., (k-1, x_{k-1})); `pack` builds it from the
 values.  A morphism's payload is the tuple of factor payloads in factor
 order.  Hom sets are cartesian products of the factor hom sets in
 `itertools.product` order, which is canonical since `canon_bytes` is
-self-delimiting; `action` relies on it to sum the factors' action table
-indices in mixed radix.  It builds and keeps every factor's table but the
-first when it is called, and streams the first factor's rows as the
-product's own rows are read, so a caller that reads a few rows builds a few
-of the first factor's.  A functor acts coordinate by coordinate.
+self-delimiting: `payload_bytes` joins a tuple header and the factors'
+`payload_bytes` in it, building no arrow, and `action` sums the factors'
+action table indices in mixed radix.  It builds and keeps every factor's
+table but the first when it is called, and streams the first factor's rows
+as the product's own rows are read, so a caller that reads a few rows
+builds a few of the first factor's.  A functor acts coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ class ProductCategory(Category):
     def hom_size(self, a: Any, b: Any) -> int:
         return prod(cat.hom_size(x, y)
                     for cat, (_, x), (_, y) in zip(self.factors, a, b))
+
+    def payload_bytes(self, a: Any, b: Any) -> list[bytes]:
+        head = b"T" + len(self.factors).to_bytes(4, "big")
+        return list(map(b"".join, product(
+            [head], *(cat.payload_bytes(x, y)
+                      for cat, (_, x), (_, y) in zip(self.factors, a, b)))))
 
     def action(self, a: Any, b: Any, c: Any) -> Iterable[tuple[int, ...]]:
         # the index of a product arrow of hom(a, c) is the sum of its factor

@@ -36,7 +36,8 @@ from itertools import count, repeat
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, NamedTuple
 
-from ..core import Category, EncodingError, Functor, Morph, grade_fits
+from ..core import (Category, EncodingError, Functor, Morph, canon_bytes,
+                    grade_fits)
 
 
 def structure(t: tuple) -> tuple[list, list, list]:
@@ -242,6 +243,9 @@ class TreeCategory(Category):
 
     def hom(self, a: Any, b: Any) -> tuple[Morph, ...]:
         return tuple([Morph(a, b, p) for p in _hom_payloads(a, b)])
+
+    def payload_bytes(self, a: Any, b: Any) -> list[bytes]:
+        return list(map(canon_bytes, _hom_payloads(a, b)))
 
     def hom_size(self, a: Any, b: Any) -> int:
         if not grade_fits(shape(a).levels, shape(b).levels):

@@ -123,7 +123,8 @@ def hom_fingerprint(fun: Functor, a: Any, c: Any) -> str:
 
     Every arrow of hom(a, c) is (a, c, data), so its encoding `f.encode()`
     is one constant head, the (dom, cod, data) triple's tuple header and
-    the endpoints' bytes, then its payload's bytes; the head is encoded once.
+    the endpoints' bytes, then its payload's bytes, as `cat.payload_bytes`
+    gives them; the head is encoded once.
     """
     cat = fun.dom
     h = hashlib.sha256()
@@ -134,7 +135,7 @@ def hom_fingerprint(fun: Functor, a: Any, c: Any) -> str:
     ends = canon_bytes(a) + canon_bytes(c)
     h.update(ends)
     head = b"T" + (3).to_bytes(4, "big") + ends
-    h.update(b"".join([head + canon_bytes(f.data) for f in cat.hom(a, c)]))
+    h.update(b"".join([head + p for p in cat.payload_bytes(a, c)]))
     return h.hexdigest()
 
 

@@ -305,6 +305,11 @@ class Category(ABC):
     def hom_size(self, a: Any, b: Any) -> int:
         return len(self.hom(a, b))
 
+    def payload_bytes(self, a: Any, b: Any) -> list[bytes]:
+        """Each payload's `canon_bytes`, in hom(a, b)'s order, for the
+        fingerprint; an override reads the enumeration that `hom` reads."""
+        return [canon_bytes(f.data) for f in self.hom(a, b)]
+
     def grade(self, a: Any) -> tuple[int, ...]:
         return ()
 

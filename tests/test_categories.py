@@ -8,8 +8,8 @@ import pytest
 from brute import brute_table, brute_tree_embeddings
 
 from ramcat import (EncodingError, IdentityFunctor, LiftError, Morph,
-                    check_category_laws, check_frank_at, check_functor_laws,
-                    compose_word, fouche_witness)
+                    canon_bytes, check_category_laws, check_frank_at,
+                    check_functor_laws, compose_word, fouche_witness)
 from ramcat.core import Category, sort_morphs
 from ramcat.categories import trees as trees_module
 from ramcat.categories import (ProductCategory, ProductFunctor, StepBoundary,
@@ -675,6 +675,41 @@ def test_single_category_hom_is_canonical_and_counted(cat, objs):
             hom = cat.hom(a, b)
             assert hom == sort_morphs(hom), (cat.name, a, b)
             assert len(hom) == cat.hom_size(a, b), (cat.name, a, b)
+
+
+def _payload_fragments():
+    yield from _SINGLE_FRAGMENTS
+    r, p, t = subset_category(), StepCategory(), tree_category()
+    rr = ProductCategory((r, r))
+    products = {
+        "RxR": ((r, r), (range(4), range(4))),
+        "RxP": ((r, p), (range(4), ((2, 0), (2, 1), (2, 2), (4, 2)))),
+        "HJ:1xR": ((word_category(1), r),
+                   ((("V", (1, 2)), ("V", (2, 1)), ("L", 0), ("L", 2)),
+                    (1, 3))),
+        "treesxR": ((t, r), (((0,), (1, 0), (2, 0, 0)), (1, 3))),
+        "RxPxR": ((r, p, r), ((1, 3), ((2, 1), (4, 2)), (0, 2))),
+        "(RxR)xR": ((rr, r), (tuple(map(rr.pack, ((1, 1), (1, 3), (2, 3)))),
+                              (1, 2))),
+    }
+    for name, (factors, values) in products.items():
+        cat = ProductCategory(factors)
+        yield pytest.param(cat, tuple(map(cat.pack, product(*values))),
+                           id=name)
+
+
+@pytest.mark.parametrize("cat, objs", _payload_fragments())
+def test_payload_bytes_encode_hom_payloads_in_hom_order(cat, objs):
+    # the fingerprint hashes payload_bytes in place of the arrows of hom;
+    # every fragment holds an empty hom-set (in a product, a factor's)
+    # and a non-empty one
+    seen = set()
+    for a in objs:
+        for b in objs:
+            want = [canon_bytes(f.data) for f in cat.hom(a, b)]
+            assert cat.payload_bytes(a, b) == want, (cat.name, a, b)
+            seen.add(bool(want))
+    assert seen == {False, True}
 
 
 def test_product_action_matches_generic_action(monkeypatch):

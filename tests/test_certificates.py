@@ -12,7 +12,7 @@ from ramcat import (Claim, FpInstance, Morph, SearchBudget, compose_word,
                     parse_certificate, product_functor, replay_verify, star,
                     step_boundary, subset_boundary, tree_truncation,
                     word_boundary, word_witness)
-from ramcat.categories import ORIENTATIONS
+from ramcat.categories import ORIENTATIONS, ProductCategory
 from ramcat.categories.rcat import SubsetBoundary, SubsetCategory
 from ramcat.certificates import (CertificateError, StaleCertificateError,
                                  Trace, budget_doc, build_category,
@@ -207,6 +207,27 @@ def test_replay_rejects_reordered_enumeration(monkeypatch):
         replay_verify(doc)
 
 
+def test_replay_rejects_reordered_factor_enumeration(monkeypatch):
+    # a product's payload bytes read its factors' hom
+    a, b, c = (_RR.dom.pack(v) for v in ((1, 1), (2, 2), (3, 4)))
+    doc = p_certificate(_RR, a, b, c, 2, check_p_witness(_RR, a, b, c, 2))
+    orig = SubsetCategory.hom
+    monkeypatch.setattr(SubsetCategory, "hom",
+                        lambda self, a, b: tuple(reversed(orig(self, a, b))))
+    with pytest.raises(StaleCertificateError, match="enumeration changed"):
+        replay_verify(doc)
+
+
+def test_product_fingerprint_builds_no_product_arrow(monkeypatch):
+    a, c = _RR.dom.pack((1, 1)), _RR.dom.pack((130, 6))
+    want = brute_fingerprint(_RR, a, c)
+
+    def refuse(self, a, b):
+        raise AssertionError("the product's hom was read")
+    monkeypatch.setattr(ProductCategory, "hom", refuse)
+    assert hom_fingerprint(_RR, a, c) == want
+
+
 # ---------------------------------------------------------------------------
 # replay semantics
 
@@ -247,6 +268,7 @@ def test_replay_budget_override():
 _RR = product_functor(DR, DR)
 _RP = product_functor(DR, step_boundary())
 _HJR = product_functor(word_boundary(1), DR)
+_RR_R = product_functor(_RR, DR)
 
 
 @pytest.mark.parametrize("fun, a, c, arrows", [
@@ -268,6 +290,10 @@ _HJR = product_functor(word_boundary(1), DR)
     (_RP, _RP.dom.pack((1, (2, 1))), _RP.dom.pack((3, (5, 2))), 12),
     (_HJR, _HJR.dom.pack((("V", (1, 2)), 1)), _HJR.dom.pack((("L", 2), 3)),
      12),
+    # the construct product claim's hom(a, c)
+    (_RR, _RR.dom.pack((1, 1)), _RR.dom.pack((130, 6)), 780),
+    (_RR_R, _RR_R.dom.pack((_RR.dom.pack((1, 2)), 1)),
+     _RR_R.dom.pack((_RR.dom.pack((3, 4)), 3)), 54),
     (compose_word([DR, DR]), 2, 6, 15)],
     ids=lambda v: v.name if hasattr(v, "name") else None)
 def test_fingerprint_matches_the_literal_hash(fun, a, c, arrows):
